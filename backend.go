@@ -1,6 +1,7 @@
 package rapid
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -63,32 +64,39 @@ func ParseBackendKind(s string) (BackendKind, error) {
 // interface — the one entry point the failover chain, the CLIs, and the
 // harness build backends through. Options apply where relevant (workers
 // and cache caps to the lazy-DFA tier, telemetry to every tier); the
-// legacy per-path constructors (NewRunner, CompileCPU, NewEngine,
-// ReferenceMatcher) remain as thin wrappers around the same paths.
+// per-path constructors (NewRunner, CompileCPU, NewEngine) remain for
+// callers that need a tier's own methods.
 func (d *Design) Backend(kind BackendKind, opts ...Option) (Matcher, error) {
-	cfg := applyOptions(opts)
+	var run func(ctx context.Context, input []byte) ([]Report, error)
 	switch kind {
 	case BackendDevice:
 		runner, err := d.NewRunner(opts...)
 		if err != nil {
 			return nil, err
 		}
-		return runner.Matcher(), nil
+		run = runner.Run
 	case BackendCPUDFA:
 		cpu, err := d.CompileCPU(opts...)
 		if err != nil {
 			return nil, err
 		}
-		return cpu.Matcher(), nil
+		run = cpu.Run
 	case BackendLazyDFA:
 		eng, err := d.NewEngine(opts...)
 		if err != nil {
 			return nil, err
 		}
-		return eng.Matcher(), nil
+		run = eng.Run
 	case BackendReference:
-		return &referenceMatcher{d: d, tel: newBackendMetrics(cfg.tel, string(BackendReference))}, nil
+		tel := newBackendMetrics(applyOptions(opts).tel, string(BackendReference))
+		run = func(ctx context.Context, input []byte) ([]Report, error) {
+			start := tel.start()
+			reports, err := d.Run(ctx, input)
+			tel.record(1, len(input), len(reports), err, start)
+			return reports, err
+		}
 	default:
 		return nil, &UnknownBackendError{Got: string(kind)}
 	}
+	return backend{name: string(kind), run: run}, nil
 }

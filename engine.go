@@ -175,7 +175,7 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 	raw, err := m.RunAppend(ctx, input, (*bufp)[:0])
 	*bufp = raw[:0]
 	if e.tel != nil {
-		e.tel.bm.record(len(input), len(raw), err, start)
+		e.tel.bm.record(1, len(input), len(raw), err, start)
 		e.tel.cacheFills.Add(uint64(m.Fills() - fills0))
 		e.tel.cacheFlushes.Add(uint64(m.Flushes() - flushes0))
 		e.tel.cacheEvictions.Add(uint64(m.Evictions() - evictions0))
@@ -192,6 +192,81 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 	return out, nil
 }
 
+// runPool is the engine's one worker loop: up to workers workers, each
+// holding one W drawn from pool, pull item indices 0..n-1 from a shared
+// counter and run body on them until the items run out. A body error
+// stops its worker, keeps the others from starting further items, cancels
+// the context body runs under so items in flight stop early, and is the
+// error returned (the first one wins). A single worker runs on the
+// caller's goroutine under the caller's context: it has nothing in flight
+// to cancel.
+func runPool[W any](ctx context.Context, workers, n int, pool *sync.Pool, body func(ctx context.Context, w W, i int) error) error {
+	r := poolRun[W]{ctx: ctx, cancel: func() {}, n: n, pool: pool, body: body}
+	r.next.Store(-1)
+	if workers = min(workers, n); workers <= 1 {
+		r.wg.Add(1)
+		r.work()
+		return r.err
+	}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	defer r.cancel()
+	r.wg.Add(workers)
+	work := r.work // one method value, not one allocated per go statement
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	r.wg.Wait()
+	return r.err
+}
+
+// poolRun is the state the workers of one runPool call share.
+type poolRun[W any] struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	n       int
+	pool    *sync.Pool
+	body    func(ctx context.Context, w W, i int) error
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	errOnce sync.Once
+	err     error
+}
+
+func (r *poolRun[W]) work() {
+	defer r.wg.Done()
+	w := r.pool.Get().(W)
+	defer r.pool.Put(w)
+	for {
+		i := int(r.next.Add(1))
+		if i >= r.n {
+			return
+		}
+		if err := r.body(r.ctx, w, i); err != nil {
+			r.errOnce.Do(func() { r.err = err })
+			r.next.Store(int64(r.n))
+			r.cancel()
+			return
+		}
+	}
+}
+
+// enqueue accounts one accepted batch of n streams on the queue-depth
+// gauge. done is called as each stream finishes; leave, once the batch
+// returns, takes out the streams an early error left unfinished.
+func (e *Engine) enqueue(n int) (done, leave func()) {
+	if e.tel == nil {
+		return func() {}, func() {}
+	}
+	var finished atomic.Int64
+	e.tel.batches.Inc()
+	e.tel.queueDepth.Add(int64(n))
+	done = func() {
+		finished.Add(1)
+		e.tel.queueDepth.Dec()
+	}
+	return done, func() { e.tel.queueDepth.Add(finished.Load() - int64(n)) }
+}
+
 // RunBatch shards independent streams across the engine's worker pool and
 // returns one report slice per input, in input order regardless of
 // completion order. The first error (or ctx cancellation) stops the
@@ -202,19 +277,8 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 	if len(inputs) == 0 {
 		return results, ctx.Err()
 	}
-	var finished atomic.Int64
-	if e.tel != nil {
-		e.tel.batches.Inc()
-		e.tel.queueDepth.Add(int64(len(inputs)))
-		// Streams skipped after an early error leave the queue here.
-		defer func() { e.tel.queueDepth.Add(finished.Load() - int64(len(inputs))) }()
-	}
-	done := func() {
-		if e.tel != nil {
-			finished.Add(1)
-			e.tel.queueDepth.Dec()
-		}
-	}
+	done, leave := e.enqueue(len(inputs))
+	defer leave()
 	// Take the lane path only when the batch can fill lane groups at
 	// ≥50% occupancy: a lane pass costs full group width regardless of
 	// how many lanes carry streams, so a 2-stream batch on a 64-lane
@@ -222,62 +286,16 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 	if e.laneProto != nil && len(inputs) > 1 && len(inputs)*2 >= e.lanes {
 		return results, e.runLaneBatch(ctx, inputs, results, done)
 	}
-	workers := e.workers
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	if workers <= 1 {
-		m := e.matchers.Get().(*lazydfa.Matcher)
-		defer e.matchers.Put(m)
-		for i, input := range inputs {
-			reports, err := e.runOn(ctx, m, input)
+	return results, runPool(ctx, e.workers, len(inputs), &e.matchers,
+		func(ctx context.Context, m *lazydfa.Matcher, i int) error {
+			reports, err := e.runOn(ctx, m, inputs[i])
 			if err != nil {
-				return results, fmt.Errorf("rapid: engine stream %d: %w", i, err)
+				return fmt.Errorf("rapid: engine stream %d: %w", i, err)
 			}
 			results[i] = reports
 			done()
-		}
-		return results, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next.Store(-1)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
+			return nil
 		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := e.matchers.Get().(*lazydfa.Matcher)
-			defer e.matchers.Put(m)
-			for {
-				i := int(next.Add(1))
-				if i >= len(inputs) {
-					return
-				}
-				reports, err := e.runOn(ctx, m, inputs[i])
-				if err != nil {
-					fail(fmt.Errorf("rapid: engine stream %d: %w", i, err))
-					return
-				}
-				results[i] = reports
-				done()
-			}
-		}()
-	}
-	wg.Wait()
-	return results, firstErr
 }
 
 // runLaneBatch executes inputs in groups of e.lanes streams, each group
@@ -287,87 +305,38 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 // convention as the per-stream path.
 func (e *Engine) runLaneBatch(ctx context.Context, inputs [][]byte, results [][]Report, done func()) error {
 	groups := (len(inputs) + e.lanes - 1) / e.lanes
-	runGroup := func(ls *automata.LaneSimulator, g int) error {
-		lo := g * e.lanes
-		hi := lo + e.lanes
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		var start time.Time
-		if e.tel != nil {
-			start = time.Now()
-		}
-		raw, err := ls.Run(ctx, inputs[lo:hi])
-		if e.tel != nil {
-			nbytes, nreports := 0, 0
-			for _, in := range inputs[lo:hi] {
-				nbytes += len(in)
+	return runPool(ctx, e.workers, groups, &e.laneSims,
+		func(ctx context.Context, ls *automata.LaneSimulator, g int) error {
+			lo := g * e.lanes
+			hi := min(lo+e.lanes, len(inputs))
+			var start time.Time
+			if e.tel != nil {
+				start = time.Now()
 			}
-			for _, rs := range raw {
-				nreports += len(rs)
-			}
-			e.tel.bm.record(nbytes, nreports, err, start)
-			e.tel.laneGroups.Inc()
-			e.tel.laneStreams.Add(uint64(hi - lo))
-			e.tel.laneOccupancy.Observe(int64(hi - lo))
-		}
-		if err != nil {
-			return fmt.Errorf("rapid: engine lane group %d: %w", g, err)
-		}
-		for k, rs := range raw {
-			results[lo+k] = e.convertLaneReports(rs)
-			done()
-		}
-		return nil
-	}
-
-	workers := e.workers
-	if workers > groups {
-		workers = groups
-	}
-	if workers <= 1 {
-		ls := e.laneSims.Get().(*automata.LaneSimulator)
-		defer e.laneSims.Put(ls)
-		for g := 0; g < groups; g++ {
-			if err := runGroup(ls, g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ls := e.laneSims.Get().(*automata.LaneSimulator)
-			defer e.laneSims.Put(ls)
-			for {
-				g := int(next.Add(1))
-				if g >= groups {
-					return
+			raw, err := ls.Run(ctx, inputs[lo:hi])
+			if e.tel != nil {
+				nbytes, nreports := 0, 0
+				for _, in := range inputs[lo:hi] {
+					nbytes += len(in)
 				}
-				if err := runGroup(ls, g); err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
+				for _, rs := range raw {
+					nreports += len(rs)
 				}
+				// One lane pass is hi-lo streams, not one.
+				e.tel.bm.record(hi-lo, nbytes, nreports, err, start)
+				e.tel.laneGroups.Inc()
+				e.tel.laneStreams.Add(uint64(hi - lo))
+				e.tel.laneOccupancy.Observe(int64(hi - lo))
 			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+			if err != nil {
+				return fmt.Errorf("rapid: engine lane group %d: %w", g, err)
+			}
+			for k, rs := range raw {
+				results[lo+k] = e.convertLaneReports(rs)
+				done()
+			}
+			return nil
+		})
 }
 
 // convertLaneReports canonicalizes one lane's raw report stream to the
@@ -416,52 +385,19 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 	if len(inputs) == 0 {
 		return results
 	}
-	var finished atomic.Int64
-	if e.tel != nil {
-		e.tel.batches.Inc()
-		e.tel.queueDepth.Add(int64(len(inputs)))
-		defer func() { e.tel.queueDepth.Add(finished.Load() - int64(len(inputs))) }()
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	work := func(m *lazydfa.Matcher) {
-		for {
-			i := int(next.Add(1))
-			if i >= len(inputs) {
-				return
-			}
+	done, leave := e.enqueue(len(inputs))
+	defer leave()
+	// The body never fails, so no stream's error stops another's run.
+	_ = runPool(ctx, e.workers, len(inputs), &e.matchers,
+		func(ctx context.Context, m *lazydfa.Matcher, i int) error {
 			reports, err := e.runOn(ctx, m, inputs[i])
 			if err != nil {
 				err = fmt.Errorf("rapid: engine stream %d: %w", i, err)
 			}
 			results[i] = BatchResult{Reports: reports, Err: err}
-			if e.tel != nil {
-				finished.Add(1)
-				e.tel.queueDepth.Dec()
-			}
-		}
-	}
-	workers := e.workers
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	if workers <= 1 {
-		m := e.matchers.Get().(*lazydfa.Matcher)
-		defer e.matchers.Put(m)
-		work(m)
-		return results
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := e.matchers.Get().(*lazydfa.Matcher)
-			defer e.matchers.Put(m)
-			work(m)
-		}()
-	}
-	wg.Wait()
+			done()
+			return nil
+		})
 	return results
 }
 
@@ -504,15 +440,4 @@ func (e *Engine) RunRecords(ctx context.Context, stream []byte) ([]RecordReports
 		out[i] = rr
 	}
 	return out, err
-}
-
-// Matcher adapts the engine to the failover backend interface under the
-// name "lazy-dfa".
-func (e *Engine) Matcher() Matcher { return &engineMatcher{e} }
-
-type engineMatcher struct{ e *Engine }
-
-func (m *engineMatcher) Name() string { return string(BackendLazyDFA) }
-func (m *engineMatcher) Match(ctx context.Context, input []byte) ([]Report, error) {
-	return m.e.Run(ctx, input)
 }

@@ -25,43 +25,16 @@ type Matcher interface {
 	Match(ctx context.Context, input []byte) ([]Report, error)
 }
 
-// Matcher adapts the runner (the fast device-model path) to the backend
-// interface under the name "device".
-func (r *Runner) Matcher() Matcher { return &runnerMatcher{r} }
-
-type runnerMatcher struct{ r *Runner }
-
-func (m *runnerMatcher) Name() string { return string(BackendDevice) }
-func (m *runnerMatcher) Match(ctx context.Context, input []byte) ([]Report, error) {
-	return m.r.Run(ctx, input)
+// backend is the one Matcher adapter: a tier's kind name and its run
+// function. Design.Backend builds it for every kind.
+type backend struct {
+	name string
+	run  func(ctx context.Context, input []byte) ([]Report, error)
 }
 
-// Matcher adapts the determinized CPU path to the backend interface under
-// the name "cpu-dfa".
-func (m *CPUMatcher) Matcher() Matcher { return &cpuBackend{m} }
-
-type cpuBackend struct{ m *CPUMatcher }
-
-func (b *cpuBackend) Name() string { return string(BackendCPUDFA) }
-func (b *cpuBackend) Match(ctx context.Context, input []byte) ([]Report, error) {
-	return b.m.Run(ctx, input)
-}
-
-// ReferenceMatcher adapts the design's reference simulator — the slowest,
-// most trusted path — to the backend interface under the name "reference".
-func (d *Design) ReferenceMatcher() Matcher { return &referenceMatcher{d: d} }
-
-type referenceMatcher struct {
-	d   *Design
-	tel *backendMetrics
-}
-
-func (m *referenceMatcher) Name() string { return string(BackendReference) }
-func (m *referenceMatcher) Match(ctx context.Context, input []byte) ([]Report, error) {
-	start := m.tel.start()
-	reports, err := m.d.Run(ctx, input)
-	m.tel.record(len(input), len(reports), err, start)
-	return reports, err
+func (b backend) Name() string { return b.name }
+func (b backend) Match(ctx context.Context, input []byte) ([]Report, error) {
+	return b.run(ctx, input)
 }
 
 // BackendError attributes a backend failure (including a recovered panic)

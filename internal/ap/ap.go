@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/automata"
@@ -176,78 +177,48 @@ type BoardReport struct {
 	automata.Report
 }
 
-// Run streams input through every loaded design in lock-step and returns
-// all report events in (offset, design) order.
-func (b *Board) Run(input []byte) ([]BoardReport, error) {
-	type runner struct {
-		name string
-		sim  *automata.Simulator
-	}
-	runners := make([]runner, 0, len(b.designs))
-	for _, d := range b.designs {
-		sim, err := automata.NewSimulator(d.Network)
-		if err != nil {
-			return nil, fmt.Errorf("ap: design %q: %w", d.Network.Name, err)
-		}
-		runners = append(runners, runner{name: d.Network.Name, sim: sim})
-	}
-	// Lock-step: every design consumes the same symbol each cycle. Since
-	// the designs share no state, stepping them in sequence per symbol is
-	// observationally identical to stepping them simultaneously.
-	for _, sym := range input {
-		for i := range runners {
-			runners[i].sim.Step(sym)
-		}
-	}
-	// Gather reports ordered by offset, then by design load order.
-	var out []BoardReport
-	for i := range runners {
-		for _, r := range runners[i].sim.Reports() {
-			out = append(out, BoardReport{Design: runners[i].name, Report: r})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Offset < out[j].Offset })
-	return out, nil
+// Run streams input through every loaded design and returns all report
+// events in (offset, design) order. The device advances every design on
+// the same symbol each cycle; since the designs share no state, simulating
+// them one after another over the whole stream is observationally
+// identical.
+func (b *Board) Run(input []byte) ([]BoardReport, error) { return b.run(input, 1) }
+
+// RunParallel is Run with the loaded designs simulated concurrently, up to
+// GOMAXPROCS at a time. The result is identical to Run; on multi-design
+// boards the wall-clock win approaches the worker count.
+func (b *Board) RunParallel(input []byte) ([]BoardReport, error) {
+	return b.run(input, runtime.GOMAXPROCS(0))
 }
 
-// RunParallel is Run with the loaded designs simulated concurrently, one
-// worker per design up to GOMAXPROCS. Since the designs share no state,
-// the result is identical to Run; on multi-design boards the wall-clock
-// win approaches the worker count.
-func (b *Board) RunParallel(input []byte) ([]BoardReport, error) {
-	if len(b.designs) <= 1 {
-		return b.Run(input)
-	}
-	type result struct {
-		idx     int
-		reports []automata.Report
-		err     error
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	results := make(chan result, len(b.designs))
+// run simulates each loaded design over input on the bitset kernel, at
+// most workers at a time, and merges the reports by offset, then by
+// design load order.
+func (b *Board) run(input []byte, workers int) ([]BoardReport, error) {
+	perDesign := make([][]automata.Report, len(b.designs))
+	errs := make([]error, len(b.designs))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
 	for i, d := range b.designs {
-		i, d := i, d
+		wg.Add(1)
+		sem <- struct{}{}
 		go func() {
-			sem <- struct{}{}
+			defer wg.Done()
 			defer func() { <-sem }()
 			sim, err := automata.NewFastSimulator(d.Network)
 			if err != nil {
-				results <- result{idx: i, err: fmt.Errorf("ap: design %q: %w", d.Network.Name, err)}
+				errs[i] = fmt.Errorf("ap: design %q: %w", d.Network.Name, err)
 				return
 			}
-			results <- result{idx: i, reports: sim.Run(input)}
+			perDesign[i] = sim.Run(input)
 		}()
 	}
-	perDesign := make([][]automata.Report, len(b.designs))
-	for range b.designs {
-		r := <-results
-		if r.err != nil {
-			return nil, r.err
-		}
-		perDesign[r.idx] = r.reports
-	}
+	wg.Wait()
 	var out []BoardReport
 	for i, reports := range perDesign {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 		for _, r := range reports {
 			out = append(out, BoardReport{Design: b.designs[i].Network.Name, Report: r})
 		}

@@ -8,21 +8,12 @@ type bitset []uint64
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i ElementID)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i ElementID)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b bitset) has(i ElementID) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitset) reset() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // forEach calls f for every set bit in increasing order.

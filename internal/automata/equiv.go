@@ -1,10 +1,6 @@
 package automata
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Equivalence checking for counter-free networks: two designs are
 // report-equivalent when, for every input stream, they report at exactly
@@ -24,51 +20,6 @@ func steOnly(t *Topology) error {
 	return nil
 }
 
-// detState is a deterministic configuration: the set of enabled STEs.
-type detState []ElementID
-
-func (d detState) key() string {
-	var sb strings.Builder
-	for _, id := range d {
-		fmt.Fprintf(&sb, "%d,", id)
-	}
-	return sb.String()
-}
-
-// stepDet advances a deterministic configuration by one symbol, returning
-// the next enabled set and whether any reporting element was active.
-func stepDet(t *Topology, enabled detState, sym byte, firstSymbol bool) (detState, bool) {
-	activeReport := false
-	nextSet := map[ElementID]bool{}
-	activate := func(id ElementID) {
-		if !t.Class(id).Contains(sym) {
-			return
-		}
-		if t.Reports(id) {
-			activeReport = true
-		}
-		for _, out := range t.Outs(id) {
-			if out.Port == PortIn {
-				nextSet[ElementID(out.Node)] = true
-			}
-		}
-	}
-	for _, id := range enabled {
-		activate(id)
-	}
-	for i := ElementID(0); i < ElementID(t.Len()); i++ {
-		if t.Start(i) == StartAllInput || (t.Start(i) == StartOfData && firstSymbol) {
-			activate(i)
-		}
-	}
-	next := make(detState, 0, len(nextSet))
-	for id := range nextSet {
-		next = append(next, id)
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	return next, activeReport
-}
-
 // Equivalent checks report-equivalence of two counter-free topologies. It
 // returns nil when equivalent, or an error carrying a counterexample input
 // on which exactly one of the designs reports.
@@ -80,31 +31,36 @@ func Equivalent(a, b *Topology) error {
 		return err
 	}
 	part := Partition(a, b)
+	ka, kb := a.Kernel(), b.Kernel()
 
+	// A pair is a joint deterministic configuration: each design's enable
+	// vector after the shared input witness.
 	type pair struct {
-		ea, eb  detState
+		ea, eb  []uint64
 		witness []byte
 	}
-	start := pair{}
+	activeA, activeB := make([]uint64, ka.Words()), make([]uint64, kb.Words())
 	seen := map[string]bool{}
-	queue := []pair{start}
+	var key []byte
+	queue := []pair{{ea: make([]uint64, ka.Words()), eb: make([]uint64, kb.Words())}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, sym := range part.Representatives {
 			first := len(cur.witness) == 0
-			na, ra := stepDet(a, cur.ea, sym, first)
-			nb, rb := stepDet(b, cur.eb, sym, first)
+			na, nb := make([]uint64, ka.Words()), make([]uint64, kb.Words())
+			ra := ka.Step(cur.ea, first, sym, activeA, na)
+			rb := kb.Step(cur.eb, first, sym, activeB, nb)
 			w := append(append([]byte(nil), cur.witness...), sym)
 			if ra != rb {
 				return fmt.Errorf("automata: designs differ on input %q (offset %d): %q reports %v, %q reports %v",
 					w, len(w)-1, a.Name, ra, b.Name, rb)
 			}
-			key := detState(na).key() + "|" + detState(nb).key()
-			if seen[key] {
+			key = AppendConfigKey(AppendConfigKey(key[:0], na, false), nb, false)
+			if seen[string(key)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			queue = append(queue, pair{ea: na, eb: nb, witness: w})
 		}
 	}

@@ -2,31 +2,24 @@ package automata
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 )
 
-// FastSimulator is a throughput-oriented simulator: it precomputes, for
-// every input symbol, the bitset of STEs accepting that symbol, and for
-// every element the bitset of STEs its activation enables. A cycle is then
-// a handful of word-wide AND/OR passes instead of per-element class tests,
-// which mirrors how the physical device evaluates all columns of the
-// memory array against the decoded row in parallel.
+// FastSimulator is the throughput-oriented simulator: the shared step
+// Kernel plus the mutable state a whole design needs — the enable vector,
+// counter values, gate and counter evaluation, the report log, and
+// checkpoints. A cycle is a handful of word-wide AND/OR passes instead of
+// per-element class tests.
 //
-// The simulator runs on a frozen Topology: the precomputed tables are
-// immutable and shared by every clone, and all mutable execution state
-// lives in one flat word slice plus the counter array, so Clone is a
-// constant number of allocations regardless of design size.
+// The kernel's tables are immutable and shared by every simulator of the
+// topology, and all mutable execution state lives in one flat word slice
+// plus the counter array, so construction and Clone are a constant number
+// of allocations regardless of design size.
 //
 // Semantics are identical to Simulator; the tests cross-check them.
 type FastSimulator struct {
-	t *Topology
-
-	accept      [256]bitset  // STEs accepting each symbol
-	startData   bitset       // StartOfData STEs
-	startAll    bitset       // StartAllInput STEs
-	outMask     [][]maskWord // per element: sparse STE-enable mask
-	reporting   []ElementID  // elements with Report set
-	hasSpecials bool
+	k *Kernel
 
 	// Mutable state: enabled, nextEnabled, and active are equal-length
 	// subslices of the single backing allocation state.
@@ -34,15 +27,14 @@ type FastSimulator struct {
 	enabled     bitset
 	nextEnabled bitset
 	active      bitset
-	counterVal  []int
+	counterVal  []int // by position in Specials() (gate slots stay 0); nil for pure designs
 
 	offset  int
 	reports []Report
 }
 
-// NewFastSimulator freezes the network (validating it) and builds the
-// precomputed tables. Construction is O(elements × alphabet); prefer the
-// plain Simulator for one-shot runs of very large designs.
+// NewFastSimulator freezes the network (validating it) and returns a fast
+// simulator over its topology.
 func NewFastSimulator(n *Network) (*FastSimulator, error) {
 	t, err := n.Freeze()
 	if err != nil {
@@ -51,65 +43,24 @@ func NewFastSimulator(n *Network) (*FastSimulator, error) {
 	return t.NewFastSimulator(), nil
 }
 
-// NewFastSimulator builds a fast simulator over the frozen topology.
-// Unlike the Network constructor it cannot fail: a Topology is valid by
-// construction.
-func (t *Topology) NewFastSimulator() *FastSimulator {
-	ln := t.Len()
-	s := &FastSimulator{
-		t:           t,
-		startData:   newBitset(ln),
-		startAll:    newBitset(ln),
-		outMask:     make([][]maskWord, ln),
-		counterVal:  make([]int, ln),
-		hasSpecials: !t.Pure(),
-	}
-	s.allocState(ln)
-	for sym := 0; sym < 256; sym++ {
-		s.accept[sym] = newBitset(ln)
-	}
-	for id := ElementID(0); id < ElementID(ln); id++ {
-		if t.Reports(id) {
-			s.reporting = append(s.reporting, id)
-		}
-		mask := newBitset(ln)
-		for _, out := range t.Outs(id) {
-			to := ElementID(out.Node)
-			if out.Port == PortIn && t.Kind(to) == KindSTE {
-				mask.set(to)
-			}
-		}
-		s.outMask[id] = sparsify(mask)
-		if t.Kind(id) != KindSTE {
-			continue
-		}
-		class := t.Class(id)
-		for sym := 0; sym < 256; sym++ {
-			if class.Contains(byte(sym)) {
-				s.accept[sym].set(id)
-			}
-		}
-		switch t.Start(id) {
-		case StartOfData:
-			s.startData.set(id)
-		case StartAllInput:
-			s.startAll.set(id)
-		}
-	}
-	return s
-}
+// NewFastSimulator returns a reset fast simulator over the frozen
+// topology. Unlike the Network constructor it cannot fail: a Topology is
+// valid by construction. The first simulator of a topology builds its
+// kernel tables (O(elements × alphabet)); later ones only allocate state.
+func (t *Topology) NewFastSimulator() *FastSimulator { return t.Kernel().NewFastSimulator() }
 
-// allocState carves the three mutable bitsets out of one backing slice.
-func (s *FastSimulator) allocState(n int) {
-	words := (n + 63) / 64
-	s.state = make([]uint64, 3*words)
+// NewFastSimulator returns a reset fast simulator stepping through k.
+func (k *Kernel) NewFastSimulator() *FastSimulator {
+	words := k.nwords
+	s := &FastSimulator{k: k, state: make([]uint64, 3*words)}
 	s.enabled = bitset(s.state[0:words:words])
 	s.nextEnabled = bitset(s.state[words : 2*words : 2*words])
 	s.active = bitset(s.state[2*words : 3*words : 3*words])
+	if k.specials != nil {
+		s.counterVal = make([]int, len(k.specials.Specials()))
+	}
+	return s
 }
-
-// Topology returns the frozen topology the simulator executes.
-func (s *FastSimulator) Topology() *Topology { return s.t }
 
 // Reset returns the simulator to its initial configuration.
 func (s *FastSimulator) Reset() {
@@ -129,27 +80,11 @@ func (s *FastSimulator) Reports() []Report { return s.reports }
 // Offset returns the number of symbols consumed so far.
 func (s *FastSimulator) Offset() int { return s.offset }
 
-// Clone returns an independent simulator for the same topology that shares
-// the precomputed acceptance and enable tables (immutable after
-// construction) but owns fresh mutable state. Because the topology is a
-// frozen struct-of-arrays value and the mutable state is two flat slices,
-// cloning is a constant number of allocations — O(1), not the
-// O(elements × alphabet) of construction — so servers can fan one design
-// out across goroutines cheaply. The clone starts reset.
-func (s *FastSimulator) Clone() *FastSimulator {
-	c := &FastSimulator{
-		t:           s.t,
-		accept:      s.accept,
-		startData:   s.startData,
-		startAll:    s.startAll,
-		outMask:     s.outMask,
-		reporting:   s.reporting,
-		hasSpecials: s.hasSpecials,
-		counterVal:  make([]int, s.t.Len()),
-	}
-	c.allocState(s.t.Len())
-	return c
-}
+// Clone returns an independent, reset simulator for the same topology. It
+// shares the kernel tables and owns fresh mutable state — a constant
+// number of allocations — so servers can fan one design out across
+// goroutines cheaply.
+func (s *FastSimulator) Clone() *FastSimulator { return s.k.NewFastSimulator() }
 
 // SimState is a checkpoint of a FastSimulator's mutable execution state,
 // taken with Snapshot and reinstated with Restore. It captures the enable
@@ -170,7 +105,7 @@ func (st *SimState) Offset() int { return st.offset }
 // independent of later stepping and may be restored any number of times.
 func (s *FastSimulator) Snapshot() *SimState {
 	st := &SimState{
-		enabled:    newBitset(s.t.Len()),
+		enabled:    make(bitset, len(s.enabled)),
 		counterVal: make([]int, len(s.counterVal)),
 		offset:     s.offset,
 		nreports:   len(s.reports),
@@ -194,45 +129,53 @@ func (s *FastSimulator) Restore(st *SimState) {
 	}
 }
 
-// Step processes one input symbol.
-func (s *FastSimulator) Step(symbol byte) {
-	accept := s.accept[symbol]
+// Seed resets the simulator and installs a mid-stream configuration:
+// enabled is the enable vector in force at stream offset offset, with all
+// counters zero. Offset 0 means the next symbol is the stream's first. It
+// is how the lazy DFA hands a configuration over when it demotes.
+func (s *FastSimulator) Seed(enabled []uint64, offset int) {
+	s.Reset()
+	copy(s.enabled, enabled)
+	s.offset = offset
+}
 
-	// Phase 1: STE activation — word-parallel.
-	for i := range s.active {
-		w := s.enabled[i] | s.startAll[i]
-		if s.offset == 0 {
-			w |= s.startData[i]
-		}
-		s.active[i] = w & accept[i]
+// Active returns the elements active in the last cycle, in increasing
+// order — what Trace records.
+func (s *FastSimulator) Active() []ElementID {
+	var out []ElementID
+	s.active.forEach(func(id ElementID) { out = append(out, id) })
+	return out
+}
+
+// appendConfigKey serializes the simulator's whole configuration — the
+// kernel's key plus every counter value — as an exact map key.
+func (s *FastSimulator) appendConfigKey(buf []byte) []byte {
+	buf = AppendConfigKey(buf, s.enabled, s.offset == 0)
+	for _, v := range s.counterVal {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
+	return buf
+}
 
-	// Phase 2: combinational counters and gates (rare path).
-	if s.hasSpecials {
+// Step processes one input symbol: the kernel's activation pass, the
+// counters and gates (rare path), then the kernel's propagation pass.
+func (s *FastSimulator) Step(symbol byte) {
+	s.k.activate(s.enabled, s.offset == 0, symbol, s.active)
+	if s.k.specials != nil {
 		s.evalSpecials()
 	}
-
-	// Phase 3: reporting and next-cycle enables.
-	for i := range s.nextEnabled {
-		s.nextEnabled[i] = 0
-	}
-	s.active.forEach(func(id ElementID) {
-		for _, mw := range s.outMask[id] {
-			s.nextEnabled[mw.word] |= mw.bits
-		}
-	})
-	for _, id := range s.reporting {
-		if s.active.has(id) {
-			s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: s.t.ReportCode(id)})
-		}
+	if s.k.propagate(s.active, s.nextEnabled) {
+		s.k.forEachReport(s.active, func(id ElementID, code int) {
+			s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: code})
+		})
 	}
 	s.enabled, s.nextEnabled = s.nextEnabled, s.enabled
 	s.offset++
 }
 
 func (s *FastSimulator) evalSpecials() {
-	t := s.t
-	for _, id := range t.Specials() {
+	t := s.k.specials
+	for slot, id := range t.Specials() {
 		switch t.Kind(id) {
 		case KindCounter:
 			countIn, resetIn := false, false
@@ -249,11 +192,11 @@ func (s *FastSimulator) evalSpecials() {
 			}
 			switch {
 			case resetIn:
-				s.counterVal[id] = 0
-			case countIn && s.counterVal[id] < t.Target(id):
-				s.counterVal[id]++
+				s.counterVal[slot] = 0
+			case countIn && s.counterVal[slot] < t.Target(id):
+				s.counterVal[slot]++
 			}
-			if s.counterVal[id] >= t.Target(id) {
+			if s.counterVal[slot] >= t.Target(id) {
 				s.active.set(id)
 			}
 		case KindGate:
@@ -283,23 +226,6 @@ func (s *FastSimulator) evalSpecials() {
 	}
 }
 
-// maskWord is one nonzero word of a sparse bitset mask.
-type maskWord struct {
-	word int
-	bits uint64
-}
-
-// sparsify compresses a bitset to its nonzero words.
-func sparsify(b bitset) []maskWord {
-	var out []maskWord
-	for i, w := range b {
-		if w != 0 {
-			out = append(out, maskWord{word: i, bits: w})
-		}
-	}
-	return out
-}
-
 // Run resets the simulator and processes the whole input.
 func (s *FastSimulator) Run(input []byte) []Report {
 	s.Reset()
@@ -309,19 +235,18 @@ func (s *FastSimulator) Run(input []byte) []Report {
 	return s.Reports()
 }
 
-// CancelCheckInterval is the number of symbols simulators process between
-// context-cancellation checks in the RunContext variants: long enough that
-// the check is free on the hot path, short enough that cancellation is
-// prompt (a chunk is microseconds of work).
-const CancelCheckInterval = 4096
-
-// RunContext resets the simulator and processes input in chunks of
-// CancelCheckInterval symbols, checking ctx between chunks. On
-// cancellation it returns the reports produced so far together with
-// ctx.Err(); the simulator is left at the offset it reached, in a state
-// Snapshot/Restore can still operate on.
+// RunContext resets the simulator and feeds it the whole input.
 func (s *FastSimulator) RunContext(ctx context.Context, input []byte) ([]Report, error) {
 	s.Reset()
+	return s.Feed(ctx, input)
+}
+
+// Feed continues from the simulator's current configuration, processing
+// input in chunks of CancelCheckInterval symbols and checking ctx between
+// chunks. On cancellation it returns the reports produced so far together
+// with ctx.Err(); the simulator is left at the offset it reached, in a
+// state Snapshot/Restore can still operate on.
+func (s *FastSimulator) Feed(ctx context.Context, input []byte) ([]Report, error) {
 	for len(input) > 0 {
 		if err := ctx.Err(); err != nil {
 			return s.Reports(), err

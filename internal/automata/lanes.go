@@ -49,7 +49,7 @@ type LaneSimulator struct {
 	t  *Topology
 	ln int // element count
 
-	// accept is the flat lane-major acceptance table: for symbol sym and
+	// accept is the kernel's flat acceptance table: for symbol sym and
 	// element word wi, accept[sym*nwords+wi] bit e = class(e*) contains
 	// sym (e* = wi*64 + e). Contiguous so the interior loop is one index.
 	accept    []uint64
@@ -59,8 +59,8 @@ type LaneSimulator struct {
 	// always[e] is ^0 for StartAllInput elements (enabled on every cycle
 	// regardless of history) and 0 otherwise, so activation needs no
 	// per-element start-kind branch.
-	always    []uint64
-	reporting []ElementID
+	always     []uint64
+	reportBits bitset
 	// Single-word fast-path masks (nwords == 1): bit e set for
 	// StartAllInput / reporting elements respectively.
 	alwaysMask uint64
@@ -71,14 +71,11 @@ type LaneSimulator struct {
 	succ    []int32
 	succOff []int32
 
-	// Mutable lane-word state, all carved from one backing slice:
-	// enabled/next/active are indexed by element; cols[e] bit l = lane l's
-	// current byte matches e's class (staging for multi-word designs).
+	// Mutable lane-word state, indexed by element and carved from one
+	// backing slice.
 	state   []uint64
 	enabled []uint64
 	next    []uint64
-	active  []uint64
-	cols    []uint64
 	// live tracks, on the single-word fast path, which elements may have
 	// a nonzero enable word — the sparse working set the step loop visits
 	// (random text leaves most of a chain's interior dead). Elements not
@@ -101,67 +98,45 @@ func (t *Topology) NewLaneSimulator() (*LaneSimulator, error) {
 	if !t.Pure() {
 		return nil, ErrNotPure
 	}
+	// The accept table and start/report sets are the kernel's; only the
+	// element-major successor lists and lane masks are built here.
+	k := t.Kernel()
 	ln := t.Len()
-	nwords := (ln + 63) / 64
-	if nwords == 0 {
-		nwords = 1
-	}
 	s := &LaneSimulator{
-		t:         t,
-		ln:        ln,
-		nwords:    nwords,
-		accept:    make([]uint64, 256*nwords),
-		startData: newBitset(ln),
-		always:    make([]uint64, ln),
-		succOff:   make([]int32, ln+1),
+		t:          t,
+		ln:         ln,
+		nwords:     k.nwords,
+		pack2:      ln <= 32,
+		accept:     k.accept,
+		startData:  k.startData,
+		reportBits: k.reportBits,
+		always:     make([]uint64, ln),
+		succOff:    make([]int32, ln+1),
+		succ:       make([]int32, 0, t.EdgeCount()),
 	}
-	nsucc := 0
-	for id := ElementID(0); id < ElementID(ln); id++ {
-		nsucc += len(t.Outs(id))
+	if s.nwords == 1 {
+		s.alwaysMask, s.reportMask = k.startAll[0], k.reportBits[0]
 	}
-	s.succ = make([]int32, 0, nsucc)
 	for id := ElementID(0); id < ElementID(ln); id++ {
-		if t.Reports(id) {
-			s.reporting = append(s.reporting, id)
-		}
 		for _, out := range t.Outs(id) {
 			if out.Port == PortIn {
 				s.succ = append(s.succ, out.Node)
 			}
 		}
 		s.succOff[id+1] = int32(len(s.succ))
-		class := t.Class(id)
-		wi, bit := int(id)>>6, uint64(1)<<(uint(id)&63)
-		for sym := 0; sym < 256; sym++ {
-			if class.Contains(byte(sym)) {
-				s.accept[sym*nwords+wi] |= bit
-			}
-		}
-		switch t.Start(id) {
-		case StartOfData:
-			s.startData.set(id)
-		case StartAllInput:
+		if t.Start(id) == StartAllInput {
 			s.always[id] = ^uint64(0)
-			if nwords == 1 {
-				s.alwaysMask |= 1 << uint(id)
-			}
-		}
-		if nwords == 1 && t.Reports(id) {
-			s.reportMask |= 1 << uint(id)
 		}
 	}
-	s.pack2 = ln <= 32
 	s.allocState()
 	return s, nil
 }
 
 func (s *LaneSimulator) allocState() {
 	ln := s.ln
-	s.state = make([]uint64, 4*ln)
-	s.enabled = s.state[0*ln : 1*ln : 1*ln]
-	s.next = s.state[1*ln : 2*ln : 2*ln]
-	s.active = s.state[2*ln : 3*ln : 3*ln]
-	s.cols = s.state[3*ln : 4*ln : 4*ln]
+	s.state = make([]uint64, 2*ln)
+	s.enabled = s.state[:ln:ln]
+	s.next = s.state[ln:]
 }
 
 // Topology returns the frozen topology the simulator executes.
@@ -179,7 +154,7 @@ func (s *LaneSimulator) Clone() *LaneSimulator {
 		accept:     s.accept,
 		startData:  s.startData,
 		always:     s.always,
-		reporting:  s.reporting,
+		reportBits: s.reportBits,
 		alwaysMask: s.alwaysMask,
 		reportMask: s.reportMask,
 		succ:       s.succ,
@@ -323,9 +298,11 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 		return out, nil
 	}
 
-	// General path: >64 elements, one transpose per 64-element block with
-	// results staged into the element-indexed cols array.
-	nwords := s.nwords
+	// General path: >64 elements, one transpose per 64-element block,
+	// consumed in place: activation, propagation and reporting of the
+	// block's elements read the transposed rows directly.
+	nwords, ln := s.nwords, s.ln
+	succ, succOff, always, reportBits := s.succ, s.succOff, s.always, s.reportBits
 	var bytesAt [64]byte
 	for ; pos < maxLen; pos++ {
 		if pos%CancelCheckInterval == 0 && ctx != nil {
@@ -350,42 +327,36 @@ func (s *LaneSimulator) Run(ctx context.Context, inputs [][]byte) ([][]Report, e
 			}
 		}
 
+		enabled, next := s.enabled, s.next
+		clear(next)
 		for wi := 0; wi < nwords; wi++ {
 			for l := 0; l < len(inputs); l++ {
 				rows[63-l] = s.accept[int(bytesAt[l])*nwords+wi]
 			}
 			transpose64(&rows)
 			base := wi * 64
-			top := s.ln - base
-			if top > 64 {
-				top = 64
-			}
-			for k := 0; k < top; k++ {
-				s.cols[base+k] = rows[63-k]
-			}
-		}
-
-		for i := range s.next {
-			s.next[i] = 0
-		}
-		for e := 0; e < s.ln; e++ {
-			a := (s.enabled[e] | s.always[e]) & s.cols[e] & alive
-			s.active[e] = a
-			if a != 0 {
-				for _, to := range s.succ[s.succOff[e]:s.succOff[e+1]] {
-					s.next[to] |= a
+			top := min(base+64, ln)
+			en, al, rep := enabled[base:top], always[base:top], reportBits[wi]
+			for k := range en {
+				a := (en[k] | al[k]) & rows[63-k] & alive
+				if a == 0 {
+					continue
+				}
+				e := base + k
+				for _, to := range succ[succOff[e]:succOff[e+1]] {
+					next[to] |= a
+				}
+				if rep&(1<<uint(k)) != 0 {
+					id := ElementID(e)
+					code := s.t.ReportCode(id)
+					for ; a != 0; a &= a - 1 {
+						l := bits.TrailingZeros64(a)
+						out[l] = append(out[l], Report{Offset: pos, Element: id, Code: code})
+					}
 				}
 			}
 		}
-		for _, id := range s.reporting {
-			a := s.active[id]
-			for a != 0 {
-				l := bits.TrailingZeros64(a)
-				out[l] = append(out[l], Report{Offset: pos, Element: id, Code: s.t.ReportCode(id)})
-				a &= a - 1
-			}
-		}
-		s.enabled, s.next = s.next, s.enabled
+		s.enabled, s.next = next, enabled
 	}
 	return out, nil
 }

@@ -18,6 +18,12 @@ func (r Report) String() string {
 	return fmt.Sprintf("report{offset=%d elem=%d code=%d}", r.Offset, r.Element, r.Code)
 }
 
+// CancelCheckInterval is the number of symbols simulators process between
+// context-cancellation checks in the RunContext variants: long enough that
+// the check is free on the hot path, short enough that cancellation is
+// prompt (a chunk is microseconds of work).
+const CancelCheckInterval = 4096
+
 // Simulator executes a network in lock-step against an input stream,
 // mirroring the AP's execution model: all active states process each input
 // symbol simultaneously.
@@ -98,10 +104,6 @@ func (s *Simulator) Offset() int { return s.offset }
 // Reports returns the report events generated so far. The slice is owned by
 // the simulator until Reset.
 func (s *Simulator) Reports() []Report { return s.reports }
-
-// ActiveCount returns the number of elements active in the last cycle,
-// useful for activity statistics.
-func (s *Simulator) ActiveCount() int { return s.active.count() }
 
 // Step processes one input symbol.
 func (s *Simulator) Step(symbol byte) {

@@ -47,6 +47,10 @@ type Topology struct {
 	specials []ElementID // counters and gates in combinational order
 	stats    Stats
 	divisor  int
+
+	// Step tables, built on first use (see Kernel).
+	kernelOnce sync.Once
+	kernel     *Kernel
 }
 
 // TopoEdge is one edge endpoint in a frozen topology: the neighbor's

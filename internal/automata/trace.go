@@ -16,18 +16,11 @@ type CycleTrace struct {
 	Reports []Report
 }
 
-// ActiveIDs returns the elements active in the simulator's last cycle.
-func (s *Simulator) ActiveIDs() []ElementID {
-	var out []ElementID
-	s.active.forEach(func(id ElementID) { out = append(out, id) })
-	return out
-}
-
 // Trace simulates the network over input and records every cycle's active
 // set — the execution-visibility tool the paper's future-work section
 // calls for when debugging pattern-matching designs.
 func (n *Network) Trace(input []byte) ([]CycleTrace, error) {
-	sim, err := NewSimulator(n)
+	sim, err := NewFastSimulator(n)
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +29,7 @@ func (n *Network) Trace(input []byte) ([]CycleTrace, error) {
 	for i, sym := range input {
 		sim.Step(sym)
 		all := sim.Reports()
-		cycle := CycleTrace{Offset: i, Symbol: sym, Active: sim.ActiveIDs()}
+		cycle := CycleTrace{Offset: i, Symbol: sym, Active: sim.Active()}
 		cycle.Reports = append(cycle.Reports, all[reported:]...)
 		reported = len(all)
 		out = append(out, cycle)

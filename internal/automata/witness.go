@@ -1,9 +1,6 @@
 package automata
 
-import (
-	"fmt"
-	"hash/maphash"
-)
+import "fmt"
 
 // The paper's future-work section calls for "tools aiding developers to
 // generate short input sequences to test corner cases of their
@@ -42,7 +39,10 @@ func (o *WitnessOptions) withDefaults() WitnessOptions {
 //
 // The search is exact over the network's configuration space — the set of
 // enabled STEs plus all counter values — using one representative symbol
-// per input-equivalence group. Configurations are deduplicated, so for
+// per input-equivalence group. Each frontier node carries a simulator
+// checkpoint, so expanding it is a restore and one step. Configurations
+// are deduplicated on their exact bytes (a hash collision would silently
+// prune a reachable configuration and could lose the witness), so for
 // counter-free designs the search always terminates.
 func (n *Network) FindWitness(opts *WitnessOptions) ([]byte, error) {
 	o := opts.withDefaults()
@@ -51,52 +51,15 @@ func (n *Network) FindWitness(opts *WitnessOptions) ([]byte, error) {
 		return nil, err
 	}
 	part := Partition(t)
+	sim := t.NewFastSimulator()
 
 	type node struct {
+		snap    *SimState
 		witness []byte
 	}
-	var seed maphash.Seed = maphash.MakeSeed()
-	hashState := func(s *Simulator) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		for _, w := range s.enabled {
-			writeUint64(&h, w)
-		}
-		for _, v := range s.counterVal {
-			writeUint64(&h, uint64(v))
-		}
-		// The first cycle differs (start-of-data states), so include
-		// whether any symbol was consumed.
-		if s.offset > 0 {
-			h.WriteByte(1)
-		}
-		return h.Sum64()
-	}
-
-	// replay builds a simulator state for a witness prefix.
-	replay := func(prefix []byte) *Simulator {
-		s, _ := NewSimulator(n)
-		s.Reset()
-		for _, b := range prefix {
-			s.Step(b)
-		}
-		return s
-	}
-
-	reported := func(s *Simulator, after int) (bool, []Report) {
-		reps := s.Reports()
-		for _, r := range reps {
-			if r.Offset >= after {
-				if o.Code == nil || r.Code == *o.Code {
-					return true, reps
-				}
-			}
-		}
-		return false, reps
-	}
-
-	visited := map[uint64]bool{}
-	frontier := []node{{witness: nil}}
+	visited := map[string]bool{}
+	frontier := []node{{snap: sim.Snapshot()}}
+	var key []byte
 	states := 0
 	for depth := 0; depth < o.MaxLength && len(frontier) > 0; depth++ {
 		var next []node
@@ -106,28 +69,24 @@ func (n *Network) FindWitness(opts *WitnessOptions) ([]byte, error) {
 				if states > o.MaxStates {
 					return nil, fmt.Errorf("automata: witness search exceeded %d states", o.MaxStates)
 				}
+				sim.Restore(nd.snap)
+				before := len(sim.Reports())
+				sim.Step(sym)
 				w := append(append([]byte(nil), nd.witness...), sym)
-				s := replay(w)
-				if ok, _ := reported(s, len(w)-1); ok {
-					return w, nil
+				for _, r := range sim.Reports()[before:] {
+					if o.Code == nil || r.Code == *o.Code {
+						return w, nil
+					}
 				}
-				h := hashState(s)
-				if visited[h] {
+				key = sim.appendConfigKey(key[:0])
+				if visited[string(key)] {
 					continue
 				}
-				visited[h] = true
-				next = append(next, node{witness: w})
+				visited[string(key)] = true
+				next = append(next, node{snap: sim.Snapshot(), witness: w})
 			}
 		}
 		frontier = next
 	}
 	return nil, fmt.Errorf("automata: no witness of length <= %d", o.MaxLength)
-}
-
-func writeUint64(h *maphash.Hash, v uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:])
 }

@@ -15,7 +15,6 @@ package dfa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/automata"
@@ -86,18 +85,20 @@ func FromTopology(t *automata.Topology, opts *Options) (*DFA, error) {
 		return nil, fmt.Errorf("dfa: counters and gates are not supported; the design must be a pure NFA")
 	}
 
+	k := t.Kernel()
 	b := &builder{
-		t:     t,
-		o:     o,
-		part:  automata.Partition(t),
-		ids:   map[string]int32{},
-		dfa:   &DFA{reportsAt: map[int64][]int{}},
-		queue: nil,
+		k:      k,
+		o:      o,
+		part:   automata.Partition(t),
+		ids:    map[string]int32{},
+		dfa:    &DFA{reportsAt: map[int64][]int{}},
+		active: make([]uint64, k.Words()),
+		next:   make([]uint64, k.Words()),
 	}
 	// Two NFA contexts exist: the first symbol (start-of-data states are
 	// eligible) and every later symbol. Model the first-symbol context as
 	// a distinct DFA start state whose successors are steady states.
-	start := b.intern(nil, true)
+	start := b.intern(b.next, true) // nothing enabled yet
 	b.dfa.start = start
 	for len(b.queue) > 0 {
 		cur := b.queue[0]
@@ -113,58 +114,55 @@ func FromTopology(t *automata.Topology, opts *Options) (*DFA, error) {
 	return b.dfa, nil
 }
 
+// stateKey is one DFA state's NFA configuration: the enable vector and the
+// first-symbol flag, the shape the step kernel consumes.
 type stateKey struct {
-	enabled []automata.ElementID
+	enabled []uint64
 	first   bool
 }
 
 type builder struct {
-	t     *automata.Topology
-	o     Options
-	part  *automata.SymbolPartition
-	ids   map[string]int32
-	keys  []stateKey
-	dfa   *DFA
-	queue []int32
-}
-
-func keyString(enabled []automata.ElementID, first bool) string {
-	var sb strings.Builder
-	if first {
-		sb.WriteByte('F')
-	}
-	for _, id := range enabled {
-		fmt.Fprintf(&sb, "%d,", id)
-	}
-	return sb.String()
+	k      *automata.Kernel
+	o      Options
+	part   *automata.SymbolPartition
+	ids    map[string]int32 // automata.AppendConfigKey bytes → state
+	keys   []stateKey
+	dfa    *DFA
+	queue  []int32
+	keyBuf []byte
+	active []uint64 // kernel scratch: activations
+	next   []uint64 // kernel scratch: successor configuration
 }
 
 // intern returns the DFA state id for an NFA configuration, creating and
-// queueing it when new.
-func (b *builder) intern(enabled []automata.ElementID, first bool) int32 {
-	k := keyString(enabled, first)
-	if id, ok := b.ids[k]; ok {
+// queueing it (with its own copy of enabled) when new.
+func (b *builder) intern(enabled []uint64, first bool) int32 {
+	b.keyBuf = automata.AppendConfigKey(b.keyBuf[:0], enabled, first)
+	if id, ok := b.ids[string(b.keyBuf)]; ok {
 		return id
 	}
 	id := int32(len(b.ids))
-	b.ids[k] = id
-	b.keys = append(b.keys, stateKey{enabled: enabled, first: first})
+	b.ids[string(b.keyBuf)] = id
+	b.keys = append(b.keys, stateKey{enabled: append([]uint64(nil), enabled...), first: first})
 	b.dfa.next = append(b.dfa.next, make([]int32, 256)...)
 	b.dfa.hasReport = append(b.dfa.hasReport, 0, 0, 0, 0) // 256 bits per state
 	b.queue = append(b.queue, id)
 	return id
 }
 
-// expand computes all 256 transitions of a DFA state.
+// expand computes all 256 transitions of a DFA state: one kernel step per
+// symbol group, applied to every symbol in the group.
 func (b *builder) expand(state int32) error {
 	if len(b.ids) > b.o.MaxStates {
 		return fmt.Errorf("dfa: construction exceeded %d states", b.o.MaxStates)
 	}
-	k := b.keys[state]
+	cur := b.keys[state]
 	for _, rep := range b.part.Representatives {
-		next, reports := b.step(k, rep)
-		nextID := b.intern(next, false)
-		// Apply to every symbol in the representative's group.
+		var reports []int
+		if b.k.Step(cur.enabled, cur.first, rep, b.active, b.next) {
+			reports = b.k.ReportCodes(nil, b.active)
+		}
+		nextID := b.intern(b.next, false)
 		for sym := 0; sym < 256; sym++ {
 			if b.part.GroupOf[sym] != b.part.GroupOf[rep] {
 				continue
@@ -184,44 +182,6 @@ func pairKey(state int32, sym byte) int64 { return int64(state)<<8 | int64(sym) 
 func (d *DFA) setReportBit(state int32, sym byte) {
 	idx := int(state)<<8 | int(sym)
 	d.hasReport[idx>>6] |= 1 << (uint(idx) & 63)
-}
-
-// step advances an NFA configuration by one symbol.
-func (b *builder) step(k stateKey, sym byte) ([]automata.ElementID, []int) {
-	nextSet := map[automata.ElementID]bool{}
-	reportSet := map[int]bool{}
-	activate := func(id automata.ElementID) {
-		if !b.t.Class(id).Contains(sym) {
-			return
-		}
-		if b.t.Reports(id) {
-			reportSet[b.t.ReportCode(id)] = true
-		}
-		for _, out := range b.t.Outs(id) {
-			if out.Port == automata.PortIn {
-				nextSet[automata.ElementID(out.Node)] = true
-			}
-		}
-	}
-	for _, id := range k.enabled {
-		activate(id)
-	}
-	for id := automata.ElementID(0); id < automata.ElementID(b.t.Len()); id++ {
-		if b.t.Start(id) == automata.StartAllInput || (b.t.Start(id) == automata.StartOfData && k.first) {
-			activate(id)
-		}
-	}
-	next := make([]automata.ElementID, 0, len(nextSet))
-	for id := range nextSet {
-		next = append(next, id)
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	var reports []int
-	for code := range reportSet {
-		reports = append(reports, code)
-	}
-	sort.Ints(reports)
-	return next, reports
 }
 
 // Run executes the DFA over input and returns report events in offset

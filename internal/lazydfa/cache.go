@@ -1,5 +1,7 @@
 package lazydfa
 
+import "repro/internal/automata"
+
 // The state cache interns DFA states (NFA configurations) and owns the
 // transition table as one contiguous slab of int32 cells, ngroups cells per
 // state. A cell packs the successor id with a has-reports flag so the hot
@@ -100,7 +102,7 @@ func newStateCache(p *program, max, limit int) *stateCache {
 // new. A full cache evicts one cold state; pinned (the walker's current
 // state, or -1) is never the victim. Always succeeds.
 func (c *stateCache) intern(enabled []uint64, first bool, pinned int32) int32 {
-	c.keyBuf = appendConfigKey(c.keyBuf[:0], enabled, first)
+	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], enabled, first)
 	if id, ok := c.ids[string(c.keyBuf)]; ok { // no-alloc map probe
 		c.meta[id].ref = true
 		return id

@@ -1,12 +1,6 @@
 package lazydfa
 
-import (
-	"context"
-	"math/bits"
-	"sort"
-
-	"repro/internal/automata"
-)
+import "context"
 
 // Adaptive budget controller (RE2's "is the DFA cache useless?" heuristic,
 // adapted to per-state eviction). The budget grows on demand from its
@@ -51,86 +45,16 @@ func (m *Matcher) demote() {
 	m.cache.releaseAll()
 }
 
-// runPure walks the pure-STE components with the word-parallel bitset
-// algorithm (the same recurrence FastSimulator uses), using the compiled
-// program tables directly. It serves two callers: a demoted matcher's
-// whole runs (enabled == nil, first == true), and the mid-stream handoff
-// (enabled/first = the configuration at the demotion point, base = bytes
-// already consumed).
-func (m *Matcher) runPure(ctx context.Context, input []byte, out []Report, base int, first bool, enabled []uint64) ([]Report, error) {
-	p := m.prog
-	if m.pureEnabled == nil {
-		m.pureEnabled = make([]uint64, p.nwords)
+// runDemoted finishes a stream on the pure components' bitset simulator —
+// the same kernel the nfa-bitset tier runs. It serves a demoted matcher's
+// whole runs (enabled == nil) and the mid-stream hand-off (enabled = the
+// configuration at the demotion point, base = bytes already consumed).
+// The simulator's per-element reports go out raw; run canonicalizes them.
+func (m *Matcher) runDemoted(ctx context.Context, input []byte, out []Report, base int, enabled []uint64) ([]Report, error) {
+	if m.pureSim == nil {
+		m.pureSim = m.prog.k.NewFastSimulator()
 	}
-	cfg := m.pureEnabled
-	if enabled != nil {
-		copy(cfg, enabled)
-	} else {
-		for i := range cfg {
-			cfg[i] = 0
-		}
-	}
-	active := m.activeBuf
-	next := m.nextBuf
-	for len(input) > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-		}
-		chunk := input
-		if len(chunk) > automata.CancelCheckInterval {
-			chunk = chunk[:automata.CancelCheckInterval]
-		}
-		for i := 0; i < len(chunk); i++ {
-			accept := p.accept[chunk[i]]
-			var anyRep uint64
-			for w := range active {
-				a := cfg[w] | p.startAll[w]
-				if first {
-					a |= p.startData[w]
-				}
-				a &= accept[w]
-				active[w] = a
-				anyRep |= a & p.reportBits[w]
-				next[w] = 0
-			}
-			first = false
-			for wi, w := range active {
-				for w != 0 {
-					id := wi*64 + bits.TrailingZeros64(w)
-					for _, mw := range p.outMask[id] {
-						next[mw.word] |= mw.bits
-					}
-					w &= w - 1
-				}
-			}
-			if anyRep != 0 {
-				codes := m.codesBuf[:0]
-				for wi, w := range active {
-					rep := w & p.reportBits[wi]
-					for rep != 0 {
-						id := wi*64 + bits.TrailingZeros64(rep)
-						codes = append(codes, p.reportCode[id])
-						rep &= rep - 1
-					}
-				}
-				if len(codes) > 1 {
-					sort.Ints(codes)
-					codes = compactInts(codes)
-				}
-				m.codesBuf = codes
-				for _, code := range codes {
-					out = append(out, Report{Offset: base + i, Code: code})
-				}
-			}
-			cfg, next = next, cfg
-		}
-		base += len(chunk)
-		input = input[len(chunk):]
-	}
-	// cfg and next may have swapped an odd number of times; keep the field
-	// assignments consistent with the final roles.
-	m.pureEnabled, m.nextBuf = cfg, next
-	return out, nil
+	m.pureSim.Seed(enabled, base)
+	raw, err := m.pureSim.Feed(ctx, input)
+	return appendSimReports(out, raw), err
 }

@@ -38,7 +38,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/automata"
@@ -152,7 +151,7 @@ type Matcher struct {
 	lastEvictions int
 	thrashWindows int
 	demoted       bool
-	pureEnabled   []uint64
+	pureSim       *automata.FastSimulator // built on first demoted run
 
 	fills     int
 	flushes   int
@@ -162,8 +161,8 @@ type Matcher struct {
 
 // New freezes the network (validating it), splits its topology into the
 // counter-free and special component sets, and compiles the lazy tier's
-// tables. Construction is O(elements × alphabet) like NewFastSimulator;
-// the DFA itself materializes during execution.
+// tables. Construction is O(elements × alphabet) — the step kernels of the
+// two sub-topologies; the DFA itself materializes during execution.
 func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	o := opts.withDefaults()
 	t, err := n.Freeze()
@@ -305,7 +304,7 @@ func (m *Matcher) Demoted() bool { return m.demoted }
 // Run executes the design over one input stream and returns the merged
 // report events in (offset, code) order.
 func (m *Matcher) Run(input []byte) []Report {
-	out, _ := m.run(nil, input, nil)
+	out, _ := m.run(context.Background(), input, nil)
 	return out
 }
 
@@ -324,38 +323,32 @@ func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]
 
 func (m *Matcher) run(ctx context.Context, input []byte, out []Report) ([]Report, error) {
 	base := len(out)
+	var err error
 	if m.prog != nil {
-		var err error
 		out, err = m.runLazy(ctx, input, out)
-		if err != nil {
-			return out, err
-		}
 	}
-	if m.sim != nil {
+	if m.sim != nil && err == nil {
 		var raw []automata.Report
-		var err error
-		if ctx == nil {
-			raw = m.sim.Run(input)
-		} else {
-			raw, err = m.sim.RunContext(ctx, input)
-		}
-		for _, r := range raw {
-			out = append(out, Report{Offset: r.Offset, Code: r.Code})
-		}
-		if err != nil {
-			return out, err
-		}
-		// The lazy tier emits reports already canonical (offset-ordered,
-		// codes sorted and distinct per offset); merging in the simulator
-		// tier requires a re-sort and dedup of the combined tail — unless
-		// it is already canonical, the common case for pure-special
-		// designs whose simulator emits in offset order.
-		if !isCanonical(out[base:]) {
-			tail := canonicalize(out[base:])
-			out = out[:base+len(tail)]
-		}
+		raw, err = m.sim.RunContext(ctx, input)
+		out = appendSimReports(out, raw)
 	}
-	return out, nil
+	// The lazy walk emits reports already canonical (offset-ordered, codes
+	// sorted and distinct per offset); a simulator's — the special tier's,
+	// or the pure tier's after demotion — are per element, so the combined
+	// tail needs a re-sort and dedup unless it is canonical already, the
+	// common case for a lone simulator emitting in offset order.
+	if (m.sim != nil || m.demoted) && !isCanonical(out[base:]) {
+		tail := canonicalize(out[base:])
+		out = out[:base+len(tail)]
+	}
+	return out, err
+}
+
+func appendSimReports(out []Report, raw []automata.Report) []Report {
+	for _, r := range raw {
+		out = append(out, Report{Offset: r.Offset, Code: r.Code})
+	}
+	return out
 }
 
 func isCanonical(rs []Report) bool {
@@ -374,17 +367,15 @@ func isCanonical(rs []Report) bool {
 // in one int32.
 func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
 	if m.demoted {
-		return m.runPure(ctx, input, out, 0, true, nil)
+		return m.runDemoted(ctx, input, out, 0, nil)
 	}
 	p := m.prog
 	c := m.cache
 	cur := m.startState()
 	base := 0
 	for len(input) > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
+		if err := ctx.Err(); err != nil {
+			return out, err
 		}
 		chunk := input
 		if len(chunk) > automata.CancelCheckInterval {
@@ -434,11 +425,11 @@ func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Re
 		if m.adaptive && m.adapt(len(chunk)) {
 			// Demote: carry the live NFA configuration into the bitset
 			// walk and give the cache memory back.
-			st := c.meta[cur]
-			enabled := append([]uint64(nil), st.enabled...)
-			first := st.first
+			// (cur consumed at least one chunk, so it is never the
+			// first-symbol start state.)
+			enabled := c.meta[cur].enabled
 			m.demote()
-			return m.runPure(ctx, input, out, base, first, enabled)
+			return m.runDemoted(ctx, input, out, base, enabled)
 		}
 	}
 	return out, nil
@@ -455,7 +446,8 @@ func (m *Matcher) startState() int32 {
 }
 
 // miss materializes the transition of state cur on symbol sym's
-// equivalence group: it steps the NFA configuration, interns the successor
+// equivalence group: it steps the NFA configuration through the kernel
+// (into the matcher's scratch buffers), interns the successor
 // (possibly evicting one cold state — never cur, which is pinned), fills
 // the row cell, and records the in-edge so eviction of the successor can
 // repair the cell lazily.
@@ -463,8 +455,12 @@ func (m *Matcher) miss(cur int32, g int, sym byte) int32 {
 	m.fills++
 	c := m.cache
 	st := c.meta[cur]
-	next, codes := m.step(st.enabled, st.first, sym)
-	succ := c.intern(next, false, cur)
+	var codes []int
+	if m.prog.k.Step(st.enabled, st.first, sym, m.activeBuf, m.nextBuf) {
+		codes = m.prog.k.ReportCodes(m.codesBuf[:0], m.activeBuf)
+		m.codesBuf = codes
+	}
+	succ := c.intern(m.nextBuf, false, cur)
 	v := succ
 	if len(codes) > 0 {
 		v |= cellReport
@@ -474,48 +470,6 @@ func (m *Matcher) miss(cur int32, g int, sym byte) int32 {
 	c.noteInEdge(succ, cur, int32(g))
 	c.meta[cur].ref = true
 	return v
-}
-
-// step computes the successor configuration and report codes of the
-// configuration (enabled, first) on sym. Both returned slices alias the
-// matcher's scratch buffers and must be copied before retention.
-func (m *Matcher) step(enabled []uint64, first bool, sym byte) ([]uint64, []int) {
-	p := m.prog
-	accept := p.accept[sym]
-	active := m.activeBuf
-	for i := range active {
-		w := enabled[i] | p.startAll[i]
-		if first {
-			w |= p.startData[i]
-		}
-		active[i] = w & accept[i]
-	}
-	next := m.nextBuf
-	for i := range next {
-		next[i] = 0
-	}
-	codes := m.codesBuf[:0]
-	for wi, w := range active {
-		rep := w & p.reportBits[wi]
-		for w != 0 {
-			id := wi*64 + bits.TrailingZeros64(w)
-			for _, mw := range p.outMask[id] {
-				next[mw.word] |= mw.bits
-			}
-			w &= w - 1
-		}
-		for rep != 0 {
-			id := wi*64 + bits.TrailingZeros64(rep)
-			codes = append(codes, p.reportCode[id])
-			rep &= rep - 1
-		}
-	}
-	if len(codes) > 1 {
-		sort.Ints(codes)
-		codes = compactInts(codes)
-	}
-	m.codesBuf = codes
-	return next, codes
 }
 
 // skipDead scans s for the first byte that can advance the rest
@@ -564,16 +518,6 @@ func canonicalize(rs []Report) []Report {
 	for i, r := range rs {
 		if i == 0 || r != rs[i-1] {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func compactInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
 		}
 	}
 	return out

@@ -4,26 +4,16 @@ import (
 	"repro/internal/automata"
 )
 
-// maskWord is one nonzero word of a sparse enable mask.
-type maskWord struct {
-	word int
-	bits uint64
-}
-
-// program holds the immutable per-design tables the lazy tier steps with:
-// per-symbol acceptance bitsets, start bitsets, sparse enable masks, report
-// codes, the symbol-partition group map that keys the compressed transition
-// rows, and the compile-time prefilter facts.
+// program holds the immutable per-design facts the lazy tier adds on top
+// of the pure topology's step kernel (which owns the acceptance, start,
+// enable-mask, and report tables): the symbol-partition group map that
+// keys the compressed transition rows, the per-state memory estimate, and
+// the compile-time prefilter facts. The pure topology itself is not kept.
 type program struct {
-	nwords     int
-	ngroups    int
-	groupOf    [256]uint8 // symbol → equivalence group; rows are ngroups wide
-	accept     [256][]uint64
-	startData  []uint64
-	startAll   []uint64
-	outMask    [][]maskWord
-	reportBits []uint64 // bitset over elements: which report
-	reportCode []int
+	k       *automata.Kernel
+	nwords  int
+	ngroups int
+	groupOf [256]uint8 // symbol → equivalence group; rows are ngroups wide
 
 	// stateBytes estimates one cached state's memory (row cells, key,
 	// configuration copy, in-edge records, struct overhead); it denominates
@@ -41,50 +31,11 @@ type program struct {
 }
 
 func compile(pure *automata.Topology) *program {
-	n := pure.Len()
-	p := &program{
-		nwords:     (n + 63) / 64,
-		startData:  make([]uint64, (n+63)/64),
-		startAll:   make([]uint64, (n+63)/64),
-		outMask:    make([][]maskWord, n),
-		reportBits: make([]uint64, (n+63)/64),
-		reportCode: make([]int, n),
-	}
+	k := pure.Kernel()
 	part := automata.Partition(pure)
-	p.ngroups = len(part.Representatives)
-	for sym := 0; sym < 256; sym++ {
+	p := &program{k: k, nwords: k.Words(), ngroups: len(part.Representatives)}
+	for sym := range p.groupOf {
 		p.groupOf[sym] = uint8(part.GroupOf[sym])
-		p.accept[sym] = make([]uint64, p.nwords)
-	}
-	setBit := func(b []uint64, id automata.ElementID) { b[id>>6] |= 1 << (uint(id) & 63) }
-	for id := automata.ElementID(0); id < automata.ElementID(n); id++ {
-		if pure.Reports(id) {
-			setBit(p.reportBits, id)
-			p.reportCode[id] = pure.ReportCode(id)
-		}
-		mask := make([]uint64, p.nwords)
-		for _, out := range pure.Outs(id) {
-			if out.Port == automata.PortIn {
-				setBit(mask, automata.ElementID(out.Node))
-			}
-		}
-		for wi, w := range mask {
-			if w != 0 {
-				p.outMask[id] = append(p.outMask[id], maskWord{word: wi, bits: w})
-			}
-		}
-		class := pure.Class(id)
-		for sym := 0; sym < 256; sym++ {
-			if class.Contains(byte(sym)) {
-				setBit(p.accept[sym], id)
-			}
-		}
-		switch pure.Start(id) {
-		case automata.StartOfData:
-			setBit(p.startData, id)
-		case automata.StartAllInput:
-			setBit(p.startAll, id)
-		}
 	}
 	// Per-state memory: one int32 row cell per group, the interned key and
 	// the configuration copy (8 bytes per word each, plus the key's flag
@@ -96,26 +47,10 @@ func compile(pure *automata.Topology) *program {
 		p.hasFacts = true
 		rest := make([]uint64, p.nwords)
 		for _, id := range facts.Rest {
-			setBit(rest, id)
+			rest[id>>6] |= 1 << (uint(id) & 63)
 		}
-		p.restKey = string(appendConfigKey(nil, rest, false))
+		p.restKey = string(automata.AppendConfigKey(nil, rest, false))
 		p.liveBytes = facts.Live.Symbols()
 	}
 	return p
-}
-
-// appendConfigKey serializes a configuration (enable bitset plus the
-// first-symbol flag) into buf as a cache key. Keys are always nonempty.
-func appendConfigKey(buf []byte, enabled []uint64, first bool) []byte {
-	if first {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	for _, w := range enabled {
-		buf = append(buf,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return buf
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/rapidgen"
+	"repro/internal/telemetry"
 )
 
 // compileBench compiles a paper benchmark at a test-sized instance count
@@ -143,7 +144,8 @@ func TestEngineWithLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	laned, err := design.NewEngine(rapid.WithLanes(rapid.MaxLanes), rapid.WithWorkers(2))
+	reg := telemetry.NewRegistry()
+	laned, err := design.NewEngine(rapid.WithLanes(rapid.MaxLanes), rapid.WithWorkers(2), rapid.WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +182,14 @@ func TestEngineWithLanes(t *testing.T) {
 	}
 	if matches == 0 {
 		t.Fatal("workload produced no reports; test is vacuous")
+	}
+	// A lane group is as many streams as it carries: the backend stream
+	// count equals the lane stream count, so their ratio never exceeds 1.
+	snap := reg.Snapshot()
+	backendStreams := snap.Counter("rapid_backend_streams_total", "backend", string(rapid.BackendLazyDFA))
+	laneStreams := snap.Counter("rapid_engine_lane_streams_total")
+	if backendStreams != uint64(len(streams)) || laneStreams != uint64(len(streams)) {
+		t.Fatalf("backend_streams = %d, lane_streams = %d, want both %d", backendStreams, laneStreams, len(streams))
 	}
 }
 

@@ -335,7 +335,8 @@ func (p *Program) Tessellate(args ...Value) (*Tessellation, error) {
 type Runner struct {
 	sim     *automata.FastSimulator
 	reports map[int]string
-	tel     *runnerMetrics
+	bm      *backendMetrics // per-backend stream accounting
+	tel     *runnerMetrics  // RunResilient's checkpoint-replay counters
 }
 
 // NewRunner builds the design's fast execution path. Options: WithTelemetry.
@@ -345,7 +346,8 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{sim: sim, reports: d.reports, tel: newRunnerMetrics(cfg.tel)}, nil
+	return &Runner{sim: sim, reports: d.reports,
+		bm: newBackendMetrics(cfg.tel, string(BackendDevice)), tel: newRunnerMetrics(cfg.tel)}, nil
 }
 
 // Run streams input through the design and returns the report events. The
@@ -354,10 +356,10 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 // runner resets between calls and is not safe for concurrent use; Clone
 // gives each goroutine its own cheap copy.
 func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
-	start := r.tel.start()
+	start := r.bm.start()
 	raw, err := r.sim.RunContext(ctx, input)
 	out := convertReports(raw, r.reports)
-	r.tel.record(len(input), len(out), err, start)
+	r.bm.record(1, len(input), len(out), err, start)
 	return out, err
 }
 
@@ -373,7 +375,7 @@ func (r *Runner) RunBytes(input []byte) ([]Report, error) {
 // without rebuilding the tables. Clones share the parent's telemetry
 // instruments (counters are concurrency-safe).
 func (r *Runner) Clone() *Runner {
-	return &Runner{sim: r.sim.Clone(), reports: r.reports, tel: r.tel}
+	return &Runner{sim: r.sim.Clone(), reports: r.reports, bm: r.bm, tel: r.tel}
 }
 
 // WriteDot renders the design in Graphviz DOT format for visualization.
@@ -446,7 +448,7 @@ func (m *CPUMatcher) Run(ctx context.Context, input []byte) ([]Report, error) {
 	for i, r := range raw {
 		out[i] = Report{Offset: r.Offset, Code: r.Code, Site: m.reports[r.Code]}
 	}
-	m.tel.record(len(input), len(out), nil, start)
+	m.tel.record(1, len(input), len(out), nil, start)
 	return out, nil
 }
 

@@ -247,7 +247,10 @@ func TestFailoverChain(t *testing.T) {
 
 	// A panicking primary is recovered into a structured error and the
 	// stream fails over.
-	ref := design.ReferenceMatcher()
+	ref, err := design.Backend(BackendReference)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chain2 := NewFailoverChain(panicMatcher{}, ref)
 	got, err = chain2.Run(context.Background(), input)
 	if err != nil || !reflect.DeepEqual(Offsets(got), Offsets(want)) {
@@ -267,11 +270,11 @@ func TestFailoverChain(t *testing.T) {
 
 	// Cross-checking catches a silently-corrupt backend: the stream is
 	// served by the reference and the divergence is recorded.
-	runner, err := design.NewRunner()
+	device, err := design.Backend(BackendDevice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain3 := NewFailoverChain(corruptMatcher{inner: runner.Matcher()}, ref)
+	chain3 := NewFailoverChain(corruptMatcher{inner: device}, ref)
 	chain3.CrossCheck = true
 	got, err = chain3.Run(context.Background(), input)
 	if err != nil || !reflect.DeepEqual(Offsets(got), Offsets(want)) {

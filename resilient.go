@@ -2,19 +2,17 @@ package rapid
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/automata"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
-// runnerMetrics is the Runner's instrument set: the shared per-backend
-// stream accounting plus the checkpoint-replay counters RunResilient
-// maintains. nil means telemetry disabled.
+// runnerMetrics is the checkpoint-replay instrument set RunResilient
+// maintains beside the Runner's per-backend stream accounting. nil means
+// telemetry disabled.
 type runnerMetrics struct {
 	reg         *telemetry.Registry
-	bm          *backendMetrics
 	checkpoints *telemetry.Counter
 	retries     *telemetry.Counter
 	replayed    *telemetry.Counter
@@ -27,7 +25,6 @@ func newRunnerMetrics(reg *telemetry.Registry) *runnerMetrics {
 	}
 	return &runnerMetrics{
 		reg: reg,
-		bm:  newBackendMetrics(reg, string(BackendDevice)),
 		checkpoints: reg.Counter("rapid_resilient_checkpoints_total",
 			"Simulator snapshots taken by RunResilient."),
 		retries: reg.Counter("rapid_resilient_retries_total",
@@ -37,20 +34,6 @@ func newRunnerMetrics(reg *telemetry.Registry) *runnerMetrics {
 		restores: reg.Counter("rapid_resilient_restores_total",
 			"Checkpoint restores performed before replaying a segment."),
 	}
-}
-
-func (m *runnerMetrics) start() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return m.bm.start()
-}
-
-func (m *runnerMetrics) record(inputBytes, reports int, err error, start time.Time) {
-	if m == nil {
-		return
-	}
-	m.bm.record(inputBytes, reports, err, start)
 }
 
 // RunOptions configures fault-tolerant streaming execution.
@@ -114,7 +97,7 @@ func (r *Runner) RunResilient(ctx context.Context, input []byte, opts *RunOption
 		span = r.tel.reg.StartSpan("runner.resilient")
 		defer span.End()
 	}
-	start := r.tel.start()
+	start := r.bm.start()
 	sim := r.sim
 	sim.Reset()
 	snap := sim.Snapshot()
@@ -152,7 +135,7 @@ func (r *Runner) RunResilient(ctx context.Context, input []byte, opts *RunOption
 		if err != nil {
 			span.Fail(err)
 			out := convertReports(sim.Reports(), r.reports)
-			r.tel.record(len(input), len(out), err, start)
+			r.bm.record(1, len(input), len(out), err, start)
 			return out, stats, err
 		}
 		snap = sim.Snapshot()
@@ -163,6 +146,6 @@ func (r *Runner) RunResilient(ctx context.Context, input []byte, opts *RunOption
 		segStart = end
 	}
 	out := convertReports(sim.Reports(), r.reports)
-	r.tel.record(len(input), len(out), nil, start)
+	r.bm.record(1, len(input), len(out), nil, start)
 	return out, stats, nil
 }
