@@ -72,8 +72,7 @@ func main() {
 		artifactDir  = flag.String("artifact-cache", "", "persist compiled designs to this directory, keyed by program hash; restarts mount from it without recompiling")
 		placeFlag    = flag.Bool("place", true, "place mounted designs through the shared macro-stamping cache and persist layouts in the artifact cache")
 		queueDepth   = flag.Int("queue", 64, "per-design admission queue capacity (backpressure bound)")
-		maxBatch     = flag.Int("max-batch", 16, "micro-batch size bound")
-		batchWindow  = flag.Duration("batch-window", 500*time.Microsecond, "micro-batch latency bound")
+		maxBatch     = flag.Int("max-batch", 16, "most requests coalesced into one engine batch (a batch is what queued while the previous one ran)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant admission rate (requests/sec, X-Tenant header); 0 disables quotas")
 		tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant burst size (0 = ceil(rate))")
@@ -88,7 +87,6 @@ func main() {
 		MetricsAddr: *metricsAddr,
 		QueueDepth:  *queueDepth,
 		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
 		RetryAfter:  *retryAfter,
 		TenantRate:  *tenantRate,
 		TenantBurst: *tenantBurst,

@@ -449,21 +449,7 @@ func TestStreamFailoverMidStream(t *testing.T) {
 	waitAllReady(t, g)
 
 	owner := g.table.Load().ring.candidates("d")[0]
-	victim := []*testReplica{r1, r2}[owner]
-	var once sync.Once
-	victim.wound(func(inner http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/match/stream" {
-				die := false
-				once.Do(func() { die = true })
-				if die {
-					inner.ServeHTTP(&lineKiller{ResponseWriter: w, remaining: 2}, r)
-					return
-				}
-			}
-			inner.ServeHTTP(w, r)
-		})
-	})
+	dieMidStream([]*testReplica{r1, r2}[owner], 2)
 
 	recs := [][]byte{
 		[]byte("xxabcxx"), []byte("yyy"), []byte("zzabc"),
@@ -494,6 +480,107 @@ func TestStreamFailoverMidStream(t *testing.T) {
 	if got := reg.Snapshot().Counter(metricFailovers, "path", "stream"); got == 0 {
 		t.Fatal("no stream failover recorded")
 	}
+}
+
+// TestStreamBodiesBeyondFirstRead is the gateway half of the serve
+// regression of the same name: over real TCP, streams of 4 KiB, 64 KiB
+// and 1 MiB (512 B records) come back whole — every record answered, no
+// error line, reports equal to Engine.RunRecords over the whole stream —
+// both straight through and when the owner dies two lines in and the
+// survivor resumes a suffix that is itself far longer than one read.
+func TestStreamBodiesBeyondFirstRead(t *testing.T) {
+	prog, err := rapid.Parse(testSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := prog.Compile(testSpec("d").Args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := design.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, failover := range []bool{false, true} {
+		for _, n := range []int{8, 128, 2048} {
+			t.Run(fmt.Sprintf("failover=%v/%dx512B", failover, n), func(t *testing.T) {
+				r1 := startReplica(t, "", serve.Config{})
+				r2 := startReplica(t, "", serve.Config{})
+				reg := telemetry.NewRegistry()
+				g := mustGateway(t, testGatewayConfig([]string{r1.addr, r2.addr}, reg))
+				waitAllReady(t, g)
+				if failover {
+					owner := g.table.Load().ring.candidates("d")[0]
+					dieMidStream([]*testReplica{r1, r2}[owner], 2)
+				}
+				front := httptest.NewServer(g.Handler())
+				defer front.Close()
+
+				recs := make([][]byte, n)
+				for i := range recs {
+					recs[i] = bytes.Repeat([]byte{'x', 'y', 'z', 'w'}, 128)
+					if i%3 != 2 {
+						copy(recs[i][(i*37)%500:], "abcd")
+						copy(recs[i][(i*101)%500:], "bcd")
+					}
+				}
+				stream := rapid.FrameRecords(recs...)
+				want, err := eng.RunRecords(context.Background(), stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(front.URL+"/v1/match/stream?design=d", "application/octet-stream", bytes.NewReader(stream))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("stream status %d", resp.StatusCode)
+				}
+				lines := decodeStream(t, resp.Body)
+				records, offsets := rapid.SplitRecords(stream)
+				if _, failed := checkStreamComplete(t, lines, records, offsets); failed != 0 {
+					t.Fatalf("%d records came back as error lines, first: %+v", failed, firstError(lines))
+				}
+				for i, line := range lines {
+					if len(line.Reports) != len(want[i].Reports) {
+						t.Fatalf("record %d: %d reports, RunRecords has %d", i, len(line.Reports), len(want[i].Reports))
+					}
+					for k, rep := range line.Reports {
+						if w := want[i].Reports[k]; rep.Offset != w.Offset || rep.Code != w.Code {
+							t.Fatalf("record %d report %d = %+v, RunRecords has %+v", i, k, rep, w)
+						}
+					}
+				}
+				if got := reg.Snapshot().Counter(metricFailovers, "path", "stream"); (got > 0) != failover {
+					t.Fatalf("stream failovers = %d with failover=%v", got, failover)
+				}
+			})
+		}
+	}
+}
+
+func firstError(lines []streamLine) streamLine {
+	for _, line := range lines {
+		if line.Error != "" {
+			return line
+		}
+	}
+	return streamLine{}
+}
+
+// dieMidStream wounds rep so that it tears the connection of the first
+// stream it serves after lines result lines; later streams are untouched.
+func dieMidStream(rep *testReplica, lines int) {
+	var once sync.Once
+	rep.wound(func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/match/stream" {
+				once.Do(func() { w = &lineKiller{ResponseWriter: w, remaining: lines} })
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
 }
 
 // lineKiller aborts the response after remaining newlines have been

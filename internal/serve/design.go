@@ -57,7 +57,7 @@ type DesignInfo struct {
 // admission queue, and instrument set.
 type design struct {
 	info    DesignInfo
-	engine  *rapid.Engine // engine mode: the batching path
+	engine  batchEngine   // engine mode: the batching path
 	matcher rapid.Matcher // other modes: executed one request at a time
 	queue   chan *job
 	tel     designMetrics
@@ -68,6 +68,12 @@ type design struct {
 	// is unmounted by a hot reload or shutdown; its queue is closed and
 	// admissions re-resolve the name instead of enqueueing.
 	closed atomic.Bool
+}
+
+// batchEngine is what the dispatcher needs of *rapid.Engine; tests hold a
+// batch open with a blocking double.
+type batchEngine interface {
+	RunBatchSettled(ctx context.Context, inputs [][]byte) []rapid.BatchResult
 }
 
 // closeLocked closes the design's queue exactly once. The caller holds

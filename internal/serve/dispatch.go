@@ -93,12 +93,15 @@ func (s *Server) submit(ctx context.Context, d *design, input []byte) ([]rapid.R
 		return nil, errStaleDesign
 	}
 	j := &job{input: input, done: make(chan jobResult, 1), enqueued: time.Now()}
+	// Count the job before the send: the dispatcher subtracts on receipt
+	// and never waits, so counting afterwards lets a scrape read -1.
+	d.tel.queueDepth.Inc()
 	select {
 	case d.queue <- j:
 		s.admitMu.RUnlock()
-		d.tel.queueDepth.Inc()
 	default:
 		s.admitMu.RUnlock()
+		d.tel.queueDepth.Dec()
 		d.tel.rejectedCapacity.Inc()
 		return nil, ErrOverCapacity
 	}
@@ -114,8 +117,8 @@ func (s *Server) submit(ctx context.Context, d *design, input []byte) ([]rapid.R
 }
 
 // dispatch is a design's dispatcher loop: it pulls admitted jobs off the
-// bounded queue, coalesces concurrent small requests into micro-batches
-// (engine mode), and executes them. It exits when the queue is closed and
+// bounded queue, coalesces them into batches (engine mode) by
+// back-pressure, and executes them. It exits when the queue is closed and
 // fully drained, so shutdown never drops an admitted request.
 func (s *Server) dispatch(d *design) {
 	defer s.dispatchers.Done()
@@ -124,7 +127,7 @@ func (s *Server) dispatch(d *design) {
 		maxBatch = s.cfg.MaxBatch
 	}
 	for j := range d.queue {
-		batch := collectBatch(d.queue, j, maxBatch, s.cfg.BatchWindow)
+		batch := collectBatch(d.queue, j, maxBatch)
 		d.tel.queueDepth.Add(-int64(len(batch)))
 		d.tel.inflight.Add(int64(len(batch)))
 		d.tel.batches.Inc()
@@ -134,18 +137,15 @@ func (s *Server) dispatch(d *design) {
 	}
 }
 
-// collectBatch gathers up to max jobs starting from first: jobs already
-// queued are taken immediately, and the dispatcher waits at most window
-// (measured from the first job) for stragglers — the dynamic-batching
-// size/latency bound. With max <= 1 or a closed empty queue it returns
-// just the first job.
-func collectBatch(queue <-chan *job, first *job, max int, window time.Duration) []*job {
+// collectBatch is back-pressure batching: first plus whatever is already
+// queued, up to max, and it never blocks. A batch is therefore exactly
+// what arrived while the previous one ran: an idle design answers at once
+// with a batch of one, a loaded one fills batches with no added latency.
+// There is no straggler wait, and a short one is not to be had: a
+// sub-millisecond Go timer fires after ≈1.15 ms, fifty times what a small
+// match costs.
+func collectBatch(queue <-chan *job, first *job, max int) []*job {
 	batch := []*job{first}
-	if max <= 1 {
-		return batch
-	}
-	// Drain what is already waiting before arming the timer: a backlog
-	// fills the batch with zero added latency.
 	for len(batch) < max {
 		select {
 		case j, ok := <-queue:
@@ -153,24 +153,7 @@ func collectBatch(queue <-chan *job, first *job, max int, window time.Duration) 
 				return batch
 			}
 			batch = append(batch, j)
-			continue
 		default:
-		}
-		break
-	}
-	if len(batch) >= max || window <= 0 {
-		return batch
-	}
-	timer := time.NewTimer(window)
-	defer timer.Stop()
-	for len(batch) < max {
-		select {
-		case j, ok := <-queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, j)
-		case <-timer.C:
 			return batch
 		}
 	}

@@ -2,12 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	rapid "repro"
+	"repro/internal/telemetry"
 )
 
 func newJob(s string) *job {
@@ -21,7 +28,7 @@ func TestCollectBatchSizeBound(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		queue <- newJob("queued")
 	}
-	batch := collectBatch(queue, newJob("first"), 4, time.Hour)
+	batch := collectBatch(queue, newJob("first"), 4)
 	if len(batch) != 4 {
 		t.Fatalf("batch size %d, want max=4", len(batch))
 	}
@@ -33,47 +40,27 @@ func TestCollectBatchSizeBound(t *testing.T) {
 	}
 }
 
-// TestCollectBatchLatencyBound: with an empty queue the window expires and
-// the first job ships alone.
-func TestCollectBatchLatencyBound(t *testing.T) {
+// TestCollectBatchEmptyQueue: with nothing else queued the first job ships
+// alone and at once — collectBatch has nothing to wait on, so a regression
+// that blocks here hangs the test instead of slowing it.
+func TestCollectBatchEmptyQueue(t *testing.T) {
 	queue := make(chan *job, 16)
-	start := time.Now()
-	batch := collectBatch(queue, newJob("first"), 8, 5*time.Millisecond)
-	if len(batch) != 1 {
-		t.Fatalf("batch size %d, want 1", len(batch))
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("waited %v, window is 5ms", waited)
+	first := newJob("first")
+	batch := collectBatch(queue, first, 8)
+	if len(batch) != 1 || batch[0] != first {
+		t.Fatalf("batch %v, want the first job alone", batch)
 	}
 }
 
-// TestCollectBatchStraggler: a job arriving inside the window joins the
-// batch.
-func TestCollectBatchStraggler(t *testing.T) {
-	queue := make(chan *job, 16)
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		queue <- newJob("straggler")
-	}()
-	batch := collectBatch(queue, newJob("first"), 8, 500*time.Millisecond)
-	if len(batch) != 2 {
-		t.Fatalf("batch size %d, want 2 (straggler missed the window)", len(batch))
-	}
-}
-
-// TestCollectBatchClosedQueue: a closed queue ends collection without
-// waiting out the window.
+// TestCollectBatchClosedQueue: a closed queue yields what it still holds
+// and ends collection.
 func TestCollectBatchClosedQueue(t *testing.T) {
 	queue := make(chan *job, 16)
 	queue <- newJob("queued")
 	close(queue)
-	start := time.Now()
-	batch := collectBatch(queue, newJob("first"), 8, time.Hour)
+	batch := collectBatch(queue, newJob("first"), 8)
 	if len(batch) != 2 {
 		t.Fatalf("batch size %d, want 2", len(batch))
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("blocked on a closed queue")
 	}
 }
 
@@ -81,9 +68,149 @@ func TestCollectBatchClosedQueue(t *testing.T) {
 func TestCollectBatchMaxOne(t *testing.T) {
 	queue := make(chan *job, 16)
 	queue <- newJob("queued")
-	if batch := collectBatch(queue, newJob("first"), 1, time.Hour); len(batch) != 1 {
+	if batch := collectBatch(queue, newJob("first"), 1); len(batch) != 1 {
 		t.Fatalf("batch size %d, want 1", len(batch))
 	}
+}
+
+// blockingEngine is an engine-mode double: every batch announces its size
+// on entered and then holds the dispatcher until release yields a value
+// (or is closed), so a test decides what queues up behind it.
+type blockingEngine struct {
+	entered chan int // buffered for every batch a test can run: announcing never blocks
+	release chan struct{}
+}
+
+func (e *blockingEngine) RunBatchSettled(_ context.Context, inputs [][]byte) []rapid.BatchResult {
+	e.entered <- len(inputs)
+	<-e.release
+	out := make([]rapid.BatchResult, len(inputs))
+	for i, in := range inputs {
+		out[i].Reports = []rapid.Report{{Offset: len(in)}}
+	}
+	return out
+}
+
+// mountEngine mounts an engine-mode design over eng the way AddDesign
+// does after compiling.
+func mountEngine(s *Server, name string, eng batchEngine) {
+	d := &design{info: DesignInfo{Name: name, Backend: BackendEngine}, engine: eng}
+	d.queue = make(chan *job, s.cfg.QueueDepth)
+	d.tel = s.tel.forDesign(name)
+	s.mu.Lock()
+	s.designs[name] = d
+	s.order = append(s.order, name)
+	s.mu.Unlock()
+	s.dispatchers.Add(1)
+	go s.dispatch(d)
+}
+
+// TestBackpressureBatching: a batch is exactly what was admitted while the
+// previous one ran, capped at MaxBatch — below the cap, at it and above it
+// — and Shutdown answers every admitted job.
+func TestBackpressureBatching(t *testing.T) {
+	const maxBatch = 4
+	for _, n := range []int{1, 3, 4, 7} {
+		t.Run(fmt.Sprintf("admit-%d", n), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			eng := &blockingEngine{entered: make(chan int, 1+n), release: make(chan struct{})}
+			s := mustNew(t, Config{QueueDepth: 16, MaxBatch: maxBatch, Telemetry: reg})
+			mountEngine(s, "d", eng)
+
+			var answered atomic.Int64
+			var wg sync.WaitGroup
+			admit := func(k int) {
+				for i := 0; i < k; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if _, reports, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("xx")); err == nil && len(reports) == 1 {
+							answered.Add(1)
+						}
+					}()
+				}
+			}
+
+			// An idle dispatcher takes the first job alone, at once.
+			admit(1)
+			if got := <-eng.entered; got != 1 {
+				t.Fatalf("idle dispatcher ran a batch of %d, want 1", got)
+			}
+			// While that batch is held, n more are admitted and wait.
+			admit(n)
+			waitGauge(t, reg, metricQueueDepth, "design", "d", int64(n))
+			eng.release <- struct{}{}
+			want := min(n, maxBatch)
+			if got := <-eng.entered; got != want {
+				t.Fatalf("batch after %d admissions has %d jobs, want %d", n, got, want)
+			}
+			// Let everything through and drain: no admitted job is lost.
+			close(eng.release)
+			wg.Wait()
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := answered.Load(); got != int64(1+n) {
+				t.Fatalf("%d of %d admitted jobs answered", got, 1+n)
+			}
+			if depth := gauge(reg, metricQueueDepth, "design", "d"); depth != 0 {
+				t.Fatalf("queue depth %d after drain, want 0", depth)
+			}
+		})
+	}
+}
+
+// TestIdleFloor: on an idle engine-mode design a request's admission →
+// completion time is its work, not a wait. A sub-millisecond Go timer
+// fires after ≈ 1.15 ms, so any timed wait on this path puts the median
+// above 1100 µs; without one it is tens of microseconds.
+func TestIdleFloor(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := mustNew(t, Config{Telemetry: reg})
+	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	const calls = 200
+	for i := 0; i < calls; i++ {
+		if resp, _ := postMatch(t, ts.URL, matchRequest{Design: "d", Text: "xxabcdxx"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("call %d: status %d", i, resp.StatusCode)
+		}
+	}
+	median := medianLatencyBound(t, reg, "d")
+	t.Logf("median %s bucket: ≤ %v µs", metricLatency, median)
+	if median >= 500 {
+		t.Fatalf("median %s on an idle design is in the ≤ %v µs bucket, want under 500 µs", metricLatency, median)
+	}
+}
+
+// medianLatencyBound returns the upper bound of the histogram bucket that
+// holds the median of design's admission → completion latencies.
+func medianLatencyBound(t *testing.T, reg *telemetry.Registry, design string) float64 {
+	t.Helper()
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name != metricLatency {
+			continue
+		}
+		for _, se := range m.Series {
+			if se.Labels[0].Value != design {
+				continue
+			}
+			for _, b := range se.Buckets {
+				if b.Count > se.Count/2 {
+					return b.UpperBound
+				}
+			}
+		}
+	}
+	t.Fatalf("no %s series for design %q", metricLatency, design)
+	return 0
 }
 
 // TestRecordScanner carves framed records and tracks their stream offsets

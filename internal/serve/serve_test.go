@@ -393,14 +393,95 @@ func TestStreamEndpointParity(t *testing.T) {
 	}
 }
 
+// testRecords builds n deterministic records of size bytes: filler with
+// the test design's patterns planted at positions that vary per record
+// (every third record matches nothing).
+func testRecords(n, size int) [][]byte {
+	recs := make([][]byte, n)
+	for i := range recs {
+		rec := bytes.Repeat([]byte{'x', 'y', 'z', 'w'}, size/4)
+		if i%3 != 2 {
+			copy(rec[(i*37)%(size-8):], "abcd")
+			copy(rec[(i*101)%(size-8):], "bcd")
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
+// TestStreamBodiesBeyondFirstRead is the regression for the truncation
+// defect: the handler flushes a result line per record while it is still
+// reading the body, and HTTP/1 net/http used to close the request body at
+// that first flush — every record past the handler's first read was
+// dropped and an "invalid Read on closed Body" line took their place. Over
+// real TCP, bodies of 4 KiB, 64 KiB and 1 MiB must come back whole: one
+// line per record, no error line, reports equal to Engine.RunRecords over
+// the whole stream.
+func TestStreamBodiesBeyondFirstRead(t *testing.T) {
+	eng, err := compileTestDesign(t).NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{})
+	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, n := range []int{8, 128, 2048} {
+		t.Run(fmt.Sprintf("%dx512B", n), func(t *testing.T) {
+			stream := rapid.FrameRecords(testRecords(n, 512)...)
+			want, err := eng.RunRecords(context.Background(), stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/match/stream?design=d", "application/octet-stream", bytes.NewReader(stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			dec := json.NewDecoder(resp.Body)
+			lines := 0
+			for ; ; lines++ {
+				var line streamResult
+				if err := dec.Decode(&line); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if line.Error != "" {
+					t.Fatalf("line %d: record %d failed: %s", lines, line.Index, line.Error)
+				}
+				if lines >= n {
+					t.Fatalf("more than %d result lines", n)
+				}
+				if line.Index != lines || line.Offset != want[lines].Offset {
+					t.Fatalf("line %d is record %d at offset %d, want offset %d", lines, line.Index, line.Offset, want[lines].Offset)
+				}
+				if got, wantSet := jsonReportSet(line.Reports), reportSet(want[lines].Reports); !equalStrings(got, wantSet) {
+					t.Fatalf("record %d reports %v != RunRecords %v", lines, got, wantSet)
+				}
+			}
+			if lines != n {
+				t.Fatalf("%d result lines for %d records", lines, n)
+			}
+		})
+	}
+}
+
 // TestConcurrentHammer drives many concurrent clients against a real
 // engine-mode design with a small queue under -race: every response is
-// either a correct 200 or a 429 with Retry-After, the queue gauge stays
-// within its cap, and request accounting balances.
+// either a correct 200 or a 429 with Retry-After, no scrape ever reads a
+// negative queue depth, and request accounting balances.
 func TestConcurrentHammer(t *testing.T) {
 	const clients = 64
 	reg := telemetry.NewRegistry()
-	s := mustNew(t, Config{QueueDepth: 8, MaxBatch: 4, BatchWindow: 200 * time.Microsecond, Telemetry: reg})
+	s := mustNew(t, Config{QueueDepth: 8, MaxBatch: 4, Telemetry: reg})
 	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +498,25 @@ func TestConcurrentHammer(t *testing.T) {
 		ts.Close()
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
+		}
+	}()
+
+	// Scrape the queue gauge for as long as the clients run: the dispatcher
+	// subtracts a job the moment it is received, so an admission counted
+	// after its send would show here as -1. The gauge is read directly, not
+	// through Snapshot, to sample as often as the scheduler allows.
+	var minDepth int64 // the scraper's until scrapeDone closes
+	depthGauge := s.tel.queueDepth.With("d")
+	stopScrape, scrapeDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scrapeDone)
+		for {
+			select {
+			case <-stopScrape:
+				return
+			default:
+				minDepth = min(minDepth, depthGauge.Value())
+			}
 		}
 	}()
 
@@ -457,6 +557,11 @@ func TestConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stopScrape)
+	<-scrapeDone
+	if minDepth < 0 {
+		t.Fatalf("a scrape read queue depth %d", minDepth)
+	}
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d malformed responses", n)
 	}

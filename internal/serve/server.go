@@ -2,12 +2,13 @@
 // RAPID/ANML designs behind an HTTP match API with the request path a
 // production matching service needs — an admission controller with a
 // bounded queue (429 + Retry-After under overload instead of unbounded
-// queuing), a micro-batching dispatcher that coalesces small concurrent
-// requests into Engine.RunBatch calls (size- and latency-bounded, like
-// inference-server dynamic batching), per-design backend selection with
-// automatic failover, health/readiness endpoints, and graceful drain that
-// stops admissions, flushes in-flight batches, and shuts the telemetry
-// listener down last so a final scrape can observe the drain.
+// queuing), a dispatcher that coalesces small concurrent requests into
+// Engine.RunBatch calls by back-pressure (a batch is what queued while
+// the previous one ran; nothing ever waits on a timer), per-design
+// backend selection with automatic failover, health/readiness endpoints,
+// and graceful drain that stops admissions, flushes in-flight batches, and
+// shuts the telemetry listener down last so a final scrape can observe
+// the drain.
 //
 // Command rapidserve is the CLI front end; package repro/serve/client is
 // the Go client. See docs/SERVING.md for the API and capacity-planning
@@ -55,11 +56,9 @@ type Config struct {
 	// are refused with 429 + Retry-After. Default 64.
 	QueueDepth int
 	// MaxBatch bounds how many queued requests one Engine.RunBatch call
-	// coalesces. Default 16.
+	// coalesces: the dispatcher takes what queued while the previous batch
+	// ran, up to this many, and never waits for more. Default 16.
 	MaxBatch int
-	// BatchWindow bounds how long the dispatcher waits (from the first
-	// queued request) for more requests to coalesce. Default 500µs.
-	BatchWindow time.Duration
 	// RetryAfter is the backpressure hint attached to 429/503 responses.
 	// Default 1s.
 	RetryAfter time.Duration
@@ -100,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 500 * time.Microsecond
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -475,6 +471,12 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := tenantOf(r)
+	// Results are flushed while the body is still being read. HTTP/1
+	// net/http closes the request body at the first flush unless told the
+	// handler is full duplex; without this call every stream longer than
+	// the first read is cut short. HTTP/2 is duplex already and answers
+	// ErrNotSupported, so the error carries nothing to act on.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
