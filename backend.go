@@ -20,7 +20,8 @@ const (
 	// construction exceeds the state budget.
 	BackendCPUDFA BackendKind = "cpu-dfa"
 	// BackendLazyDFA is the bounded-memory lazy-DFA engine (NewEngine);
-	// always available — counters run on its bitset fallback.
+	// always available — counter components determinize whole
+	// configurations, counter values included.
 	BackendLazyDFA BackendKind = "lazy-dfa"
 	// BackendReference is the lock-step reference simulator — the
 	// slowest, most trusted path.

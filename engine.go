@@ -15,11 +15,11 @@ import (
 )
 
 // Engine is a reusable high-throughput executor for one design, built on
-// the lazy-DFA matching tier (with the bitset-simulator fallback for
-// counter and gate components). One engine serves many goroutines: each
-// worker draws an independent matcher clone and a recycled report buffer
-// from internal pools, so per-stream setup cost is a pool hit, not a
-// table rebuild.
+// the lazy-DFA matching tier (counter and gate components determinize
+// whole configurations, counter values included). One engine serves many
+// goroutines: each worker draws an independent matcher clone and a
+// recycled report buffer from internal pools, so per-stream setup cost is
+// a pool hit, not a table rebuild.
 //
 // Engines are safe for concurrent use.
 type Engine struct {
@@ -69,15 +69,15 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		batches: reg.Counter("rapid_engine_batches_total",
 			"RunBatch/RunRecords invocations."),
 		cacheFills: reg.Counter("rapid_lazydfa_cache_fills_total",
-			"Lazy-DFA transitions materialized on cache miss."),
+			"Lazy-DFA transitions materialized on cache miss, counter tier included."),
 		cacheFlushes: reg.Counter("rapid_lazydfa_cache_flushes_total",
 			"Lazy-DFA whole-cache drops (now only the one performed by demotion)."),
 		cacheEvictions: reg.Counter("rapid_lazydfa_cache_evictions_total",
-			"Lazy-DFA single states evicted by the second-chance clock."),
+			"Lazy-DFA single states evicted by the second-chance clock, counter tier included."),
 		prefilterSkipped: reg.Counter("rapid_lazydfa_prefilter_skipped_bytes_total",
 			"Input bytes skipped by the rest-state literal prefilter."),
 		demotions: reg.Counter("rapid_lazydfa_demotions_total",
-			"Lazy-DFA matchers that demoted to the NFA bitset walk."),
+			"Lazy-DFA tiers (pure or counter) that demoted to the NFA bitset walk."),
 		lanes: reg.Gauge("rapid_engine_lanes",
 			"Effective lane-batch width (0 = lane execution disabled or unavailable)."),
 		laneGroups: reg.Counter("rapid_engine_lane_groups_total",
@@ -92,8 +92,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 // NewEngine builds the design's batch execution engine. Options:
 // WithWorkers, WithMaxCachedStates, WithLanes, WithTelemetry. Unlike
 // CompileCPU, engine construction never aborts on design size: the lazy
-// tier's memory is bounded by the state-cache cap, and counters and gates
-// run on the bitset fallback.
+// tiers' memory is bounded by the state-cache cap, and a tier whose states
+// cannot fit demotes itself to the bitset walk.
 func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	cfg := applyOptions(opts)
 	workers := cfg.workers
@@ -136,16 +136,19 @@ func (e *Engine) Workers() int { return e.workers }
 // unavailable because the design contains counters or gates.
 func (e *Engine) Lanes() int { return e.lanes }
 
-// Tiers describes the engine's execution split: "lazy-dfa",
-// "lazy-dfa+bitset", or "bitset".
+// Tiers describes the engine's execution split, by what its lazy-DFA
+// states are: "lazy-dfa" (every component counter- and gate-free: enable
+// vectors), "counter-dfa" (every component has counters or gates: enable
+// vectors with counter values), or "lazy-dfa+counter-dfa" (both, run side
+// by side). serve's design info reports the same string.
 func (e *Engine) Tiers() string {
 	switch {
-	case e.proto.HasLazyTier() && e.proto.HasBitsetTier():
-		return "lazy-dfa+bitset"
-	case e.proto.HasLazyTier():
+	case e.proto.HasPureTier() && e.proto.HasCounterTier():
+		return "lazy-dfa+counter-dfa"
+	case e.proto.HasPureTier():
 		return "lazy-dfa"
 	default:
-		return "bitset"
+		return "counter-dfa"
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // lazy-DFA cross-check property: on all five benchmark apps the engine's
 // report set equals both the reference simulator's and the fast bitset
 // simulator's. Brill and MOTOMATA contain counters, so this also exercises
-// the hybrid fallback on real designs.
+// the counter tier on real designs.
 func TestEngineMatchesSimulatorOnBenchmarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, b := range bench.All() {
@@ -204,8 +204,8 @@ network (String s) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Tiers() != "bitset" {
-		t.Fatalf("tiers = %q, want bitset", eng.Tiers())
+	if eng.Tiers() != "counter-dfa" {
+		t.Fatalf("tiers = %q, want counter-dfa", eng.Tiers())
 	}
 	input := []byte("abxabxab")
 	want, err := design.RunBytes(input)

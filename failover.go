@@ -169,7 +169,7 @@ func (c *FailoverChain) UseTelemetry(reg *telemetry.Registry) *FailoverChain {
 // FailoverChain builds the design's standard degradation ladder: the fast
 // device model, then the determinized CPU DFA (skipped when the design
 // cannot be determinized, e.g. counters), then the bounded-memory lazy-DFA
-// engine (always available — counters run on its bitset fallback), then
+// engine (always available — counter values are part of its DFA states), then
 // the reference simulator. Options apply to every backend; WithTelemetry
 // additionally wires the chain's own failover metrics.
 func (d *Design) FailoverChain(opts ...Option) (*FailoverChain, error) {

@@ -2,32 +2,30 @@ package automata
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 )
 
 // FastSimulator is the throughput-oriented simulator: the shared step
-// Kernel plus the mutable state a whole design needs — the enable vector,
-// counter values, gate and counter evaluation, the report log, and
-// checkpoints. A cycle is a handful of word-wide AND/OR passes instead of
-// per-element class tests.
+// Kernel plus the mutable state a whole design needs — one configuration
+// (the enable vector followed by the packed counter values), the report
+// log, and checkpoints. A cycle is a handful of word-wide AND/OR passes
+// instead of per-element class tests.
 //
 // The kernel's tables are immutable and shared by every simulator of the
-// topology, and all mutable execution state lives in one flat word slice
-// plus the counter array, so construction and Clone are a constant number
-// of allocations regardless of design size.
+// topology, and all mutable execution state lives in one flat word slice,
+// so construction and Clone are a constant number of allocations
+// regardless of design size.
 //
 // Semantics are identical to Simulator; the tests cross-check them.
 type FastSimulator struct {
 	k *Kernel
 
-	// Mutable state: enabled, nextEnabled, and active are equal-length
-	// subslices of the single backing allocation state.
-	state       []uint64
-	enabled     bitset
-	nextEnabled bitset
-	active      bitset
-	counterVal  []int // by position in Specials() (gate slots stay 0); nil for pure designs
+	// Mutable state: config, next, and active are equal-length subslices
+	// of the single backing allocation state.
+	state  []uint64
+	config []uint64
+	next   []uint64
+	active bitset
 
 	offset  int
 	reports []Report
@@ -51,25 +49,17 @@ func (t *Topology) NewFastSimulator() *FastSimulator { return t.Kernel().NewFast
 
 // NewFastSimulator returns a reset fast simulator stepping through k.
 func (k *Kernel) NewFastSimulator() *FastSimulator {
-	words := k.nwords
+	words := k.Words()
 	s := &FastSimulator{k: k, state: make([]uint64, 3*words)}
-	s.enabled = bitset(s.state[0:words:words])
-	s.nextEnabled = bitset(s.state[words : 2*words : 2*words])
+	s.config = s.state[0:words:words]
+	s.next = s.state[words : 2*words : 2*words]
 	s.active = bitset(s.state[2*words : 3*words : 3*words])
-	if k.specials != nil {
-		s.counterVal = make([]int, len(k.specials.Specials()))
-	}
 	return s
 }
 
 // Reset returns the simulator to its initial configuration.
 func (s *FastSimulator) Reset() {
-	for i := range s.state {
-		s.state[i] = 0
-	}
-	for i := range s.counterVal {
-		s.counterVal[i] = 0
-	}
+	clear(s.state)
 	s.offset = 0
 	s.reports = nil
 }
@@ -87,15 +77,14 @@ func (s *FastSimulator) Offset() int { return s.offset }
 func (s *FastSimulator) Clone() *FastSimulator { return s.k.NewFastSimulator() }
 
 // SimState is a checkpoint of a FastSimulator's mutable execution state,
-// taken with Snapshot and reinstated with Restore. It captures the enable
-// vector, counter values, stream offset, and report-log length, so a long
-// stream interrupted by a transient fault can resume from the checkpoint
-// instead of the beginning.
+// taken with Snapshot and reinstated with Restore. It captures the
+// configuration (enable vector and counter values), stream offset, and
+// report-log length, so a long stream interrupted by a transient fault can
+// resume from the checkpoint instead of the beginning.
 type SimState struct {
-	enabled    bitset
-	counterVal []int
-	offset     int
-	nreports   int
+	config   []uint64
+	offset   int
+	nreports int
 }
 
 // Offset returns the stream offset at which the snapshot was taken.
@@ -104,25 +93,15 @@ func (st *SimState) Offset() int { return st.offset }
 // Snapshot captures the simulator's current mutable state. The snapshot is
 // independent of later stepping and may be restored any number of times.
 func (s *FastSimulator) Snapshot() *SimState {
-	st := &SimState{
-		enabled:    make(bitset, len(s.enabled)),
-		counterVal: make([]int, len(s.counterVal)),
-		offset:     s.offset,
-		nreports:   len(s.reports),
-	}
-	copy(st.enabled, s.enabled)
-	copy(st.counterVal, s.counterVal)
-	return st
+	return &SimState{config: append([]uint64(nil), s.config...), offset: s.offset, nreports: len(s.reports)}
 }
 
 // Restore reinstates a snapshot previously taken from this simulator (or a
 // clone sharing its topology): execution state rewinds to the snapshot's
 // offset and reports recorded after it are discarded.
 func (s *FastSimulator) Restore(st *SimState) {
-	copy(s.enabled, st.enabled)
-	copy(s.counterVal, st.counterVal)
-	s.active.reset()
-	s.nextEnabled.reset()
+	clear(s.state)
+	copy(s.config, st.config)
 	s.offset = st.offset
 	if len(s.reports) > st.nreports {
 		s.reports = s.reports[:st.nreports]
@@ -130,12 +109,13 @@ func (s *FastSimulator) Restore(st *SimState) {
 }
 
 // Seed resets the simulator and installs a mid-stream configuration:
-// enabled is the enable vector in force at stream offset offset, with all
-// counters zero. Offset 0 means the next symbol is the stream's first. It
+// config is the whole configuration — enable vector and counter values, as
+// Kernel.Step writes it — in force at stream offset offset (nil is the
+// initial one). Offset 0 means the next symbol is the stream's first. It
 // is how the lazy DFA hands a configuration over when it demotes.
-func (s *FastSimulator) Seed(enabled []uint64, offset int) {
+func (s *FastSimulator) Seed(config []uint64, offset int) {
 	s.Reset()
-	copy(s.enabled, enabled)
+	copy(s.config, config)
 	s.offset = offset
 }
 
@@ -147,83 +127,15 @@ func (s *FastSimulator) Active() []ElementID {
 	return out
 }
 
-// appendConfigKey serializes the simulator's whole configuration — the
-// kernel's key plus every counter value — as an exact map key.
-func (s *FastSimulator) appendConfigKey(buf []byte) []byte {
-	buf = AppendConfigKey(buf, s.enabled, s.offset == 0)
-	for _, v := range s.counterVal {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf
-}
-
-// Step processes one input symbol: the kernel's activation pass, the
-// counters and gates (rare path), then the kernel's propagation pass.
+// Step processes one input symbol through the kernel.
 func (s *FastSimulator) Step(symbol byte) {
-	s.k.activate(s.enabled, s.offset == 0, symbol, s.active)
-	if s.k.specials != nil {
-		s.evalSpecials()
-	}
-	if s.k.propagate(s.active, s.nextEnabled) {
+	if s.k.Step(s.config, s.offset == 0, symbol, s.active, s.next) {
 		s.k.forEachReport(s.active, func(id ElementID, code int) {
 			s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: code})
 		})
 	}
-	s.enabled, s.nextEnabled = s.nextEnabled, s.enabled
+	s.config, s.next = s.next, s.config
 	s.offset++
-}
-
-func (s *FastSimulator) evalSpecials() {
-	t := s.k.specials
-	for slot, id := range t.Specials() {
-		switch t.Kind(id) {
-		case KindCounter:
-			countIn, resetIn := false, false
-			for _, in := range t.Ins(id) {
-				if !s.active.has(ElementID(in.Node)) {
-					continue
-				}
-				switch in.Port {
-				case PortCount:
-					countIn = true
-				case PortReset:
-					resetIn = true
-				}
-			}
-			switch {
-			case resetIn:
-				s.counterVal[slot] = 0
-			case countIn && s.counterVal[slot] < t.Target(id):
-				s.counterVal[slot]++
-			}
-			if s.counterVal[slot] >= t.Target(id) {
-				s.active.set(id)
-			}
-		case KindGate:
-			anyActive, allActive := false, true
-			for _, in := range t.Ins(id) {
-				if s.active.has(ElementID(in.Node)) {
-					anyActive = true
-				} else {
-					allActive = false
-				}
-			}
-			var out bool
-			switch t.Op(id) {
-			case GateAnd:
-				out = allActive
-			case GateOr:
-				out = anyActive
-			case GateNot, GateNor:
-				out = !anyActive
-			case GateNand:
-				out = !allActive
-			}
-			if out {
-				s.active.set(id)
-			}
-		}
-	}
 }
 
 // Run resets the simulator and processes the whole input.

@@ -16,12 +16,20 @@ import (
 // A kernel holds the immutable step tables of one Topology — for every
 // input symbol the bitset of STEs accepting it, the start-of-data and
 // all-input start sets, for every element the sparse mask of STEs its
-// activation enables, and the reporting-element bitset — which mirrors how
-// the device evaluates all columns of the memory array against the decoded
-// row in parallel. It is built once per topology, cached on it, and safe
-// for concurrent use; callers own the configuration words they pass in.
+// activation enables, the reporting-element bitset, and the flattened
+// counters and gates — which mirrors how the device evaluates all columns
+// of the memory array against the decoded row in parallel. It is built
+// once per topology, cached on it, and safe for concurrent use; callers
+// own the configuration words they pass in.
+//
+// A configuration is everything the next cycle depends on: one enable bit
+// per element (nwords words) followed by the counters' saturating values,
+// bit-packed (cwords words, none for a pure-STE topology). Counters stop
+// at their target, so the configuration space is finite and a
+// configuration is an exact determinization state.
 type Kernel struct {
-	nwords int
+	nwords int // enable words
+	cwords int // packed counter words following them
 
 	accept     []uint64 // accept[sym*nwords+w]: STEs accepting sym
 	startData  bitset   // StartOfData STEs
@@ -29,11 +37,10 @@ type Kernel struct {
 	reportBits bitset   // reporting elements
 	codes      []int32  // report code per element (the topology's array)
 
-	// specials is the topology itself when it has counters or gates —
-	// FastSimulator evaluates them between the two halves of a cycle —
-	// and nil for a pure-STE topology, which the kernel then does not
-	// keep alive: its tables are everything a step needs.
-	specials *Topology
+	// specials are the counters and gates in combinational order, evaluated
+	// between the two halves of a cycle; nil for a pure-STE topology. The
+	// kernel never keeps the topology itself alive.
+	specials []special
 
 	// outMask[id] is the sparse enable mask of element id: the nonzero
 	// words of the STE set its activation enables. All entries are
@@ -41,10 +48,52 @@ type Kernel struct {
 	outMask [][]maskWord
 }
 
-// maskWord is one nonzero word of a sparse enable mask.
+// maskWord is one nonzero word of a sparse element set.
 type maskWord struct {
 	word int
 	bits uint64
+}
+
+// special is one counter or gate flattened for evaluation: its input sets
+// as sparse masks over the activation vector, so a cycle tests words
+// rather than walking edges, and for a counter the field of the
+// configuration's counter words that holds its value.
+type special struct {
+	id        ElementID
+	gate      bool
+	op        GateOp
+	in, reset []maskWord // gate inputs or count-port sources; reset-port sources
+	target    uint64
+	word      int // counter value: counters[word] >> shift & mask
+	shift     uint
+	mask      uint64
+}
+
+func appendMask(dst []maskWord, set bitset) []maskWord {
+	for wi, w := range set {
+		if w != 0 {
+			dst = append(dst, maskWord{word: wi, bits: w})
+		}
+	}
+	return dst
+}
+
+func anyOf(active []uint64, set []maskWord) bool {
+	for _, mw := range set {
+		if active[mw.word]&mw.bits != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func allOf(active []uint64, set []maskWord) bool {
+	for _, mw := range set {
+		if active[mw.word]&mw.bits != mw.bits {
+			return false
+		}
+	}
+	return true
 }
 
 // Kernel returns the topology's step kernel, building its tables on first
@@ -67,10 +116,32 @@ func newKernel(t *Topology) *Kernel {
 		reportBits: newBitset(ln),
 		outMask:    make([][]maskWord, ln),
 	}
-	if !t.Pure() {
-		k.specials = t
-	}
 	mask := newBitset(ln)
+	sources := func(id ElementID, port Port) []maskWord {
+		mask.reset()
+		for _, in := range t.Ins(id) {
+			if in.Port == port {
+				mask.set(ElementID(in.Node))
+			}
+		}
+		return appendMask(nil, mask)
+	}
+	used := uint(64) // bits taken in the last counter word; a field never straddles two
+	for _, id := range t.Specials() {
+		sp := special{id: id, gate: t.Kind(id) == KindGate, op: t.Op(id)}
+		if sp.gate {
+			sp.in = sources(id, PortIn)
+		} else {
+			sp.in, sp.reset, sp.target = sources(id, PortCount), sources(id, PortReset), uint64(t.Target(id))
+			width := uint(bits.Len64(sp.target))
+			if used+width > 64 {
+				k.cwords, used = k.cwords+1, 0
+			}
+			sp.word, sp.shift, sp.mask = k.cwords-1, used, 1<<width-1
+			used += width
+		}
+		k.specials = append(k.specials, sp)
+	}
 	masks := make([]maskWord, 0, t.EdgeCount()) // scratch: at most one word per out-edge
 	for id := ElementID(0); id < ElementID(ln); id++ {
 		if t.Reports(id) {
@@ -83,11 +154,7 @@ func newKernel(t *Topology) *Kernel {
 			}
 		}
 		first := len(masks)
-		for wi, w := range mask {
-			if w != 0 {
-				masks = append(masks, maskWord{word: wi, bits: w})
-			}
-		}
+		masks = appendMask(masks, mask)
 		k.outMask[id] = masks[first:]
 		if t.Kind(id) != KindSTE {
 			continue
@@ -117,23 +184,28 @@ func newKernel(t *Topology) *Kernel {
 }
 
 // Words returns the length, in 64-bit words, of the configuration vectors
-// the kernel steps (one bit per element).
-func (k *Kernel) Words() int { return k.nwords }
+// the kernel steps: one bit per element, then the packed counter values.
+func (k *Kernel) Words() int { return k.nwords + k.cwords }
 
-// Step advances a pure-STE configuration by one symbol: enabled is the
-// enable vector before the symbol and first says whether it is the
-// stream's first (start-of-data STEs are eligible). It writes the cycle's
-// activations to active and the successor enable vector to next — both
-// Words() long, distinct from enabled — and reports whether any reporting
-// element activated (ReportCodes lists them).
-func (k *Kernel) Step(enabled []uint64, first bool, sym byte, active, next []uint64) (reports bool) {
-	k.activate(enabled, first, sym, active)
-	return k.propagate(active, next)
+// Step advances a configuration by one symbol: config is the configuration
+// before the symbol and first says whether it is the stream's first
+// (start-of-data STEs are eligible). It writes the cycle's activations to
+// active and the successor configuration to next — both Words() long,
+// distinct from config — and reports whether any reporting element
+// activated (ReportCodes lists them).
+func (k *Kernel) Step(config []uint64, first bool, sym byte, active, next []uint64) (reports bool) {
+	n := k.nwords
+	active = active[:n]
+	k.activate(config, first, sym, active)
+	if k.specials != nil {
+		copy(next[n:], config[n:])
+		k.evalSpecials(active, next[n:])
+	}
+	return k.propagate(active, next[:n])
 }
 
 // activate is the first half of a cycle: every enabled or start STE tests
-// the symbol. Counters and gates, which evaluate combinationally on these
-// activations, are FastSimulator's to add before propagate.
+// the symbol.
 func (k *Kernel) activate(enabled []uint64, first bool, sym byte, active []uint64) {
 	n := len(active)
 	accept, startAll := k.accept[int(sym)*n:][:n], k.startAll[:n]
@@ -144,6 +216,39 @@ func (k *Kernel) activate(enabled []uint64, first bool, sym byte, active []uint6
 			w |= k.startData[i]
 		}
 		active[i] = w & accept[i]
+	}
+}
+
+// evalSpecials is the middle of a cycle: counters and gates evaluate
+// combinationally, in order, on the activations so far — each adding its
+// own — and counters advance in place. Reset dominates count; a counter
+// saturates at its target and is active from then until reset.
+func (k *Kernel) evalSpecials(active, counters []uint64) {
+	for i := range k.specials {
+		sp := &k.specials[i]
+		var on bool
+		switch {
+		case !sp.gate:
+			v := counters[sp.word] >> sp.shift & sp.mask
+			if anyOf(active, sp.reset) {
+				v = 0
+			} else if v < sp.target && anyOf(active, sp.in) {
+				v++
+			}
+			counters[sp.word] = counters[sp.word]&^(sp.mask<<sp.shift) | v<<sp.shift
+			on = v >= sp.target
+		case sp.op == GateAnd:
+			on = allOf(active, sp.in)
+		case sp.op == GateOr:
+			on = anyOf(active, sp.in)
+		case sp.op == GateNand:
+			on = !allOf(active, sp.in)
+		default: // GateNot, GateNor
+			on = !anyOf(active, sp.in)
+		}
+		if on {
+			active[sp.id>>6] |= 1 << (uint(sp.id) & 63)
+		}
 	}
 }
 
@@ -169,7 +274,7 @@ func (k *Kernel) propagate(active, next []uint64) (reports bool) {
 // forEachReport calls f for every reporting element set in active, in
 // increasing element order.
 func (k *Kernel) forEachReport(active []uint64, f func(id ElementID, code int)) {
-	for wi, w := range active {
+	for wi, w := range active[:k.nwords] {
 		for rep := w & k.reportBits[wi]; rep != 0; rep &= rep - 1 {
 			id := ElementID(wi<<6 + bits.TrailingZeros64(rep))
 			f(id, int(k.codes[id]))
@@ -198,16 +303,16 @@ func (k *Kernel) ReportCodes(dst []int, active []uint64) []int {
 }
 
 // AppendConfigKey serializes a configuration (the first-symbol flag, then
-// the enable words) into buf as an exact map key: equal keys mean equal
-// configurations, so no search or cache keyed by it can conflate two. Keys
-// are never empty.
-func AppendConfigKey(buf []byte, enabled []uint64, first bool) []byte {
+// the configuration words, counters included) into buf as an exact map
+// key: equal keys mean equal configurations, so no search or cache keyed
+// by it can conflate two. Keys are never empty.
+func AppendConfigKey(buf []byte, config []uint64, first bool) []byte {
 	if first {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	for _, w := range enabled {
+	for _, w := range config {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf

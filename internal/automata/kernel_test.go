@@ -3,9 +3,12 @@ package automata_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/rapidgen"
 )
@@ -79,4 +82,60 @@ func TestKernelAgainstOracle(t *testing.T) {
 // sameReports is DeepEqual that does not tell a nil log from an empty one.
 func sameReports(a, b []automata.Report) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// TestKernelStepWideConfigurations drives Kernel.Step directly — one
+// configuration vector, enable words followed by packed counter values,
+// stepped and swapped by the caller exactly as a lazy-DFA fill does — over
+// all five paper benchmarks, and checks every cycle against the naive
+// Simulator: the report flag and the cycle's report codes.
+func TestKernelStepWideConfigurations(t *testing.T) {
+	for _, b := range bench.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			src, args := b.RAPID(b.DefaultInstances)
+			prog, err := core.Load(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := prog.Compile(args, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := automata.NewSimulator(res.Network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := res.Network.MustFreeze()
+			k := top.Kernel()
+			if wide := k.Words() > (top.Len()+63)/64; wide != !top.Pure() {
+				t.Fatalf("Words() = %d for %d elements, pure=%v: counter words should follow the enable words exactly when there are counters",
+					k.Words(), top.Len(), top.Pure())
+			}
+			config, next, active := make([]uint64, k.Words()), make([]uint64, k.Words()), make([]uint64, k.Words())
+			input := b.Input(rand.New(rand.NewSource(5)), 1<<13)
+			seen := 0
+			for i, sym := range input {
+				oracle.Step(sym)
+				var want []int
+				for _, r := range oracle.Reports()[seen:] {
+					want = append(want, r.Code)
+				}
+				seen = len(oracle.Reports())
+				sort.Ints(want)
+				want = slices.Compact(want)
+
+				reports := k.Step(config, i == 0, sym, active, next)
+				config, next = next, config
+				if reports != (len(want) > 0) {
+					t.Fatalf("offset %d: kernel reports=%v, oracle codes %v", i, reports, want)
+				}
+				if got := k.ReportCodes(nil, active); !slices.Equal(got, want) {
+					t.Fatalf("offset %d: kernel codes %v, oracle %v", i, got, want)
+				}
+			}
+			if seen == 0 {
+				t.Fatal("input produced no reports; nothing was compared")
+			}
+		})
+	}
 }

@@ -124,7 +124,7 @@ func TestExtractPrefilterSoundness(t *testing.T) {
 	}
 }
 
-func restEnabled(st *SimState) bitset { return st.enabled }
+func restEnabled(st *SimState) bitset { return st.config }
 
 func bitsetEqual(a, b bitset) bool {
 	if len(a) != len(b) {

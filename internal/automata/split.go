@@ -1,10 +1,12 @@
 package automata
 
-// Component splitting for hybrid CPU execution: a network's weakly-connected
+// Component splitting for CPU execution: a network's weakly-connected
 // components are independent automata that never exchange activations, so a
 // CPU backend may execute each with whatever engine fits it best. In
-// particular, components free of counters and gates can be determinized,
-// while components containing special elements must run on an NFA simulator.
+// particular, components free of counters and gates determinize over enable
+// vectors alone, while components containing special elements determinize
+// over enable vectors and counter values together — a product that can grow
+// large, so it is kept out of the pure components' state space.
 
 // SplitSpecials partitions the topology's weakly-connected components into a
 // counter-free sub-topology (the union of components containing only STEs)

@@ -78,7 +78,7 @@ func (n *Network) FindWitness(opts *WitnessOptions) ([]byte, error) {
 						return w, nil
 					}
 				}
-				key = sim.appendConfigKey(key[:0])
+				key = AppendConfigKey(key[:0], sim.config, sim.offset == 0)
 				if visited[string(key)] {
 					continue
 				}

@@ -104,8 +104,8 @@ func CompareThroughput(baseline, current []ThroughputRow, tolerance float64) (re
 	return regressions, skipped
 }
 
-// FloorViolation is a benchmark where a tier ran slower than the
-// nfa-bitset tier it is supposed to dominate.
+// FloorViolation is a benchmark where a tier ran slower, relative to the
+// nfa-bitset tier it is supposed to dominate, than its floor allows.
 type FloorViolation struct {
 	Benchmark string
 	// Engine is the tier that fell below the floor ("lazy-dfa" or
@@ -114,20 +114,30 @@ type FloorViolation struct {
 	// TierMBs and FloorMBs are the tier's and nfa-bitset's MB/s readings.
 	TierMBs  float64
 	FloorMBs float64
+	// Ratio is TierMBs/FloorMBs; MinRatio is what the floor demands.
 	Ratio    float64
+	MinRatio float64
 }
 
 func (v FloorViolation) String() string {
-	return fmt.Sprintf("%s: %s %.1f MB/s below nfa-bitset floor %.1f MB/s (%.0f%%)",
-		v.Benchmark, v.Engine, v.TierMBs, v.FloorMBs, 100*v.Ratio)
+	return fmt.Sprintf("%s: %s %.1f MB/s is %.2fx nfa-bitset's %.1f MB/s, below its %.2fx floor",
+		v.Benchmark, v.Engine, v.TierMBs, v.Ratio, v.FloorMBs, v.MinRatio)
 }
+
+// motomataLazyFloor is the factor by which MOTOMATA's lazy-dfa row must
+// beat nfa-bitset, with no tolerance discount: the benchmark is all
+// counters, and its DFA over whole configurations replaces a
+// special-element evaluation per byte with a table load. A same-host ratio
+// survives the slow stretches that make absolute MB/s floors flaky.
+const motomataLazyFloor = 3.0
 
 // CrossTierFloors checks the invariants the upper tiers promise against
 // the single-stream nfa-bitset walk on every benchmark:
 //
 //   - lazy-dfa must not run slower than nfa-bitset (the tier it demotes to
 //     when its cache is useless), within the same fractional tolerance the
-//     baseline gate uses;
+//     baseline gate uses — and on MOTOMATA must beat it by
+//     motomataLazyFloor, tolerance or not;
 //   - nfa-bitset-x64, the 64-streams-per-word lane tier, must *beat*
 //     single-stream nfa-bitset in aggregate MB/s on its multi-stream
 //     workload (ratio >= 1, no tolerance discount) — amortizing per-stream
@@ -187,6 +197,7 @@ func CrossTierFloors(current []ThroughputRow, tolerance float64) (violations []F
 					TierMBs:   tier.MBPerSec,
 					FloorMBs:  p.floor.MBPerSec,
 					Ratio:     ratio,
+					MinRatio:  minRatio,
 				})
 			}
 		}
@@ -201,7 +212,11 @@ func CrossTierFloors(current []ThroughputRow, tolerance float64) (violations []F
 			skipped = append(skipped, fmt.Sprintf("%s: nfa-bitset unavailable (%s)", name, p.floor.Note))
 			continue
 		}
-		check(name, p.lazy, "lazy-dfa", 1-tolerance)
+		lazyMin := 1 - tolerance
+		if name == "MOTOMATA" {
+			lazyMin = motomataLazyFloor
+		}
+		check(name, p.lazy, "lazy-dfa", lazyMin)
 		check(name, p.lane, "nfa-bitset-x64", 1)
 	}
 	return violations, skipped
@@ -217,7 +232,8 @@ func FormatFloors(violations []FloorViolation, skipped []string, tolerance float
 		fmt.Fprintf(&b, "floor skipped %s\n", s)
 	}
 	if len(violations) == 0 {
-		fmt.Fprintf(&b, "cross-tier floor: ok (lazy-dfa >= nfa-bitset within %.0f%%; nfa-bitset-x64 >= nfa-bitset; %d skipped)\n", 100*tolerance, len(skipped))
+		fmt.Fprintf(&b, "cross-tier floor: ok (lazy-dfa >= nfa-bitset within %.0f%%, MOTOMATA lazy-dfa >= %.0fx; nfa-bitset-x64 >= nfa-bitset; %d skipped)\n",
+			100*tolerance, motomataLazyFloor, len(skipped))
 	} else {
 		fmt.Fprintf(&b, "cross-tier floor: %d violation(s)\n", len(violations))
 	}

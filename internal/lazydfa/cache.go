@@ -46,7 +46,7 @@ type inEdge struct {
 // cache's rows slab at [id*ngroups, (id+1)*ngroups).
 type state struct {
 	key     string
-	enabled []uint64
+	config  []uint64 // enable words, then packed counter values
 	first   bool
 	ref     bool   // second-chance reference bit
 	gen     uint32 // bumped on eviction; validates inEdge records
@@ -101,8 +101,8 @@ func newStateCache(p *program, max, limit int) *stateCache {
 // intern returns the id of the configuration, copying it into a slot when
 // new. A full cache evicts one cold state; pinned (the walker's current
 // state, or -1) is never the victim. Always succeeds.
-func (c *stateCache) intern(enabled []uint64, first bool, pinned int32) int32 {
-	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], enabled, first)
+func (c *stateCache) intern(config []uint64, first bool, pinned int32) int32 {
+	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], config, first)
 	if id, ok := c.ids[string(c.keyBuf)]; ok { // no-alloc map probe
 		c.meta[id].ref = true
 		return id
@@ -133,7 +133,7 @@ func (c *stateCache) intern(enabled []uint64, first bool, pinned int32) int32 {
 		st = c.meta[id]
 	}
 	st.key = string(c.keyBuf)
-	st.enabled = append(st.enabled[:0], enabled...)
+	st.config = append(st.config[:0], config...)
 	st.first = first
 	st.ref = true
 	st.reps = st.reps[:0]

@@ -3,6 +3,7 @@ package lazydfa_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/automata"
@@ -67,7 +68,7 @@ func TestCacheEvictionBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("program %d %s: %v", i, name, err)
 			}
-			if m.HasLazyTier() {
+			if m.HasPureTier() {
 				lazyTiers++
 			}
 			for k, input := range inputs {
@@ -149,4 +150,66 @@ func lazyKeys(rs []lazydfa.Report) map[[2]int]bool {
 		m[[2]int{r.Offset, r.Code}] = true
 	}
 	return m
+}
+
+// TestCounterProductStaysBounded is the counter tier's worst paper case:
+// MOTOMATA with 32 motifs, whose independent counters multiply into more
+// configurations than any cache should hold. The tier must fill its budget,
+// thrash, demote mid-stream with the reports intact, and never have held
+// more than the byte cap: the measured heap per cached state times the
+// budget it reached stays under DefaultMaxCacheBytes.
+func TestCounterProductStaysBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a 1281-element design over 768 KiB")
+	}
+	const motifs = 32
+	b := bench.Motomata()
+	src, args := b.RAPID(motifs)
+	prog, err := core.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Compile(args, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := b.Input(rand.New(rand.NewSource(97)), 768<<10)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := lazydfa.New(res.Network, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(input[:32<<10])
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if m.Demoted() || m.CachedStates() < 1000 {
+		t.Fatalf("32 KiB prefix: demoted=%v states=%d, want a growing cache", m.Demoted(), m.CachedStates())
+	}
+	perState := float64(after.HeapAlloc-before.HeapAlloc) / float64(m.CachedStates())
+
+	offsets := map[int]bool{}
+	for _, r := range m.Run(input) {
+		offsets[r.Offset] = true
+	}
+	want := b.Oracle(input, motifs)
+	if len(offsets) != len(want) {
+		t.Fatalf("%d report offsets, oracle %d", len(offsets), len(want))
+	}
+	for _, off := range want {
+		if !offsets[off] {
+			t.Fatalf("oracle offset %d not reported", off)
+		}
+	}
+	if !m.Demoted() || m.CachedStates() != 0 {
+		t.Fatalf("product did not demote: demoted=%v states=%d evictions=%d", m.Demoted(), m.CachedStates(), m.Evictions())
+	}
+	if held := perState * float64(m.CacheBudget()); held > lazydfa.DefaultMaxCacheBytes {
+		t.Fatalf("cache reached %d states at %.0f B each = %.1f MiB, over the %d MiB cap",
+			m.CacheBudget(), perState, held/(1<<20), lazydfa.DefaultMaxCacheBytes>>20)
+	}
+	t.Logf("budget %d states × %.0f B = %.1f MiB; fills=%d evictions=%d", m.CacheBudget(), perState,
+		perState*float64(m.CacheBudget())/(1<<20), m.Fills(), m.Evictions())
 }

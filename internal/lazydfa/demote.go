@@ -13,7 +13,7 @@ import "context"
 // bytes is sustained for demoteWindows consecutive windows: the working
 // set will never fit, and every cached transition is amortizing fewer
 // than demoteDenominator bytes of walking, which the NFA bitset walk
-// beats without the interning overhead. The matcher then drops the cache
+// beats without the interning overhead. The tier then drops its cache
 // and finishes on the bitset path, so no workload runs slower than the
 // nfa-bitset tier beyond the detection window.
 const (
@@ -22,39 +22,43 @@ const (
 )
 
 // adapt inspects the eviction rate over the last window and reports
-// whether the matcher should demote now. Only called when the budget is
+// whether the tier should demote now. Only called when the budget is
 // adaptive (Options.MaxCachedStates == 0).
-func (m *Matcher) adapt(window int) bool {
-	c := m.cache
-	dE := c.evictions - m.lastEvictions
-	m.lastEvictions = c.evictions
+func (t *tier) adapt(window int) bool {
+	c := t.cache
+	dE := c.evictions - t.lastEvictions
+	t.lastEvictions = c.evictions
 	if dE*demoteDenominator >= window && dE > 0 {
-		m.thrashWindows++
-		return m.thrashWindows >= demoteWindows
+		t.thrashWindows++
+		return t.thrashWindows >= demoteWindows
 	}
-	m.thrashWindows = 0
+	t.thrashWindows = 0
 	return false
 }
 
-// demote flips the matcher to the NFA bitset walk permanently and releases
+// demote flips the tier to the NFA bitset walk permanently and releases
 // the cache's memory. The whole-cache drop is what Flushes() now counts.
-func (m *Matcher) demote() {
-	m.demoted = true
-	m.demotions++
-	m.flushes++
-	m.cache.releaseAll()
+func (t *tier) demote() {
+	t.demoted = true
+	t.demotions++
+	t.flushes++
+	t.cache.releaseAll()
 }
 
-// runDemoted finishes a stream on the pure components' bitset simulator —
-// the same kernel the nfa-bitset tier runs. It serves a demoted matcher's
-// whole runs (enabled == nil) and the mid-stream hand-off (enabled = the
-// configuration at the demotion point, base = bytes already consumed).
-// The simulator's per-element reports go out raw; run canonicalizes them.
-func (m *Matcher) runDemoted(ctx context.Context, input []byte, out []Report, base int, enabled []uint64) ([]Report, error) {
-	if m.pureSim == nil {
-		m.pureSim = m.prog.k.NewFastSimulator()
+// runDemoted finishes a stream on the tier's bitset simulator — the same
+// kernel the nfa-bitset tier runs. It serves a demoted tier's whole runs
+// (config == nil) and the mid-stream hand-off (config = the configuration
+// at the demotion point, counter values included; base = bytes already
+// consumed). The simulator's per-element reports go out raw; run
+// canonicalizes them.
+func (t *tier) runDemoted(ctx context.Context, input []byte, out []Report, base int, config []uint64) ([]Report, error) {
+	if t.sim == nil {
+		t.sim = t.prog.k.NewFastSimulator()
 	}
-	m.pureSim.Seed(enabled, base)
-	raw, err := m.pureSim.Feed(ctx, input)
-	return appendSimReports(out, raw), err
+	t.sim.Seed(config, base)
+	raw, err := t.sim.Feed(ctx, input)
+	for _, r := range raw {
+		out = append(out, Report{Offset: r.Offset, Code: r.Code})
+	}
+	return out, err
 }

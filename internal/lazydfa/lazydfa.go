@@ -27,11 +27,16 @@
 //     instead of stepped byte-by-byte, and the skip disables itself when
 //     measured dead runs are too short to pay for the scan.
 //
-// Designs containing counters or boolean gates are handled by a hybrid
-// split: weakly-connected components made only of STEs run on the lazy
-// DFA, while components containing special elements run on a cloned
-// FastSimulator bitset path. Both halves see the same input stream, and
-// their reports are merged in offset order.
+// Designs containing counters or boolean gates run as two tiers of the
+// same lazy DFA: weakly-connected components made only of STEs determinize
+// their enable vectors, while components containing special elements
+// determinize whole configurations — the enable vector followed by the
+// counters' saturating values, which the step kernel advances together.
+// The tiers are kept apart because the product of independent counters can
+// blow the second one up; each has its own cache, budget and demotion
+// verdict, and a tier that demotes hands its configuration, counter values
+// included, to the bitset walk. Both see the same input stream, and their
+// report runs are merged in offset order.
 package lazydfa
 
 import (
@@ -53,8 +58,8 @@ type Report struct {
 
 // Options bound the engine's memory use and select its heuristics.
 type Options struct {
-	// MaxCachedStates, when positive, fixes the state cache at exactly
-	// this many states: eviction still runs per state, but the adaptive
+	// MaxCachedStates, when positive, fixes each tier's state cache at
+	// exactly this many states: eviction still runs per state, but the adaptive
 	// budget controller and the mid-stream demotion heuristic are
 	// disabled, which makes execution deterministic for tests and for the
 	// rapidbench -lazy-cache sweep. Values below 2 are raised to 2 (the
@@ -64,9 +69,10 @@ type Options struct {
 
 	// MaxCacheBytes caps the adaptive budget's memory, denominated in
 	// estimated bytes of cache (rows, keys, configurations, in-edge
-	// records). The cap in states is derived per design from its word and
-	// group counts. Default DefaultMaxCacheBytes. Ignored when
-	// MaxCachedStates is positive.
+	// records). It is the matcher's cap, shared equally by its tiers; each
+	// tier's cap in states is derived from its word and group counts.
+	// Default DefaultMaxCacheBytes. Ignored when MaxCachedStates is
+	// positive.
 	MaxCacheBytes int64
 
 	// InitialCachedStates is the adaptive budget's starting size; the
@@ -125,13 +131,18 @@ func (o *Options) withDefaults() options {
 	return out
 }
 
-// Matcher executes one design. It owns mutable state (the DFA cache and,
-// for hybrid designs, a bitset simulator) and is not safe for concurrent
-// use; Clone gives each goroutine an independent matcher sharing the
-// immutable compiled tables.
+// Matcher executes one design. It owns mutable state (the DFA caches) and
+// is not safe for concurrent use; Clone gives each goroutine an
+// independent matcher sharing the immutable compiled tables.
 type Matcher struct {
-	prog *program                // lazy tier (nil when every component has specials)
-	sim  *automata.FastSimulator // bitset tier (nil for counter-free designs)
+	tiers    []*tier // the pure component set's, then the special set's; either may be absent
+	mergeBuf []Report
+}
+
+// tier is the lazy DFA of one component set: its compiled facts, state
+// cache, and learned heuristics.
+type tier struct {
+	prog *program
 
 	cache     *stateCache
 	activeBuf []uint64
@@ -142,7 +153,6 @@ type Matcher struct {
 	// facts and flips off permanently when measured dead runs are too
 	// short to pay for the scan.
 	prefilter     bool
-	liveBytes     []byte
 	skipWindowN   int
 	skipWindowLen int
 
@@ -151,7 +161,7 @@ type Matcher struct {
 	lastEvictions int
 	thrashWindows int
 	demoted       bool
-	pureSim       *automata.FastSimulator // built on first demoted run
+	sim           *automata.FastSimulator // built on first demoted run
 
 	fills     int
 	flushes   int
@@ -160,36 +170,40 @@ type Matcher struct {
 }
 
 // New freezes the network (validating it), splits its topology into the
-// counter-free and special component sets, and compiles the lazy tier's
+// counter-free and special component sets, and compiles each tier's
 // tables. Construction is O(elements × alphabet) — the step kernels of the
-// two sub-topologies; the DFA itself materializes during execution.
+// two sub-topologies; the DFAs themselves materialize during execution.
 func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	o := opts.withDefaults()
-	t, err := n.Freeze()
+	top, err := n.Freeze()
 	if err != nil {
 		return nil, fmt.Errorf("lazydfa: %w", err)
 	}
-	pure, special := automata.SplitSpecials(t)
+	pure, special := automata.SplitSpecials(top)
 	m := &Matcher{}
-	if pure != nil {
-		m.prog = compile(pure)
-		m.activeBuf = make([]uint64, m.prog.nwords)
-		m.nextBuf = make([]uint64, m.prog.nwords)
-		max, limit, adaptive := cacheBudget(o, m.prog)
-		m.adaptive = adaptive
-		m.cache = newStateCache(m.prog, max, limit)
-		if !o.disablePrefilter && m.prog.hasFacts && len(m.prog.liveBytes) <= maxPrefilterBytes {
-			m.prefilter = true
-			m.liveBytes = m.prog.liveBytes
+	for _, sub := range []*automata.Topology{pure, special} {
+		if sub != nil {
+			m.tiers = append(m.tiers, &tier{prog: compile(sub)})
 		}
 	}
-	if special != nil {
-		m.sim = special.NewFastSimulator()
-	}
-	if m.prog == nil && m.sim == nil {
+	if len(m.tiers) == 0 {
 		return nil, fmt.Errorf("lazydfa: design has no live components")
 	}
+	o.maxCacheBytes /= int64(len(m.tiers)) // the byte cap is the matcher's, not each tier's
+	for _, t := range m.tiers {
+		max, limit, adaptive := cacheBudget(o, t.prog)
+		t.adaptive = adaptive
+		t.prefilter = !o.disablePrefilter && t.prog.hasFacts && len(t.prog.liveBytes) <= maxPrefilterBytes
+		t.reset(max, limit)
+	}
 	return m, nil
+}
+
+// reset gives the tier an empty cache and fresh scratch.
+func (t *tier) reset(max, limit int) {
+	t.activeBuf = make([]uint64, t.prog.nwords)
+	t.nextBuf = make([]uint64, t.prog.nwords)
+	t.cache = newStateCache(t.prog, max, limit)
 }
 
 // cacheBudget resolves the options into the cache's starting budget and
@@ -220,86 +234,78 @@ func cacheBudget(o options, p *program) (max, limit int, adaptive bool) {
 }
 
 // Clone returns an independent matcher sharing the immutable compiled
-// tables but owning a fresh (empty) DFA cache and simulator state, so a
-// server can fan one design out across goroutines. Learned heuristic
-// state carries over: the clone inherits the parent's grown cache budget,
-// its demotion decision, and its prefilter enable/disable verdict.
+// tables but owning fresh (empty) DFA caches, so a server can fan one
+// design out across goroutines. Learned heuristic state carries over: the
+// clone inherits each tier's grown cache budget, its demotion decision,
+// and its prefilter enable/disable verdict.
 func (m *Matcher) Clone() *Matcher {
-	c := &Matcher{
-		prog:      m.prog,
-		adaptive:  m.adaptive,
-		demoted:   m.demoted,
-		prefilter: m.prefilter,
-		liveBytes: m.liveBytes,
-	}
-	if m.prog != nil {
-		c.activeBuf = make([]uint64, m.prog.nwords)
-		c.nextBuf = make([]uint64, m.prog.nwords)
-		c.cache = newStateCache(m.prog, m.cache.max, m.cache.limit)
-	}
-	if m.sim != nil {
-		c.sim = m.sim.Clone()
+	c := &Matcher{}
+	for _, t := range m.tiers {
+		ct := &tier{prog: t.prog, adaptive: t.adaptive, demoted: t.demoted, prefilter: t.prefilter}
+		ct.reset(t.cache.max, t.cache.limit)
+		c.tiers = append(c.tiers, ct)
 	}
 	return c
 }
 
-// HasLazyTier reports whether any component runs on the lazy DFA.
-func (m *Matcher) HasLazyTier() bool { return m.prog != nil }
+// HasPureTier reports whether any component is counter- and gate-free, its
+// DFA states plain enable vectors.
+func (m *Matcher) HasPureTier() bool { return !m.tiers[0].prog.special }
 
-// HasBitsetTier reports whether any component (one containing counters or
-// gates) runs on the bitset simulator fallback.
-func (m *Matcher) HasBitsetTier() bool { return m.sim != nil }
+// HasCounterTier reports whether any component contains counters or gates,
+// its DFA states enable vectors with counter values.
+func (m *Matcher) HasCounterTier() bool { return m.tiers[len(m.tiers)-1].prog.special }
 
-// CachedStates returns the number of DFA states currently interned. The
-// cache persists across runs, so repeated streams reuse hot transitions.
-func (m *Matcher) CachedStates() int {
-	if m.cache == nil {
-		return 0
+func (m *Matcher) sum(f func(*tier) int) (n int) {
+	for _, t := range m.tiers {
+		n += f(t)
 	}
-	return len(m.cache.meta)
+	return n
 }
 
-// CacheBudget returns the cache's current state budget — the fixed
+// CachedStates returns the number of DFA states currently interned, over
+// both tiers (as do all the counts below). The cache persists across runs,
+// so repeated streams reuse hot transitions.
+func (m *Matcher) CachedStates() int { return m.sum(func(t *tier) int { return len(t.cache.meta) }) }
+
+// CacheBudget returns the caches' current state budget — the fixed
 // MaxCachedStates, or wherever the adaptive controller has grown to.
-func (m *Matcher) CacheBudget() int {
-	if m.cache == nil {
-		return 0
-	}
-	return m.cache.max
-}
+func (m *Matcher) CacheBudget() int { return m.sum(func(t *tier) int { return t.cache.max }) }
 
 // Fills returns how many transitions the matcher has materialized on
 // cache misses (one per (state, symbol-group) cell filled). Together with
 // Evictions it is the cache-efficiency signal the telemetry layer
 // surfaces.
-func (m *Matcher) Fills() int { return m.fills }
+func (m *Matcher) Fills() int { return m.sum(func(t *tier) int { return t.fills }) }
 
-// Flushes returns how many times the whole state cache was dropped. Under
+// Flushes returns how many times a whole state cache was dropped. Under
 // per-state eviction this no longer happens on capacity pressure; the only
 // remaining whole-cache drop is the one performed by demotion, when the
 // DFA gives the memory back before switching to the bitset walk.
-func (m *Matcher) Flushes() int { return m.flushes }
+func (m *Matcher) Flushes() int { return m.sum(func(t *tier) int { return t.flushes }) }
 
-// Evictions returns how many single states the cache has evicted to make
+// Evictions returns how many single states the caches have evicted to make
 // room.
-func (m *Matcher) Evictions() int {
-	if m.cache == nil {
-		return 0
-	}
-	return m.cache.evictions
-}
+func (m *Matcher) Evictions() int { return m.sum(func(t *tier) int { return t.cache.evictions }) }
 
 // PrefilterSkipped returns how many input bytes the rest-state prefilter
 // skipped with vector scans instead of stepping.
-func (m *Matcher) PrefilterSkipped() int { return m.skipped }
+func (m *Matcher) PrefilterSkipped() int { return m.sum(func(t *tier) int { return t.skipped }) }
 
-// Demotions returns how many times the matcher demoted its lazy tier to
-// the NFA bitset walk (at most once — demotion is sticky).
-func (m *Matcher) Demotions() int { return m.demotions }
+// Demotions returns how many tiers demoted to the NFA bitset walk (each at
+// most once — demotion is sticky).
+func (m *Matcher) Demotions() int { return m.sum(func(t *tier) int { return t.demotions }) }
 
-// Demoted reports whether the lazy tier has demoted itself to the NFA
-// bitset walk.
-func (m *Matcher) Demoted() bool { return m.demoted }
+// Demoted reports whether a tier has demoted itself to the NFA bitset
+// walk.
+func (m *Matcher) Demoted() bool {
+	for _, t := range m.tiers {
+		if t.demoted {
+			return true
+		}
+	}
+	return false
+}
 
 // Run executes the design over one input stream and returns the merged
 // report events in (offset, code) order.
@@ -323,38 +329,55 @@ func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]
 
 func (m *Matcher) run(ctx context.Context, input []byte, out []Report) ([]Report, error) {
 	base := len(out)
-	var err error
-	if m.prog != nil {
-		out, err = m.runLazy(ctx, input, out)
+	for i, t := range m.tiers {
+		mid := len(out)
+		var err error
+		out, err = t.runLazy(ctx, input, out)
+		// The lazy walk emits reports already canonical (offset-ordered,
+		// codes sorted and distinct per offset); a demoted tier's are per
+		// element and need a re-sort and dedup unless canonical already.
+		if t.demoted && !isCanonical(out[mid:]) {
+			out = out[:mid+len(canonicalize(out[mid:]))]
+		}
+		if i > 0 {
+			out = m.merge(out, base, mid)
+		}
+		if err != nil {
+			return out, err
+		}
 	}
-	if m.sim != nil && err == nil {
-		var raw []automata.Report
-		raw, err = m.sim.RunContext(ctx, input)
-		out = appendSimReports(out, raw)
-	}
-	// The lazy walk emits reports already canonical (offset-ordered, codes
-	// sorted and distinct per offset); a simulator's — the special tier's,
-	// or the pure tier's after demotion — are per element, so the combined
-	// tail needs a re-sort and dedup unless it is canonical already, the
-	// common case for a lone simulator emitting in offset order.
-	if (m.sim != nil || m.demoted) && !isCanonical(out[base:]) {
-		tail := canonicalize(out[base:])
-		out = out[:base+len(tail)]
-	}
-	return out, err
+	return out, nil
 }
 
-func appendSimReports(out []Report, raw []automata.Report) []Report {
-	for _, r := range raw {
-		out = append(out, Report{Offset: r.Offset, Code: r.Code})
+// merge folds the canonical runs out[base:mid] and out[mid:] — one tier's
+// reports each — into one canonical run in place, keeping a single copy of
+// an (offset, code) both tiers reported.
+func (m *Matcher) merge(out []Report, base, mid int) []Report {
+	if mid == base || mid == len(out) {
+		return out
 	}
-	return out
+	m.mergeBuf = append(m.mergeBuf[:0], out[base:mid]...)
+	a, b, w := m.mergeBuf, out[mid:], base
+	for ; len(a) > 0 || len(b) > 0; w++ {
+		if len(b) == 0 || len(a) > 0 && !less(b[0], a[0]) {
+			if len(b) > 0 && a[0] == b[0] {
+				b = b[1:]
+			}
+			out[w], a = a[0], a[1:]
+		} else {
+			out[w], b = b[0], b[1:]
+		}
+	}
+	return out[:w]
+}
+
+func less(a, b Report) bool {
+	return a.Offset < b.Offset || a.Offset == b.Offset && a.Code < b.Code
 }
 
 func isCanonical(rs []Report) bool {
 	for i := 1; i < len(rs); i++ {
-		if rs[i].Offset < rs[i-1].Offset ||
-			(rs[i].Offset == rs[i-1].Offset && rs[i].Code <= rs[i-1].Code) {
+		if !less(rs[i-1], rs[i]) {
 			return false
 		}
 	}
@@ -365,13 +388,13 @@ func isCanonical(rs []Report) bool {
 // demand. The per-symbol fast path is a single data-dependent load: the
 // group-indexed row cell carries the successor id and a has-reports flag
 // in one int32.
-func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
-	if m.demoted {
-		return m.runDemoted(ctx, input, out, 0, nil)
+func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
+	if t.demoted {
+		return t.runDemoted(ctx, input, out, 0, nil)
 	}
-	p := m.prog
-	c := m.cache
-	cur := m.startState()
+	p := t.prog
+	c := t.cache
+	cur := t.startState()
 	base := 0
 	for len(input) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -382,19 +405,19 @@ func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Re
 			chunk = chunk[:automata.CancelCheckInterval]
 		}
 		rest := int32(-1) // cur is never negative, so -1 disables the check
-		if m.prefilter {
+		if t.prefilter {
 			rest = c.restID
 		}
 		for i := 0; i < len(chunk); i++ {
 			if cur == rest {
-				if n := m.skipDead(chunk[i:]); n > 0 {
-					m.skipped += n
+				if n := t.skipDead(chunk[i:]); n > 0 {
+					t.skipped += n
 					i += n
 					if i >= len(chunk) {
 						break
 					}
 				}
-				if !m.prefilter {
+				if !t.prefilter {
 					rest = -1
 				}
 			}
@@ -402,9 +425,9 @@ func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Re
 			g := int(p.groupOf[sym])
 			v := c.rows[int(cur)*c.ngroups+g]
 			if v < 0 {
-				v = m.miss(cur, g, sym)
+				v = t.miss(cur, g, sym)
 				rest = -1
-				if m.prefilter {
+				if t.prefilter {
 					rest = c.restID
 				}
 			}
@@ -422,45 +445,43 @@ func (m *Matcher) runLazy(ctx context.Context, input []byte, out []Report) ([]Re
 		}
 		base += len(chunk)
 		input = input[len(chunk):]
-		if m.adaptive && m.adapt(len(chunk)) {
-			// Demote: carry the live NFA configuration into the bitset
-			// walk and give the cache memory back.
+		if t.adaptive && t.adapt(len(chunk)) {
+			// Demote: carry the live configuration — counter values and
+			// all — into the bitset walk and give the cache memory back.
 			// (cur consumed at least one chunk, so it is never the
 			// first-symbol start state.)
-			enabled := c.meta[cur].enabled
-			m.demote()
-			return m.runDemoted(ctx, input, out, base, enabled)
+			config := c.meta[cur].config
+			t.demote()
+			return t.runDemoted(ctx, input, out, base, config)
 		}
 	}
 	return out, nil
 }
 
-// startState interns the start-of-data configuration (no enables, first
-// symbol pending). The cache is kept warm across runs, so this is a map
-// hit on every stream after the first.
-func (m *Matcher) startState() int32 {
-	for i := range m.nextBuf {
-		m.nextBuf[i] = 0
-	}
-	return m.cache.intern(m.nextBuf, true, -1)
+// startState interns the start-of-data configuration (no enables,
+// counters zero, first symbol pending). The cache is kept warm across
+// runs, so this is a map hit on every stream after the first.
+func (t *tier) startState() int32 {
+	clear(t.nextBuf)
+	return t.cache.intern(t.nextBuf, true, -1)
 }
 
 // miss materializes the transition of state cur on symbol sym's
 // equivalence group: it steps the NFA configuration through the kernel
-// (into the matcher's scratch buffers), interns the successor
+// (into the tier's scratch buffers), interns the successor
 // (possibly evicting one cold state — never cur, which is pinned), fills
 // the row cell, and records the in-edge so eviction of the successor can
 // repair the cell lazily.
-func (m *Matcher) miss(cur int32, g int, sym byte) int32 {
-	m.fills++
-	c := m.cache
+func (t *tier) miss(cur int32, g int, sym byte) int32 {
+	t.fills++
+	c := t.cache
 	st := c.meta[cur]
 	var codes []int
-	if m.prog.k.Step(st.enabled, st.first, sym, m.activeBuf, m.nextBuf) {
-		codes = m.prog.k.ReportCodes(m.codesBuf[:0], m.activeBuf)
-		m.codesBuf = codes
+	if t.prog.k.Step(st.config, st.first, sym, t.activeBuf, t.nextBuf) {
+		codes = t.prog.k.ReportCodes(t.codesBuf[:0], t.activeBuf)
+		t.codesBuf = codes
 	}
-	succ := c.intern(m.nextBuf, false, cur)
+	succ := c.intern(t.nextBuf, false, cur)
 	v := succ
 	if len(codes) > 0 {
 		v |= cellReport
@@ -478,29 +499,30 @@ func (m *Matcher) miss(cur int32, g int, sym byte) int32 {
 // and the entire remainder is skipped. The scan keeps its own payoff
 // statistics and permanently disables the prefilter when the average dead
 // run is too short to amortize the vector scan.
-func (m *Matcher) skipDead(s []byte) int {
+func (t *tier) skipDead(s []byte) int {
 	n := len(s)
-	switch len(m.liveBytes) {
+	live := t.prog.liveBytes
+	switch len(live) {
 	case 0:
 		return n
 	case 1:
-		if j := bytes.IndexByte(s, m.liveBytes[0]); j >= 0 {
+		if j := bytes.IndexByte(s, live[0]); j >= 0 {
 			n = j
 		}
 	default:
-		for _, b := range m.liveBytes {
+		for _, b := range live {
 			if j := bytes.IndexByte(s[:n], b); j >= 0 {
 				n = j
 			}
 		}
 	}
-	m.skipWindowN++
-	m.skipWindowLen += n
-	if m.skipWindowN == 64 {
-		if m.skipWindowLen < 64*8 {
-			m.prefilter = false
+	t.skipWindowN++
+	t.skipWindowLen += n
+	if t.skipWindowN == 64 {
+		if t.skipWindowLen < 64*8 {
+			t.prefilter = false
 		}
-		m.skipWindowN, m.skipWindowLen = 0, 0
+		t.skipWindowN, t.skipWindowLen = 0, 0
 	}
 	return n
 }
@@ -508,12 +530,7 @@ func (m *Matcher) skipDead(s []byte) int {
 // canonicalize sorts rs by (offset, code) and drops duplicates in place,
 // returning the shortened slice.
 func canonicalize(rs []Report) []Report {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Offset != rs[j].Offset {
-			return rs[i].Offset < rs[j].Offset
-		}
-		return rs[i].Code < rs[j].Code
-	})
+	sort.Slice(rs, func(i, j int) bool { return less(rs[i], rs[j]) })
 	out := rs[:0]
 	for i, r := range rs {
 		if i == 0 || r != rs[i-1] {

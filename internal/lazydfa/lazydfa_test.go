@@ -36,9 +36,13 @@ func randomWord(rng *rand.Rand) []byte {
 	return word
 }
 
-// randomNetwork builds 1–4 independent components: plain reporting chains,
-// chains feeding a latching counter, and chain pairs feeding an AND gate —
-// exercising both the lazy tier and the hybrid bitset fallback.
+// randomNetwork builds 1–4 independent components: plain reporting chains;
+// chains feeding a reporting counter (targets up to 8), some with a second
+// chain on the reset port — sometimes the same word, so reset and count
+// arrive on one cycle; chain pairs feeding an AND gate; and a feedback
+// loop, chain → counter → gate → STE, whose STE reports, resets the
+// counter and sometimes counts it on the same cycle — exercising both
+// tiers of the lazy DFA.
 func randomNetwork(rng *rand.Rand) *automata.Network {
 	n := automata.NewNetwork("rand")
 	comps := 1 + rng.Intn(4)
@@ -47,22 +51,42 @@ func randomNetwork(rng *rand.Rand) *automata.Network {
 		if rng.Intn(3) == 0 {
 			start = automata.StartOfData
 		}
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			last := addChain(n, randomWord(rng), start)
 			n.SetReport(last, c)
 		case 1:
-			last := addChain(n, randomWord(rng), start)
-			ctr := n.AddCounter(1 + rng.Intn(3))
+			word := randomWord(rng)
+			last := addChain(n, word, start)
+			ctr := n.AddCounter(1 + rng.Intn(8))
 			n.Connect(last, ctr, automata.PortCount)
 			n.SetReport(ctr, c)
-		default:
+			switch rng.Intn(3) {
+			case 0:
+				n.Connect(addChain(n, randomWord(rng), automata.StartAllInput), ctr, automata.PortReset)
+			case 1:
+				n.Connect(addChain(n, word[len(word)-1:], automata.StartAllInput), ctr, automata.PortReset)
+			}
+		case 2:
 			a := addChain(n, randomWord(rng), start)
 			b := addChain(n, randomWord(rng), automata.StartAllInput)
 			g := n.AddGate(automata.GateAnd)
 			n.Connect(a, g, automata.PortIn)
 			n.Connect(b, g, automata.PortIn)
 			n.SetReport(g, c)
+		default:
+			last := addChain(n, randomWord(rng), start)
+			ctr := n.AddCounter(1 + rng.Intn(8))
+			n.Connect(last, ctr, automata.PortCount)
+			g := n.AddGate([]automata.GateOp{automata.GateOr, automata.GateNot, automata.GateNand}[rng.Intn(3)])
+			n.Connect(ctr, g, automata.PortIn)
+			tail := n.AddSTE(charclass.Single(byte('a'+rng.Intn(3))), automata.StartNone)
+			n.Connect(g, tail, automata.PortIn)
+			n.Connect(tail, ctr, automata.PortReset)
+			if rng.Intn(2) == 0 {
+				n.Connect(tail, ctr, automata.PortCount)
+			}
+			n.SetReport(tail, c)
 		}
 	}
 	return n
@@ -87,9 +111,10 @@ func simSet(rs []automata.Report) []Report {
 }
 
 // TestCrossCheckRandom is the cross-check property: on randomized networks
-// (including counter and gate designs exercising the hybrid fallback) the
-// lazy engine's report set equals both reference simulators', at the
-// default cache size and at tiny caps that force flush-and-restart.
+// (including counter and gate designs, whose DFA states carry counter
+// values) the lazy engine's report set equals both reference simulators',
+// under the adaptive budget and at tiny fixed caps that evict on almost
+// every intern.
 func TestCrossCheckRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 120; trial++ {
@@ -98,7 +123,7 @@ func TestCrossCheckRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cap := range []int{0, 2, 7} { // 0 = default
+		for _, cap := range []int{0, 2, 3, 7} { // 0 = adaptive
 			m, err := New(n, &Options{MaxCachedStates: cap})
 			if err != nil {
 				t.Fatalf("trial %d cap %d: %v", trial, cap, err)
@@ -315,8 +340,9 @@ func TestCacheWarmAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestHybridTiers checks tier selection: pure designs get only the lazy
-// tier, counter designs only the bitset tier, mixed designs both.
+// TestHybridTiers checks tier selection: pure designs get only the pure
+// tier, counter designs only the counter tier, mixed designs both — and
+// every tier is a lazy DFA that caches states.
 func TestHybridTiers(t *testing.T) {
 	pure := automata.NewNetwork("pure")
 	pl := addChain(pure, []byte("ab"), automata.StartAllInput)
@@ -325,8 +351,8 @@ func TestHybridTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasLazyTier() || m.HasBitsetTier() {
-		t.Fatalf("pure design tiers: lazy=%v bitset=%v", m.HasLazyTier(), m.HasBitsetTier())
+	if !m.HasPureTier() || m.HasCounterTier() {
+		t.Fatalf("pure design tiers: pure=%v counter=%v", m.HasPureTier(), m.HasCounterTier())
 	}
 
 	counter := automata.NewNetwork("counter")
@@ -338,8 +364,11 @@ func TestHybridTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.HasLazyTier() || !m.HasBitsetTier() {
-		t.Fatalf("counter design tiers: lazy=%v bitset=%v", m.HasLazyTier(), m.HasBitsetTier())
+	if m.HasPureTier() || !m.HasCounterTier() {
+		t.Fatalf("counter design tiers: pure=%v counter=%v", m.HasPureTier(), m.HasCounterTier())
+	}
+	if m.Run([]byte("xxyx")); m.CachedStates() == 0 || m.Fills() == 0 {
+		t.Fatalf("counter tier did not determinize: states=%d fills=%d", m.CachedStates(), m.Fills())
 	}
 
 	mixed := automata.NewNetwork("mixed")
@@ -353,8 +382,8 @@ func TestHybridTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasLazyTier() || !m.HasBitsetTier() {
-		t.Fatalf("mixed design tiers: lazy=%v bitset=%v", m.HasLazyTier(), m.HasBitsetTier())
+	if !m.HasPureTier() || !m.HasCounterTier() {
+		t.Fatalf("mixed design tiers: pure=%v counter=%v", m.HasPureTier(), m.HasCounterTier())
 	}
 	// The latched counter reaches its target at offset 0 and stays active
 	// every cycle thereafter; the "ab" chain reports at offset 2.
@@ -376,7 +405,7 @@ func TestCloneIndependent(t *testing.T) {
 	input := randomInput(rng, 64)
 	want := m.Run(input)
 	c := m.Clone()
-	if c.CachedStates() != 0 && c.HasLazyTier() {
+	if c.CachedStates() != 0 {
 		t.Fatal("clone should start with an empty cache")
 	}
 	got := c.Run(input)
@@ -417,5 +446,76 @@ func TestStartOfDataAnchoring(t *testing.T) {
 	}
 	if got := m.Run([]byte("xab")); len(got) != 0 {
 		t.Fatalf("anchored matched shifted input: %v", got)
+	}
+}
+
+// counterProduct builds four independent count-to-8 counters over one
+// component set: counter i counts letter 'a'+i, reports while saturated,
+// and is cleared by letter 'w'+i. Their joint value is the configuration,
+// so random input walks far more states than a 16-state cache holds.
+func counterProduct() *automata.Network {
+	n := automata.NewNetwork("product")
+	for i := 0; i < 4; i++ {
+		ctr := n.AddCounter(8)
+		n.Connect(n.AddSTE(charclass.Single(byte('a'+i)), automata.StartAllInput), ctr, automata.PortCount)
+		n.Connect(n.AddSTE(charclass.Single(byte('w'+i)), automata.StartAllInput), ctr, automata.PortReset)
+		n.SetReport(ctr, i)
+	}
+	return n
+}
+
+func counterProductInput(rng *rand.Rand, size int) []byte {
+	input := make([]byte, size)
+	for i := range input {
+		input[i] = byte('a' + rng.Intn(4))
+		if rng.Intn(8) == 0 {
+			input[i] = byte('w' + rng.Intn(4))
+		}
+	}
+	return input
+}
+
+// TestCounterTierDemotionKeepsCounters is the regression for the demotion
+// hand-off: a counter tier thrashing at a tiny byte cap demotes mid-stream
+// at an offset where counters are part-way to their targets, and the
+// bitset walk must resume from those values, not from zero — every report
+// after the hand-off depends on them. The same stream also runs at fixed
+// caps 2/3/8, where per-state eviction re-derives configurations with
+// live counters instead. The oracle is the naive Simulator.
+func TestCounterTierDemotionKeepsCounters(t *testing.T) {
+	n := counterProduct()
+	input := counterProductInput(rand.New(rand.NewSource(41)), 1<<16)
+	raw, err := n.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := simSet(raw)
+
+	m, err := New(n, &Options{MaxCacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Run(input); !reflect.DeepEqual(got, want) {
+		t.Fatalf("demoting run diverged: %d reports vs %d", len(got), len(want))
+	}
+	if !m.Demoted() || m.Demotions() != 1 || m.CachedStates() != 0 {
+		t.Fatalf("counter tier should have demoted once and released its cache: demoted=%v demotions=%d states=%d",
+			m.Demoted(), m.Demotions(), m.CachedStates())
+	}
+	if got := m.Run(input); !reflect.DeepEqual(got, want) {
+		t.Fatal("post-demotion run diverged")
+	}
+
+	for _, cap := range []int{2, 3, 8} {
+		m, err := New(n, &Options{MaxCachedStates: cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Run(input); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d: evicting run diverged: %d reports vs %d", cap, len(got), len(want))
+		}
+		if m.Evictions() == 0 || m.Demoted() {
+			t.Fatalf("cap %d: evictions=%d demoted=%v, want evictions and no demotion", cap, m.Evictions(), m.Demoted())
+		}
 	}
 }

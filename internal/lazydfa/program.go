@@ -4,14 +4,16 @@ import (
 	"repro/internal/automata"
 )
 
-// program holds the immutable per-design facts the lazy tier adds on top
-// of the pure topology's step kernel (which owns the acceptance, start,
-// enable-mask, and report tables): the symbol-partition group map that
-// keys the compressed transition rows, the per-state memory estimate, and
-// the compile-time prefilter facts. The pure topology itself is not kept.
+// program holds the immutable facts a lazy tier adds on top of its
+// sub-topology's step kernel (which owns the acceptance, start,
+// enable-mask, report, and counter/gate tables): the symbol-partition
+// group map that keys the compressed transition rows, the per-state memory
+// estimate, and the compile-time prefilter facts. The topology itself is
+// not kept.
 type program struct {
 	k       *automata.Kernel
-	nwords  int
+	special bool // configurations carry counter values; ExtractPrefilter has no facts for it
+	nwords  int  // configuration width, counter words included
 	ngroups int
 	groupOf [256]uint8 // symbol → equivalence group; rows are ngroups wide
 
@@ -30,10 +32,10 @@ type program struct {
 	liveBytes []byte
 }
 
-func compile(pure *automata.Topology) *program {
-	k := pure.Kernel()
-	part := automata.Partition(pure)
-	p := &program{k: k, nwords: k.Words(), ngroups: len(part.Representatives)}
+func compile(t *automata.Topology) *program {
+	k := t.Kernel()
+	part := automata.Partition(t)
+	p := &program{k: k, special: !t.Pure(), nwords: k.Words(), ngroups: len(part.Representatives)}
 	for sym := range p.groupOf {
 		p.groupOf[sym] = uint8(part.GroupOf[sym])
 	}
@@ -43,7 +45,7 @@ func compile(pure *automata.Topology) *program {
 	// fixed allowance for the state struct, map entry, and slice headers.
 	p.stateBytes = 4*p.ngroups + 16*p.nwords + 16*p.ngroups + 224
 
-	if facts := automata.ExtractPrefilter(pure); facts != nil {
+	if facts := automata.ExtractPrefilter(t); facts != nil {
 		p.hasFacts = true
 		rest := make([]uint64, p.nwords)
 		for _, id := range facts.Rest {

@@ -48,8 +48,8 @@ type DesignInfo struct {
 	Counters  int    `json:"counters,omitempty"`
 	Gates     int    `json:"gates,omitempty"`
 	Reporting int    `json:"reporting,omitempty"`
-	// Tiers describes the engine's execution split in engine mode, or the
-	// failover ladder in failover mode.
+	// Tiers is Engine.Tiers() in engine mode ("lazy-dfa", "counter-dfa" or
+	// "lazy-dfa+counter-dfa"), or the failover ladder in failover mode.
 	Tiers string `json:"tiers,omitempty"`
 }
 

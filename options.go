@@ -36,7 +36,8 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithMaxCachedStates fixes each lazy-DFA matcher's state cache at exactly
+// WithMaxCachedStates fixes each lazy-DFA matcher's state cache (each
+// tier's, when a design has both pure and counter components) at exactly
 // n states; a full cache evicts one cold state at a time (second-chance
 // clock), so memory stays bounded without aborting. Fixing the size also
 // disables the adaptive budget controller and mid-stream demotion, making
