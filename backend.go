@@ -93,7 +93,7 @@ func (d *Design) Backend(kind BackendKind, opts ...Option) (Matcher, error) {
 		run = func(ctx context.Context, input []byte) ([]Report, error) {
 			start := tel.start()
 			reports, err := d.Run(ctx, input)
-			tel.record(1, len(input), len(reports), err, start)
+			tel.record(len(input), len(reports), err, start)
 			return reports, err
 		}
 	default:

@@ -60,7 +60,6 @@ func main() {
 		aotMax      = flag.Int("aotmax", 50_000, "AOT DFA state budget; designs exceeding it fall back to the lazy tier")
 		backendFlag = flag.String("backend", "all", "throughput tier to measure: all, device, cpu-dfa, or lazy-dfa")
 		lazyCache   = flag.String("lazy-cache", "", "comma-separated fixed MaxCachedStates values; adds one lazy-dfa[cache=N] throughput row per size")
-		laneSweep   = flag.String("lanes", "", "comma-separated lane widths in [2,64]; adds one nfa-bitset-x64[lanes=N] throughput row per width (the full 64-lane row is always measured)")
 		benchNames  = flag.String("benchmarks", "", "comma-separated benchmark names to measure (empty = all five)")
 		compile     = flag.Bool("compile", false, "measure compile throughput (designs/sec placed, cold vs parallel vs stamped)")
 		compDesigns = flag.Int("compile-designs", 16, "compile workload: designs in the manifest")
@@ -126,10 +125,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		laneSizes, err := parseIntList(*laneSweep, "-lanes")
-		if err != nil {
-			fatal(err)
-		}
 		cfg := &harness.ThroughputConfig{
 			StreamBytes:    *streamMiB << 20,
 			AOTMaxStates:   *aotMax,
@@ -137,7 +132,6 @@ func main() {
 			Benchmarks:     splitList(*benchNames),
 			LazyCacheSizes: cacheSizes,
 			ColdLazy:       *coldLazy,
-			LaneSizes:      laneSizes,
 		}
 		rows := runThroughput(cfg, *streamMiB, *outJSON, batch, *metricsAddr != "")
 		if *baseline != "" {
@@ -221,7 +215,7 @@ func throughputTiers(backend string) (engines []string, batch bool, err error) {
 	}
 	switch kind {
 	case rapid.BackendDevice:
-		return []string{"nfa-bitset", "nfa-bitset-x64"}, false, nil
+		return []string{"nfa-bitset"}, false, nil
 	case rapid.BackendCPUDFA:
 		return []string{"aot-dfa"}, false, nil
 	case rapid.BackendLazyDFA:
@@ -282,7 +276,7 @@ func gateCompile(baselinePath string, rows []harness.CompileRow, tolerance, minR
 }
 
 // parseIntList parses a comma list of positive integers (the -lazy-cache
-// and -lanes sweeps).
+// sweep).
 func parseIntList(s, flagName string) ([]int, error) {
 	var out []int
 	for _, part := range splitList(s) {
@@ -336,52 +330,32 @@ func runThroughput(cfg *harness.ThroughputConfig, streamMiB int, outJSON string,
 			fatal(err)
 		}
 		streams := harness.MultiStreamWorkload(mb, 2*runtime.GOMAXPROCS(0), streamMiB<<17, 2)
-		// The lane-batched rows need enough streams to fill 64-wide lane
-		// groups (the engine falls back to the scalar path below 50%
-		// occupancy), so they run a wider, shorter-stream workload.
-		laneStreams := harness.MultiStreamWorkload(mb, 2*rapid.MaxLanes, streamMiB<<13, 3)
 		workerSet := []int{1}
 		if n := runtime.GOMAXPROCS(0); n > 1 {
 			workerSet = append(workerSet, n)
 		}
 		for _, workers := range workerSet {
-			// Per worker count: the per-stream engine, then the lane-batched
-			// engine (WithLanes) advancing 64 streams per word.
-			for _, lanes := range []int{0, rapid.MaxLanes} {
-				opts := []rapid.Option{rapid.WithWorkers(workers)}
-				name := "engine-batch"
-				if lanes > 0 {
-					opts = append(opts, rapid.WithLanes(lanes))
-					name = "engine-batch-x64"
-				}
-				if withTelemetry {
-					opts = append(opts, rapid.WithTelemetry(telemetry.Default()))
-				}
-				eng, err := design.NewEngine(opts...)
-				if err != nil {
-					fatal(err)
-				}
-				if lanes > 0 && eng.Lanes() == 0 {
-					continue // design has counters/gates; lane path unavailable
-				}
-				ss := streams
-				if lanes > 0 {
-					ss = laneStreams
-				}
-				r, err := harness.BatchThroughput(mb.Name, name, workers, ss,
-					func(ss [][]byte) (int, error) {
-						res, err := eng.RunBatch(context.Background(), ss)
-						total := 0
-						for _, reports := range res {
-							total += len(reports)
-						}
-						return total, err
-					})
-				if err != nil {
-					fatal(err)
-				}
-				rows = append(rows, r)
+			opts := []rapid.Option{rapid.WithWorkers(workers)}
+			if withTelemetry {
+				opts = append(opts, rapid.WithTelemetry(telemetry.Default()))
 			}
+			eng, err := design.NewEngine(opts...)
+			if err != nil {
+				fatal(err)
+			}
+			r, err := harness.BatchThroughput(mb.Name, "engine-batch", workers, streams,
+				func(ss [][]byte) (int, error) {
+					res, err := eng.RunBatch(context.Background(), ss)
+					total := 0
+					for _, reports := range res {
+						total += len(reports)
+					}
+					return total, err
+				})
+			if err != nil {
+				fatal(err)
+			}
+			rows = append(rows, r)
 		}
 	}
 	fmt.Print(harness.FormatThroughput(rows))

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/automata"
 	"repro/internal/lazydfa"
 	"repro/internal/telemetry"
 )
@@ -28,15 +26,8 @@ type Engine struct {
 	workers int
 	tel     *engineMetrics
 
-	// Lane batching (WithLanes): laneProto is the prototype 64-lane bitset
-	// simulator, nil when disabled or when the design has counters/gates.
-	// lanes is the configured group width (2..automata.MaxLanes).
-	laneProto *automata.LaneSimulator
-	lanes     int
-
 	matchers sync.Pool // *lazydfa.Matcher
 	bufs     sync.Pool // *[]lazydfa.Report
-	laneSims sync.Pool // *automata.LaneSimulator
 }
 
 // engineMetrics is the engine's instrument set: the shared per-backend
@@ -52,10 +43,6 @@ type engineMetrics struct {
 	cacheEvictions   *telemetry.Counter
 	prefilterSkipped *telemetry.Counter
 	demotions        *telemetry.Counter
-	lanes            *telemetry.Gauge
-	laneGroups       *telemetry.Counter
-	laneStreams      *telemetry.Counter
-	laneOccupancy    *telemetry.Histogram
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
@@ -78,63 +65,32 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"Input bytes skipped by the rest-state literal prefilter."),
 		demotions: reg.Counter("rapid_lazydfa_demotions_total",
 			"Lazy-DFA tiers (pure or counter) that demoted to the NFA bitset walk."),
-		lanes: reg.Gauge("rapid_engine_lanes",
-			"Effective lane-batch width (0 = lane execution disabled or unavailable)."),
-		laneGroups: reg.Counter("rapid_engine_lane_groups_total",
-			"Lane groups executed by the 64-streams-per-word batch path."),
-		laneStreams: reg.Counter("rapid_engine_lane_streams_total",
-			"Streams executed through the lane-batched path."),
-		laneOccupancy: reg.Histogram("rapid_engine_lane_occupancy",
-			"Streams per executed lane group (how full each 64-lane word ran)."),
 	}
 }
 
 // NewEngine builds the design's batch execution engine. Options:
-// WithWorkers, WithMaxCachedStates, WithLanes, WithTelemetry. Unlike
-// CompileCPU, engine construction never aborts on design size: the lazy
-// tiers' memory is bounded by the state-cache cap, and a tier whose states
-// cannot fit demotes itself to the bitset walk.
+// WithWorkers, WithMaxCachedStates, WithTelemetry. Unlike CompileCPU,
+// engine construction never aborts on design size: the lazy tiers' memory
+// is bounded by the state-cache cap, and a tier whose states cannot fit
+// demotes itself to the bitset walk.
 func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	cfg := applyOptions(opts)
 	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	proto, err := lazydfa.New(d.net, &lazydfa.Options{
-		MaxCachedStates: cfg.maxCachedStates,
-		MaxCacheBytes:   cfg.maxCacheBytes,
-	})
+	proto, err := lazydfa.New(d.net, &lazydfa.Options{MaxCachedStates: cfg.maxCachedStates})
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{proto: proto, reports: d.reports, workers: workers, tel: newEngineMetrics(cfg.tel)}
 	e.matchers.New = func() any { return e.proto.Clone() }
 	e.bufs.New = func() any { return new([]lazydfa.Report) }
-	if cfg.lanes > 1 {
-		// lazydfa.New froze d.net above, so Freeze returns the cached
-		// topology. Designs with counters or gates fall back silently to
-		// per-stream execution (ErrNotPure).
-		if t, terr := d.net.Freeze(); terr == nil {
-			if ls, lerr := t.NewLaneSimulator(); lerr == nil {
-				e.laneProto = ls
-				e.lanes = cfg.lanes
-				e.laneSims.New = func() any { return e.laneProto.Clone() }
-			}
-		}
-	}
-	if e.tel != nil {
-		e.tel.lanes.Set(int64(e.lanes))
-	}
 	return e, nil
 }
 
 // Workers returns the engine's worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// Lanes returns the effective lane-batch width: the WithLanes value when
-// lane execution is active, 0 when it was not requested, was <= 1, or is
-// unavailable because the design contains counters or gates.
-func (e *Engine) Lanes() int { return e.lanes }
 
 // Tiers describes the engine's execution split, by what its lazy-DFA
 // states are: "lazy-dfa" (every component counter- and gate-free: enable
@@ -178,7 +134,7 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 	raw, err := m.RunAppend(ctx, input, (*bufp)[:0])
 	*bufp = raw[:0]
 	if e.tel != nil {
-		e.tel.bm.record(1, len(input), len(raw), err, start)
+		e.tel.bm.record(len(input), len(raw), err, start)
 		e.tel.cacheFills.Add(uint64(m.Fills() - fills0))
 		e.tel.cacheFlushes.Add(uint64(m.Flushes() - flushes0))
 		e.tel.cacheEvictions.Add(uint64(m.Evictions() - evictions0))
@@ -195,18 +151,19 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 	return out, nil
 }
 
-// runPool is the engine's one worker loop: up to workers workers, each
-// holding one W drawn from pool, pull item indices 0..n-1 from a shared
+// runPool is the engine's one worker loop: up to e.workers workers, each
+// holding one pooled matcher, pull item indices 0..n-1 from a shared
 // counter and run body on them until the items run out. A body error
 // stops its worker, keeps the others from starting further items, cancels
 // the context body runs under so items in flight stop early, and is the
 // error returned (the first one wins). A single worker runs on the
 // caller's goroutine under the caller's context: it has nothing in flight
 // to cancel.
-func runPool[W any](ctx context.Context, workers, n int, pool *sync.Pool, body func(ctx context.Context, w W, i int) error) error {
-	r := poolRun[W]{ctx: ctx, cancel: func() {}, n: n, pool: pool, body: body}
+func (e *Engine) runPool(ctx context.Context, n int, body func(ctx context.Context, m *lazydfa.Matcher, i int) error) error {
+	r := poolRun{ctx: ctx, cancel: func() {}, n: n, pool: &e.matchers, body: body}
 	r.next.Store(-1)
-	if workers = min(workers, n); workers <= 1 {
+	workers := min(e.workers, n)
+	if workers <= 1 {
 		r.wg.Add(1)
 		r.work()
 		return r.err
@@ -223,28 +180,28 @@ func runPool[W any](ctx context.Context, workers, n int, pool *sync.Pool, body f
 }
 
 // poolRun is the state the workers of one runPool call share.
-type poolRun[W any] struct {
+type poolRun struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
 	n       int
 	pool    *sync.Pool
-	body    func(ctx context.Context, w W, i int) error
+	body    func(ctx context.Context, m *lazydfa.Matcher, i int) error
 	next    atomic.Int64
 	wg      sync.WaitGroup
 	errOnce sync.Once
 	err     error
 }
 
-func (r *poolRun[W]) work() {
+func (r *poolRun) work() {
 	defer r.wg.Done()
-	w := r.pool.Get().(W)
-	defer r.pool.Put(w)
+	m := r.pool.Get().(*lazydfa.Matcher)
+	defer r.pool.Put(m)
 	for {
 		i := int(r.next.Add(1))
 		if i >= r.n {
 			return
 		}
-		if err := r.body(r.ctx, w, i); err != nil {
+		if err := r.body(r.ctx, m, i); err != nil {
 			r.errOnce.Do(func() { r.err = err })
 			r.next.Store(int64(r.n))
 			r.cancel()
@@ -282,14 +239,7 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 	}
 	done, leave := e.enqueue(len(inputs))
 	defer leave()
-	// Take the lane path only when the batch can fill lane groups at
-	// ≥50% occupancy: a lane pass costs full group width regardless of
-	// how many lanes carry streams, so a 2-stream batch on a 64-lane
-	// engine would run at 3% occupancy — slower than the scalar path.
-	if e.laneProto != nil && len(inputs) > 1 && len(inputs)*2 >= e.lanes {
-		return results, e.runLaneBatch(ctx, inputs, results, done)
-	}
-	return results, runPool(ctx, e.workers, len(inputs), &e.matchers,
+	return results, e.runPool(ctx, len(inputs),
 		func(ctx context.Context, m *lazydfa.Matcher, i int) error {
 			reports, err := e.runOn(ctx, m, inputs[i])
 			if err != nil {
@@ -299,76 +249,6 @@ func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, err
 			done()
 			return nil
 		})
-}
-
-// runLaneBatch executes inputs in groups of e.lanes streams, each group
-// advancing in lock-step through one lane simulator; groups are sharded
-// across the worker pool. Results land in results[i] in input order with
-// the same (offset, code)-deduplicated, code-sorted-within-offset
-// convention as the per-stream path.
-func (e *Engine) runLaneBatch(ctx context.Context, inputs [][]byte, results [][]Report, done func()) error {
-	groups := (len(inputs) + e.lanes - 1) / e.lanes
-	return runPool(ctx, e.workers, groups, &e.laneSims,
-		func(ctx context.Context, ls *automata.LaneSimulator, g int) error {
-			lo := g * e.lanes
-			hi := min(lo+e.lanes, len(inputs))
-			var start time.Time
-			if e.tel != nil {
-				start = time.Now()
-			}
-			raw, err := ls.Run(ctx, inputs[lo:hi])
-			if e.tel != nil {
-				nbytes, nreports := 0, 0
-				for _, in := range inputs[lo:hi] {
-					nbytes += len(in)
-				}
-				for _, rs := range raw {
-					nreports += len(rs)
-				}
-				// One lane pass is hi-lo streams, not one.
-				e.tel.bm.record(hi-lo, nbytes, nreports, err, start)
-				e.tel.laneGroups.Inc()
-				e.tel.laneStreams.Add(uint64(hi - lo))
-				e.tel.laneOccupancy.Observe(int64(hi - lo))
-			}
-			if err != nil {
-				return fmt.Errorf("rapid: engine lane group %d: %w", g, err)
-			}
-			for k, rs := range raw {
-				results[lo+k] = e.convertLaneReports(rs)
-				done()
-			}
-			return nil
-		})
-}
-
-// convertLaneReports canonicalizes one lane's raw report stream to the
-// engine's convention: deduplicated by (offset, code), codes sorted within
-// each offset. The lane simulator emits reports offset-ordered but
-// element-id-ordered within an offset, and distinct elements can share a
-// report code.
-func (e *Engine) convertLaneReports(raw []automata.Report) []Report {
-	out := make([]Report, 0, len(raw))
-	var codes []int
-	for i := 0; i < len(raw); {
-		j := i
-		for j < len(raw) && raw[j].Offset == raw[i].Offset {
-			j++
-		}
-		codes = codes[:0]
-		for _, r := range raw[i:j] {
-			codes = append(codes, r.Code)
-		}
-		sort.Ints(codes)
-		for k, c := range codes {
-			if k > 0 && c == codes[k-1] {
-				continue
-			}
-			out = append(out, Report{Offset: raw[i].Offset, Code: c, Site: e.reports[c]})
-		}
-		i = j
-	}
-	return out
 }
 
 // BatchResult is one stream's outcome from RunBatchSettled.
@@ -391,7 +271,7 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 	done, leave := e.enqueue(len(inputs))
 	defer leave()
 	// The body never fails, so no stream's error stops another's run.
-	_ = runPool(ctx, e.workers, len(inputs), &e.matchers,
+	_ = e.runPool(ctx, len(inputs),
 		func(ctx context.Context, m *lazydfa.Matcher, i int) error {
 			reports, err := e.runOn(ctx, m, inputs[i])
 			if err != nil {

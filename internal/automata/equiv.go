@@ -39,20 +39,26 @@ func Equivalent(a, b *Topology) error {
 		ea, eb  []uint64
 		witness []byte
 	}
-	activeA, activeB := make([]uint64, ka.Words()), make([]uint64, kb.Words())
+	extend := func(w []byte, sym byte) []byte {
+		return append(append(make([]byte, 0, len(w)+1), w...), sym)
+	}
+	wa, wb := ka.Words(), kb.Words()
+	activeA, activeB := make([]uint64, wa), make([]uint64, wb)
+	// Successors are stepped into scratch vectors and copied only when
+	// they turn out to be new: most expansions land on a pair already seen.
+	na, nb := make([]uint64, wa), make([]uint64, wb)
 	seen := map[string]bool{}
 	var key []byte
-	queue := []pair{{ea: make([]uint64, ka.Words()), eb: make([]uint64, kb.Words())}}
+	queue := []pair{{ea: make([]uint64, wa), eb: make([]uint64, wb)}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, sym := range part.Representatives {
 			first := len(cur.witness) == 0
-			na, nb := make([]uint64, ka.Words()), make([]uint64, kb.Words())
 			ra := ka.Step(cur.ea, first, sym, activeA, na)
 			rb := kb.Step(cur.eb, first, sym, activeB, nb)
-			w := append(append([]byte(nil), cur.witness...), sym)
 			if ra != rb {
+				w := extend(cur.witness, sym)
 				return fmt.Errorf("automata: designs differ on input %q (offset %d): %q reports %v, %q reports %v",
 					w, len(w)-1, a.Name, ra, b.Name, rb)
 			}
@@ -61,7 +67,8 @@ func Equivalent(a, b *Topology) error {
 				continue
 			}
 			seen[string(key)] = true
-			queue = append(queue, pair{ea: na, eb: nb, witness: w})
+			cfg := append(append(make([]uint64, 0, wa+wb), na...), nb...)
+			queue = append(queue, pair{ea: cfg[:wa:wa], eb: cfg[wa:], witness: extend(cur.witness, sym)})
 		}
 	}
 	return nil

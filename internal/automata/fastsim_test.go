@@ -131,3 +131,59 @@ func BenchmarkSimulators(b *testing.B) {
 		}
 	})
 }
+
+// Clone is the fan-out primitive servers call per request; it promises a
+// constant number of allocations independent of design size.
+func TestCloneAllocsConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n, _ := randomChainNetwork(rng)
+	fast := n.MustFreeze().NewFastSimulator()
+	if allocs := testing.AllocsPerRun(50, func() { fast.Clone() }); allocs > 4 {
+		t.Fatalf("FastSimulator.Clone allocs = %v, want <= 4", allocs)
+	}
+}
+
+// BenchmarkFastSimulatorSingleStream walks 64 streams of 16 KiB, one after
+// another, through an Exact-shaped small design: a few unanchored literal
+// chains, the many-short-records shape a serving fleet sees.
+func BenchmarkFastSimulatorSingleStream(b *testing.B) {
+	n := NewNetwork("bench")
+	for _, word := range []string{"needle", "haystack", "pattern"} {
+		prev := NoElement
+		for i := 0; i < len(word); i++ {
+			start := StartNone
+			if i == 0 {
+				start = StartAllInput
+			}
+			id := n.AddSTE(charclass.Single(word[i]), start)
+			if prev != NoElement {
+				n.Connect(prev, id, PortIn)
+			}
+			prev = id
+		}
+		n.SetReport(prev, 0)
+	}
+	top, err := n.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const nstreams, length = 64, 1 << 14
+	rng := rand.New(rand.NewSource(2))
+	streams := make([][]byte, nstreams)
+	for i := range streams {
+		s := make([]byte, length)
+		for j := range s {
+			s[j] = byte('a' + rng.Intn(26))
+		}
+		copy(s[rng.Intn(length-8):], "needle")
+		streams[i] = s
+	}
+	fast := top.NewFastSimulator()
+	b.SetBytes(nstreams * length)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range streams {
+			fast.Run(s)
+		}
+	}
+}

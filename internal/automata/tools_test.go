@@ -210,3 +210,25 @@ func TestTrace(t *testing.T) {
 		t.Fatalf("trace output malformed:\n%s", out)
 	}
 }
+
+// TestEquivalentAllocatesPerNewPair pins where the joint search allocates:
+// on enqueueing a new configuration pair, never on an expansion that lands
+// on a pair already seen. An unanchored 8-letter chain has 9 reachable
+// pairs (prefix progress 0..8) and 9 symbol classes, so 81 expansions find
+// 9 new pairs; allocating successor vectors and a witness per expansion
+// cost 243 allocations here where per-pair costs 27.
+func TestEquivalentAllocatesPerNewPair(t *testing.T) {
+	a := buildChain(t, "abcdefgh", StartAllInput).MustFreeze()
+	b := buildChain(t, "abcdefgh", StartAllInput).MustFreeze()
+	a.Kernel() // built once and cached; not part of the search
+	b.Kernel()
+	total := testing.AllocsPerRun(20, func() {
+		if err := Equivalent(a, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	setup := testing.AllocsPerRun(20, func() { Partition(a, b) })
+	if search := total - setup; search > 60 {
+		t.Fatalf("joint search allocs = %v (total %v - partition %v), want <= 60: it allocates per expansion again", search, total, setup)
+	}
+}

@@ -104,14 +104,11 @@ func CompareThroughput(baseline, current []ThroughputRow, tolerance float64) (re
 	return regressions, skipped
 }
 
-// FloorViolation is a benchmark where a tier ran slower, relative to the
+// FloorViolation is a benchmark where lazy-dfa ran slower, relative to the
 // nfa-bitset tier it is supposed to dominate, than its floor allows.
 type FloorViolation struct {
 	Benchmark string
-	// Engine is the tier that fell below the floor ("lazy-dfa" or
-	// "nfa-bitset-x64").
-	Engine string
-	// TierMBs and FloorMBs are the tier's and nfa-bitset's MB/s readings.
+	// TierMBs and FloorMBs are lazy-dfa's and nfa-bitset's MB/s readings.
 	TierMBs  float64
 	FloorMBs float64
 	// Ratio is TierMBs/FloorMBs; MinRatio is what the floor demands.
@@ -120,8 +117,8 @@ type FloorViolation struct {
 }
 
 func (v FloorViolation) String() string {
-	return fmt.Sprintf("%s: %s %.1f MB/s is %.2fx nfa-bitset's %.1f MB/s, below its %.2fx floor",
-		v.Benchmark, v.Engine, v.TierMBs, v.Ratio, v.FloorMBs, v.MinRatio)
+	return fmt.Sprintf("%s: lazy-dfa %.1f MB/s is %.2fx nfa-bitset's %.1f MB/s, below its %.2fx floor",
+		v.Benchmark, v.TierMBs, v.Ratio, v.FloorMBs, v.MinRatio)
 }
 
 // motomataLazyFloor is the factor by which MOTOMATA's lazy-dfa row must
@@ -131,30 +128,23 @@ func (v FloorViolation) String() string {
 // survives the slow stretches that make absolute MB/s floors flaky.
 const motomataLazyFloor = 3.0
 
-// CrossTierFloors checks the invariants the upper tiers promise against
-// the single-stream nfa-bitset walk on every benchmark:
-//
-//   - lazy-dfa must not run slower than nfa-bitset (the tier it demotes to
-//     when its cache is useless), within the same fractional tolerance the
-//     baseline gate uses — and on MOTOMATA must beat it by
-//     motomataLazyFloor, tolerance or not;
-//   - nfa-bitset-x64, the 64-streams-per-word lane tier, must *beat*
-//     single-stream nfa-bitset in aggregate MB/s on its multi-stream
-//     workload (ratio >= 1, no tolerance discount) — amortizing per-stream
-//     overhead across a machine word is the tier's entire reason to exist.
+// CrossTierFloors checks the invariant the lazy tier promises against the
+// single-stream nfa-bitset walk on every benchmark: lazy-dfa must not run
+// slower than nfa-bitset (the tier it demotes to when its cache is
+// useless), within the same fractional tolerance the baseline gate uses —
+// and on MOTOMATA must beat it by motomataLazyFloor, tolerance or not.
 //
 // This closes the gap where a tier got slower but still passed tolerance
 // against its *own* baseline while dropping below the bitset tier on the
 // same benchmark.
 //
-// Only the plain "lazy-dfa" and "nfa-bitset-x64" rows are floored —
-// fixed-size sweep rows (lazy-dfa[cache=N], nfa-bitset-x64[lanes=N]) and
-// cold rows deliberately measure degraded operating points. Benchmarks
-// where either side is unavailable or absent are skipped with the reason
-// listed (the lane tier is legitimately unavailable on counter designs).
+// Only the plain "lazy-dfa" row is floored — fixed-size sweep rows
+// (lazy-dfa[cache=N]) and cold rows deliberately measure degraded
+// operating points. Benchmarks where either side is unavailable or absent
+// are skipped with the reason listed.
 func CrossTierFloors(current []ThroughputRow, tolerance float64) (violations []FloorViolation, skipped []string) {
 	type pair struct {
-		lazy, lane, floor *ThroughputRow
+		lazy, floor *ThroughputRow
 	}
 	byBench := map[string]*pair{}
 	var order []string
@@ -175,49 +165,39 @@ func CrossTierFloors(current []ThroughputRow, tolerance float64) (violations []F
 		switch r.Engine {
 		case "lazy-dfa":
 			get(r.Benchmark).lazy = r
-		case "nfa-bitset-x64":
-			get(r.Benchmark).lane = r
 		case "nfa-bitset":
 			get(r.Benchmark).floor = r
 		}
 	}
-	check := func(name string, tier *ThroughputRow, engine string, minRatio float64) {
-		switch {
-		case tier == nil:
-			skipped = append(skipped, fmt.Sprintf("%s: no %s row", name, engine))
-		case !comparable(*tier):
-			skipped = append(skipped, fmt.Sprintf("%s: %s unavailable (%s)", name, engine, tier.Note))
-		default:
-			p := byBench[name]
-			ratio := tier.MBPerSec / p.floor.MBPerSec
-			if ratio < minRatio {
-				violations = append(violations, FloorViolation{
-					Benchmark: name,
-					Engine:    engine,
-					TierMBs:   tier.MBPerSec,
-					FloorMBs:  p.floor.MBPerSec,
-					Ratio:     ratio,
-					MinRatio:  minRatio,
-				})
-			}
-		}
-	}
 	for _, name := range order {
 		p := byBench[name]
-		if p.floor == nil {
+		switch {
+		case p.floor == nil:
 			skipped = append(skipped, fmt.Sprintf("%s: no nfa-bitset row", name))
 			continue
-		}
-		if !comparable(*p.floor) {
+		case !comparable(*p.floor):
 			skipped = append(skipped, fmt.Sprintf("%s: nfa-bitset unavailable (%s)", name, p.floor.Note))
 			continue
+		case p.lazy == nil:
+			skipped = append(skipped, fmt.Sprintf("%s: no lazy-dfa row", name))
+			continue
+		case !comparable(*p.lazy):
+			skipped = append(skipped, fmt.Sprintf("%s: lazy-dfa unavailable (%s)", name, p.lazy.Note))
+			continue
 		}
-		lazyMin := 1 - tolerance
+		minRatio := 1 - tolerance
 		if name == "MOTOMATA" {
-			lazyMin = motomataLazyFloor
+			minRatio = motomataLazyFloor
 		}
-		check(name, p.lazy, "lazy-dfa", lazyMin)
-		check(name, p.lane, "nfa-bitset-x64", 1)
+		if ratio := p.lazy.MBPerSec / p.floor.MBPerSec; ratio < minRatio {
+			violations = append(violations, FloorViolation{
+				Benchmark: name,
+				TierMBs:   p.lazy.MBPerSec,
+				FloorMBs:  p.floor.MBPerSec,
+				Ratio:     ratio,
+				MinRatio:  minRatio,
+			})
+		}
 	}
 	return violations, skipped
 }
@@ -232,7 +212,7 @@ func FormatFloors(violations []FloorViolation, skipped []string, tolerance float
 		fmt.Fprintf(&b, "floor skipped %s\n", s)
 	}
 	if len(violations) == 0 {
-		fmt.Fprintf(&b, "cross-tier floor: ok (lazy-dfa >= nfa-bitset within %.0f%%, MOTOMATA lazy-dfa >= %.0fx; nfa-bitset-x64 >= nfa-bitset; %d skipped)\n",
+		fmt.Fprintf(&b, "cross-tier floor: ok (lazy-dfa >= nfa-bitset within %.0f%%, MOTOMATA lazy-dfa >= %.0fx; %d skipped)\n",
 			100*tolerance, motomataLazyFloor, len(skipped))
 	} else {
 		fmt.Fprintf(&b, "cross-tier floor: %d violation(s)\n", len(violations))

@@ -90,57 +90,39 @@ func TestCrossTierFloors(t *testing.T) {
 	current := []ThroughputRow{
 		// Brill: lazy collapsed below the bitset tier — the exact failure
 		// mode the old gate missed when both rows individually passed
-		// tolerance against their own baselines. Its lane tier is healthy.
+		// tolerance against their own baselines.
 		trow("Brill", "nfa-bitset", 0, 3.1, ""),
 		trow("Brill", "lazy-dfa", 0, 0.8, "states=145 evictions=9"),
-		trow("Brill", "nfa-bitset-x64", 0, 12, ""),
-		// Exact: lazy healthy, but the lane tier fell below the
-		// single-stream walk it must beat — tolerance does not rescue it
-		// (minimum ratio for the lane tier is 1, not 1-tolerance).
+		// Exact: lazy healthy.
 		trow("Exact", "nfa-bitset", 0, 40, ""),
 		trow("Exact", "lazy-dfa", 0, 200, ""),
-		trow("Exact", "nfa-bitset-x64", 0, 30, ""),
-		// Gappy: aot-dfa unavailable rows must not confuse the floor, a
-		// lane-unavailable row is a skip, not a failure, and a lazy row
-		// inside the tolerance band is noise, not a violation.
+		// Gappy: aot-dfa unavailable rows must not confuse the floor, and
+		// a lazy row inside the tolerance band is noise, not a violation.
 		trow("Gappy", "nfa-bitset", 0, 17.8, ""),
 		trow("Gappy", "aot-dfa", 0, 0, "unavailable: construction exceeded 50000 states"),
 		trow("Gappy", "lazy-dfa", 0, 17.5, ""),
-		trow("Gappy", "nfa-bitset-x64", 0, 0, "unavailable: lane execution requires a pure-STE topology"),
 		// MOTOMATA: the counter DFA clears its 3x ratio floor.
 		trow("MOTOMATA", "nfa-bitset", 0, 20, ""),
 		trow("MOTOMATA", "lazy-dfa", 0, 61, "states=117 evictions=0"),
-		// ARM: no lazy or lane rows measured → skipped with reasons.
+		// ARM: no lazy row measured → skipped with the reason.
 		trow("ARM", "nfa-bitset", 0, 80, ""),
 		// Sweep and batch rows never participate in the floor.
 		trow("Brill", "lazy-dfa[cache=4096]", 0, 0.1, ""),
-		trow("Brill", "nfa-bitset-x64[lanes=8]", 0, 0.1, ""),
 		trow("Exact", "engine-batch", 4, 400, ""),
 	}
 	violations, skipped := CrossTierFloors(current, 0.35)
-	if len(violations) != 2 {
-		t.Fatalf("violations = %v, want the Brill lazy collapse and the Exact lane shortfall", violations)
+	if len(violations) != 1 {
+		t.Fatalf("violations = %v, want only the Brill lazy collapse", violations)
 	}
 	v := violations[0]
-	if v.Benchmark != "Brill" || v.Engine != "lazy-dfa" || v.TierMBs != 0.8 || v.FloorMBs != 3.1 {
+	if v.Benchmark != "Brill" || v.TierMBs != 0.8 || v.FloorMBs != 3.1 {
 		t.Fatalf("violation = %+v", v)
 	}
-	if s := v.String(); !strings.Contains(s, "Brill") || !strings.Contains(s, "floor") {
+	if s := v.String(); !strings.Contains(s, "Brill: lazy-dfa") || !strings.Contains(s, "floor") {
 		t.Fatalf("String() = %q", s)
 	}
-	lv := violations[1]
-	if lv.Benchmark != "Exact" || lv.Engine != "nfa-bitset-x64" || lv.TierMBs != 30 || lv.FloorMBs != 40 {
-		t.Fatalf("lane violation = %+v", lv)
-	}
-	text := strings.Join(skipped, "\n")
-	if !strings.Contains(text, "ARM: no lazy-dfa row") || !strings.Contains(text, "ARM: no nfa-bitset-x64 row") {
-		t.Fatalf("skipped = %v, want ARM skip reasons", skipped)
-	}
-	if !strings.Contains(text, "Gappy: nfa-bitset-x64 unavailable") {
-		t.Fatalf("skipped = %v, want Gappy lane-unavailable reason", skipped)
-	}
-	if strings.Contains(text, "Gappy: lazy-dfa") {
-		t.Fatalf("Gappy's lazy tier should pass the floor despite its unavailable aot row: %v", skipped)
+	if len(skipped) != 1 || skipped[0] != "ARM: no lazy-dfa row" {
+		t.Fatalf("skipped = %v, want only the ARM skip reason", skipped)
 	}
 }
 
@@ -155,7 +137,6 @@ func TestCrossTierFloorsCounterRatio(t *testing.T) {
 		current := []ThroughputRow{
 			trow("MOTOMATA", "nfa-bitset", 0, 21, ""),
 			trow("MOTOMATA", "lazy-dfa", 0, tc.lazy, ""),
-			trow("MOTOMATA", "nfa-bitset-x64", 0, 0, "unavailable: lane execution requires a pure-STE topology"),
 		}
 		violations, _ := CrossTierFloors(current, 0.35)
 		if (len(violations) == 1) != tc.violation {
@@ -163,29 +144,34 @@ func TestCrossTierFloorsCounterRatio(t *testing.T) {
 		}
 		if tc.violation {
 			v := violations[0]
-			if v.Engine != "lazy-dfa" || v.MinRatio != 3 || !strings.Contains(v.String(), "3.00x floor") {
+			if v.MinRatio != 3 || !strings.Contains(v.String(), "3.00x floor") {
 				t.Fatalf("violation = %+v (%s)", v, v)
 			}
 		}
 	}
 }
 
+// TestCrossTierFloorsUnavailableLazy: an unavailable row on either side is a
+// skip with its reason, never a violation.
 func TestCrossTierFloorsUnavailableLazy(t *testing.T) {
 	current := []ThroughputRow{
 		trow("Gappy", "nfa-bitset", 0, 0, "unavailable: oom"),
 		trow("Gappy", "lazy-dfa", 0, 100, ""),
+		trow("ARM", "nfa-bitset", 0, 80, ""),
+		trow("ARM", "lazy-dfa", 0, 0, "unavailable: oom"),
 	}
 	violations, skipped := CrossTierFloors(current, 0.35)
 	if len(violations) != 0 {
 		t.Fatalf("violations = %v, want none", violations)
 	}
-	if len(skipped) != 1 || !strings.Contains(skipped[0], "nfa-bitset unavailable") {
-		t.Fatalf("skipped = %v, want one nfa-bitset-unavailable reason", skipped)
+	if len(skipped) != 2 || !strings.Contains(skipped[0], "Gappy: nfa-bitset unavailable") ||
+		!strings.Contains(skipped[1], "ARM: lazy-dfa unavailable") {
+		t.Fatalf("skipped = %v, want one reason per unavailable side", skipped)
 	}
 }
 
 func TestFormatFloors(t *testing.T) {
-	violations := []FloorViolation{{Benchmark: "Brill", Engine: "lazy-dfa", TierMBs: 0.8, FloorMBs: 3.1, Ratio: 0.26}}
+	violations := []FloorViolation{{Benchmark: "Brill", TierMBs: 0.8, FloorMBs: 3.1, Ratio: 0.26}}
 	out := FormatFloors(violations, []string{"ARM: no lazy-dfa row"}, 0.35)
 	for _, want := range []string{"FLOOR", "floor skipped", "1 violation(s)"} {
 		if !strings.Contains(out, want) {
@@ -195,6 +181,30 @@ func TestFormatFloors(t *testing.T) {
 	ok := FormatFloors(nil, nil, 0.35)
 	if !strings.Contains(ok, "cross-tier floor: ok") {
 		t.Fatalf("FormatFloors = %q", ok)
+	}
+}
+
+// TestFormatThroughputWorkersColumn: the two engine-batch rows of one
+// benchmark differ only in their worker count, so the table must show it;
+// single-stream tiers leave the column blank.
+func TestFormatThroughputWorkersColumn(t *testing.T) {
+	out := FormatThroughput([]ThroughputRow{
+		{Benchmark: "Exact", Engine: "lazy-dfa", Streams: 1},
+		{Benchmark: "Exact", Engine: "engine-batch", Streams: 4, Workers: 1},
+		{Benchmark: "Exact", Engine: "engine-batch", Streams: 4, Workers: 2},
+	})
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want header + 3 rows:\n%s", out)
+	}
+	col := strings.Index(lines[0], "Workers")
+	if col < 0 {
+		t.Fatalf("no Workers column in header %q", lines[0])
+	}
+	for i, want := range []string{"", "1", "2"} {
+		if got := strings.TrimSpace(lines[i+1][col : col+len("Workers")]); got != want {
+			t.Errorf("row %d Workers cell = %q, want %q:\n%s", i, got, want, out)
+		}
 	}
 }
 

@@ -8,12 +8,12 @@ package harness
 // trajectory is visible across PRs.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/automata"
@@ -34,7 +34,7 @@ type ThroughputConfig struct {
 	// Seed drives workload generation. Default 1.
 	Seed int64
 	// Engines restricts the tiers measured, by engine name ("nfa-bitset",
-	// "nfa-bitset-x64", "aot-dfa", "lazy-dfa"). Empty measures all of them.
+	// "aot-dfa", "lazy-dfa"). Empty measures all of them.
 	Engines []string
 	// Benchmarks restricts the benchmark apps measured, by name. Empty
 	// measures all five.
@@ -47,11 +47,6 @@ type ThroughputConfig struct {
 	// with no warm stream, measuring first-stream latency where cache
 	// fills dominate.
 	ColdLazy bool
-	// LaneSizes adds one extra lane-tier row per width
-	// ("nfa-bitset-x64[lanes=N]"), beyond the default full-width
-	// nfa-bitset-x64 row, so the lane sweep's scaling is inspectable from
-	// the committed JSON. Values are clamped to [2, automata.MaxLanes].
-	LaneSizes []int
 }
 
 func (c ThroughputConfig) wants(engine string) bool {
@@ -82,7 +77,6 @@ func (c *ThroughputConfig) withDefaults() ThroughputConfig {
 		out.Benchmarks = c.Benchmarks
 		out.LazyCacheSizes = c.LazyCacheSizes
 		out.ColdLazy = c.ColdLazy
-		out.LaneSizes = c.LaneSizes
 	}
 	return out
 }
@@ -127,9 +121,8 @@ func row(benchmark, engine string, streams int, nbytes int64, elapsed time.Durat
 	return r
 }
 
-// Throughput streams each benchmark app through the CPU tiers — the three
-// single-stream tiers plus the 64-lane bitset tier on pure-STE designs —
-// and returns one row per (benchmark, engine). The lazy tier is
+// Throughput streams each benchmark app through the three single-stream
+// CPU tiers and returns one row per (benchmark, engine). The lazy tier is
 // measured at serving steady state: its cache is warmed with a
 // full-length, independently seeded stream first, mirroring how the AOT
 // tier's subset construction is also excluded from its timing. ColdLazy
@@ -157,32 +150,6 @@ func Throughput(cfg *ThroughputConfig) ([]ThroughputRow, error) {
 			start := time.Now()
 			reports := sim.Run(input)
 			rows = append(rows, row(b.Name, "nfa-bitset", 1, nbytes, time.Since(start), len(reports)))
-		}
-
-		if c.wants("nfa-bitset-x64") {
-			widths := []int{automata.MaxLanes}
-			for _, w := range c.LaneSizes {
-				if w < 2 {
-					w = 2
-				}
-				if w > automata.MaxLanes {
-					w = automata.MaxLanes
-				}
-				if w != automata.MaxLanes {
-					widths = append(widths, w)
-				}
-			}
-			for _, w := range widths {
-				name := "nfa-bitset-x64"
-				if w != automata.MaxLanes {
-					name = fmt.Sprintf("nfa-bitset-x64[lanes=%d]", w)
-				}
-				r, err := laneRow(b, net, name, w, c.StreamBytes, c.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", b.Name, err)
-				}
-				rows = append(rows, r)
-			}
 		}
 
 		if c.wants("aot-dfa") {
@@ -234,40 +201,6 @@ func Throughput(cfg *ThroughputConfig) ([]ThroughputRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// laneRow measures the 64-streams-per-word lane tier: lanes independent
-// streams of totalBytes/lanes each advance in lock-step through one
-// LaneSimulator pass, so the aggregate MB/s is directly comparable to the
-// single-stream nfa-bitset row over the same total byte count. Designs
-// with counters or gates get an "unavailable" row (lane execution is
-// pure-STE only — that restriction is the row's point).
-func laneRow(b *bench.Benchmark, net *automata.Network, engine string, lanes, totalBytes int, seed int64) (ThroughputRow, error) {
-	top, err := net.Freeze()
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	sim, err := top.NewLaneSimulator()
-	if err != nil {
-		r := row(b.Name, engine, lanes, 0, 0, 0)
-		r.Note = fmt.Sprintf("unavailable: %v", err)
-		return r, nil
-	}
-	streams := MultiStreamWorkload(b, lanes, totalBytes/lanes, seed)
-	var nbytes int64
-	for _, s := range streams {
-		nbytes += int64(len(s))
-	}
-	start := time.Now()
-	reports, err := sim.Run(context.Background(), streams)
-	if err != nil {
-		return ThroughputRow{}, err
-	}
-	nreports := 0
-	for _, rs := range reports {
-		nreports += len(rs)
-	}
-	return row(b.Name, engine, lanes, nbytes, time.Since(start), nreports), nil
 }
 
 // lazyVariant is one lazy-tier measurement configuration.
@@ -398,13 +331,18 @@ func WriteCompileJSON(path string, rows []CompileRow) error {
 	return writeThroughputFile(path, f)
 }
 
-// FormatThroughput renders rows as a table.
+// FormatThroughput renders rows as a table. The Workers column is blank
+// for the single-stream tiers, which have no worker pool.
 func FormatThroughput(rows []ThroughputRow) string {
-	out := fmt.Sprintf("%-10s %-12s %8s %10s %10s %9s  %s\n",
-		"Benchmark", "Engine", "Streams", "MiB", "MB/s", "Reports", "Note")
+	out := fmt.Sprintf("%-10s %-12s %8s %7s %10s %10s %9s  %s\n",
+		"Benchmark", "Engine", "Streams", "Workers", "MiB", "MB/s", "Reports", "Note")
 	for _, r := range rows {
-		out += fmt.Sprintf("%-10s %-12s %8d %10.2f %10.1f %9d  %s\n",
-			r.Benchmark, r.Engine, r.Streams, float64(r.Bytes)/(1<<20), r.MBPerSec, r.Reports, r.Note)
+		workers := ""
+		if r.Workers > 0 {
+			workers = strconv.Itoa(r.Workers)
+		}
+		out += fmt.Sprintf("%-10s %-12s %8d %7s %10.2f %10.1f %9d  %s\n",
+			r.Benchmark, r.Engine, r.Streams, workers, float64(r.Bytes)/(1<<20), r.MBPerSec, r.Reports, r.Note)
 	}
 	return out
 }

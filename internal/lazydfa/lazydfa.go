@@ -90,8 +90,7 @@ type Options struct {
 const (
 	// DefaultMaxCacheBytes bounds the adaptive state cache at 64 MiB per
 	// matcher. The paper workloads' largest observed working sets (Brill
-	// and Gappy, ~37k states each) fit with room to spare; servers fanning
-	// a design across many workers can lower it with WithMaxCacheBytes.
+	// and Gappy, ~37k states each) fit with room to spare.
 	DefaultMaxCacheBytes = 64 << 20
 
 	// DefaultInitialCachedStates is the adaptive budget's starting size.

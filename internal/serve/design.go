@@ -142,9 +142,6 @@ func (s *Server) compileDesign(spec DesignSpec) (*design, error) {
 	if s.cfg.Workers > 0 {
 		opts = append(opts, rapid.WithWorkers(s.cfg.Workers))
 	}
-	if s.cfg.MaxCachedStates > 0 {
-		opts = append(opts, rapid.WithMaxCachedStates(s.cfg.MaxCachedStates))
-	}
 	if s.cfg.Telemetry != nil {
 		opts = append(opts, rapid.WithTelemetry(s.cfg.Telemetry))
 	}

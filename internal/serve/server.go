@@ -64,9 +64,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies. Default 64 MiB.
 	MaxBodyBytes int64
-	// Workers and MaxCachedStates configure each design's engine.
-	Workers         int
-	MaxCachedStates int
+	// Workers sizes each design's engine worker pool (<= 0: GOMAXPROCS).
+	Workers int
 	// CrossCheck makes failover-mode designs verify results against their
 	// reference backend.
 	CrossCheck bool

@@ -77,13 +77,12 @@ func (m *backendMetrics) start() time.Time {
 	return time.Now()
 }
 
-// record accounts one finished execution of streams streams (more than
-// one only for a lane group, which advances its streams in one pass).
-func (m *backendMetrics) record(streams, inputBytes, reports int, err error, start time.Time) {
+// record accounts one finished stream.
+func (m *backendMetrics) record(inputBytes, reports int, err error, start time.Time) {
 	if m == nil {
 		return
 	}
-	m.streams.Add(uint64(streams))
+	m.streams.Inc()
 	m.bytes.Add(uint64(inputBytes))
 	m.reports.Add(uint64(reports))
 	if err != nil {

@@ -1,9 +1,6 @@
 package rapid
 
-import (
-	"repro/internal/automata"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Option is a functional option accepted by the execution-path
 // constructors (NewRunner, NewEngine, CompileCPU, Backend,
@@ -15,8 +12,6 @@ type Option func(*config)
 type config struct {
 	workers         int
 	maxCachedStates int
-	maxCacheBytes   int64
-	lanes           int
 	tel             *telemetry.Registry
 }
 
@@ -42,42 +37,13 @@ func WithWorkers(n int) Option {
 // clock), so memory stays bounded without aborting. Fixing the size also
 // disables the adaptive budget controller and mid-stream demotion, making
 // execution deterministic. Values <= 0 (the default) select the adaptive
-// budget: the cache starts small and grows toward the WithMaxCacheBytes
-// cap while the eviction rate stays high.
+// budget: the cache starts small and grows toward a 64 MiB cap
+// (lazydfa.DefaultMaxCacheBytes) while the eviction rate stays high, and a
+// tier whose working set cannot fit even there demotes itself to the NFA
+// bitset walk. Production callers leave it unset; tests and the rapidbench
+// cache sweep fix it to force eviction deterministically.
 func WithMaxCachedStates(n int) Option {
 	return func(c *config) { c.maxCachedStates = n }
-}
-
-// WithMaxCacheBytes caps the adaptive lazy-DFA cache budget in estimated
-// bytes per matcher (default lazydfa.DefaultMaxCacheBytes, 64 MiB). When a
-// design's working set cannot fit even at this cap and eviction churn
-// stays high, the matcher demotes itself to the NFA bitset walk. Ignored
-// when WithMaxCachedStates fixes the size.
-func WithMaxCacheBytes(n int64) Option {
-	return func(c *config) { c.maxCacheBytes = n }
-}
-
-// MaxLanes is the widest lane batch WithLanes can request: one stream per
-// bit of a machine word.
-const MaxLanes = automata.MaxLanes
-
-// WithLanes enables lane-batched execution for Engine.RunBatch and
-// Engine.RunRecords: up to n independent streams (clamped to [0, MaxLanes])
-// advance in lock-step through one 64-bit-word-per-element bitset walk, so
-// small designs amortize per-stream overhead across a whole machine word.
-// Lane execution applies only to pure-STE designs; when the design has
-// counters or gates the engine silently falls back to per-stream execution
-// (Engine.Lanes reports 0). n <= 0 disables lane batching (the default).
-func WithLanes(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		if n > MaxLanes {
-			n = MaxLanes
-		}
-		c.lanes = n
-	}
 }
 
 // WithTelemetry routes the execution path's metrics and spans into reg —

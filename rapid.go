@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/anml"
@@ -204,11 +205,15 @@ func convertReports(raw []automata.Report, sites map[int]string) []Report {
 
 // Offsets returns the distinct report offsets of a report list, sorted.
 func Offsets(reports []Report) []int {
-	var rs []interp.Report
-	for _, r := range reports {
-		rs = append(rs, interp.Report{Offset: r.Offset})
+	if len(reports) == 0 {
+		return nil
 	}
-	return interp.Offsets(rs)
+	out := make([]int, len(reports))
+	for i, r := range reports {
+		out[i] = r.Offset
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // topology freezes the design's network (validating it on first use) and
@@ -359,7 +364,7 @@ func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
 	start := r.bm.start()
 	raw, err := r.sim.RunContext(ctx, input)
 	out := convertReports(raw, r.reports)
-	r.bm.record(1, len(input), len(out), err, start)
+	r.bm.record(len(input), len(out), err, start)
 	return out, err
 }
 
@@ -448,7 +453,7 @@ func (m *CPUMatcher) Run(ctx context.Context, input []byte) ([]Report, error) {
 	for i, r := range raw {
 		out[i] = Report{Offset: r.Offset, Code: r.Code, Site: m.reports[r.Code]}
 	}
-	m.tel.record(1, len(input), len(out), nil, start)
+	m.tel.record(len(input), len(out), nil, start)
 	return out, nil
 }
 

@@ -259,3 +259,29 @@ func TestValueConstructors(t *testing.T) {
 		t.Fatalf("Ints = %v", Ints([]int{1, 2}))
 	}
 }
+
+func TestOffsets(t *testing.T) {
+	at := func(offsets ...int) []Report {
+		var rs []Report
+		for i, o := range offsets {
+			rs = append(rs, Report{Offset: o, Code: i})
+		}
+		return rs
+	}
+	for _, tc := range []struct {
+		name string
+		in   []Report
+		want []int
+	}{
+		{"nil", nil, nil},
+		{"empty", []Report{}, nil},
+		{"single", at(7), []int{7}},
+		{"sorted", at(1, 4, 9), []int{1, 4, 9}},
+		{"duplicates", at(3, 3, 5, 5, 5), []int{3, 5}},
+		{"unsorted with duplicates", at(9, 2, 9, 0, 2), []int{0, 2, 9}},
+	} {
+		if got := Offsets(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Offsets = %#v, want %#v", tc.name, got, tc.want)
+		}
+	}
+}

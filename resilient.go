@@ -135,7 +135,7 @@ func (r *Runner) RunResilient(ctx context.Context, input []byte, opts *RunOption
 		if err != nil {
 			span.Fail(err)
 			out := convertReports(sim.Reports(), r.reports)
-			r.bm.record(1, len(input), len(out), err, start)
+			r.bm.record(len(input), len(out), err, start)
 			return out, stats, err
 		}
 		snap = sim.Snapshot()
@@ -146,6 +146,6 @@ func (r *Runner) RunResilient(ctx context.Context, input []byte, opts *RunOption
 		segStart = end
 	}
 	out := convertReports(sim.Reports(), r.reports)
-	r.bm.record(1, len(input), len(out), nil, start)
+	r.bm.record(len(input), len(out), nil, start)
 	return out, stats, nil
 }

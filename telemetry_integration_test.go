@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -307,5 +309,69 @@ func TestMetricsSnapshotDefault(t *testing.T) {
 	after := Metrics().Counter(metricBackendStreams, "backend", string(BackendDevice))
 	if after != before+1 {
 		t.Fatalf("default-registry device streams went %d -> %d, want +1", before, after)
+	}
+}
+
+// TestMetricCatalogMatchesDocs is the metric catalog's guard for the
+// execution paths this package owns: every rapid_backend_*, rapid_engine_*,
+// rapid_lazydfa_*, rapid_failover_* and rapid_resilient_* name an engine,
+// a runner, a failover chain and a resilient run register must have a row
+// in docs/OBSERVABILITY.md's tables, and every such row must name a
+// metric that something registered.
+func TestMetricCatalogMatchesDocs(t *testing.T) {
+	design := mustDesign(t, slidingSrc, Str("abc"))
+	reg := telemetry.NewRegistry()
+	eng, err := design.NewEngine(WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := design.NewRunner(WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := design.FailoverChain(WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("xxabcx")
+	if _, err := eng.RunBatch(context.Background(), [][]byte{input, input}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chain.Run(context.Background(), input); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runner.RunResilient(context.Background(), input, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|failover|resilient)_`)
+	registered := map[string]bool{}
+	for _, name := range reg.Snapshot().Names() {
+		if owned.MatchString(name) {
+			registered[name] = true
+		}
+	}
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, row := range regexp.MustCompile("(?m)^\\| `(rapid_[a-z0-9_]+)` \\|").FindAllSubmatch(doc, -1) {
+		if name := string(row[1]); owned.MatchString(name) {
+			documented[name] = true
+		}
+	}
+	if len(registered) == 0 || len(documented) == 0 {
+		t.Fatalf("vacuous: %d registered, %d documented", len(registered), len(documented))
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("%s is registered but has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("%s has a row in docs/OBSERVABILITY.md but nothing registers it", name)
+		}
 	}
 }
