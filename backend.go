@@ -51,7 +51,7 @@ func (e *UnknownBackendError) Error() string {
 
 // ParseBackendKind parses a -backend flag value into a BackendKind,
 // returning an *UnknownBackendError listing the valid kinds on a bad
-// value. It is the one helper both rapidrun and rapidbench parse with.
+// value. It is the one helper rapidrun and rapidserve parse with.
 func ParseBackendKind(s string) (BackendKind, error) {
 	for _, k := range BackendKinds() {
 		if s == string(k) {

@@ -10,7 +10,6 @@ package rapid
 // wall-clock time per op carries the compile-time comparisons.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -126,79 +125,6 @@ network (String[] ws) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkThroughput measures MB/s for every benchmark app on each CPU
-// execution tier (NFA bitset, ahead-of-time DFA where it determinizes,
-// lazy DFA), plus the multi-stream batch engine at 1 and 8 workers, and
-// emits BENCH_throughput.json so the perf trajectory is tracked across
-// PRs. CI runs it with -benchtime=1x as a smoke test; use larger
-// -benchtime locally for stable numbers.
-func BenchmarkThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// The determinizable benchmarks need only ~25 DFA states; a low
-		// AOT cap makes the non-determinizable ones fail fast instead of
-		// churning to the default 50k-state budget.
-		rows, err := harness.Throughput(&harness.ThroughputConfig{
-			StreamBytes:  1 << 17,
-			AOTMaxStates: 2000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i != 0 {
-			continue
-		}
-		// Multi-stream scaling through the real Engine on the Exact
-		// workload: the same byte volume batch-sharded at 1 and 8 workers.
-		mb := bench.Exact()
-		src, args := mb.RAPID(mb.DefaultInstances)
-		prog, err := Parse(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		design, err := prog.Compile(args...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streams := harness.MultiStreamWorkload(mb, 16, 1<<15, 2)
-		batchMBps := map[int]float64{}
-		for _, workers := range []int{1, 8} {
-			eng, err := design.NewEngine(WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := harness.BatchThroughput(mb.Name, "engine-batch", workers, streams,
-				func(ss [][]byte) (int, error) {
-					res, err := eng.RunBatch(context.Background(), ss)
-					total := 0
-					for _, reports := range res {
-						total += len(reports)
-					}
-					return total, err
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
-			batchMBps[workers] = r.MBPerSec
-			rows = append(rows, r)
-		}
-		if err := harness.WriteThroughputJSON("BENCH_throughput.json", rows); err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.MBPerSec > 0 {
-				name := fmt.Sprintf("%s/%s_MBps", r.Benchmark, r.Engine)
-				if r.Workers > 0 {
-					name = fmt.Sprintf("%s/%s%d_MBps", r.Benchmark, r.Engine, r.Workers)
-				}
-				b.ReportMetric(r.MBPerSec, name)
-			}
-		}
-		if batchMBps[1] > 0 {
-			b.ReportMetric(batchMBps[8]/batchMBps[1], "Exact/batch_speedup_x")
-		}
 	}
 }
 

@@ -69,17 +69,18 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 }
 
 // NewEngine builds the design's batch execution engine. Options:
-// WithWorkers, WithMaxCachedStates, WithTelemetry. Unlike CompileCPU,
-// engine construction never aborts on design size: the lazy tiers' memory
-// is bounded by the state-cache cap, and a tier whose states cannot fit
-// demotes itself to the bitset walk.
+// WithWorkers, WithTelemetry. Unlike CompileCPU, engine construction never
+// aborts on design size: each lazy tier's cache starts small and grows
+// toward a 64 MiB cap (lazydfa.DefaultMaxCacheBytes) while its eviction
+// rate stays high, and a tier whose states cannot fit even there demotes
+// itself to the bitset walk.
 func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	cfg := applyOptions(opts)
 	workers := cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	proto, err := lazydfa.New(d.net, &lazydfa.Options{MaxCachedStates: cfg.maxCachedStates})
+	proto, err := lazydfa.New(d.net, nil)
 	if err != nil {
 		return nil, err
 	}

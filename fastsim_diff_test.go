@@ -1,13 +1,13 @@
 package rapid_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/rapidgen"
 )
 
@@ -56,6 +56,19 @@ func checkFastSimParity(t *testing.T, name string, net *automata.Network, stream
 	}
 }
 
+// multiStreamWorkload draws streams independent inputs of uneven lengths
+// (up to streamBytes) from the benchmark's generator, which embeds real
+// match material.
+func multiStreamWorkload(mb *bench.Benchmark, streams, streamBytes int, seed int64) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]byte, streams)
+	for i := range out {
+		in := mb.Input(rng, streamBytes)
+		out[i] = in[:len(in)-(i*7)%300]
+	}
+	return out
+}
+
 // TestFastSimDifferentialBenchmarks cross-checks the two simulators on all
 // five paper benchmarks, counter and gate designs included.
 func TestFastSimDifferentialBenchmarks(t *testing.T) {
@@ -63,13 +76,7 @@ func TestFastSimDifferentialBenchmarks(t *testing.T) {
 		mb := mb
 		t.Run(mb.Name, func(t *testing.T) {
 			net := compileBench(t, mb)
-			// 64 streams of uneven lengths; harness workloads embed real
-			// match material.
-			streams := harness.MultiStreamWorkload(mb, 64, 512, 11)
-			for i := range streams {
-				streams[i] = streams[i][:len(streams[i])-(i*7)%300]
-			}
-			checkFastSimParity(t, mb.Name, net, streams)
+			checkFastSimParity(t, mb.Name, net, multiStreamWorkload(mb, 64, 512, 11))
 		})
 	}
 }

@@ -61,10 +61,9 @@ type Options struct {
 	// MaxCachedStates, when positive, fixes each tier's state cache at
 	// exactly this many states: eviction still runs per state, but the adaptive
 	// budget controller and the mid-stream demotion heuristic are
-	// disabled, which makes execution deterministic for tests and for the
-	// rapidbench -lazy-cache sweep. Values below 2 are raised to 2 (the
-	// minimum needed to hold a state and its successor). Zero or negative
-	// selects the adaptive budget.
+	// disabled, which makes execution deterministic for tests. Values below
+	// 2 are raised to 2 (the minimum needed to hold a state and its
+	// successor). Zero or negative selects the adaptive budget.
 	MaxCachedStates int
 
 	// MaxCacheBytes caps the adaptive budget's memory, denominated in

@@ -147,8 +147,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // Handler serves the registry over HTTP: Prometheus text format at
 // /metrics, expvar-style JSON at /debug/vars, and a plain index anywhere
-// else. This is what the -metrics-addr flags of rapidrun and rapidbench
-// mount for scraping long runs.
+// else. This is what the -metrics-addr flags of rapidrun, rapidserve and
+// rapidgw mount for scraping long runs.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

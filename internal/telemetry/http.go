@@ -10,7 +10,7 @@ import (
 // Unlike a bare http.Serve goroutine, it owns an http.Server that can be
 // Shutdown during a drain, so a final scrape in flight at process exit
 // completes instead of racing the listener teardown. The -metrics-addr
-// flags of rapidrun, rapidbench, and rapidserve all run one of these.
+// flags of rapidrun, rapidserve, and rapidgw all run one of these.
 type MetricsServer struct {
 	srv  *http.Server
 	ln   net.Listener

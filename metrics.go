@@ -17,8 +17,8 @@ func Metrics() *telemetry.Snapshot {
 }
 
 // MetricsHandler serves the process-wide registry over HTTP — Prometheus
-// text format at /metrics, expvar-style JSON at /debug/vars. The
-// -metrics-addr flags of rapidrun and rapidbench mount this handler.
+// text format at /metrics, expvar-style JSON at /debug/vars. rapidrun's
+// -metrics-addr flag mounts this handler.
 func MetricsHandler() http.Handler {
 	return telemetry.Handler(telemetry.Default())
 }

@@ -10,9 +10,8 @@ type Option func(*config)
 
 // config is the resolved option set.
 type config struct {
-	workers         int
-	maxCachedStates int
-	tel             *telemetry.Registry
+	workers int
+	tel     *telemetry.Registry
 }
 
 func applyOptions(opts []Option) config {
@@ -29,21 +28,6 @@ func applyOptions(opts []Option) config {
 // Engine.RunRecords. Values <= 0 mean GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithMaxCachedStates fixes each lazy-DFA matcher's state cache (each
-// tier's, when a design has both pure and counter components) at exactly
-// n states; a full cache evicts one cold state at a time (second-chance
-// clock), so memory stays bounded without aborting. Fixing the size also
-// disables the adaptive budget controller and mid-stream demotion, making
-// execution deterministic. Values <= 0 (the default) select the adaptive
-// budget: the cache starts small and grows toward a 64 MiB cap
-// (lazydfa.DefaultMaxCacheBytes) while the eviction rate stays high, and a
-// tier whose working set cannot fit even there demotes itself to the NFA
-// bitset walk. Production callers leave it unset; tests and the rapidbench
-// cache sweep fix it to force eviction deterministically.
-func WithMaxCachedStates(n int) Option {
-	return func(c *config) { c.maxCachedStates = n }
 }
 
 // WithTelemetry routes the execution path's metrics and spans into reg —

@@ -29,8 +29,7 @@
 // methods are context-first — Run(ctx, input) ([]Report, error) — and each
 // has a RunBytes convenience wrapper using context.Background(). Backends
 // are constructed uniformly through Design.Backend(kind), with functional
-// options (WithWorkers, WithMaxCachedStates, WithTelemetry) shared across
-// constructors.
+// options (WithWorkers, WithTelemetry) shared across constructors.
 package rapid
 
 import (

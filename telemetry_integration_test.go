@@ -313,11 +313,14 @@ func TestMetricsSnapshotDefault(t *testing.T) {
 }
 
 // TestMetricCatalogMatchesDocs is the metric catalog's guard for the
-// execution paths this package owns: every rapid_backend_*, rapid_engine_*,
-// rapid_lazydfa_*, rapid_failover_* and rapid_resilient_* name an engine,
-// a runner, a failover chain and a resilient run register must have a row
-// in docs/OBSERVABILITY.md's tables, and every such row must name a
-// metric that something registered.
+// execution paths this package owns and the always-on cold paths beneath
+// them: every rapid_backend_*, rapid_engine_*, rapid_lazydfa_*,
+// rapid_failover_* and rapid_resilient_* name an engine, a runner, a
+// failover chain and a fault-injected resilient run register, and every
+// rapid_place_* and rapid_ap_* name in the default registry after a
+// stamper-backed placement, must have a row in docs/OBSERVABILITY.md's
+// tables, and every such row must name a metric that something
+// registered.
 func TestMetricCatalogMatchesDocs(t *testing.T) {
 	design := mustDesign(t, slidingSrc, Str("abc"))
 	reg := telemetry.NewRegistry()
@@ -340,15 +343,22 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 	if _, err := chain.Run(context.Background(), input); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runner.RunResilient(context.Background(), input, nil); err != nil {
+	faults := (&ap.FaultPlan{TransientAt: []int{1}, CorruptAt: []int{2}}).NewInjector()
+	opts := &RunOptions{BeforeSymbol: faults.BeforeSymbol, MapSymbol: faults.Apply}
+	if _, _, err := runner.RunResilient(context.Background(), input, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := design.EnsurePlaced(NewPlacementCache()); err != nil {
 		t.Fatal(err)
 	}
 
-	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|failover|resilient)_`)
+	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|failover|resilient|place|ap)_`)
 	registered := map[string]bool{}
-	for _, name := range reg.Snapshot().Names() {
-		if owned.MatchString(name) {
-			registered[name] = true
+	for _, snap := range []*telemetry.Snapshot{reg.Snapshot(), telemetry.Default().Snapshot()} {
+		for _, name := range snap.Names() {
+			if owned.MatchString(name) {
+				registered[name] = true
+			}
 		}
 	}
 	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
