@@ -4,25 +4,36 @@ import "repro/internal/automata"
 
 // The state cache interns DFA states (NFA configurations) and owns the
 // transition table as one contiguous slab of int32 cells, ngroups cells per
-// state. A cell packs the successor id with a has-reports flag so the hot
-// loop's no-report path is a single load:
+// state. A filled cell holds the successor's *row offset* (id × ngroups),
+// so the walk's next index is offset + group with no multiply or mask on
+// the per-byte dependency chain, and flags the high bits:
 //
-//	cellUnfilled (-1)  transition not yet materialized (or repaired away)
-//	id | cellReport    stepping this (state, group) emits report codes
-//	id                 plain transition
+//	cellUnfilled (-1)      transition not yet materialized (or repaired away)
+//	offset | cellReport    stepping this (state, group) emits report codes
+//	offset                 plain transition
+//
+// One unsigned compare, uint32(v) < uint32(cellReport), separates the plain
+// transition from both slow cases. Ids are recovered as offset / ngroups
+// only off that path (miss, report lookup, demotion, eviction repair).
+//
+// State metadata lives in slabs: meta holds values, not pointers, the
+// configurations share one []uint64 (nwords per slot, overwritten in place
+// when a slot is reused), and each new slot's first in-edge records are
+// carved from a shared []inEdge, so interning a state costs about one
+// allocation (its key) rather than one per field.
 //
 // Capacity pressure is handled per state with a second-chance clock: the
 // hand sweeps slots, clearing reference bits, and reuses the first cold
 // slot in place. Eviction repairs the victim's in-edges lazily — each
-// recorded predecessor cell that still points at the victim is reset to
-// cellUnfilled, so the transition recomputes on demand — and bumps the
-// slot's generation so stale in-edge records (from an earlier occupant of
-// either endpoint) are recognized and skipped.
+// recorded predecessor cell that still points at the victim's offset is
+// reset to cellUnfilled, so the transition recomputes on demand — and bumps
+// the slot's generation so stale in-edge records (from an earlier occupant
+// of either endpoint) are recognized and skipped.
 
 const (
 	cellUnfilled = int32(-1)
 	cellReport   = int32(1) << 30
-	cellIDMask   = cellReport - 1
+	cellIDMask   = cellReport - 1 // bounds every row offset: limit × ngroups ≤ cellIDMask
 )
 
 // groupCodes is the report-code list of one (state, symbol-group) edge.
@@ -43,10 +54,10 @@ type inEdge struct {
 }
 
 // state is one cache slot's metadata; its transition row lives in the
-// cache's rows slab at [id*ngroups, (id+1)*ngroups).
+// cache's rows slab at [id*ngroups, (id+1)*ngroups) and its configuration
+// in the configs slab at [id*nwords, (id+1)*nwords).
 type state struct {
 	key     string
-	config  []uint64 // enable words, then packed counter values
 	first   bool
 	ref     bool   // second-chance reference bit
 	gen     uint32 // bumped on eviction; validates inEdge records
@@ -66,23 +77,27 @@ func (st *state) setCodes(g int32, codes []int) {
 	st.reps = append(st.reps, groupCodes{group: g, codes: append([]int(nil), codes...)})
 }
 
+// stateCache's meta may grow on intern, so a &meta[id] taken before an
+// intern call is stale after it: index again.
 type stateCache struct {
 	ids     map[string]int32
-	meta    []*state
+	meta    []state
 	rows    []int32
-	ngroups int
+	configs []uint64 // enable words, then packed counter values; nwords per slot
+	edges   []inEdge // unused tail of the slab new slots' in-edge lists are carved from
+	ngroups int32
+	nwords  int
 
-	max   int // current budget (grows adaptively up to limit)
-	limit int // hard cap
-
+	max       int // current budget (grows adaptively up to limit)
+	limit     int // hard cap
 	hand      int
 	evictions int
 
-	// restID tracks where the prefilter's rest configuration currently
-	// lives (-1 when not interned or evicted), so the hot loop can compare
-	// state ids instead of keys.
+	// restOff is the row offset where the prefilter's rest configuration
+	// currently lives (-1 when not interned or evicted), so the hot loop
+	// can compare offsets instead of keys.
 	restKey string
-	restID  int32
+	restOff int32
 
 	keyBuf []byte
 }
@@ -90,25 +105,30 @@ type stateCache struct {
 func newStateCache(p *program, max, limit int) *stateCache {
 	return &stateCache{
 		ids:     make(map[string]int32),
-		ngroups: p.ngroups,
+		ngroups: int32(p.ngroups),
+		nwords:  p.nwords,
 		max:     max,
 		limit:   limit,
 		restKey: p.restKey,
-		restID:  -1,
+		restOff: -1,
 	}
+}
+
+// config returns slot id's configuration, in place in the slab.
+func (c *stateCache) config(id int32) []uint64 {
+	lo, hi := int(id)*c.nwords, int(id+1)*c.nwords
+	return c.configs[lo:hi:hi]
 }
 
 // intern returns the id of the configuration, copying it into a slot when
 // new. A full cache evicts one cold state; pinned (the walker's current
-// state, or -1) is never the victim. Always succeeds.
+// state id, or -1) is never the victim. Always succeeds.
 func (c *stateCache) intern(config []uint64, first bool, pinned int32) int32 {
 	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], config, first)
 	if id, ok := c.ids[string(c.keyBuf)]; ok { // no-alloc map probe
 		c.meta[id].ref = true
 		return id
 	}
-	var id int32
-	var st *state
 	if len(c.meta) >= c.max && c.max < c.limit {
 		// Demand-driven budget growth: slots materialize organically, so
 		// doubling the budget costs nothing until states actually intern,
@@ -116,30 +136,33 @@ func (c *stateCache) intern(config []uint64, first bool, pinned int32) int32 {
 		// assignment in discovery order — eviction churn during a growth
 		// phase would scatter hot states across the row slab and degrade
 		// the warm walk's locality measurably.
-		c.max *= 2
-		if c.max > c.limit {
-			c.max = c.limit
-		}
+		c.max = min(2*c.max, c.limit)
 	}
+	var id int32
 	if len(c.meta) < c.max {
 		id = int32(len(c.meta))
-		st = &state{}
-		c.meta = append(c.meta, st)
-		for i := 0; i < c.ngroups; i++ {
+		if cap(c.edges)-len(c.edges) < 4 {
+			c.edges = make([]inEdge, 0, 4*max(len(c.meta), 16))
+		}
+		n := len(c.edges)
+		c.edges = c.edges[:n+4]
+		c.meta = append(c.meta, state{inEdges: c.edges[n : n : n+4]}) // a fifth record reallocates this slot's list only
+		c.configs = append(c.configs, config...)
+		for i := int32(0); i < c.ngroups; i++ {
 			c.rows = append(c.rows, cellUnfilled)
 		}
 	} else {
 		id = c.evict(pinned)
-		st = c.meta[id]
+		copy(c.config(id), config)
 	}
+	st := &c.meta[id]
 	st.key = string(c.keyBuf)
-	st.config = append(st.config[:0], config...)
 	st.first = first
 	st.ref = true
 	st.reps = st.reps[:0]
 	c.ids[st.key] = id
 	if st.key == c.restKey {
-		c.restID = id
+		c.restOff = id * c.ngroups
 	}
 	return id
 }
@@ -154,7 +177,7 @@ func (c *stateCache) evict(pinned int32) int32 {
 			c.hand = 0
 		}
 		id := int32(c.hand)
-		st := c.meta[c.hand]
+		st := &c.meta[c.hand]
 		c.hand++
 		if id == pinned {
 			continue
@@ -169,25 +192,26 @@ func (c *stateCache) evict(pinned int32) int32 {
 }
 
 // release detaches the victim: its key leaves the intern map, every live
-// in-edge cell pointing at it is reset to cellUnfilled, its own row is
-// cleared, and its generation is bumped so surviving records naming this
-// slot are recognized as stale.
+// in-edge cell pointing at its row offset is reset to cellUnfilled, its own
+// row is cleared, and its generation is bumped so surviving records naming
+// this slot are recognized as stale.
 func (c *stateCache) release(id int32, st *state) {
 	delete(c.ids, st.key)
-	if id == c.restID {
-		c.restID = -1
+	off := id * c.ngroups
+	if off == c.restOff {
+		c.restOff = -1
 	}
 	for _, e := range st.inEdges {
 		if c.meta[e.from].gen != e.gen {
 			continue
 		}
-		idx := int(e.from)*c.ngroups + int(e.group)
-		if v := c.rows[idx]; v >= 0 && v&cellIDMask == id {
+		idx := e.from*c.ngroups + e.group
+		if v := c.rows[idx]; v >= 0 && v&cellIDMask == off {
 			c.rows[idx] = cellUnfilled
 		}
 	}
 	st.inEdges = st.inEdges[:0]
-	row := c.rows[int(id)*c.ngroups : (int(id)+1)*c.ngroups]
+	row := c.rows[off : off+c.ngroups]
 	for i := range row {
 		row[i] = cellUnfilled
 	}
@@ -195,11 +219,12 @@ func (c *stateCache) release(id int32, st *state) {
 	c.evictions++
 }
 
-// noteInEdge records that from's row now points at succ. When the record
-// list fills its capacity past a threshold, stale records are compacted in
-// place before growing, bounding the list at the live in-degree.
+// noteInEdge records that from's row now points at succ (both ids). When
+// the record list fills its capacity past a threshold, stale records are
+// compacted in place before growing, bounding the list at the live
+// in-degree.
 func (c *stateCache) noteInEdge(succ, from, group int32) {
-	st := c.meta[succ]
+	st := &c.meta[succ]
 	if len(st.inEdges) >= 32 && len(st.inEdges) == cap(st.inEdges) {
 		kept := st.inEdges[:0]
 		for _, e := range st.inEdges {
@@ -219,6 +244,8 @@ func (c *stateCache) releaseAll() {
 	c.ids = nil
 	c.meta = nil
 	c.rows = nil
-	c.restID = -1
+	c.configs = nil
+	c.edges = nil
+	c.restOff = -1
 	c.hand = 0
 }

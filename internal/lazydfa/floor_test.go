@@ -38,36 +38,58 @@ type paperTiers struct {
 	bitset *automata.FastSimulator
 }
 
-// compilePaperTiers compiles each paper design at its Table 4/5 size and
-// warms its lazy matcher with two passes over the input: the first
-// discovers the working set while the adaptive budget grows, the second
-// refills what that growth evicted, so a timed pass is the
-// recurring-traffic walk.
-func compilePaperTiers(tb testing.TB, streamBytes int) []paperTiers {
+// tierDesign is a paper benchmark application at an instance count.
+type tierDesign struct {
+	name string
+	app  *bench.Benchmark
+	n    int
+}
+
+// paperDesigns are the five paper designs at their Table 4/5 sizes.
+func paperDesigns() []tierDesign {
+	var out []tierDesign
+	for _, b := range bench.All() {
+		out = append(out, tierDesign{b.Name, b, b.DefaultInstances})
+	}
+	return out
+}
+
+// scanDesigns are the repository benchmark's scan-pure and scan-counter
+// designs at its sizes. ARM-32 (≈12.8k states × 122 groups, where the paper
+// size has 26 states) is the memory-bound walk scan-pure depends on.
+func scanDesigns() []tierDesign {
+	return []tierDesign{{"exact-32", bench.Exact(), 32}, {"arm-32", bench.ARM(), 32}, {"motomata-4", bench.Motomata(), 4}}
+}
+
+// compilePaperTiers compiles each design and warms its lazy matcher with
+// two passes over the input: the first discovers the working set while the
+// adaptive budget grows, the second refills what that growth evicted, so a
+// timed pass is the recurring-traffic walk.
+func compilePaperTiers(tb testing.TB, designs []tierDesign, streamBytes int) []paperTiers {
 	tb.Helper()
 	var out []paperTiers
-	for _, b := range bench.All() {
-		src, args := b.RAPID(b.DefaultInstances)
+	for _, d := range designs {
+		src, args := d.app.RAPID(d.n)
 		prog, err := core.Load(src)
 		if err != nil {
-			tb.Fatalf("%s: %v", b.Name, err)
+			tb.Fatalf("%s: %v", d.name, err)
 		}
 		res, err := prog.Compile(args, nil)
 		if err != nil {
-			tb.Fatalf("%s: %v", b.Name, err)
+			tb.Fatalf("%s: %v", d.name, err)
 		}
 		lazy, err := lazydfa.New(res.Network, nil)
 		if err != nil {
-			tb.Fatalf("%s: %v", b.Name, err)
+			tb.Fatalf("%s: %v", d.name, err)
 		}
 		bitset, err := automata.NewFastSimulator(res.Network)
 		if err != nil {
-			tb.Fatalf("%s: %v", b.Name, err)
+			tb.Fatalf("%s: %v", d.name, err)
 		}
-		input := b.Input(rand.New(rand.NewSource(1)), streamBytes)
+		input := d.app.Input(rand.New(rand.NewSource(1)), streamBytes)
 		lazy.Run(input)
 		lazy.Run(input)
-		out = append(out, paperTiers{name: b.Name, input: input, lazy: lazy, bitset: bitset})
+		out = append(out, paperTiers{name: d.name, input: input, lazy: lazy, bitset: bitset})
 	}
 	return out
 }
@@ -118,7 +140,7 @@ func (p paperTiers) speedup() float64 {
 // tier). 64 KiB streams keep it near 0.2 s, and near 2 s under -race,
 // where the ratios only widen.
 func TestTierFloors(t *testing.T) {
-	for _, p := range compilePaperTiers(t, 64<<10) {
+	for _, p := range compilePaperTiers(t, paperDesigns(), 64<<10) {
 		floor := lazyFloor
 		if p.name == "MOTOMATA" {
 			floor = counterFloor
@@ -133,10 +155,11 @@ func TestTierFloors(t *testing.T) {
 	}
 }
 
-// BenchmarkTiers reports each paper design's MB/s on both tiers the floors
-// compare: go test -bench Tiers ./internal/lazydfa.
+// BenchmarkTiers reports MB/s on both tiers the floors compare, for each
+// paper design and each of the repository benchmark's scan designs:
+// go test -bench Tiers ./internal/lazydfa.
 func BenchmarkTiers(b *testing.B) {
-	for _, p := range compilePaperTiers(b, 1<<20) {
+	for _, p := range compilePaperTiers(b, append(paperDesigns(), scanDesigns()...), 1<<20) {
 		for _, side := range p.tiers() {
 			b.Run(p.name+"/"+side.name, func(b *testing.B) {
 				b.SetBytes(int64(len(p.input)))

@@ -14,7 +14,9 @@
 //     byte: a design distinguishing g of the 256 symbols stores g-entry
 //     rows in one contiguous slab. Dense-report workloads whose state
 //     working set runs to tens of thousands of states (Brill) walk a
-//     cache-resident table instead of thrashing DRAM on 1 KiB rows.
+//     cache-resident table instead of thrashing DRAM on 1 KiB rows. A cell
+//     holds the successor's premultiplied row offset plus a has-reports
+//     flag, so a plain step is one load, one add and one compare.
 //   - The state cache evicts per state with lazy in-edge repair: a
 //     transition into an evicted state is reset to "unfilled" and
 //     recomputes on demand, so a full cache costs one recomputation per
@@ -189,10 +191,10 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	}
 	o.maxCacheBytes /= int64(len(m.tiers)) // the byte cap is the matcher's, not each tier's
 	for _, t := range m.tiers {
-		max, limit, adaptive := cacheBudget(o, t.prog)
+		start, limit, adaptive := cacheBudget(o, t.prog)
 		t.adaptive = adaptive
 		t.prefilter = !o.disablePrefilter && t.prog.hasFacts && len(t.prog.liveBytes) <= maxPrefilterBytes
-		t.reset(max, limit)
+		t.reset(start, limit)
 	}
 	return m, nil
 }
@@ -205,30 +207,16 @@ func (t *tier) reset(max, limit int) {
 }
 
 // cacheBudget resolves the options into the cache's starting budget and
-// hard cap. Fixed caps disable the adaptive controller.
-func cacheBudget(o options, p *program) (max, limit int, adaptive bool) {
+// hard cap. Fixed caps disable the adaptive controller. Either cap is
+// clamped so every row offset, limit × ngroups, fits under cellIDMask.
+func cacheBudget(o options, p *program) (start, limit int, adaptive bool) {
+	cells := int(cellIDMask) / p.ngroups
 	if o.fixed > 0 {
-		max = o.fixed
-		if max > int(cellIDMask) {
-			max = int(cellIDMask)
-		}
-		return max, max, false
+		limit = min(o.fixed, cells)
+		return limit, limit, false
 	}
-	limit = int(o.maxCacheBytes / int64(p.stateBytes))
-	if limit < 16 {
-		limit = 16
-	}
-	if limit > int(cellIDMask) {
-		limit = int(cellIDMask)
-	}
-	max = o.initial
-	if max < 2 {
-		max = 2
-	}
-	if max > limit {
-		max = limit
-	}
-	return max, limit, true
+	limit = min(max(int(o.maxCacheBytes/int64(p.stateBytes)), 16), cells)
+	return min(max(o.initial, 2), limit), limit, true
 }
 
 // Clone returns an independent matcher sharing the immutable compiled
@@ -383,9 +371,10 @@ func isCanonical(rs []Report) bool {
 }
 
 // runLazy walks the lazy DFA over input, materializing transitions on
-// demand. The per-symbol fast path is a single data-dependent load: the
-// group-indexed row cell carries the successor id and a has-reports flag
-// in one int32.
+// demand. cur is the current state's row offset, so the per-symbol fast
+// path is one load, one add and one branch: the cell at cur + group holds
+// the successor's row offset, and one unsigned compare sends unfilled and
+// reporting cells to the slow path.
 func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
 	if t.demoted {
 		return t.runDemoted(ctx, input, out, 0, nil)
@@ -393,6 +382,7 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 	p := t.prog
 	c := t.cache
 	cur := t.startState()
+	rows := c.rows // reloaded after a miss, which may grow the slab
 	base := 0
 	for len(input) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -404,7 +394,7 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 		}
 		rest := int32(-1) // cur is never negative, so -1 disables the check
 		if t.prefilter {
-			rest = c.restID
+			rest = c.restOff
 		}
 		for i := 0; i < len(chunk); i++ {
 			if cur == rest {
@@ -420,26 +410,30 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 				}
 			}
 			sym := chunk[i]
-			g := int(p.groupOf[sym])
-			v := c.rows[int(cur)*c.ngroups+g]
-			if v < 0 {
-				v = t.miss(cur, g, sym)
-				rest = -1
-				if t.prefilter {
-					rest = c.restID
-				}
-			}
-			if v&cellReport != 0 {
-				for _, gc := range c.meta[cur].reps {
-					if gc.group == int32(g) {
-						for _, code := range gc.codes {
-							out = append(out, Report{Offset: base + i, Code: code})
-						}
-						break
+			g := int32(p.groupOf[sym])
+			v := rows[cur+g]
+			if uint32(v) >= uint32(cellReport) {
+				if v < 0 {
+					v = t.miss(cur, g, sym)
+					rows = c.rows
+					rest = -1
+					if t.prefilter {
+						rest = c.restOff
 					}
 				}
+				if v&cellReport != 0 {
+					for _, gc := range c.meta[cur/c.ngroups].reps {
+						if gc.group == g {
+							for _, code := range gc.codes {
+								out = append(out, Report{Offset: base + i, Code: code})
+							}
+							break
+						}
+					}
+				}
+				v &= cellIDMask
 			}
-			cur = v & cellIDMask
+			cur = v
 		}
 		base += len(chunk)
 		input = input[len(chunk):]
@@ -448,7 +442,7 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 			// all — into the bitset walk and give the cache memory back.
 			// (cur consumed at least one chunk, so it is never the
 			// first-symbol start state.)
-			config := c.meta[cur].config
+			config := c.config(cur / c.ngroups)
 			t.demote()
 			return t.runDemoted(ctx, input, out, base, config)
 		}
@@ -457,37 +451,38 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 }
 
 // startState interns the start-of-data configuration (no enables,
-// counters zero, first symbol pending). The cache is kept warm across
-// runs, so this is a map hit on every stream after the first.
+// counters zero, first symbol pending) and returns its row offset. The
+// cache is kept warm across runs, so this is a map hit on every stream
+// after the first.
 func (t *tier) startState() int32 {
 	clear(t.nextBuf)
-	return t.cache.intern(t.nextBuf, true, -1)
+	return t.cache.intern(t.nextBuf, true, -1) * t.cache.ngroups
 }
 
-// miss materializes the transition of state cur on symbol sym's
-// equivalence group: it steps the NFA configuration through the kernel
-// (into the tier's scratch buffers), interns the successor
-// (possibly evicting one cold state — never cur, which is pinned), fills
-// the row cell, and records the in-edge so eviction of the successor can
-// repair the cell lazily.
-func (t *tier) miss(cur int32, g int, sym byte) int32 {
+// miss materializes the transition of the state at row offset cur on
+// symbol sym's equivalence group g: it steps the NFA configuration through
+// the kernel (into the tier's scratch buffers), interns the successor
+// (possibly evicting one cold state — never cur's, which is pinned), fills
+// the row cell with the successor's offset, and records the in-edge so
+// eviction of the successor can repair the cell lazily.
+func (t *tier) miss(cur, g int32, sym byte) int32 {
 	t.fills++
 	c := t.cache
-	st := c.meta[cur]
+	id := cur / c.ngroups
 	var codes []int
-	if t.prog.k.Step(st.config, st.first, sym, t.activeBuf, t.nextBuf) {
+	if t.prog.k.Step(c.config(id), c.meta[id].first, sym, t.activeBuf, t.nextBuf) {
 		codes = t.prog.k.ReportCodes(t.codesBuf[:0], t.activeBuf)
 		t.codesBuf = codes
 	}
-	succ := c.intern(t.nextBuf, false, cur)
-	v := succ
+	succ := c.intern(t.nextBuf, false, id)
+	v := succ * c.ngroups
 	if len(codes) > 0 {
 		v |= cellReport
-		c.meta[cur].setCodes(int32(g), codes)
+		c.meta[id].setCodes(g, codes)
 	}
-	c.rows[int(cur)*c.ngroups+g] = v
-	c.noteInEdge(succ, cur, int32(g))
-	c.meta[cur].ref = true
+	c.rows[cur+g] = v
+	c.noteInEdge(succ, id, g)
+	c.meta[id].ref = true
 	return v
 }
 

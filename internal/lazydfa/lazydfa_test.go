@@ -182,6 +182,31 @@ func TestTinyCapEvicts(t *testing.T) {
 	}
 }
 
+// TestCacheBudgetFitsCellOffsets checks that a cell can hold every row
+// offset a cache may hand out: at the widest row, 256 groups, both a huge
+// fixed cap and a huge byte cap are clamped so limit × ngroups ≤ cellIDMask.
+func TestCacheBudgetFitsCellOffsets(t *testing.T) {
+	n := automata.NewNetwork("wide")
+	for b := 0; b < 256; b++ {
+		n.SetReport(n.AddSTE(charclass.Single(byte(b)), automata.StartAllInput), b)
+	}
+	top, err := n.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := compile(top)
+	if p.ngroups != 256 {
+		t.Fatalf("ngroups = %d, want 256", p.ngroups)
+	}
+	for _, opts := range []*Options{{MaxCachedStates: 1 << 30}, {MaxCacheBytes: 1 << 40}} {
+		start, limit, _ := cacheBudget(opts.withDefaults(), p)
+		if limit*p.ngroups > int(cellIDMask) || start > limit || limit < 2 {
+			t.Errorf("%+v: start %d limit %d × %d groups = %d, cellIDMask %d",
+				*opts, start, limit, p.ngroups, limit*p.ngroups, cellIDMask)
+		}
+	}
+}
+
 // TestAdaptiveBudgetGrows checks the adaptive controller doubles the
 // budget away from its small initial size when the working set does not
 // fit, instead of thrashing forever.
