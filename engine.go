@@ -15,9 +15,9 @@ import (
 // Engine is a reusable high-throughput executor for one design, built on
 // the lazy-DFA matching tier (counter and gate components determinize
 // whole configurations, counter values included). One engine serves many
-// goroutines: each worker draws an independent matcher clone and a
-// recycled report buffer from internal pools, so per-stream setup cost is
-// a pool hit, not a table rebuild.
+// goroutines: each worker draws an independent matcher clone, which owns
+// its report scratch, from an internal pool, so per-stream setup cost is a
+// pool hit, not a table rebuild.
 //
 // Engines are safe for concurrent use.
 type Engine struct {
@@ -27,7 +27,6 @@ type Engine struct {
 	tel     *engineMetrics
 
 	matchers sync.Pool // *lazydfa.Matcher
-	bufs     sync.Pool // *[]lazydfa.Report
 }
 
 // engineMetrics is the engine's instrument set: the shared per-backend
@@ -38,6 +37,7 @@ type engineMetrics struct {
 	bm               *backendMetrics
 	queueDepth       *telemetry.Gauge
 	batches          *telemetry.Counter
+	laneStreams      *telemetry.Counter
 	cacheFills       *telemetry.Counter
 	cacheFlushes     *telemetry.Counter
 	cacheEvictions   *telemetry.Counter
@@ -55,6 +55,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"Streams accepted by RunBatch/RunRecords and not yet finished."),
 		batches: reg.Counter("rapid_engine_batches_total",
 			"RunBatch/RunRecords invocations."),
+		laneStreams: reg.Counter("rapid_engine_lane_streams_total",
+			"Streams a batch worker ran in a group of two or more, interleaved through one lazy-DFA cache."),
 		cacheFills: reg.Counter("rapid_lazydfa_cache_fills_total",
 			"Lazy-DFA transitions materialized on cache miss, counter tier included."),
 		cacheFlushes: reg.Counter("rapid_lazydfa_cache_flushes_total",
@@ -86,7 +88,6 @@ func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{proto: proto, reports: d.reports, workers: workers, tel: newEngineMetrics(cfg.tel)}
 	e.matchers.New = func() any { return e.proto.Clone() }
-	e.bufs.New = func() any { return new([]lazydfa.Report) }
 	return e, nil
 }
 
@@ -114,7 +115,9 @@ func (e *Engine) Tiers() string {
 func (e *Engine) Run(ctx context.Context, input []byte) ([]Report, error) {
 	m := e.matchers.Get().(*lazydfa.Matcher)
 	defer e.matchers.Put(m)
-	return e.runOn(ctx, m, input)
+	var res [1]BatchResult
+	err := e.runGroup(ctx, m, [][]byte{input}, res[:])
+	return res[0].Reports, err
 }
 
 // RunBytes is Run with context.Background().
@@ -122,7 +125,10 @@ func (e *Engine) RunBytes(input []byte) ([]Report, error) {
 	return e.Run(context.Background(), input)
 }
 
-func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([]Report, error) {
+// runGroup runs inputs on m as one group, interleaved when there are
+// several, and sets res[i].Reports for each; or it returns the group's
+// error, which can only be ctx's and so is every stream's.
+func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]byte, res []BatchResult) error {
 	var start time.Time
 	var fills0, flushes0, evictions0, skipped0, demotions0 int
 	if e.tel != nil {
@@ -130,12 +136,14 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 		fills0, flushes0 = m.Fills(), m.Flushes()
 		evictions0, skipped0, demotions0 = m.Evictions(), m.PrefilterSkipped(), m.Demotions()
 	}
-	bufp := e.bufs.Get().(*[]lazydfa.Report)
-	defer e.bufs.Put(bufp)
-	raw, err := m.RunAppend(ctx, input, (*bufp)[:0])
-	*bufp = raw[:0]
+	raws, err := m.RunGroup(ctx, inputs)
 	if e.tel != nil {
-		e.tel.bm.record(len(input), len(raw), err, start)
+		for i, in := range inputs {
+			e.tel.bm.record(len(in), len(raws[i]), err, start)
+		}
+		if len(inputs) > 1 {
+			e.tel.laneStreams.Add(uint64(len(inputs)))
+		}
 		e.tel.cacheFills.Add(uint64(m.Fills() - fills0))
 		e.tel.cacheFlushes.Add(uint64(m.Flushes() - flushes0))
 		e.tel.cacheEvictions.Add(uint64(m.Evictions() - evictions0))
@@ -143,113 +151,84 @@ func (e *Engine) runOn(ctx context.Context, m *lazydfa.Matcher, input []byte) ([
 		e.tel.demotions.Add(uint64(m.Demotions() - demotions0))
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]Report, len(raw))
-	for i, r := range raw {
-		out[i] = Report{Offset: r.Offset, Code: r.Code, Site: e.reports[r.Code]}
+	for i, raw := range raws {
+		out := make([]Report, len(raw))
+		for j, r := range raw {
+			out[j] = Report{Offset: r.Offset, Code: r.Code, Site: e.reports[r.Code]}
+		}
+		res[i].Reports = out
 	}
-	return out, nil
+	return nil
 }
 
-// runPool is the engine's one worker loop: up to e.workers workers, each
-// holding one pooled matcher, pull item indices 0..n-1 from a shared
-// counter and run body on them until the items run out. A body error
-// stops its worker, keeps the others from starting further items, cancels
-// the context body runs under so items in flight stop early, and is the
-// error returned (the first one wins). A single worker runs on the
-// caller's goroutine under the caller's context: it has nothing in flight
-// to cancel.
-func (e *Engine) runPool(ctx context.Context, n int, body func(ctx context.Context, m *lazydfa.Matcher, i int) error) error {
-	r := poolRun{ctx: ctx, cancel: func() {}, n: n, pool: &e.matchers, body: body}
-	r.next.Store(-1)
-	workers := min(e.workers, n)
-	if workers <= 1 {
-		r.wg.Add(1)
-		r.work()
-		return r.err
-	}
-	r.ctx, r.cancel = context.WithCancel(ctx)
-	defer r.cancel()
+// runPool runs a batch on up to e.workers workers, the caller's goroutine
+// among them, each holding one pooled matcher. Workers take the streams
+// from a shared counter in groups of min(lazydfa.Lanes, ⌈n / workers⌉) and
+// walk each group interleaved, so lanes never take a stream away from an
+// idle core: batches of one or two streams per worker keep the per-stream
+// walk.
+func (e *Engine) runPool(ctx context.Context, inputs [][]byte, res []BatchResult) {
+	workers := min(e.workers, len(inputs))
+	r := poolRun{e: e, ctx: ctx, inputs: inputs, res: res,
+		group: min(lazydfa.Lanes, (len(inputs)+workers-1)/workers)}
 	r.wg.Add(workers)
-	work := r.work // one method value, not one allocated per go statement
-	for w := 0; w < workers; w++ {
-		go work()
+	for w := 1; w < workers; w++ {
+		go r.work()
 	}
+	r.work()
 	r.wg.Wait()
-	return r.err
 }
 
 // poolRun is the state the workers of one runPool call share.
 type poolRun struct {
-	ctx     context.Context
-	cancel  context.CancelFunc
-	n       int
-	pool    *sync.Pool
-	body    func(ctx context.Context, m *lazydfa.Matcher, i int) error
-	next    atomic.Int64
-	wg      sync.WaitGroup
-	errOnce sync.Once
-	err     error
+	e      *Engine
+	ctx    context.Context
+	inputs [][]byte
+	res    []BatchResult
+	group  int
+	next   atomic.Int64
+	wg     sync.WaitGroup
 }
 
 func (r *poolRun) work() {
 	defer r.wg.Done()
-	m := r.pool.Get().(*lazydfa.Matcher)
-	defer r.pool.Put(m)
+	m := r.e.matchers.Get().(*lazydfa.Matcher)
+	defer r.e.matchers.Put(m)
 	for {
-		i := int(r.next.Add(1))
-		if i >= r.n {
+		hi := int(r.next.Add(int64(r.group)))
+		lo := hi - r.group
+		if lo >= len(r.inputs) {
 			return
 		}
-		if err := r.body(r.ctx, m, i); err != nil {
-			r.errOnce.Do(func() { r.err = err })
-			r.next.Store(int64(r.n))
-			r.cancel()
-			return
+		hi = min(hi, len(r.inputs))
+		if err := r.e.runGroup(r.ctx, m, r.inputs[lo:hi], r.res[lo:hi]); err != nil {
+			for i := lo; i < hi; i++ {
+				r.res[i].Err = fmt.Errorf("rapid: engine stream %d: %w", i, err)
+			}
+		}
+		if r.e.tel != nil {
+			r.e.tel.queueDepth.Add(int64(lo - hi))
 		}
 	}
-}
-
-// enqueue accounts one accepted batch of n streams on the queue-depth
-// gauge. done is called as each stream finishes; leave, once the batch
-// returns, takes out the streams an early error left unfinished.
-func (e *Engine) enqueue(n int) (done, leave func()) {
-	if e.tel == nil {
-		return func() {}, func() {}
-	}
-	var finished atomic.Int64
-	e.tel.batches.Inc()
-	e.tel.queueDepth.Add(int64(n))
-	done = func() {
-		finished.Add(1)
-		e.tel.queueDepth.Dec()
-	}
-	return done, func() { e.tel.queueDepth.Add(finished.Load() - int64(n)) }
 }
 
 // RunBatch shards independent streams across the engine's worker pool and
 // returns one report slice per input, in input order regardless of
-// completion order. The first error (or ctx cancellation) stops the
-// remaining work; results for streams already completed are still
-// returned alongside the error.
+// completion order. It is RunBatchSettled plus the lowest-index stream's
+// error: a stream fails only when ctx ends, which stops every stream still
+// running, and the streams that completed keep their results.
 func (e *Engine) RunBatch(ctx context.Context, inputs [][]byte) ([][]Report, error) {
 	results := make([][]Report, len(inputs))
-	if len(inputs) == 0 {
-		return results, ctx.Err()
+	var err error
+	for i, r := range e.RunBatchSettled(ctx, inputs) {
+		results[i] = r.Reports
+		if err == nil {
+			err = r.Err
+		}
 	}
-	done, leave := e.enqueue(len(inputs))
-	defer leave()
-	return results, e.runPool(ctx, len(inputs),
-		func(ctx context.Context, m *lazydfa.Matcher, i int) error {
-			reports, err := e.runOn(ctx, m, inputs[i])
-			if err != nil {
-				return fmt.Errorf("rapid: engine stream %d: %w", i, err)
-			}
-			results[i] = reports
-			done()
-			return nil
-		})
+	return results, err
 }
 
 // BatchResult is one stream's outcome from RunBatchSettled.
@@ -269,19 +248,11 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 	if len(inputs) == 0 {
 		return results
 	}
-	done, leave := e.enqueue(len(inputs))
-	defer leave()
-	// The body never fails, so no stream's error stops another's run.
-	_ = e.runPool(ctx, len(inputs),
-		func(ctx context.Context, m *lazydfa.Matcher, i int) error {
-			reports, err := e.runOn(ctx, m, inputs[i])
-			if err != nil {
-				err = fmt.Errorf("rapid: engine stream %d: %w", i, err)
-			}
-			results[i] = BatchResult{Reports: reports, Err: err}
-			done()
-			return nil
-		})
+	if e.tel != nil {
+		e.tel.batches.Inc()
+		e.tel.queueDepth.Add(int64(len(inputs)))
+	}
+	e.runPool(ctx, inputs, results)
 	return results
 }
 
@@ -312,16 +283,14 @@ func (e *Engine) RunRecords(ctx context.Context, stream []byte) ([]RecordReports
 	}
 	results, err := e.RunBatch(ctx, framed)
 	out := make([]RecordReports, len(records))
-	for i := range records {
-		rr := RecordReports{Index: i, Offset: offsets[i]}
+	for i, reports := range results {
 		// Framed symbol k maps to stream offset offsets[i]-1+k: index 0 is
 		// the record's leading separator, which sits one symbol before the
 		// record in the stream.
-		for _, r := range results[i] {
-			r.Offset += offsets[i] - 1
-			rr.Reports = append(rr.Reports, r)
+		for j := range reports {
+			reports[j].Offset += offsets[i] - 1
 		}
-		out[i] = rr
+		out[i] = RecordReports{Index: i, Offset: offsets[i], Reports: reports}
 	}
 	return out, err
 }

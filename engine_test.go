@@ -2,10 +2,12 @@ package rapid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -289,6 +291,83 @@ func TestEngineRunBatchSettledParity(t *testing.T) {
 	}
 	if res := eng.RunBatchSettled(context.Background(), nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// cancelAfter is a context whose Err turns to context.Canceled after n
+// checks, so a cancel lands in the middle of a walk.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineRunBatchSettledCancelMidGroup: a cancel that lands while one
+// worker walks a group of four streams interleaved settles every stream of
+// the group with the context's error, naming its own index.
+func TestEngineRunBatchSettledCancelMidGroup(t *testing.T) {
+	design := mustDesign(t, slidingSrc, Str("abc"))
+	eng, err := design.NewEngine(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([][]byte, 4)
+	for i := range inputs {
+		inputs[i] = repeatStream("xabcx", 1<<12)
+	}
+	ctx := &cancelAfter{Context: context.Background()}
+	ctx.n.Store(2)
+	for i, r := range eng.RunBatchSettled(ctx, inputs) {
+		if !errors.Is(r.Err, context.Canceled) || !strings.Contains(r.Err.Error(), fmt.Sprintf("stream %d", i)) {
+			t.Errorf("stream %d settled with %v, want its own context.Canceled", i, r.Err)
+		}
+	}
+}
+
+// TestWarmBatchSettledAllocs: a warm RunBatchSettled of 16 × 1 KiB
+// MOTOMATA-4 streams, the benchmark's scan-counter batch, allocates the
+// results, the pool's shared state and one report slice per stream, and
+// nothing per lane: 19, against 22 when each stream drew a pooled buffer
+// under a cancellable context.
+func TestWarmBatchSettledAllocs(t *testing.T) {
+	const bound = 22
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops Puts at random, so matcher clones come back cold")
+	}
+	b := bench.Motomata()
+	src, args := b.RAPID(4)
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := prog.Compile(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := design.NewEngine(WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	inputs := make([][]byte, 16)
+	for i := range inputs {
+		inputs[i] = b.Input(rng, 1<<10)
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		eng.RunBatchSettled(ctx, inputs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { eng.RunBatchSettled(ctx, inputs) }); allocs > bound {
+		t.Errorf("warm RunBatchSettled of 16 × 1 KiB allocated %.1f times, bound %d", allocs, bound)
 	}
 }
 

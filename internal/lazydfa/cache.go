@@ -1,6 +1,10 @@
 package lazydfa
 
-import "repro/internal/automata"
+import (
+	"slices"
+
+	"repro/internal/automata"
+)
 
 // The state cache interns DFA states (NFA configurations) and owns the
 // transition table as one contiguous slab of int32 cells, ngroups cells per
@@ -10,11 +14,18 @@ import "repro/internal/automata"
 //
 //	cellUnfilled (-1)      transition not yet materialized (or repaired away)
 //	offset | cellReport    stepping this (state, group) emits report codes
+//	offset | cellRest      the successor is the prefilter's rest state
 //	offset                 plain transition
 //
-// One unsigned compare, uint32(v) < uint32(cellReport), separates the plain
-// transition from both slow cases. Ids are recovered as offset / ngroups
+// One unsigned compare, uint32(v) < uint32(cellRest), separates the plain
+// transition from all three slow cases. Ids are recovered as offset / ngroups
 // only off that path (miss, report lookup, demotion, eviction repair).
+//
+// With the prefilter on, a cell whose successor is the rest configuration
+// also carries cellRest, so entering the rest state leaves the fast path
+// through the same compare and the walk can skip dead bytes without
+// testing its cursor on every step. A flag the prefilter no longer wants
+// (it turned itself off) is dropped the next time the cell is taken.
 //
 // State metadata lives in slabs: meta holds values, not pointers, the
 // configurations share one []uint64 (nwords per slot, overwritten in place
@@ -33,7 +44,8 @@ import "repro/internal/automata"
 const (
 	cellUnfilled = int32(-1)
 	cellReport   = int32(1) << 30
-	cellIDMask   = cellReport - 1 // bounds every row offset: limit × ngroups ≤ cellIDMask
+	cellRest     = int32(1) << 29
+	cellIDMask   = cellRest - 1 // bounds every row offset: limit × ngroups ≤ cellIDMask
 )
 
 // groupCodes is the report-code list of one (state, symbol-group) edge.
@@ -93,6 +105,13 @@ type stateCache struct {
 	hand      int
 	evictions int
 
+	// pins are the states eviction must skip: the walker's current state,
+	// and under the interleaved walk every lane's. Each holds its row
+	// offset + 1, so the zero value pins nothing and a walk pins without a
+	// division. The interleaved walk runs only when limit exceeds Lanes, so
+	// a victim always exists.
+	pins [Lanes]int32
+
 	// restOff is the row offset where the prefilter's rest configuration
 	// currently lives (-1 when not interned or evicted), so the hot loop
 	// can compare offsets instead of keys.
@@ -121,9 +140,9 @@ func (c *stateCache) config(id int32) []uint64 {
 }
 
 // intern returns the id of the configuration, copying it into a slot when
-// new. A full cache evicts one cold state; pinned (the walker's current
-// state id, or -1) is never the victim. Always succeeds.
-func (c *stateCache) intern(config []uint64, first bool, pinned int32) int32 {
+// new. A full cache evicts one cold state, never one in pins. Always
+// succeeds.
+func (c *stateCache) intern(config []uint64, first bool) int32 {
 	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], config, first)
 	if id, ok := c.ids[string(c.keyBuf)]; ok { // no-alloc map probe
 		c.meta[id].ref = true
@@ -152,7 +171,7 @@ func (c *stateCache) intern(config []uint64, first bool, pinned int32) int32 {
 			c.rows = append(c.rows, cellUnfilled)
 		}
 	} else {
-		id = c.evict(pinned)
+		id = c.evict()
 		copy(c.config(id), config)
 	}
 	st := &c.meta[id]
@@ -171,7 +190,7 @@ func (c *stateCache) intern(config []uint64, first bool, pinned int32) int32 {
 // for reuse. States with the reference bit get a second chance (the bit is
 // cleared); after two full sweeps the next unpinned slot is taken
 // unconditionally, which bounds the scan when everything is hot.
-func (c *stateCache) evict(pinned int32) int32 {
+func (c *stateCache) evict() int32 {
 	for scanned := 0; ; scanned++ {
 		if c.hand >= len(c.meta) {
 			c.hand = 0
@@ -179,7 +198,7 @@ func (c *stateCache) evict(pinned int32) int32 {
 		id := int32(c.hand)
 		st := &c.meta[c.hand]
 		c.hand++
-		if id == pinned {
+		if slices.Contains(c.pins[:], id*c.ngroups+1) {
 			continue
 		}
 		if st.ref && scanned < 2*len(c.meta) {

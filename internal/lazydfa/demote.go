@@ -49,16 +49,21 @@ func (t *tier) demote() {
 // kernel the nfa-bitset tier runs. It serves a demoted tier's whole runs
 // (config == nil) and the mid-stream hand-off (config = the configuration
 // at the demotion point, counter values included; base = bytes already
-// consumed). The simulator's per-element reports go out raw; run
-// canonicalizes them.
+// consumed). The simulator reports per element, so its run is re-sorted
+// and deduplicated unless canonical already; every report it appends lies
+// past the lazy walk's.
 func (t *tier) runDemoted(ctx context.Context, input []byte, out []Report, base int, config []uint64) ([]Report, error) {
 	if t.sim == nil {
 		t.sim = t.prog.k.NewFastSimulator()
 	}
 	t.sim.Seed(config, base)
 	raw, err := t.sim.Feed(ctx, input)
+	start := len(out)
 	for _, r := range raw {
 		out = append(out, Report{Offset: r.Offset, Code: r.Code})
+	}
+	if !isCanonical(out[start:]) {
+		out = out[:start+len(canonicalize(out[start:]))]
 	}
 	return out, err
 }

@@ -8,7 +8,7 @@
 // itself to an NFA bitset walk mid-stream, so no input ever runs slower
 // than the nfa-bitset tier by more than the detection window.
 //
-// Three mechanisms carry the throughput:
+// Four mechanisms carry the throughput:
 //
 //   - Transition rows are indexed by symbol equivalence group, not by raw
 //     byte: a design distinguishing g of the 256 symbols stores g-entry
@@ -28,6 +28,12 @@
 //     DFA sits in the rest state the input is scanned with bytes.IndexByte
 //     instead of stepped byte-by-byte, and the skip disables itself when
 //     measured dead runs are too short to pay for the scan.
+//   - RunGroup walks up to Lanes independent streams interleaved through
+//     one cache. A single walk waits on each cell load before it can
+//     address the next; four cursors stepped in lockstep give the core
+//     four independent load chains, and one test on the four cells
+//     sends a step to the slow path, which resolves the lanes one at a
+//     time with every lane's state pinned against eviction.
 //
 // Designs containing counters or boolean gates run as two tiers of the
 // same lazy DFA: weakly-connected components made only of STEs determinize
@@ -137,6 +143,8 @@ func (o *Options) withDefaults() options {
 type Matcher struct {
 	tiers    []*tier // the pure component set's, then the special set's; either may be absent
 	mergeBuf []Report
+	outs     [][]Report // RunGroup's per-stream report runs
+	mids     []int      // where the current tier's run starts in each of outs
 }
 
 // tier is the lazy DFA of one component set: its compiled facts, state
@@ -296,7 +304,7 @@ func (m *Matcher) Demoted() bool {
 // Run executes the design over one input stream and returns the merged
 // report events in (offset, code) order.
 func (m *Matcher) Run(input []byte) []Report {
-	out, _ := m.run(context.Background(), input, nil)
+	out, _ := m.RunAppend(context.Background(), input, nil)
 	return out
 }
 
@@ -304,46 +312,56 @@ func (m *Matcher) Run(input []byte) []Report {
 // chunks and the run aborts with ctx.Err() once ctx is done, returning the
 // reports produced so far.
 func (m *Matcher) RunContext(ctx context.Context, input []byte) ([]Report, error) {
-	return m.run(ctx, input, nil)
+	return m.RunAppend(ctx, input, nil)
 }
 
 // RunAppend is RunContext appending into dst (which may be nil), letting
 // callers recycle report buffers across streams.
 func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]Report, error) {
-	return m.run(ctx, input, dst)
+	outs, err := m.RunGroup(ctx, [][]byte{input})
+	return append(dst, outs[0]...), err
 }
 
-func (m *Matcher) run(ctx context.Context, input []byte, out []Report) ([]Report, error) {
-	base := len(out)
-	for i, t := range m.tiers {
-		mid := len(out)
-		var err error
-		out, err = t.runLazy(ctx, input, out)
-		// The lazy walk emits reports already canonical (offset-ordered,
-		// codes sorted and distinct per offset); a demoted tier's are per
-		// element and need a re-sort and dedup unless canonical already.
-		if t.demoted && !isCanonical(out[mid:]) {
-			out = out[:mid+len(canonicalize(out[mid:]))]
+// RunGroup runs each of inputs as an independent stream and returns their
+// report runs in input order, each exactly what RunAppend would return for
+// it. Each tier walks up to Lanes of the streams interleaved, so their table
+// loads overlap instead of waiting on each other. The runs are scratch
+// owned by m and valid until its next run. If ctx ends first, the walk
+// stops, the runs hold the reports produced so far, and err is ctx.Err().
+func (m *Matcher) RunGroup(ctx context.Context, inputs [][]byte) ([][]Report, error) {
+	if len(m.outs) < len(inputs) {
+		m.outs, m.mids = make([][]Report, len(inputs)), make([]int, len(inputs))
+	}
+	outs := m.outs[:len(inputs)]
+	for s := range outs {
+		outs[s] = outs[s][:0]
+	}
+	for _, t := range m.tiers {
+		for s := range outs {
+			m.mids[s] = len(outs[s])
 		}
-		if i > 0 {
-			out = m.merge(out, base, mid)
+		err := t.runGroup(ctx, inputs, outs)
+		for s := range outs {
+			outs[s] = m.merge(outs[s], m.mids[s])
 		}
 		if err != nil {
-			return out, err
+			return outs, err
 		}
 	}
-	return out, nil
+	return outs, nil
 }
 
-// merge folds the canonical runs out[base:mid] and out[mid:] — one tier's
-// reports each — into one canonical run in place, keeping a single copy of
-// an (offset, code) both tiers reported.
-func (m *Matcher) merge(out []Report, base, mid int) []Report {
-	if mid == base || mid == len(out) {
+// merge folds the canonical runs out[:mid] and out[mid:] — the earlier
+// tiers' reports and one tier's — into one canonical run in place, keeping
+// a single copy of an (offset, code) both reported. The lazy walk emits
+// reports canonical (offset-ordered, codes sorted and distinct per offset),
+// and runDemoted canonicalizes the bitset walk's.
+func (m *Matcher) merge(out []Report, mid int) []Report {
+	if mid == 0 || mid == len(out) {
 		return out
 	}
-	m.mergeBuf = append(m.mergeBuf[:0], out[base:mid]...)
-	a, b, w := m.mergeBuf, out[mid:], base
+	m.mergeBuf = append(m.mergeBuf[:0], out[:mid]...)
+	a, b, w := m.mergeBuf, out[mid:], 0
 	for ; len(a) > 0 || len(b) > 0; w++ {
 		if len(b) == 0 || len(a) > 0 && !less(b[0], a[0]) {
 			if len(b) > 0 && a[0] == b[0] {
@@ -371,19 +389,21 @@ func isCanonical(rs []Report) bool {
 }
 
 // runLazy walks the lazy DFA over input, materializing transitions on
-// demand. cur is the current state's row offset, so the per-symbol fast
-// path is one load, one add and one branch: the cell at cur + group holds
-// the successor's row offset, and one unsigned compare sends unfilled and
-// reporting cells to the slow path.
-func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Report, error) {
+// demand, from row offset cur at stream offset base; cur < 0 starts a fresh
+// stream (only fresh streams reach a demoted tier). cur is the current
+// state's row offset, so the per-symbol fast path is one load, one add and
+// one branch: the cell at cur + group holds the successor's row offset, and
+// one unsigned compare sends unfilled, reporting and rest-entering cells to
+// slowStep.
+func (t *tier) runLazy(ctx context.Context, input []byte, out []Report, cur int32, base int) ([]Report, error) {
 	if t.demoted {
 		return t.runDemoted(ctx, input, out, 0, nil)
 	}
-	p := t.prog
-	c := t.cache
-	cur := t.startState()
+	if cur < 0 {
+		cur = t.startState()
+	}
+	p, c := t.prog, t.cache
 	rows := c.rows // reloaded after a miss, which may grow the slab
-	base := 0
 	for len(input) > 0 {
 		if err := ctx.Err(); err != nil {
 			return out, err
@@ -392,46 +412,15 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 		if len(chunk) > automata.CancelCheckInterval {
 			chunk = chunk[:automata.CancelCheckInterval]
 		}
-		rest := int32(-1) // cur is never negative, so -1 disables the check
-		if t.prefilter {
-			rest = c.restOff
-		}
 		for i := 0; i < len(chunk); i++ {
-			if cur == rest {
-				if n := t.skipDead(chunk[i:]); n > 0 {
-					t.skipped += n
-					i += n
-					if i >= len(chunk) {
-						break
-					}
+			v := rows[cur+int32(p.groupOf[chunk[i]])]
+			if uint32(v) >= uint32(cellRest) {
+				var rest bool
+				c.pins = [Lanes]int32{cur + 1} // a miss must not evict the state the walk is in
+				if v, out, rest = t.slowStep(cur, chunk[i], out, base+i); rest {
+					i += t.skipDead(chunk[i+1:])
 				}
-				if !t.prefilter {
-					rest = -1
-				}
-			}
-			sym := chunk[i]
-			g := int32(p.groupOf[sym])
-			v := rows[cur+g]
-			if uint32(v) >= uint32(cellReport) {
-				if v < 0 {
-					v = t.miss(cur, g, sym)
-					rows = c.rows
-					rest = -1
-					if t.prefilter {
-						rest = c.restOff
-					}
-				}
-				if v&cellReport != 0 {
-					for _, gc := range c.meta[cur/c.ngroups].reps {
-						if gc.group == g {
-							for _, code := range gc.codes {
-								out = append(out, Report{Offset: base + i, Code: code})
-							}
-							break
-						}
-					}
-				}
-				v &= cellIDMask
+				rows = c.rows
 			}
 			cur = v
 		}
@@ -440,7 +429,7 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 		if t.adaptive && t.adapt(len(chunk)) {
 			// Demote: carry the live configuration — counter values and
 			// all — into the bitset walk and give the cache memory back.
-			// (cur consumed at least one chunk, so it is never the
+			// (cur consumed at least one byte, so it is never the
 			// first-symbol start state.)
 			config := c.config(cur / c.ngroups)
 			t.demote()
@@ -450,21 +439,50 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report) ([]Repor
 	return out, nil
 }
 
+// slowStep takes the step from row offset cur on sym off the fast path: it
+// fills an unfilled cell, appends the step's reports at offset, and drops a
+// rest flag the prefilter no longer wants. It returns the successor's row
+// offset, out, and whether the step entered the rest state with the
+// prefilter on, so the caller skips dead bytes.
+func (t *tier) slowStep(cur int32, sym byte, out []Report, offset int) (int32, []Report, bool) {
+	c := t.cache
+	g := int32(t.prog.groupOf[sym])
+	v := c.rows[cur+g]
+	if v < 0 {
+		v = t.miss(cur, g, sym)
+	}
+	if v&cellReport != 0 {
+		for _, gc := range c.meta[cur/c.ngroups].reps {
+			if gc.group == g {
+				for _, code := range gc.codes {
+					out = append(out, Report{Offset: offset, Code: code})
+				}
+				break
+			}
+		}
+	}
+	if v&cellRest != 0 && !t.prefilter {
+		c.rows[cur+g] &^= cellRest
+	}
+	return v & cellIDMask, out, v&cellRest != 0 && t.prefilter
+}
+
 // startState interns the start-of-data configuration (no enables,
 // counters zero, first symbol pending) and returns its row offset. The
 // cache is kept warm across runs, so this is a map hit on every stream
 // after the first.
 func (t *tier) startState() int32 {
 	clear(t.nextBuf)
-	return t.cache.intern(t.nextBuf, true, -1) * t.cache.ngroups
+	return t.cache.intern(t.nextBuf, true) * t.cache.ngroups
 }
 
 // miss materializes the transition of the state at row offset cur on
 // symbol sym's equivalence group g: it steps the NFA configuration through
 // the kernel (into the tier's scratch buffers), interns the successor
-// (possibly evicting one cold state — never cur's, which is pinned), fills
-// the row cell with the successor's offset, and records the in-edge so
-// eviction of the successor can repair the cell lazily.
+// (possibly evicting one cold state — never cur's, which the caller
+// pinned, nor another lane's), fills the row cell with the successor's
+// offset and flags, and records the in-edge so eviction of the successor
+// can repair the cell lazily.
 func (t *tier) miss(cur, g int32, sym byte) int32 {
 	t.fills++
 	c := t.cache
@@ -474,11 +492,14 @@ func (t *tier) miss(cur, g int32, sym byte) int32 {
 		codes = t.prog.k.ReportCodes(t.codesBuf[:0], t.activeBuf)
 		t.codesBuf = codes
 	}
-	succ := c.intern(t.nextBuf, false, id)
+	succ := c.intern(t.nextBuf, false)
 	v := succ * c.ngroups
 	if len(codes) > 0 {
 		v |= cellReport
 		c.meta[id].setCodes(g, codes)
+	}
+	if t.prefilter && succ*c.ngroups == c.restOff {
+		v |= cellRest
 	}
 	c.rows[cur+g] = v
 	c.noteInEdge(succ, id, g)
@@ -487,18 +508,21 @@ func (t *tier) miss(cur, g int32, sym byte) int32 {
 }
 
 // skipDead scans s for the first byte that can advance the rest
-// configuration and returns the count of dead bytes before it (possibly
-// the whole of s). With an empty live set the rest configuration is dead
-// and the entire remainder is skipped. The scan keeps its own payoff
-// statistics and permanently disables the prefilter when the average dead
-// run is too short to amortize the vector scan.
+// configuration and returns, and counts as skipped, the dead bytes before
+// it (possibly the whole of s). With an empty live set the rest
+// configuration is dead and the entire remainder is skipped. The scan
+// keeps its own payoff statistics and permanently disables the prefilter
+// when the average dead run is too short to amortize the vector scan.
 func (t *tier) skipDead(s []byte) int {
 	n := len(s)
 	live := t.prog.liveBytes
-	switch len(live) {
-	case 0:
+	switch {
+	case n == 0:
+		return 0
+	case len(live) == 0:
+		t.skipped += n
 		return n
-	case 1:
+	case len(live) == 1:
 		if j := bytes.IndexByte(s, live[0]); j >= 0 {
 			n = j
 		}
@@ -517,6 +541,7 @@ func (t *tier) skipDead(s []byte) int {
 		}
 		t.skipWindowN, t.skipWindowLen = 0, 0
 	}
+	t.skipped += n
 	return n
 }
 

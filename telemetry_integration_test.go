@@ -188,6 +188,33 @@ func TestEngineTelemetryRace(t *testing.T) {
 	}
 }
 
+// TestEngineLaneStreamsCount pins rapid_engine_lane_streams_total exactly:
+// 16 equal streams on two workers go out in groups of four, all 16 counted,
+// while a batch of two gives each worker one stream and counts none.
+// Per-stream backend accounting holds either way.
+func TestEngineLaneStreamsCount(t *testing.T) {
+	design := mustDesign(t, slidingSrc, Str("abc"))
+	for _, tc := range []struct{ streams, want int }{{16, 16}, {2, 0}} {
+		reg := telemetry.NewRegistry()
+		eng, err := design.NewEngine(WithWorkers(2), WithTelemetry(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := make([][]byte, tc.streams)
+		for i := range inputs {
+			inputs[i] = repeatStream("xabcx", 50)
+		}
+		eng.RunBatchSettled(context.Background(), inputs)
+		snap := reg.Snapshot()
+		if got := snap.Counter("rapid_engine_lane_streams_total"); got != uint64(tc.want) {
+			t.Errorf("%d streams: lane streams = %d, want %d", tc.streams, got, tc.want)
+		}
+		if got := snap.Counter(metricBackendStreams, "backend", string(BackendLazyDFA)); got != uint64(tc.streams) {
+			t.Errorf("%d streams: lazy-dfa streams = %d, want one per stream", tc.streams, got)
+		}
+	}
+}
+
 // TestFailoverChainMetrics forces a failover (error), a panic, and a
 // cross-check divergence through an instrumented chain and checks the
 // attempt/served/failure accounting for each cause.
