@@ -153,9 +153,7 @@ func (n *Network) Merge(other *Network) ElementID {
 // even when n is frozen — clone-then-mutate is how transformation passes
 // operate on frozen inputs.
 func (n *Network) Clone() *Network {
-	c := NewNetwork(n.Name)
-	c.Merge(n)
-	return c
+	return n.compact(nil)
 }
 
 // Stats summarizes a network's composition.

@@ -1,34 +1,32 @@
 package automata
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"encoding/binary"
+	"slices"
+
+	"repro/internal/charclass"
 )
 
 // compact returns a copy of n containing only the elements with keep[id]
-// set, remapping ids densely and dropping edges incident to removed
-// elements.
+// set (every element when keep is nil), remapping ids densely and dropping
+// edges incident to removed elements. Out-edge lists keep their order;
+// in-edge lists come out ordered by source.
 func (n *Network) compact(keep []bool) *Network {
-	out := NewNetwork(n.Name)
+	out := &Network{Name: n.Name, elems: make([]Element, 0, n.Len()),
+		outs: make([][]Edge, 0, n.Len()), ins: make([][]Edge, 0, n.Len())}
 	remap := make([]ElementID, n.Len())
-	for i := range remap {
-		remap[i] = NoElement
+	for i := range n.elems {
+		if remap[i] = NoElement; keep == nil || keep[i] {
+			remap[i] = out.add(n.elems[i])
+		}
 	}
 	for i := range n.elems {
-		if !keep[i] {
-			continue
-		}
-		e := n.elems[i]
-		remap[i] = out.add(e)
-	}
-	for i := range n.elems {
-		if !keep[i] {
-			continue
-		}
 		for _, e := range n.outs[i] {
-			if keep[e.To] {
-				out.Connect(remap[e.From], remap[e.To], e.Port)
+			if from, to := remap[i], remap[e.To]; from != NoElement && to != NoElement {
+				ed := Edge{From: from, To: to, Port: e.Port}
+				out.outs[from] = append(out.outs[from], ed) // n has no duplicate edges
+				out.ins[to] = append(out.ins[to], ed)
 			}
 		}
 	}
@@ -91,28 +89,6 @@ func (n *Network) PruneNonProductive() *Network {
 	return n.compact(productive)
 }
 
-// steSignature summarizes the behaviorally relevant identity of an STE for
-// merging purposes, excluding its connectivity.
-func steSignature(e *Element) string {
-	return fmt.Sprintf("%s|%d|%v|%d", e.Class.String(), e.Start, e.Report, e.ReportCode)
-}
-
-func edgeKey(e Edge, useFrom bool) string {
-	if useFrom {
-		return fmt.Sprintf("%d:%d", e.From, e.Port)
-	}
-	return fmt.Sprintf("%d:%d", e.To, e.Port)
-}
-
-func edgeSetKey(edges []Edge, useFrom bool) string {
-	keys := make([]string, len(edges))
-	for i, e := range edges {
-		keys[i] = edgeKey(e, useFrom)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
-}
-
 // MergePrefixes repeatedly merges STEs that have identical signatures and
 // identical in-edge sets (the left-to-right analogue of common prefix
 // sharing in tries). This is one of the transformations placement tools
@@ -127,65 +103,147 @@ func (n *Network) MergeSuffixes() *Network {
 	return n.mergeEquivalent(false)
 }
 
+// mergeEquivalent merges, round after round until none is left, STEs with
+// equal behaviour and equal key-side edge sets (in-edges when byIns,
+// out-edges otherwise). A round folds each group into its lowest id, the
+// groups taken in ascending order of that id, by redirecting the other
+// members' other-side edges onto it. Edge lists are edited in place, a
+// round re-keys only the elements whose key-side edges the round before
+// changed, and one compact at the end drops the merged elements.
 func (n *Network) mergeEquivalent(byIns bool) *Network {
 	cur := n.Clone()
-	for {
-		groups := make(map[string][]ElementID)
-		for i := range cur.elems {
-			e := &cur.elems[i]
-			if e.Kind != KindSTE {
-				continue
-			}
-			var edges []Edge
-			if byIns {
-				edges = cur.ins[i]
-			} else {
-				edges = cur.outs[i]
-			}
-			// Self-loops would make signatures depend on identity; skip
-			// merging elements with self-edges for simplicity.
-			selfLoop := false
-			for _, ed := range edges {
-				if ed.From == ed.To {
-					selfLoop = true
-				}
-			}
-			if selfLoop {
-				continue
-			}
-			key := steSignature(e) + "#" + edgeSetKey(edges, byIns)
-			groups[key] = append(groups[key], ElementID(i))
-		}
-		merged := false
-		keep := make([]bool, cur.Len())
-		for i := range keep {
-			keep[i] = true
-		}
-		for _, ids := range groups {
-			if len(ids) < 2 {
-				continue
-			}
-			merged = true
-			rep := ids[0]
-			for _, dup := range ids[1:] {
-				// Redirect the dup's other-side edges onto the representative.
-				if byIns {
-					for _, e := range cur.outs[dup] {
-						cur.Connect(rep, e.To, e.Port)
-					}
-				} else {
-					for _, e := range cur.ins[dup] {
-						cur.Connect(e.From, rep, e.Port)
-					}
-				}
-				keep[dup] = false
-			}
-		}
-		if !merged {
-			return cur
-		}
-		cur = cur.compact(keep)
+	m := &merger{net: cur, byIns: byIns, owner: make(map[mergeKey]ElementID, cur.Len()),
+		keys: make([]*mergeKey, cur.Len()), live: make([]bool, cur.Len())}
+	dirty := make([]ElementID, cur.Len())
+	for i := range dirty {
+		dirty[i], m.live[i] = ElementID(i), true
 	}
+	for groups := m.regroup(dirty); len(groups) > 0; groups = m.regroup(dirty) {
+		dirty = m.merge(groups)
+	}
+	return cur.compact(m.live)
+}
+
+// mergeKey is what two STEs must share to merge: their behaviour and their
+// sorted key-side (neighbour, port) pairs, uvarint-encoded.
+type mergeKey struct {
+	class  charclass.Class
+	start  StartKind
+	report bool
+	code   int
+	edges  string
+}
+
+// merger is mergeEquivalent's state between rounds: each element's key
+// (nil when it has none) and, for each key, the one live element holding
+// it once the round's merges are done.
+type merger struct {
+	net   *Network
+	byIns bool
+	owner map[mergeKey]ElementID
+	keys  []*mergeKey
+	live  []bool
+	pairs []uint64 // key scratch
+	buf   []byte
+}
+
+// regroup re-keys the dirty elements and returns the keys they now share
+// with another element: members ascending, groups by ascending first member.
+func (m *merger) regroup(dirty []ElementID) [][]ElementID {
+	for _, id := range dirty {
+		if k := m.keys[id]; k != nil && m.owner[*k] == id {
+			delete(m.owner, *k)
+		}
+		m.keys[id] = m.key(id)
+	}
+	touched := make(map[mergeKey][]ElementID, len(dirty))
+	for _, id := range dirty {
+		if k := m.keys[id]; k != nil {
+			if o, ok := m.owner[*k]; ok {
+				touched[*k] = append(touched[*k], o)
+				delete(m.owner, *k)
+			}
+			touched[*k] = append(touched[*k], id)
+		}
+	}
+	var groups [][]ElementID
+	for k, ids := range touched {
+		slices.Sort(ids)
+		if m.owner[k] = ids[0]; len(ids) > 1 {
+			groups = append(groups, ids)
+		}
+	}
+	slices.SortFunc(groups, func(a, b []ElementID) int { return cmp.Compare(a[0], b[0]) })
+	return groups
+}
+
+// key returns id's key, or nil when id is not an STE or has a self-loop,
+// which would make its key depend on its identity.
+func (m *merger) key(id ElementID) *mergeKey {
+	e, edges := &m.net.elems[id], m.net.outs[id]
+	if m.byIns {
+		edges = m.net.ins[id]
+	}
+	if e.Kind != KindSTE {
+		return nil
+	}
+	m.pairs = m.pairs[:0]
+	for _, ed := range edges {
+		if ed.From == ed.To {
+			return nil
+		}
+		m.pairs = append(m.pairs, uint64(ed.From^ed.To^id)<<8|uint64(ed.Port)) // the end that is not id
+	}
+	slices.Sort(m.pairs)
+	m.buf = m.buf[:0]
+	for _, p := range m.pairs {
+		m.buf = binary.AppendUvarint(m.buf, p)
+	}
+	return &mergeKey{e.Class, e.Start, e.Report, e.ReportCode, string(m.buf)}
+}
+
+// merge folds each group's other members into its first, in group order,
+// then drops the folded elements' edges from their neighbours' lists (the
+// other edges keep their order) and returns the neighbours whose key-side
+// edges changed.
+func (m *merger) merge(groups [][]ElementID) []ElementID {
+	n := m.net
+	var dups, dirty []ElementID
+	for _, g := range groups {
+		for _, dup := range g[1:] {
+			if m.byIns {
+				for _, e := range n.outs[dup] {
+					n.Connect(g[0], e.To, e.Port)
+				}
+			} else {
+				for _, e := range n.ins[dup] {
+					n.Connect(e.From, g[0], e.Port)
+				}
+			}
+			m.live[dup] = false
+			dups = append(dups, dup)
+		}
+	}
+	rekey := map[ElementID]bool{} // every neighbour; true across an other-side edge
+	for _, dup := range dups {
+		for _, e := range n.outs[dup] {
+			rekey[e.To] = rekey[e.To] || m.byIns
+		}
+		for _, e := range n.ins[dup] {
+			rekey[e.From] = rekey[e.From] || !m.byIns
+		}
+		n.outs[dup], n.ins[dup] = nil, nil
+	}
+	dropped := func(e Edge) bool { return !m.live[e.From] || !m.live[e.To] }
+	for id, other := range rekey {
+		if m.live[id] {
+			n.outs[id], n.ins[id] = slices.DeleteFunc(n.outs[id], dropped), slices.DeleteFunc(n.ins[id], dropped)
+			if other {
+				dirty = append(dirty, id)
+			}
+		}
+	}
+	return dirty
 }
 
 // SplitHighFanIn duplicates STEs whose activation fan-in exceeds limit,

@@ -238,3 +238,19 @@ func TestOptimizeShrinksSharedPrefixes(t *testing.T) {
 		t.Fatalf("shared-prefix STEs = %d, want 4", got)
 	}
 }
+
+// TestOptimizeMatchesReferenceRandom holds OptimizeForDevice to the
+// round-based reference merge byte for byte on random chain sets and
+// quick-check word matchers, the random half of TestOptimizeMatchesReference.
+func TestOptimizeMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 200; trial++ {
+		n, _ := randomChainNetwork(rng)
+		if trial%2 == 1 {
+			n, _ = wordNetwork(rng.Uint32())
+		}
+		if err := SameNetwork(n.OptimizeForDevice(16), ReferenceOptimizeForDevice(n, 16)); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}

@@ -487,7 +487,9 @@ func TestStreamFailoverMidStream(t *testing.T) {
 // and 1 MiB (512 B records) come back whole — every record answered, no
 // error line, reports equal to Engine.RunRecords over the whole stream —
 // both straight through and when the owner dies two lines in and the
-// survivor resumes a suffix that is itself far longer than one read.
+// survivor resumes a suffix that is itself far longer than one read. The
+// 96 KiB records answer with result lines far longer than 64 KiB, which
+// the gateway's scanner must grow to hold.
 func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 	prog, err := rapid.Parse(testSource)
 	if err != nil {
@@ -502,8 +504,9 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, failover := range []bool{false, true} {
-		for _, n := range []int{8, 128, 2048} {
-			t.Run(fmt.Sprintf("failover=%v/%dx512B", failover, n), func(t *testing.T) {
+		for _, c := range []struct{ n, size int }{{8, 512}, {128, 512}, {2048, 512}, {4, 96 << 10}} {
+			n := c.n
+			t.Run(fmt.Sprintf("failover=%v/%dx%dB", failover, n, c.size), func(t *testing.T) {
 				r1 := startReplica(t, "", serve.Config{})
 				r2 := startReplica(t, "", serve.Config{})
 				reg := telemetry.NewRegistry()
@@ -518,11 +521,14 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 
 				recs := make([][]byte, n)
 				for i := range recs {
-					recs[i] = bytes.Repeat([]byte{'x', 'y', 'z', 'w'}, 128)
+					recs[i] = bytes.Repeat([]byte{'x', 'y', 'z', 'w'}, c.size/4)
 					if i%3 != 2 {
 						copy(recs[i][(i*37)%500:], "abcd")
 						copy(recs[i][(i*101)%500:], "bcd")
 					}
+				}
+				if c.size > 64<<10 {
+					copy(recs[1], bytes.Repeat([]byte("abcd"), c.size/8)) // a report every few bytes
 				}
 				stream := rapid.FrameRecords(recs...)
 				want, err := eng.RunRecords(context.Background(), stream)

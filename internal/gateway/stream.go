@@ -184,7 +184,7 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	sc.Buffer(nil, 16<<20) // starts at bufio's 4 KiB and grows to the cap
 	for sc.Scan() {
 		var line streamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {

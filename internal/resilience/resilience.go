@@ -180,7 +180,7 @@ func (e *ExhaustedError) Unwrap() error { return e.Last }
 // that cannot end in another attempt.
 func Retry(ctx context.Context, p Policy, op func(attempt int) error) error {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
+	var rng *rand.Rand // seeded on the first backoff, so a first-try success allocates nothing
 	var last error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -198,6 +198,9 @@ func Retry(ctx context.Context, p Policy, op func(attempt int) error) error {
 		}
 		last = err
 		if attempt+1 < p.MaxAttempts {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			d := p.backoff(attempt, rng)
 			if ra := RetryAfterDelay(err); ra > d {
 				d = ra

@@ -40,6 +40,22 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 	}
 }
 
+// TestRetryFirstTrySuccessAllocs pins the common case, an op that succeeds
+// on its first attempt, at zero allocations: the jitter source is only
+// seeded once a backoff needs it.
+func TestRetryFirstTrySuccessAllocs(t *testing.T) {
+	ctx := context.Background()
+	op := func(int) error { return nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := Retry(ctx, Policy{MaxAttempts: 3, Seed: 7}, op); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first-try success allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestRetryExhausted(t *testing.T) {
 	var delays []time.Duration
 	calls := 0

@@ -416,7 +416,8 @@ func testRecords(n, size int) [][]byte {
 // dropped and an "invalid Read on closed Body" line took their place. Over
 // real TCP, bodies of 4 KiB, 64 KiB and 1 MiB must come back whole: one
 // line per record, no error line, reports equal to Engine.RunRecords over
-// the whole stream.
+// the whole stream. Records of 96 KiB span several of the scanner's reads
+// and answer with result lines far longer than 64 KiB.
 func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 	eng, err := compileTestDesign(t).NewEngine()
 	if err != nil {
@@ -433,12 +434,20 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	for _, n := range []int{8, 128, 2048} {
-		t.Run(fmt.Sprintf("%dx512B", n), func(t *testing.T) {
-			stream := rapid.FrameRecords(testRecords(n, 512)...)
+	for _, c := range []struct{ n, size int }{{8, 512}, {128, 512}, {2048, 512}, {3, 96 << 10}} {
+		n := c.n
+		t.Run(fmt.Sprintf("%dx%dB", n, c.size), func(t *testing.T) {
+			recs := testRecords(n, c.size)
+			if c.size > 64<<10 {
+				copy(recs[1], bytes.Repeat([]byte("abcd"), c.size/8)) // a report every few bytes
+			}
+			stream := rapid.FrameRecords(recs...)
 			want, err := eng.RunRecords(context.Background(), stream)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.size > 64<<10 && len(want[1].Reports) < 4<<10 {
+				t.Fatalf("record 1 has %d reports, too few for a result line over 64 KiB", len(want[1].Reports))
 			}
 			resp, err := http.Post(ts.URL+"/v1/match/stream?design=d", "application/octet-stream", bytes.NewReader(stream))
 			if err != nil {

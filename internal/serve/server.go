@@ -574,7 +574,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 type recordScanner struct {
 	r      io.Reader
 	buf    []byte
-	off    int // stream offset of buf[0]
+	chunk  []byte // read buffer, reused across reads
+	off    int    // stream offset of buf[0]
 	err    error
 	closed bool
 }
@@ -618,9 +619,11 @@ func (s *recordScanner) next() ([]byte, int, error) {
 		// Separators consumed so far can be discarded.
 		s.off += start
 		s.buf = s.buf[start:]
-		chunk := make([]byte, 32<<10)
-		n, err := s.r.Read(chunk)
-		s.buf = append(s.buf, chunk[:n]...)
+		if s.chunk == nil {
+			s.chunk = make([]byte, 32<<10)
+		}
+		n, err := s.r.Read(s.chunk)
+		s.buf = append(s.buf, s.chunk[:n]...)
 		if err != nil {
 			s.closed = true
 			if err != io.EOF {

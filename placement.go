@@ -68,8 +68,10 @@ func (d *Design) EnsurePlaced(cache *PlacementCache) (restored bool, err error) 
 
 // restorePlacement validates the raw artifact placement section against
 // the design's device-optimized topology and converts it. The device
-// optimization is deterministic, so a section recorded by the process
-// that placed the design lines up exactly; any disagreement — truncated
+// optimization is deterministic (its prefix and suffix merges take their
+// groups in ascending id order, so even edge order repeats), so a section
+// recorded by any process that placed the design with the same compiler
+// lines up exactly; any disagreement — truncated
 // arrays, out-of-range assignments, an element count from a different
 // compiler version — returns nil and the caller falls back to placing
 // from scratch. A stale artifact can degrade only into recompilation,

@@ -206,7 +206,7 @@ func (c *Client) MatchStream(ctx context.Context, design string, stream []byte) 
 	}
 	var results []RecordResult
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	sc.Buffer(nil, 16<<20) // starts at bufio's 4 KiB and grows to the cap
 	for sc.Scan() {
 		var line struct {
 			Index        int    `json:"index"`

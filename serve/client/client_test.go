@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,8 +114,10 @@ func TestMatchRetriesExhaust(t *testing.T) {
 }
 
 // TestMatchStreamParsing: NDJSON result lines parse into per-record
-// results, with per-record errors surfaced in RecordResult.Err.
+// results, with per-record errors surfaced in RecordResult.Err. The last
+// line, 10 000 reports long, is far over 64 KiB.
 func TestMatchStreamParsing(t *testing.T) {
+	long := strings.Repeat(`{"offset":7,"code":1},`, 10000)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/match/stream" || r.URL.Query().Get("design") != "d" {
 			t.Errorf("unexpected request %s", r.URL)
@@ -122,15 +125,19 @@ func TestMatchStreamParsing(t *testing.T) {
 		fmt.Fprintln(w, `{"index":0,"offset":1,"count":1,"reports":[{"offset":3,"code":0}]}`)
 		fmt.Fprintln(w, `{"index":1,"offset":5,"error":"serve: over capacity, queue full"}`)
 		fmt.Fprintln(w, `{"index":2,"offset":9,"count":0,"reports":[]}`)
+		fmt.Fprintf(w, `{"index":3,"offset":12,"count":10000,"reports":[%s]}`+"\n", long[:len(long)-1])
 	}))
 	defer srv.Close()
 	c := New(srv.URL)
-	results, err := c.MatchRecords(context.Background(), "d", []byte("ab"), []byte("cd"), []byte("ef"))
+	results, err := c.MatchRecords(context.Background(), "d", []byte("ab"), []byte("cd"), []byte("ef"), []byte("gh"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("%d results, want 3", len(results))
+	if len(results) != 4 {
+		t.Fatalf("%d results, want 4", len(results))
+	}
+	if got := results[3]; got.Err != nil || len(got.Reports) != 10000 || got.Reports[9999] != (rapid.Report{Offset: 7, Code: 1}) {
+		t.Fatalf("result 3 has %d reports, err %v", len(got.Reports), got.Err)
 	}
 	if results[0].Err != nil || len(results[0].Reports) != 1 || results[0].Reports[0] != (rapid.Report{Offset: 3}) {
 		t.Fatalf("result 0 = %+v", results[0])
