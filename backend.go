@@ -10,15 +10,11 @@ import (
 // are the canonical ladder order, fastest-and-least-trusted first.
 type BackendKind string
 
-// The four execution tiers of a compiled design.
+// The three execution tiers of a compiled design.
 const (
 	// BackendDevice is the functional AP device model on the
 	// precomputed-table bitset simulator (Runner).
 	BackendDevice BackendKind = "device"
-	// BackendCPUDFA is the ahead-of-time determinized DFA (CompileCPU);
-	// unavailable for designs with counters or gates, or whose subset
-	// construction exceeds the state budget.
-	BackendCPUDFA BackendKind = "cpu-dfa"
 	// BackendLazyDFA is the bounded-memory lazy-DFA engine (NewEngine);
 	// always available — counter components determinize whole
 	// configurations, counter values included.
@@ -30,7 +26,7 @@ const (
 
 // BackendKinds returns every backend kind in ladder order.
 func BackendKinds() []BackendKind {
-	return []BackendKind{BackendDevice, BackendCPUDFA, BackendLazyDFA, BackendReference}
+	return []BackendKind{BackendDevice, BackendLazyDFA, BackendReference}
 }
 
 // UnknownBackendError reports a string that names no backend kind, and
@@ -65,8 +61,8 @@ func ParseBackendKind(s string) (BackendKind, error) {
 // interface — the one entry point the failover chain, the CLIs, and the
 // harness build backends through. Options apply where relevant (workers
 // and cache caps to the lazy-DFA tier, telemetry to every tier); the
-// per-path constructors (NewRunner, CompileCPU, NewEngine) remain for
-// callers that need a tier's own methods.
+// per-path constructors (NewRunner, NewEngine) remain for callers that
+// need a tier's own methods.
 func (d *Design) Backend(kind BackendKind, opts ...Option) (Matcher, error) {
 	var run func(ctx context.Context, input []byte) ([]Report, error)
 	switch kind {
@@ -76,12 +72,6 @@ func (d *Design) Backend(kind BackendKind, opts ...Option) (Matcher, error) {
 			return nil, err
 		}
 		run = runner.Run
-	case BackendCPUDFA:
-		cpu, err := d.CompileCPU(opts...)
-		if err != nil {
-			return nil, err
-		}
-		run = cpu.Run
 	case BackendLazyDFA:
 		eng, err := d.NewEngine(opts...)
 		if err != nil {

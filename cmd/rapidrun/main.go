@@ -11,9 +11,9 @@
 //	rapidrun ... -interp                  # reference interpreter instead
 //	rapidrun ... -metrics-addr :9190      # serve /metrics and /debug/vars
 //
-// -backend selects the execution tier by BackendKind (device, cpu-dfa,
-// lazy-dfa, reference) or "failover" for the whole cross-checked
-// degradation ladder; it replaces the old -engine flag.
+// -backend selects the execution tier by BackendKind (device, lazy-dfa,
+// reference) or "failover" for the whole cross-checked degradation ladder;
+// it replaces the old -engine flag.
 //
 // With -metrics-addr, rapidrun serves Prometheus text format at /metrics
 // and expvar-style JSON at /debug/vars for the duration of the run, and
@@ -47,7 +47,7 @@ func main() {
 		sep         = flag.Bool("sep", false, "treat -text as comma-separated records joined by the reserved separator")
 		useInterp   = flag.Bool("interp", false, "run the reference interpreter instead of a compiled backend")
 		trace       = flag.Bool("trace", false, "print a per-cycle execution trace (active elements, reports)")
-		backendFlag = flag.String("backend", "device", "execution backend: device, cpu-dfa, lazy-dfa, reference, or failover (cross-checked chain)")
+		backendFlag = flag.String("backend", "device", "execution backend: device, lazy-dfa, reference, or failover (cross-checked chain)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/vars (JSON) on this address during the run")
 		repeat      = flag.Int("repeat", 1, "stream the input this many times (soak mode; reports printed once)")
 	)

@@ -67,7 +67,7 @@ func main() {
 		anmlPath     = flag.String("anml", "", "ANML file for a single design (alternative to -src)")
 		argsJSON     = flag.String("args", "[]", "network arguments for -src as a JSON array")
 		name         = flag.String("name", "default", "design name for -src/-anml")
-		backend      = flag.String("backend", serve.BackendEngine, "execution mode for -src/-anml: engine, failover, or a backend kind (device, cpu-dfa, lazy-dfa, reference)")
+		backend      = flag.String("backend", serve.BackendEngine, "execution mode for -src/-anml: engine, failover, or a backend kind (device, lazy-dfa, reference)")
 		designsPath  = flag.String("designs", "", "JSON manifest mounting multiple designs (SIGHUP hot-reloads it)")
 		artifactDir  = flag.String("artifact-cache", "", "persist compiled designs to this directory, keyed by program hash; restarts mount from it without recompiling")
 		placeFlag    = flag.Bool("place", true, "place mounted designs through the shared macro-stamping cache and persist layouts in the artifact cache")

@@ -71,11 +71,11 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 }
 
 // NewEngine builds the design's batch execution engine. Options:
-// WithWorkers, WithTelemetry. Unlike CompileCPU, engine construction never
-// aborts on design size: each lazy tier's cache starts small and grows
-// toward a 64 MiB cap (lazydfa.DefaultMaxCacheBytes) while its eviction
-// rate stays high, and a tier whose states cannot fit even there demotes
-// itself to the bitset walk.
+// WithWorkers, WithTelemetry. Engine construction never aborts on design
+// size: each lazy tier's cache starts small and grows toward a 64 MiB cap
+// (lazydfa.DefaultMaxCacheBytes) while its eviction rate stays high, and a
+// tier whose states cannot fit even there demotes itself to the bitset
+// walk.
 func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	cfg := applyOptions(opts)
 	workers := cfg.workers

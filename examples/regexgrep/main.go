@@ -1,13 +1,16 @@
 // Regexgrep: the regular-expression programming model the paper compares
 // against, end to end — compile a pattern set with the Glushkov
-// construction, inspect the design, determinize it for CPU execution, and
-// emit a standalone host driver (the compiler's second output in
-// Section 5 of the paper).
+// construction, inspect the design, check that the lazy-DFA backend
+// reports exactly what the reference simulator does, and emit a
+// standalone host driver (the compiler's second output in Section 5 of
+// the paper).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"maps"
 
 	rapid "repro"
 )
@@ -34,19 +37,20 @@ func main() {
 		fmt.Printf("  match ends at offset %2d  (%s)\n", r.Offset, r.Site)
 	}
 
-	// Determinize for CPU execution: one table lookup per input byte.
-	cpu, err := design.CompileCPU()
+	// The lazy-DFA backend determinizes the pattern set on the fly; it
+	// must report the same (offset, code) set as the reference simulator.
+	lazy, err := design.Backend(rapid.BackendLazyDFA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("DFA backend: %d states\n", cpu.States())
-	cpuReports, err := cpu.RunBytes([]byte(logLines))
+	lazyReports, err := lazy.Match(context.Background(), []byte(logLines))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if got, want := len(cpuReports), len(rapid.Offsets(reports)); got < 1 || want < 1 {
-		log.Fatal("backends disagree")
+	if got, want := reportSet(lazyReports), reportSet(reports); !maps.Equal(got, want) {
+		log.Fatalf("backends disagree: lazy-dfa %v, reference %v", got, want)
 	}
+	fmt.Printf("lazy-DFA backend agrees: %d reports\n", len(lazyReports))
 
 	// The automaton and its device-optimized form are provably equivalent.
 	if err := design.Equivalent(design.OptimizeForDevice()); err != nil {
@@ -67,4 +71,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated host driver: %d bytes of Go source\n", len(driver))
+}
+
+// reportSet is the (offset, code) set of a report list.
+func reportSet(reports []rapid.Report) map[[2]int]bool {
+	set := make(map[[2]int]bool, len(reports))
+	for _, r := range reports {
+		set[[2]int{r.Offset, r.Code}] = true
+	}
+	return set
 }

@@ -13,10 +13,9 @@ import (
 
 // Matcher is one execution backend for a compiled design behind the
 // uniform interface every tier implements: the functional device model,
-// the determinized CPU DFA, the lazy-DFA engine, or the reference
-// simulator. Construct one with Design.Backend. A Matcher owns its
-// mutable state and is not safe for concurrent use unless documented
-// otherwise.
+// the lazy-DFA engine, or the reference simulator. Construct one with
+// Design.Backend. A Matcher owns its mutable state and is not safe for
+// concurrent use unless documented otherwise.
 type Matcher interface {
 	// Name identifies the backend in stream records, metrics labels, and
 	// errors; it matches the BackendKind for the built-in tiers.
@@ -131,7 +130,7 @@ func failureCause(err error) string {
 // serving backend is recorded. With CrossCheck enabled, each non-reference
 // result is verified against the chain's last backend and divergent
 // backends are failed over — the degradation ladder heterogeneous matching
-// deployments use (device → CPU DFA → lazy DFA → reference interpreter).
+// deployments use (device → lazy DFA → reference simulator).
 //
 // A chain is safe for concurrent use: Run serializes streams, because the
 // underlying backends own mutable execution state. The chain is the
@@ -166,30 +165,22 @@ func (c *FailoverChain) UseTelemetry(reg *telemetry.Registry) *FailoverChain {
 	return c
 }
 
-// FailoverChain builds the design's standard degradation ladder: the fast
-// device model, then the determinized CPU DFA (skipped when the design
-// cannot be determinized, e.g. counters), then the bounded-memory lazy-DFA
-// engine (always available — counter values are part of its DFA states), then
-// the reference simulator. Options apply to every backend; WithTelemetry
-// additionally wires the chain's own failover metrics.
+// FailoverChain builds the design's standard degradation ladder, one rung
+// per backend kind in ladder order: the fast device model, then the
+// bounded-memory lazy-DFA engine (counter values are part of its DFA
+// states), then the reference simulator. Every rung must construct; the
+// first construction error is returned. Options apply to every backend;
+// WithTelemetry additionally wires the chain's own failover metrics.
 func (d *Design) FailoverChain(opts ...Option) (*FailoverChain, error) {
 	cfg := applyOptions(opts)
-	device, err := d.Backend(BackendDevice, opts...)
-	if err != nil {
-		return nil, err
+	var backends []Matcher
+	for _, kind := range BackendKinds() {
+		m, err := d.Backend(kind, opts...)
+		if err != nil {
+			return nil, err
+		}
+		backends = append(backends, m)
 	}
-	backends := []Matcher{device}
-	if cpu, err := d.Backend(BackendCPUDFA, opts...); err == nil {
-		backends = append(backends, cpu)
-	}
-	if eng, err := d.Backend(BackendLazyDFA, opts...); err == nil {
-		backends = append(backends, eng)
-	}
-	ref, err := d.Backend(BackendReference, opts...)
-	if err != nil {
-		return nil, err
-	}
-	backends = append(backends, ref)
 	return NewFailoverChain(backends...).UseTelemetry(cfg.tel), nil
 }
 

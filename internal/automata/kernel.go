@@ -7,10 +7,10 @@ import (
 )
 
 // Kernel is the word-parallel implementation of the AP's lock-step cycle,
-// and the only one: FastSimulator, lazy-DFA fills and demotion, the
-// ahead-of-time subset construction, equivalence checking, witness search,
-// tracing, and the board model all step through it. (The naive Simulator
-// is the independent oracle and shares nothing with it.)
+// and the only one: FastSimulator, lazy-DFA fills and demotion,
+// equivalence checking, witness search, tracing, and the board model all
+// step through it. (The naive Simulator is the independent oracle and
+// shares nothing with it.)
 //
 // A kernel holds the immutable step tables of one Topology — for every
 // input symbol the bitset of STEs accepting it, the start-of-data and

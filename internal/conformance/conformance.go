@@ -7,9 +7,9 @@
 //
 //  1. oracle     — the tree-walking interpreter's distinct report
 //     offsets match the compiled reference simulation.
-//  2. backends   — every Design.Backend kind (device, cpu-dfa,
-//     lazy-dfa, reference) plus the lazy-DFA engine's batch path
-//     produce identical (offset, code) report sets.
+//  2. backends   — every Design.Backend kind (device, lazy-dfa,
+//     reference) plus the lazy-DFA engine's batch path produce
+//     identical (offset, code) report sets.
 //  3. printer    — parse → print → parse → compile yields a design
 //     with identical reports.
 //  4. anml       — ANML marshal → unmarshal yields a design with
@@ -18,9 +18,9 @@
 //     (and then rewound and resumed again) reports exactly like an
 //     uninterrupted run.
 //
-// Backends that are legitimately unavailable (cpu-dfa on designs with
-// counters or oversized subset constructions) and interpreter runs that
-// hit resource limits are counted as skips, not failures.
+// Every backend kind must construct for every case; a construction
+// failure is an error. Interpreter runs that hit resource limits are
+// counted as skips, not failures.
 package conformance
 
 import (
@@ -122,13 +122,6 @@ func Check(c *Case) (*Outcome, error) {
 	for _, kind := range rapid.BackendKinds() {
 		m, err := design.Backend(kind)
 		if err != nil {
-			// cpu-dfa is unavailable for counter designs and oversized
-			// subset constructions; that is a documented property of the
-			// tier, not a conformance failure.
-			if kind == rapid.BackendCPUDFA {
-				out.skip("backend-unavailable:" + string(kind))
-				continue
-			}
 			return nil, fmt.Errorf("conformance: backend %s construction failed: %w", kind, err)
 		}
 		backends[kind] = m
@@ -187,11 +180,7 @@ func Check(c *Case) (*Outcome, error) {
 			if kind == rapid.BackendReference {
 				continue
 			}
-			m, ok := backends[kind]
-			if !ok {
-				continue
-			}
-			got, err := m.Match(context.Background(), input)
+			got, err := backends[kind].Match(context.Background(), input)
 			if err != nil {
 				out.fail("backend:"+string(kind), input, "run error: %v", err)
 				continue

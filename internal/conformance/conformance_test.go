@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	rapid "repro"
 	"repro/internal/lang/value"
 )
 
@@ -45,16 +46,13 @@ func TestCheckKnownProgram(t *testing.T) {
 	}
 }
 
-// TestCheckFlagsDivergence: a case with a wrong expectation is not what
-// Check compares (it compares implementations against each other), so
-// instead corrupt the comparison by feeding a program whose public and
-// core pipelines are the same — and assert the harness is actually
-// capable of reporting failure by checking a deliberately broken
-// snapshot comparison path is NOT triggered here. The real negative
-// test lives in the soak: shrinkFailure keeps non-reproducible
-// failures unshrunken. Here we just assert Skips accounting works for
-// the cpu-dfa tier on a counter design.
-func TestCheckSkipsCPUDFAOnCounters(t *testing.T) {
+// TestCheckRunsEveryBackendOnCounters: on a counter design every backend
+// kind constructs and is compared, and nothing is skipped as unavailable.
+// One input of length ≥ 2 makes exactly one oracle check, one check per
+// non-reference backend kind, one engine-batch check, and one each for the
+// printer, ANML and snapshot round-trips, so a backend that did not run
+// shows up as a short count.
+func TestCheckRunsEveryBackendOnCounters(t *testing.T) {
 	src := `network () {
   Counter c;
   whenever ('a' == input()) { c.count(); }
@@ -66,8 +64,13 @@ func TestCheckSkipsCPUDFAOnCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if out.Skips["backend-unavailable:cpu-dfa"] == 0 {
-		t.Errorf("expected cpu-dfa skip on a counter design, skips: %v", out.Skips)
+	if want := 1 + (len(rapid.BackendKinds()) - 1) + 1 + 3; out.Checks != want {
+		t.Errorf("checks = %d, want %d (every backend kind once)", out.Checks, want)
+	}
+	for reason := range out.Skips {
+		if strings.HasPrefix(reason, "backend-unavailable:") {
+			t.Errorf("unexpected skip %q: %v", reason, out.Skips)
+		}
 	}
 	for _, f := range out.Failures {
 		t.Errorf("unexpected divergence: %s", f)

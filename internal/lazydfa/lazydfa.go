@@ -1,8 +1,8 @@
 // Package lazydfa executes automaton networks on the CPU through an
 // on-the-fly (RE2-style) determinization: DFA states are NFA enabled-sets
 // discovered as input is consumed, interned in a bounded cache, and reused
-// across streams. Where internal/dfa's ahead-of-time subset construction
-// aborts once the state space exceeds MaxStates, the lazy engine never
+// across streams. Unlike an ahead-of-time subset construction, which must
+// abort once the state space outgrows its budget, the lazy engine never
 // aborts: when the cache is full it evicts one cold state at a time
 // (second-chance clock), and when even eviction cannot keep up it demotes
 // itself to an NFA bitset walk mid-stream, so no input ever runs slower
@@ -58,7 +58,7 @@ import (
 
 // Report is a report event produced by lazy-DFA execution. Reports are
 // deduplicated by (offset, code): several NFA elements reporting the same
-// code at one offset produce a single event, exactly as internal/dfa does.
+// code at one offset produce a single event.
 type Report struct {
 	Offset int
 	Code   int

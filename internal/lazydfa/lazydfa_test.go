@@ -152,7 +152,7 @@ func TestCrossCheckRandom(t *testing.T) {
 
 // TestTinyCapEvicts checks that a cap-2 cache actually thrashes (so the
 // per-state eviction and in-edge repair paths are exercised) while still
-// completing — the bounded-memory guarantee that replaces the AOT
+// completing — the bounded-memory guarantee that replaces an ahead-of-time
 // construction's abort. Whole-cache flushes must NOT happen: capacity
 // pressure is absorbed one state at a time.
 func TestTinyCapEvicts(t *testing.T) {

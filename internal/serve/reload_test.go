@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	rapid "repro"
 	"repro/internal/telemetry"
 )
 
@@ -143,6 +144,17 @@ func TestReloadCompileErrorLeavesStateUntouched(t *testing.T) {
 	_, err := s.ApplyManifest([]DesignSpec{testSpec("d", ""), testSpec("d", "")})
 	if err == nil {
 		t.Fatal("duplicate design names accepted")
+	}
+
+	// A backend name that no kind carries fails the mount with the typed
+	// error, and the mounted design keeps serving.
+	_, err = s.ApplyManifest([]DesignSpec{testSpec("d", ""), testSpec("old", "cpu-dfa")})
+	var ube *rapid.UnknownBackendError
+	if !errors.As(err, &ube) || ube.Got != "cpu-dfa" {
+		t.Fatalf("backend cpu-dfa: err = %v, want *rapid.UnknownBackendError", err)
+	}
+	if _, _, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("xxabc")); err != nil {
+		t.Fatalf("existing design broken by failed reload: %v", err)
 	}
 }
 

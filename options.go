@@ -3,8 +3,7 @@ package rapid
 import "repro/internal/telemetry"
 
 // Option is a functional option accepted by the execution-path
-// constructors (NewRunner, NewEngine, CompileCPU, Backend,
-// FailoverChain). Options irrelevant to a given constructor are ignored,
+// constructors (NewRunner, NewEngine, Backend, FailoverChain).. Options irrelevant to a given constructor are ignored,
 // so one option slice can configure a whole chain of backends.
 type Option func(*config)
 

@@ -45,7 +45,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/dfa"
 	"repro/internal/lang/interp"
 	"repro/internal/lang/value"
 	"repro/internal/place"
@@ -414,51 +413,6 @@ func (d *Design) Equivalent(other *Design) error {
 		return err
 	}
 	return automata.Equivalent(ta, tb)
-}
-
-// CPUMatcher is a design compiled to a deterministic finite automaton for
-// direct CPU execution — the alternative backend the paper's conclusion
-// anticipates. Only counter-free designs can be determinized.
-type CPUMatcher struct {
-	d       *dfa.DFA
-	reports map[int]string
-	tel     *backendMetrics
-}
-
-// CompileCPU determinizes the design (subset construction + minimization)
-// for fast table-driven CPU execution. Options: WithTelemetry.
-func (d *Design) CompileCPU(opts ...Option) (*CPUMatcher, error) {
-	cfg := applyOptions(opts)
-	m, err := dfa.FromNetwork(d.net, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &CPUMatcher{d: m, reports: d.reports, tel: newBackendMetrics(cfg.tel, string(BackendCPUDFA))}, nil
-}
-
-// States returns the number of DFA states.
-func (m *CPUMatcher) States() int { return m.d.States() }
-
-// Run executes the matcher over input. Reports are deduplicated by
-// (offset, code). The table-driven loop is not interruptible mid-stream;
-// ctx is checked on entry.
-func (m *CPUMatcher) Run(ctx context.Context, input []byte) ([]Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := m.tel.start()
-	raw := m.d.Run(input)
-	out := make([]Report, len(raw))
-	for i, r := range raw {
-		out[i] = Report{Offset: r.Offset, Code: r.Code, Site: m.reports[r.Code]}
-	}
-	m.tel.record(len(input), len(out), nil, start)
-	return out, nil
-}
-
-// RunBytes is Run with context.Background().
-func (m *CPUMatcher) RunBytes(input []byte) ([]Report, error) {
-	return m.Run(context.Background(), input)
 }
 
 // CompileRegex compiles a regular expression into a design via the

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ap"
+	"repro/internal/bench"
 	"repro/internal/place"
 	"repro/internal/resilience"
 )
@@ -228,13 +229,24 @@ func TestFailoverChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The standard ladder: device → cpu-dfa → lazy-dfa → reference.
+	// The standard ladder: device → lazy-dfa → reference, on a toy design
+	// and on the Brill bank alike.
 	chain, err := design.FailoverChain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := chain.Backends(); !reflect.DeepEqual(got, []string{"device", "cpu-dfa", "lazy-dfa", "reference"}) {
+	ladder := []string{"device", "lazy-dfa", "reference"}
+	if got := chain.Backends(); !reflect.DeepEqual(got, ladder) {
 		t.Fatalf("backends = %v", got)
+	}
+	brill := bench.Brill()
+	brillSrc, brillArgs := brill.RAPID(brill.DefaultInstances)
+	brillChain, err := mustDesign(t, brillSrc, brillArgs...).FailoverChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := brillChain.Backends(); !reflect.DeepEqual(got, ladder) {
+		t.Fatalf("Brill backends = %v", got)
 	}
 	got, err := chain.Run(context.Background(), input)
 	if err != nil || !reflect.DeepEqual(Offsets(got), Offsets(want)) {

@@ -33,15 +33,15 @@ func TestParseBackendKind(t *testing.T) {
 			t.Fatalf("ParseBackendKind(%q) = %v, %v", kind, got, err)
 		}
 	}
-	_, err := ParseBackendKind("gpu")
-	var ube *UnknownBackendError
-	if !errors.As(err, &ube) {
-		t.Fatalf("ParseBackendKind(gpu) error = %v, want *UnknownBackendError", err)
-	}
-	msg := err.Error()
-	for _, kind := range BackendKinds() {
-		if !strings.Contains(msg, string(kind)) {
-			t.Fatalf("error %q does not list kind %q", msg, kind)
+	// Any other name, "cpu-dfa" included, is refused with the valid kinds.
+	for _, name := range []string{"gpu", "cpu-dfa"} {
+		_, err := ParseBackendKind(name)
+		var ube *UnknownBackendError
+		if !errors.As(err, &ube) {
+			t.Fatalf("ParseBackendKind(%s) error = %v, want *UnknownBackendError", name, err)
+		}
+		if msg := err.Error(); !strings.HasSuffix(msg, "(valid kinds: device, lazy-dfa, reference)") {
+			t.Fatalf("error %q does not list exactly the valid kinds", msg)
 		}
 	}
 }
@@ -73,14 +73,12 @@ func TestBackendEveryKind(t *testing.T) {
 		}
 	}
 
-	// Counter designs cannot determinize; the typed error surfaces through
-	// Backend while the lazy tier still works.
+	// Every kind builds for a counter design too.
 	counterDesign := mustDesign(t, hammingSrc, Strings([]string{"rapid"}))
-	if _, err := counterDesign.Backend(BackendCPUDFA); err == nil {
-		t.Fatal("Backend(cpu-dfa) on a counter design should fail")
-	}
-	if _, err := counterDesign.Backend(BackendLazyDFA); err != nil {
-		t.Fatalf("Backend(lazy-dfa) on a counter design: %v", err)
+	for _, kind := range BackendKinds() {
+		if _, err := counterDesign.Backend(kind); err != nil {
+			t.Fatalf("Backend(%s) on a counter design: %v", kind, err)
+		}
 	}
 }
 
@@ -229,7 +227,7 @@ func TestFailoverChainMetrics(t *testing.T) {
 	failing := &stubMatcher{name: "device", fn: func(context.Context, []byte) ([]Report, error) {
 		return nil, boom
 	}}
-	panicking := &stubMatcher{name: "cpu-dfa", fn: func(context.Context, []byte) ([]Report, error) {
+	panicking := &stubMatcher{name: "middle", fn: func(context.Context, []byte) ([]Report, error) {
 		panic("table corrupted")
 	}}
 	diverging := &stubMatcher{name: "lazy-dfa", fn: func(context.Context, []byte) ([]Report, error) {
@@ -248,7 +246,7 @@ func TestFailoverChainMetrics(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	for name, want := range map[string]uint64{"device": 1, "cpu-dfa": 1, "lazy-dfa": 1} {
+	for name, want := range map[string]uint64{"device": 1, "middle": 1, "lazy-dfa": 1} {
 		if got := snap.Counter("rapid_failover_attempts_total", "backend", name); got != want {
 			t.Errorf("attempts{%s} = %d, want %d", name, got, want)
 		}
@@ -257,7 +255,7 @@ func TestFailoverChainMetrics(t *testing.T) {
 		t.Errorf("served{reference} = %d, want 1", got)
 	}
 	for _, tc := range []struct{ backend, cause string }{
-		{"device", "error"}, {"cpu-dfa", "panic"}, {"lazy-dfa", "divergence"},
+		{"device", "error"}, {"middle", "panic"}, {"lazy-dfa", "divergence"},
 	} {
 		if got := snap.Counter("rapid_failover_failures_total", "backend", tc.backend, "cause", tc.cause); got != 1 {
 			t.Errorf("failures{%s,%s} = %d, want 1", tc.backend, tc.cause, got)

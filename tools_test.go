@@ -104,37 +104,6 @@ func TestDesignEquivalent(t *testing.T) {
 	}
 }
 
-func TestCompileCPU(t *testing.T) {
-	design := mustDesign(t, exactSrc, Strings([]string{"abc", "bcd"}))
-	m, err := design.CompileCPU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.States() < 2 {
-		t.Fatalf("states = %d", m.States())
-	}
-	got := Offsets(mustRunBytes(t, m, []byte("xabcdx")))
-	want, err := design.RunBytes([]byte("xabcdx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, Offsets(want)) {
-		t.Fatalf("cpu %v != device %v", got, Offsets(want))
-	}
-	// Counter designs cannot be determinized.
-	counterDesign := mustDesign(t, `
-macro m() {
-  Counter c;
-  if ('x' == input()) c.count(); else ;
-  c >= 1;
-  report;
-}
-network () { m(); }`)
-	if _, err := counterDesign.CompileCPU(); err == nil {
-		t.Fatal("counter design should not determinize")
-	}
-}
-
 // TestCounterComparisonMatrix exercises every Table 2 row end to end,
 // including degenerate thresholds.
 func TestCounterComparisonMatrix(t *testing.T) {
