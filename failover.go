@@ -17,8 +17,8 @@ import (
 // Design.Backend. A Matcher owns its mutable state and is not safe for
 // concurrent use unless documented otherwise.
 type Matcher interface {
-	// Name identifies the backend in stream records, metrics labels, and
-	// errors; it matches the BackendKind for the built-in tiers.
+	// Name identifies the backend in metrics labels and errors; it
+	// matches the BackendKind for the built-in tiers.
 	Name() string
 	// Match executes the design over one input stream.
 	Match(ctx context.Context, input []byte) ([]Report, error)
@@ -48,29 +48,6 @@ func (e *BackendError) Error() string {
 }
 
 func (e *BackendError) Unwrap() error { return e.Err }
-
-// DivergenceError records that a backend's report set disagreed with the
-// chain's reference backend on a stream.
-type DivergenceError struct {
-	Backend   string
-	Reference string
-}
-
-func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("rapid: backend %q diverged from %q", e.Backend, e.Reference)
-}
-
-// StreamRecord describes how one stream was served by a failover chain.
-type StreamRecord struct {
-	// Backend is the backend whose result was returned.
-	Backend string
-	// Failures lists the backends tried before Backend, with the error
-	// (or recovered panic, or divergence) that disqualified each.
-	Failures []*BackendError
-	// Diverged reports whether cross-checking caught a divergence on
-	// this stream.
-	Diverged bool
-}
 
 // chainMetrics is the failover chain's instrument set; nil means
 // telemetry disabled.
@@ -110,24 +87,21 @@ func newChainMetrics(reg *telemetry.Registry, backends []Matcher) *chainMetrics 
 	return m
 }
 
-// failureCause classifies a backend failure for the failovers-by-cause
-// counter.
+// failureCause classifies a backend error for the failovers-by-cause
+// counter; cross-check divergences are counted as "divergence" directly.
 func failureCause(err error) string {
 	var pe *resilience.PanicError
 	if errors.As(err, &pe) {
 		return "panic"
-	}
-	var de *DivergenceError
-	if errors.As(err, &de) {
-		return "divergence"
 	}
 	return "error"
 }
 
 // FailoverChain executes streams against an ordered list of backends,
 // falling to the next on failure. Panics in any backend are recovered into
-// structured errors instead of crashing the process, and every stream's
-// serving backend is recorded. With CrossCheck enabled, each non-reference
+// structured errors instead of crashing the process, and the serving
+// backend, failures and divergences land in the rapid_failover_* counters
+// when telemetry is on. With CrossCheck enabled, each non-reference
 // result is verified against the chain's last backend and divergent
 // backends are failed over — the degradation ladder heterogeneous matching
 // deployments use (device → lazy DFA → reference simulator).
@@ -147,9 +121,6 @@ type FailoverChain struct {
 	// runMu serializes stream execution across the chain's backends,
 	// which are single-threaded matchers.
 	runMu sync.Mutex
-
-	mu      sync.Mutex
-	records []StreamRecord
 }
 
 // NewFailoverChain builds a chain over the given backends, tried in order.
@@ -193,19 +164,6 @@ func (c *FailoverChain) Backends() []string {
 	return out
 }
 
-// Records returns a copy of the per-stream serving records, in Run order.
-func (c *FailoverChain) Records() []StreamRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]StreamRecord(nil), c.records...)
-}
-
-func (c *FailoverChain) record(rec StreamRecord) {
-	c.mu.Lock()
-	c.records = append(c.records, rec)
-	c.mu.Unlock()
-}
-
 // match runs one backend with panic recovery.
 func matchRecovered(ctx context.Context, b Matcher, input []byte) (reports []Report, err error) {
 	err = resilience.Recover(func() error {
@@ -216,11 +174,10 @@ func matchRecovered(ctx context.Context, b Matcher, input []byte) (reports []Rep
 	return reports, err
 }
 
-// noteFailure accounts one disqualified backend attempt.
-func (c *FailoverChain) noteFailure(rec *StreamRecord, name string, err error) {
-	rec.Failures = append(rec.Failures, &BackendError{Backend: name, Err: err})
+// noteFailure counts one disqualified backend attempt by cause.
+func (c *FailoverChain) noteFailure(name, cause string) {
 	if c.tel != nil {
-		c.tel.failures.With(name, failureCause(err)).Inc()
+		c.tel.failures.With(name, cause).Inc()
 	}
 }
 
@@ -236,7 +193,7 @@ func (c *FailoverChain) Run(ctx context.Context, input []byte) ([]Report, error)
 		span = c.tel.reg.StartSpan("failover.stream")
 		defer span.End()
 	}
-	var rec StreamRecord
+	var last *BackendError
 	for i, b := range c.backends {
 		if err := ctx.Err(); err != nil {
 			span.Fail(err)
@@ -251,37 +208,32 @@ func (c *FailoverChain) Run(ctx context.Context, input []byte) ([]Report, error)
 				span.Fail(ctx.Err())
 				return nil, ctx.Err()
 			}
-			c.noteFailure(&rec, b.Name(), err)
+			c.noteFailure(b.Name(), failureCause(err))
+			last = &BackendError{Backend: b.Name(), Err: err}
 			continue
 		}
 		if c.CrossCheck && i < len(c.backends)-1 {
 			ref := c.backends[len(c.backends)-1]
 			refReports, refErr := matchRecovered(ctx, ref, input)
 			if refErr == nil && !sameReportSet(reports, refReports) {
-				rec.Diverged = true
-				c.noteFailure(&rec, b.Name(), &DivergenceError{Backend: b.Name(), Reference: ref.Name()})
+				c.noteFailure(b.Name(), "divergence")
 				if c.tel != nil {
 					c.tel.divergences.With(b.Name()).Inc()
 					c.tel.served.With(ref.Name()).Inc()
 				}
-				rec.Backend = ref.Name()
-				c.record(rec)
 				return refReports, nil
 			}
 		}
-		rec.Backend = b.Name()
-		c.record(rec)
 		if c.tel != nil {
 			c.tel.served.With(b.Name()).Inc()
 		}
 		return reports, nil
 	}
-	c.record(rec)
 	if c.tel != nil {
 		c.tel.exhausted.Inc()
 	}
-	if n := len(rec.Failures); n > 0 {
-		err := fmt.Errorf("rapid: all %d backends failed: %w", n, rec.Failures[n-1])
+	if last != nil {
+		err := fmt.Errorf("rapid: all %d backends failed: %w", len(c.backends), last)
 		span.Fail(err)
 		return nil, err
 	}

@@ -1,110 +1,25 @@
 package ap
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/telemetry"
-)
-
-// Injected faults are rare, cold events, so they report unconditionally
-// into the process-wide registry — no plumbing needed to observe a fault
-// plan from /metrics or rapid.Metrics().
-var (
-	telInjectedTransients = telemetry.Default().Counter(
-		"rapid_ap_injected_transient_faults_total",
-		"Transient device faults fired by fault plans.")
-	telInjectedCorruptions = telemetry.Default().Counter(
-		"rapid_ap_injected_corruptions_total",
-		"Input symbols corrupted by fault plans.")
-)
-
-// Fault injection. Defective blocks and transient faults are facts of life
-// on memory-derived silicon: the HEP deployments of AP boards routed
-// designs around bad blocks and re-streamed data past soft errors. This
-// file models both behind a deterministic, seedable plan so the resilience
-// layer above the device model can be tested byte-for-byte reproducibly.
-
-// FaultPlan describes the faults to inject into a device-model run. The
-// zero value injects nothing. All randomness derives from Seed via counter
-// hashing, so a plan is deterministic regardless of call order.
-type FaultPlan struct {
-	// Seed drives every derived pseudo-random choice.
-	Seed int64
-
-	// DefectRate is the fraction of board blocks that are defective
-	// (manufactured bad), chosen pseudo-randomly from Seed.
-	DefectRate float64
-	// DefectiveBlocks marks specific block indices defective, in addition
-	// to any chosen by DefectRate.
-	DefectiveBlocks []int
-
-	// TransientAt lists stream offsets at which a transient device fault
-	// fires. Each offset faults TransientRepeat times (so a bounded retry
-	// gets past it), then heals.
-	TransientAt []int
-	// TransientRepeat is how many times each TransientAt offset fires
-	// before healing; <= 0 means 1.
-	TransientRepeat int
-
-	// CorruptAt lists stream offsets whose input symbol is deterministically
-	// corrupted (bit flips derived from Seed and the offset) — the model of
-	// a flaky data path that failover cross-checking exists to catch.
-	CorruptAt []int
-}
-
-// mix64 is a splitmix64-style finalizer: a cheap, high-quality hash from a
-// (seed, counter) pair to a pseudo-random word, giving call-order-free
-// determinism.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (p *FaultPlan) rand(counter uint64) uint64 {
-	return mix64(uint64(p.Seed) ^ mix64(counter))
-}
-
-// DefectMap materializes the plan's defective blocks for a board with
-// total blocks. The same plan and total always yield the same map.
-func (p *FaultPlan) DefectMap(total int) *DefectMap {
-	m := &DefectMap{defective: make([]bool, total)}
-	if p != nil {
-		if p.DefectRate > 0 {
-			threshold := uint64(p.DefectRate * float64(1<<63) * 2)
-			for b := 0; b < total; b++ {
-				if p.rand(uint64(b)) < threshold {
-					m.defective[b] = true
-				}
-			}
-		}
-		for _, b := range p.DefectiveBlocks {
-			if b >= 0 && b < total {
-				m.defective[b] = true
-			}
-		}
-	}
-	for _, bad := range m.defective {
-		if bad {
-			m.count++
-		}
-	}
-	return m
-}
-
-// DefectMap marks which blocks of a board are defective. The placement
-// engine routes designs around defective blocks; loading a design onto one
-// is a hard error on real silicon.
+// DefectMap marks which blocks of a board are defective. Defective blocks
+// are a fact of life on memory-derived silicon: the HEP deployments of AP
+// boards routed designs around bad blocks, and the placement engine does
+// the same; loading a design onto one is a hard error on real silicon.
 type DefectMap struct {
 	defective []bool
 	count     int
 }
 
 // NewDefectMap builds a map for total blocks with the listed defects.
+// Indices outside [0, total) and repeated indices are ignored.
 func NewDefectMap(total int, defective ...int) *DefectMap {
-	return (&FaultPlan{DefectiveBlocks: defective}).DefectMap(total)
+	m := &DefectMap{defective: make([]bool, total)}
+	for _, b := range defective {
+		if b >= 0 && b < total && !m.defective[b] {
+			m.defective[b] = true
+			m.count++
+		}
+	}
+	return m
 }
 
 // Total returns the number of blocks the map covers.
@@ -130,77 +45,5 @@ func (m *DefectMap) Defects() []int {
 			out = append(out, b)
 		}
 	}
-	return out
-}
-
-// TransientFault is the typed error raised when an injected (or, on real
-// hardware, observed) transient device fault interrupts a stream at
-// Offset. It is retryable: replaying from a checkpoint at or before
-// Offset is expected to succeed once the fault heals.
-type TransientFault struct {
-	Offset int
-}
-
-func (e *TransientFault) Error() string {
-	return fmt.Sprintf("ap: transient device fault at stream offset %d", e.Offset)
-}
-
-// Injector is the mutable per-run state of a FaultPlan: transient faults
-// fire a bounded number of times and then heal. Create a fresh Injector
-// per stream; it is not safe for concurrent use.
-type Injector struct {
-	plan      *FaultPlan
-	remaining map[int]int // transient offset → fires left
-}
-
-// NewInjector returns the plan's per-run fault state.
-func (p *FaultPlan) NewInjector() *Injector {
-	repeat := p.TransientRepeat
-	if repeat <= 0 {
-		repeat = 1
-	}
-	in := &Injector{plan: p, remaining: make(map[int]int, len(p.TransientAt))}
-	for _, off := range p.TransientAt {
-		in.remaining[off] = repeat
-	}
-	return in
-}
-
-// BeforeSymbol is called with each stream offset about to be processed; it
-// returns a *TransientFault when the plan has an unhealed fault there, and
-// nil otherwise.
-func (in *Injector) BeforeSymbol(offset int) error {
-	if left, ok := in.remaining[offset]; ok && left > 0 {
-		in.remaining[offset] = left - 1
-		telInjectedTransients.Inc()
-		return &TransientFault{Offset: offset}
-	}
-	return nil
-}
-
-// Apply returns the symbol actually seen by the device at offset: the
-// input symbol, or a deterministic corruption of it when the plan corrupts
-// that offset. The corrupted value differs from the original.
-func (in *Injector) Apply(offset int, sym byte) byte {
-	for _, off := range in.plan.CorruptAt {
-		if off == offset {
-			flip := byte(in.plan.rand(uint64(offset)^0xC0DE)&0xFF) | 1
-			telInjectedCorruptions.Inc()
-			return sym ^ flip
-		}
-	}
-	return sym
-}
-
-// PendingTransients returns the offsets with unhealed transient faults, in
-// increasing order — useful for asserting a run consumed its faults.
-func (in *Injector) PendingTransients() []int {
-	var out []int
-	for off, left := range in.remaining {
-		if left > 0 {
-			out = append(out, off)
-		}
-	}
-	sort.Ints(out)
 	return out
 }

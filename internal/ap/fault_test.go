@@ -1,32 +1,9 @@
 package ap
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
-
-func TestDefectMapDeterministicAndSeeded(t *testing.T) {
-	plan := &FaultPlan{Seed: 42, DefectRate: 0.25}
-	a, b := plan.DefectMap(1000), plan.DefectMap(1000)
-	if !reflect.DeepEqual(a.Defects(), b.Defects()) {
-		t.Fatal("same plan produced different defect maps")
-	}
-	if a.Count() == 0 || a.Count() == a.Total() {
-		t.Fatalf("defect count = %d of %d, want a proper subset", a.Count(), a.Total())
-	}
-	// Roughly the requested rate (loose bound: ±10 points on 1000 draws).
-	if rate := float64(a.Count()) / 1000; rate < 0.15 || rate > 0.35 {
-		t.Fatalf("defect rate = %f, want ≈0.25", rate)
-	}
-	if a.Healthy()+a.Count() != a.Total() {
-		t.Fatal("healthy + defective != total")
-	}
-	other := (&FaultPlan{Seed: 43, DefectRate: 0.25}).DefectMap(1000)
-	if reflect.DeepEqual(a.Defects(), other.Defects()) {
-		t.Fatal("different seeds produced identical defect maps")
-	}
-}
 
 func TestDefectMapExplicitBlocks(t *testing.T) {
 	m := NewDefectMap(8, 2, 5, 99, -1)
@@ -43,44 +20,9 @@ func TestDefectMapExplicitBlocks(t *testing.T) {
 	if m.Healthy() != 6 {
 		t.Fatalf("healthy = %d, want 6", m.Healthy())
 	}
-}
-
-func TestInjectorTransientFaultsHeal(t *testing.T) {
-	plan := &FaultPlan{TransientAt: []int{3, 7}, TransientRepeat: 2}
-	in := plan.NewInjector()
-	if err := in.BeforeSymbol(0); err != nil {
-		t.Fatalf("offset 0: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		err := in.BeforeSymbol(3)
-		var tf *TransientFault
-		if !errors.As(err, &tf) || tf.Offset != 3 {
-			t.Fatalf("fire %d: err = %v, want TransientFault at 3", i, err)
-		}
-	}
-	if err := in.BeforeSymbol(3); err != nil {
-		t.Fatalf("offset 3 should have healed: %v", err)
-	}
-	if got := in.PendingTransients(); !reflect.DeepEqual(got, []int{7}) {
-		t.Fatalf("pending = %v, want [7]", got)
-	}
-	// A fresh injector starts from the plan again.
-	if err := plan.NewInjector().BeforeSymbol(3); err == nil {
-		t.Fatal("fresh injector lost the plan's faults")
-	}
-}
-
-func TestInjectorCorruptsDeterministically(t *testing.T) {
-	plan := &FaultPlan{Seed: 9, CorruptAt: []int{5}}
-	in := plan.NewInjector()
-	if got := in.Apply(4, 'a'); got != 'a' {
-		t.Fatalf("clean offset corrupted: %q", got)
-	}
-	c1 := in.Apply(5, 'a')
-	if c1 == 'a' {
-		t.Fatal("corrupted symbol equals original")
-	}
-	if c2 := plan.NewInjector().Apply(5, 'a'); c2 != c1 {
-		t.Fatalf("corruption not deterministic: %q vs %q", c2, c1)
+	// Duplicates count once; out-of-range indices not at all.
+	dup := NewDefectMap(8, 2, 2, -1, 9)
+	if dup.Count() != 1 || dup.Healthy() != 7 || !reflect.DeepEqual(dup.Defects(), []int{2}) {
+		t.Fatalf("duplicate/out-of-range input: count %d, healthy %d, defects %v", dup.Count(), dup.Healthy(), dup.Defects())
 	}
 }

@@ -14,7 +14,7 @@ const (
 	metricBreakerTransitions = "rapid_gateway_breaker_transitions_total"
 	metricProbes             = "rapid_gateway_probes_total"
 	metricReplicasReady      = "rapid_gateway_replicas_ready"
-	metricStreamRecords      = "rapid_gateway_stream_records_total"
+	metricStreamedRecords    = "rapid_gateway_stream_records_total"
 
 	// Fleet rebalancing (ApplyFleet / SIGHUP).
 	metricRebalances   = "rapid_gateway_rebalances_total"
@@ -76,7 +76,7 @@ func newGatewayMetrics(reg *telemetry.Registry) *gatewayMetrics {
 			"Active readiness probes, by replica and outcome (ok, error).", "replica", "outcome"),
 		replicasReady: reg.Gauge(metricReplicasReady,
 			"Replicas whose last readiness probe succeeded."),
-		streamRecords: reg.CounterVec(metricStreamRecords,
+		streamRecords: reg.CounterVec(metricStreamedRecords,
 			"Stream records relayed to clients, by outcome (ok, error, unavailable).", "outcome"),
 		rebalances: reg.CounterVec(metricRebalances,
 			"Fleet-manifest rebalances applied, by outcome (ok, error).", "outcome"),

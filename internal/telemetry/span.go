@@ -6,8 +6,8 @@ import (
 )
 
 // SpanEvent is one finished span delivered to the registry's span hooks:
-// a named lifecycle event (one stream served, one resilient run, one
-// failover decision) with its labels, wall-clock bounds, and outcome.
+// a named lifecycle event (one stream served, one failover decision) with
+// its labels, wall-clock bounds, and outcome.
 type SpanEvent struct {
 	Name     string
 	Labels   []Label

@@ -204,9 +204,9 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry. Cold paths (placement, fault
-// injection) report here unconditionally; the execution tiers report here
-// only when enabled via their telemetry options.
+// Default returns the process-wide registry. Cold paths (placement) report
+// here unconditionally; the execution tiers report here only when enabled
+// via their telemetry options.
 func Default() *Registry { return defaultRegistry }
 
 // lookup returns the metric for name, creating it on first use. Re-using

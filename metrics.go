@@ -9,9 +9,8 @@ import (
 
 // Metrics returns a point-in-time snapshot of the process-wide telemetry
 // registry (telemetry.Default()): every execution path constructed with
-// WithTelemetry(telemetry.Default()), plus the always-on cold-path
-// instruments (placement attempts, injected device faults). See
-// docs/OBSERVABILITY.md for the metric catalog.
+// WithTelemetry(telemetry.Default()), plus the always-on placement
+// instruments. See docs/OBSERVABILITY.md for the metric catalog.
 func Metrics() *telemetry.Snapshot {
 	return telemetry.Default().Snapshot()
 }

@@ -339,7 +339,6 @@ type Runner struct {
 	sim     *automata.FastSimulator
 	reports map[int]string
 	bm      *backendMetrics // per-backend stream accounting
-	tel     *runnerMetrics  // RunResilient's checkpoint-replay counters
 }
 
 // NewRunner builds the design's fast execution path. Options: WithTelemetry.
@@ -350,7 +349,7 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{sim: sim, reports: d.reports,
-		bm: newBackendMetrics(cfg.tel, string(BackendDevice)), tel: newRunnerMetrics(cfg.tel)}, nil
+		bm: newBackendMetrics(cfg.tel, string(BackendDevice))}, nil
 }
 
 // Run streams input through the design and returns the report events. The
@@ -378,7 +377,7 @@ func (r *Runner) RunBytes(input []byte) ([]Report, error) {
 // without rebuilding the tables. Clones share the parent's telemetry
 // instruments (counters are concurrency-safe).
 func (r *Runner) Clone() *Runner {
-	return &Runner{sim: r.sim.Clone(), reports: r.reports, bm: r.bm, tel: r.tel}
+	return &Runner{sim: r.sim.Clone(), reports: r.reports, bm: r.bm}
 }
 
 // WriteDot renders the design in Graphviz DOT format for visualization.

@@ -5,15 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/ap"
+	"repro/internal/automata"
 	"repro/internal/bench"
-	"repro/internal/place"
 	"repro/internal/resilience"
+	"repro/internal/telemetry"
 )
 
 // slidingSrc matches its word anywhere in the stream, so long synthetic
@@ -31,86 +31,21 @@ func repeatStream(unit string, n int) []byte {
 	return []byte(strings.Repeat(unit, n))
 }
 
-// noSleep makes retry backoff instantaneous in tests.
-var noSleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-
-// TestEndToEndFaultTolerance is the acceptance scenario: a design placed
-// on a board with an injected defective block, streamed with mid-stream
-// transient device faults, completes via checkpoint-replay and yields
-// byte-identical reports to a fault-free run.
-func TestEndToEndFaultTolerance(t *testing.T) {
-	design := mustDesign(t, slidingSrc, Str("abc"))
-
-	// The defective block is routed around at placement time.
-	defects := ap.NewDefectMap(16, 0)
-	placed, err := place.Place(design.net, place.Config{Defects: defects})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, phys := range placed.PhysicalBlocks {
-		if defects.Defective(phys) {
-			t.Fatalf("placement used defective block %d", phys)
-		}
-	}
-
-	input := repeatStream("xxabcx", 400) // 2400 symbols, several checkpoints
-	runner, err := design.NewRunner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustRunBytes(t, runner, input)
-	if len(want) == 0 {
-		t.Fatal("fault-free run produced no reports; bad test design")
-	}
-
-	// Transient faults mid-stream, one per checkpoint segment plus a
-	// repeated one, all healing within the retry budget.
-	plan := &ap.FaultPlan{Seed: 1, TransientAt: []int{100, 700, 1500}, TransientRepeat: 2}
-	inj := plan.NewInjector()
-	got, stats, err := runner.RunResilient(context.Background(), input, &RunOptions{
-		Checkpoint:   512,
-		Policy:       resilience.Policy{MaxAttempts: 3, Sleep: noSleep},
-		BeforeSymbol: inj.BeforeSymbol,
-		MapSymbol:    inj.Apply,
-	})
-	if err != nil {
-		t.Fatalf("resilient run failed: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("faulted run reports differ: got %d, want %d", len(got), len(want))
-	}
-	if stats.Retries < 6 { // 3 offsets × 2 fires each
-		t.Fatalf("retries = %d, want >= 6", stats.Retries)
-	}
-	if stats.ReplayedSymbols == 0 {
-		t.Fatal("no symbols replayed despite transient faults")
-	}
-	if pending := inj.PendingTransients(); len(pending) != 0 {
-		t.Fatalf("unconsumed faults: %v", pending)
-	}
+// cancelOnCall is a context whose Err starts returning context.Canceled on
+// its n-th call. The simulators check Err once before each chunk of
+// automata.CancelCheckInterval symbols, so cancellation lands at a known
+// chunk boundary instead of wherever a timer happens to fire.
+type cancelOnCall struct {
+	context.Context
+	calls, n int
 }
 
-func TestRunResilientExhaustsOnPersistentFault(t *testing.T) {
-	design := mustDesign(t, slidingSrc, Str("abc"))
-	runner, err := design.NewRunner()
-	if err != nil {
-		t.Fatal(err)
+func (c *cancelOnCall) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
 	}
-	// A fault that outlives the retry budget must surface, typed.
-	plan := &ap.FaultPlan{TransientAt: []int{10}, TransientRepeat: 100}
-	inj := plan.NewInjector()
-	_, _, err = runner.RunResilient(context.Background(), repeatStream("abc", 20), &RunOptions{
-		Policy:       resilience.Policy{MaxAttempts: 2, Sleep: noSleep},
-		BeforeSymbol: inj.BeforeSymbol,
-	})
-	var ex *resilience.ExhaustedError
-	if !errors.As(err, &ex) {
-		t.Fatalf("err = %v, want *ExhaustedError", err)
-	}
-	var tf *ap.TransientFault
-	if !errors.As(err, &tf) || tf.Offset != 10 {
-		t.Fatalf("err = %v, want wrapping TransientFault at 10", err)
-	}
+	return nil
 }
 
 func TestRunContextCancelsPromptly(t *testing.T) {
@@ -119,7 +54,7 @@ func TestRunContextCancelsPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := repeatStream("xxabcx", 2_000_000) // 12M symbols, tens of ms of work
+	input := repeatStream("xxabcx", automata.CancelCheckInterval) // six chunks
 
 	// Already-cancelled context: immediate ctx.Err(), no work.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -133,31 +68,24 @@ func TestRunContextCancelsPromptly(t *testing.T) {
 		t.Fatalf("post-cancel run: %d reports, want 10", len(got))
 	}
 
-	// Cancellation mid-run aborts long before the stream ends.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var partial []Report
-	var runErr error
-	go func() {
-		defer close(done)
-		partial, runErr = runner.Run(ctx2, input)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	cancel2()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after cancellation")
+	// Cancellation on the third check stops after exactly two chunks: the
+	// partial reports are those of a fault-free run over that prefix.
+	prefix := input[:2*automata.CancelCheckInterval]
+	want := mustRunBytes(t, runner, prefix)
+	if len(want) == 0 || len(want) >= len(mustRunBytes(t, runner, input)) {
+		t.Fatalf("prefix run has %d reports; the test needs some, and fewer than the whole stream's", len(want))
 	}
-	if !errors.Is(runErr, context.Canceled) {
-		t.Fatalf("mid-run err = %v, want context.Canceled", runErr)
-	}
-	if len(partial) >= len(input)/6 {
-		t.Fatalf("run completed (%d reports) despite cancellation", len(partial))
-	}
-	// Design-level variant honors cancellation too.
-	if _, err := design.Run(ctx, repeatStream("abc", 10)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Design.RunContext err = %v", err)
+	for name, run := range map[string]func(context.Context, []byte) ([]Report, error){
+		"Runner.Run": runner.Run,
+		"Design.Run": design.Run,
+	} {
+		partial, err := run(&cancelOnCall{Context: context.Background(), n: 3}, input)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: mid-run err = %v, want context.Canceled", name, err)
+		}
+		if !reflect.DeepEqual(partial, want) {
+			t.Fatalf("%s: %d partial reports, want the %d of the first two chunks", name, len(partial), len(want))
+		}
 	}
 }
 
@@ -231,7 +159,8 @@ func TestFailoverChain(t *testing.T) {
 
 	// The standard ladder: device → lazy-dfa → reference, on a toy design
 	// and on the Brill bank alike.
-	chain, err := design.FailoverChain()
+	reg := telemetry.NewRegistry()
+	chain, err := design.FailoverChain(WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +181,11 @@ func TestFailoverChain(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(Offsets(got), Offsets(want)) {
 		t.Fatalf("chain run: %v reports, err %v", Offsets(got), err)
 	}
-	recs := chain.Records()
-	if len(recs) != 1 || recs[0].Backend != "device" || len(recs[0].Failures) != 0 {
-		t.Fatalf("records = %+v", recs)
+	expectCounters(t, reg, map[string][]string{
+		"rapid_failover_served_total": {"backend", "device"},
+	})
+	if got := reg.Snapshot().Counter("rapid_failover_failures_total", "backend", "device", "cause", "error"); got != 0 {
+		t.Fatalf("failures{device,error} = %d, want 0", got)
 	}
 
 	// A panicking primary is recovered into a structured error and the
@@ -263,22 +194,16 @@ func TestFailoverChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain2 := NewFailoverChain(panicMatcher{}, ref)
+	reg2 := telemetry.NewRegistry()
+	chain2 := NewFailoverChain(panicMatcher{}, ref).UseTelemetry(reg2)
 	got, err = chain2.Run(context.Background(), input)
 	if err != nil || !reflect.DeepEqual(Offsets(got), Offsets(want)) {
 		t.Fatalf("failover run: %v, err %v", Offsets(got), err)
 	}
-	recs = chain2.Records()
-	if len(recs) != 1 || recs[0].Backend != "reference" {
-		t.Fatalf("records = %+v", recs)
-	}
-	if len(recs[0].Failures) != 1 || recs[0].Failures[0].Backend != "flaky-device" {
-		t.Fatalf("failures = %+v", recs[0].Failures)
-	}
-	var pe *resilience.PanicError
-	if !errors.As(recs[0].Failures[0], &pe) {
-		t.Fatalf("failure should wrap the recovered panic: %v", recs[0].Failures[0])
-	}
+	expectCounters(t, reg2, map[string][]string{
+		"rapid_failover_served_total":   {"backend", "reference"},
+		"rapid_failover_failures_total": {"backend", "flaky-device", "cause", "panic"},
+	})
 
 	// Cross-checking catches a silently-corrupt backend: the stream is
 	// served by the reference and the divergence is recorded.
@@ -286,29 +211,29 @@ func TestFailoverChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain3 := NewFailoverChain(corruptMatcher{inner: device}, ref)
+	reg3 := telemetry.NewRegistry()
+	chain3 := NewFailoverChain(corruptMatcher{inner: device}, ref).UseTelemetry(reg3)
 	chain3.CrossCheck = true
 	got, err = chain3.Run(context.Background(), input)
 	if err != nil || !reflect.DeepEqual(Offsets(got), Offsets(want)) {
 		t.Fatalf("cross-checked run: %v, err %v", Offsets(got), err)
 	}
-	recs = chain3.Records()
-	if len(recs) != 1 || !recs[0].Diverged || recs[0].Backend != "reference" {
-		t.Fatalf("divergence not recorded: %+v", recs)
-	}
-	var de *DivergenceError
-	if !errors.As(recs[0].Failures[0], &de) || de.Backend != "corrupt-device" {
-		t.Fatalf("failures = %+v", recs[0].Failures)
-	}
+	expectCounters(t, reg3, map[string][]string{
+		"rapid_failover_served_total":      {"backend", "reference"},
+		"rapid_failover_divergences_total": {"backend", "corrupt-device"},
+		"rapid_failover_failures_total":    {"backend", "corrupt-device", "cause", "divergence"},
+	})
 
-	// All backends failing surfaces the last structured error.
+	// All backends failing surfaces the last structured error, wrapping
+	// the recovered panic.
 	chain4 := NewFailoverChain(panicMatcher{})
 	if _, err := chain4.Run(context.Background(), input); err == nil {
 		t.Fatal("all-failed chain returned nil error")
 	} else {
 		var be *BackendError
-		if !errors.As(err, &be) || be.Backend != "flaky-device" {
-			t.Fatalf("err = %v, want *BackendError from flaky-device", err)
+		var pe *resilience.PanicError
+		if !errors.As(err, &be) || be.Backend != "flaky-device" || !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want *BackendError from flaky-device wrapping the panic", err)
 		}
 	}
 
@@ -317,5 +242,46 @@ func TestFailoverChain(t *testing.T) {
 	cancel()
 	if _, err := chain.Run(ctx, input); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled chain err = %v", err)
+	}
+}
+
+// expectCounters asserts that each named counter series (given as its
+// label name/value pairs) is exactly 1 in reg.
+func expectCounters(t *testing.T, reg *telemetry.Registry, want map[string][]string) {
+	t.Helper()
+	snap := reg.Snapshot()
+	for name, labels := range want {
+		if got := snap.Counter(name, labels...); got != 1 {
+			t.Errorf("%s%v = %d, want 1", name, labels, got)
+		}
+	}
+}
+
+// TestFailoverChainHeapBounded: serve keeps one chain per failover design
+// for the life of the process and runs every request through it, so Run
+// must not retain anything per stream.
+func TestFailoverChainHeapBounded(t *testing.T) {
+	boom := errors.New("device offline")
+	failing := &stubMatcher{name: "device", fn: func(context.Context, []byte) ([]Report, error) {
+		return nil, boom
+	}}
+	serving := &stubMatcher{name: "reference", fn: func(context.Context, []byte) ([]Report, error) {
+		return nil, nil
+	}}
+	chain := NewFailoverChain(failing, serving)
+	input := []byte("xxabcx")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		if _, err := chain.Run(context.Background(), input); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(chain)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("live heap grew %d B over 100000 chain runs, want <= 1 MiB", grew)
 	}
 }

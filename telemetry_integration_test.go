@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ap"
-	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
@@ -280,44 +278,6 @@ func TestFailoverChainMetrics(t *testing.T) {
 	}
 }
 
-// TestRunResilientMetrics checks that checkpoint-replay fault handling
-// lands in the rapid_resilient_* counters and matches the returned stats.
-func TestRunResilientMetrics(t *testing.T) {
-	design := mustDesign(t, slidingSrc, Str("abc"))
-	reg := telemetry.NewRegistry()
-	runner, err := design.NewRunner(WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &ap.FaultPlan{TransientAt: []int{100}, TransientRepeat: 1}
-	inj := plan.NewInjector()
-	input := repeatStream("xxabcx", 100)
-	_, stats, err := runner.RunResilient(context.Background(), input, &RunOptions{
-		Checkpoint:   64,
-		Policy:       resilience.Policy{MaxAttempts: 3, Sleep: noSleep},
-		BeforeSymbol: inj.BeforeSymbol,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Retries == 0 || stats.ReplayedSymbols == 0 {
-		t.Fatalf("fault did not trigger a replay: %+v", stats)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counter("rapid_resilient_retries_total"); got != uint64(stats.Retries) {
-		t.Errorf("retries counter = %d, stats %d", got, stats.Retries)
-	}
-	if got := snap.Counter("rapid_resilient_replayed_bytes_total"); got != uint64(stats.ReplayedSymbols) {
-		t.Errorf("replayed counter = %d, stats %d", got, stats.ReplayedSymbols)
-	}
-	if got := snap.Counter("rapid_resilient_checkpoints_total"); got != uint64(stats.Checkpoints) {
-		t.Errorf("checkpoints counter = %d, stats %d", got, stats.Checkpoints)
-	}
-	if got := snap.Counter("rapid_spans_total", "span", "runner.resilient", "status", "ok"); got != 1 {
-		t.Errorf("spans{runner.resilient,ok} = %d, want 1", got)
-	}
-}
-
 // TestMetricsSnapshotDefault checks the public rapid.Metrics() surface:
 // always-on cold-path instruments land in the default registry and the
 // snapshot resolves them by name.
@@ -338,11 +298,10 @@ func TestMetricsSnapshotDefault(t *testing.T) {
 }
 
 // TestMetricCatalogMatchesDocs is the metric catalog's guard for the
-// execution paths this package owns and the always-on cold paths beneath
-// them: every rapid_backend_*, rapid_engine_*, rapid_lazydfa_*,
-// rapid_failover_* and rapid_resilient_* name an engine, a runner, a
-// failover chain and a fault-injected resilient run register, and every
-// rapid_place_* and rapid_ap_* name in the default registry after a
+// execution paths this package owns and the always-on cold path beneath
+// them: every rapid_backend_*, rapid_engine_*, rapid_lazydfa_* and
+// rapid_failover_* name an engine, a runner and a failover chain register,
+// and every rapid_place_* name in the default registry after a
 // stamper-backed placement, must have a row in docs/OBSERVABILITY.md's
 // tables, and every such row must name a metric that something
 // registered.
@@ -368,16 +327,14 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 	if _, err := chain.Run(context.Background(), input); err != nil {
 		t.Fatal(err)
 	}
-	faults := (&ap.FaultPlan{TransientAt: []int{1}, CorruptAt: []int{2}}).NewInjector()
-	opts := &RunOptions{BeforeSymbol: faults.BeforeSymbol, MapSymbol: faults.Apply}
-	if _, _, err := runner.RunResilient(context.Background(), input, opts); err != nil {
+	if _, err := runner.Run(context.Background(), input); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := design.EnsurePlaced(NewPlacementCache()); err != nil {
 		t.Fatal(err)
 	}
 
-	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|failover|resilient|place|ap)_`)
+	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|failover|place)_`)
 	registered := map[string]bool{}
 	for _, snap := range []*telemetry.Snapshot{reg.Snapshot(), telemetry.Default().Snapshot()} {
 		for _, name := range snap.Names() {
