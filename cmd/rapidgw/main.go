@@ -23,7 +23,11 @@
 // Endpoints mirror rapidserve (POST /v1/match, POST /v1/match/stream,
 // GET /v1/designs, /healthz, /readyz) plus GET /v1/replicas, which
 // reports the routing digest and each replica's readiness, breaker
-// state, in-flight count, and last probe error. SIGTERM (or SIGINT)
+// state, in-flight count, and last probe error. A raw
+// application/octet-stream match routes on its ?design= query and its
+// body is never parsed; raw and JSON matches of one input are separate
+// cache entries, and a replica reply over the 64 MiB body cap is
+// answered 502 internal, never relayed truncated. SIGTERM (or SIGINT)
 // drains gracefully: readiness flips to 503, in-flight requests and
 // stream failovers complete, then the process exits 0. See
 // docs/OPERATIONS.md for topology and tuning.

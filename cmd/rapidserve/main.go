@@ -29,7 +29,9 @@
 // compile at stamping speed — and the layout rides along in the same
 // artifact, so restarts restore placements instead of re-running them.
 //
-// Endpoints: POST /v1/match (single-shot JSON), POST /v1/match/stream
+// Endpoints: POST /v1/match (single-shot: a JSON request, or with
+// Content-Type application/octet-stream the raw input as the body and the
+// design as ?design=NAME), POST /v1/match/stream
 // (separator-framed record stream in, NDJSON results out), GET
 // /v1/designs, /healthz, /readyz, and — when -metrics-addr is set —
 // /metrics and /debug/vars on a dedicated telemetry listener that is shut

@@ -52,10 +52,18 @@ func newResponseCache(maxBytes int64, tel *gatewayMetrics) *responseCache {
 	}
 }
 
-// inputHash fingerprints a request body for cache keying.
-func inputHash(body []byte) string {
+// inputHash fingerprints a request body for cache keying. The body's form
+// leads the key, so a raw input whose bytes spell a JSON request never
+// answers from (or for) that JSON request's entry.
+func inputHash(raw bool, body []byte) string {
 	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:16])
+	var key [1 + 2*16]byte
+	key[0] = 'j'
+	if raw {
+		key[0] = 'r'
+	}
+	hex.Encode(key[1:], sum[:16])
+	return string(key[:])
 }
 
 // lookup returns the cached response for (design, input), if the design's

@@ -10,7 +10,7 @@ import (
 )
 
 func testCacheResponse(body string) *bufferedResponse {
-	return &bufferedResponse{status: http.StatusOK, header: http.Header{}, body: []byte(body)}
+	return &bufferedResponse{status: http.StatusOK, body: []byte(body)}
 }
 
 // TestResponseCacheLRU: the unit-level contract — keyed on design hash +

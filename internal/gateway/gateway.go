@@ -17,8 +17,9 @@
 // number of them behind a TCP load balancer.
 //
 // Idempotent /v1/match responses are cached gateway-side, keyed on design
-// hash + input hash (bounded bytes, LRU), so repeated probes and hot
-// queries never touch a replica.
+// hash + body form + body hash (bounded bytes, LRU), so repeated probes and
+// hot queries never touch a replica. A raw match (application/octet-stream,
+// design in the query) is routed and keyed without parsing its body.
 //
 // Failover policy follows the serve layer's error vocabulary: transport
 // errors, 503 draining, and 429 over-capacity move the request to another
@@ -362,17 +363,38 @@ func (rt *route) next() *replica {
 }
 
 // bufferedResponse is a fully-read upstream response, safe to relay after
-// the upstream connection is gone.
+// the upstream connection is gone. It keeps only the header values relay
+// copies.
 type bufferedResponse struct {
-	status int
-	header http.Header
-	body   []byte
+	status      int
+	contentType string
+	retryAfter  string
+	designHash  string
+	idempotent  string
+	body        []byte
+}
+
+func newBufferedResponse(resp *http.Response, body []byte) *bufferedResponse {
+	return &bufferedResponse{
+		status:      resp.StatusCode,
+		contentType: resp.Header.Get("Content-Type"),
+		retryAfter:  resp.Header.Get("Retry-After"),
+		designHash:  resp.Header.Get(serve.DesignHashHeader),
+		idempotent:  resp.Header.Get(serve.IdempotentHeader),
+		body:        body,
+	}
 }
 
 func (g *Gateway) relay(w http.ResponseWriter, resp *bufferedResponse) {
-	for _, k := range []string{"Content-Type", "Retry-After", serve.DesignHashHeader, serve.IdempotentHeader} {
-		if v := resp.header.Get(k); v != "" {
-			w.Header().Set(k, v)
+	h := w.Header()
+	for _, kv := range [...][2]string{
+		{"Content-Type", resp.contentType},
+		{"Retry-After", resp.retryAfter},
+		{serve.DesignHashHeader, resp.designHash},
+		{serve.IdempotentHeader, resp.idempotent},
+	} {
+		if kv[1] != "" {
+			h.Set(kv[0], kv[1])
 		}
 	}
 	w.WriteHeader(resp.status)
@@ -380,7 +402,8 @@ func (g *Gateway) relay(w http.ResponseWriter, resp *bufferedResponse) {
 }
 
 // forward sends one buffered request leg to a replica and reads the whole
-// response. Only transport failures return an error.
+// response. Transport failures return an error, and so does a response
+// longer than MaxBodyBytes: an *http.MaxBytesError, never a truncated body.
 func (g *Gateway) forward(ctx context.Context, rep *replica, method, pathAndQuery string, hdr http.Header, body []byte) (*bufferedResponse, error) {
 	var rd io.Reader
 	if body != nil {
@@ -402,11 +425,11 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, pathAndQuer
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
+	data, err := serve.ReadBody(nil, resp.Body, resp.ContentLength, g.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &bufferedResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return newBufferedResponse(resp, data), nil
 }
 
 // classifyResponse decides what a non-2xx upstream response means for the
@@ -442,18 +465,30 @@ func classifyResponse(resp *bufferedResponse) (breakerFailed, failover bool, hin
 // backoff. When every attempt fails the client gets 503
 // upstream_unavailable — a typed, retryable refusal, never silence. The
 // relayed response is returned (nil after a refusal) so handleMatch can
-// feed the idempotent-response cache.
+// feed the idempotent-response cache. A reply over MaxBodyBytes is answered
+// 502 internal: every replica would send the same one, so it is neither
+// retried nor held against the replica.
 func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, path, key string, body []byte) *bufferedResponse {
+	target := path
+	if r.URL.RawQuery != "" {
+		target += "?" + r.URL.RawQuery
+	}
 	rt := g.routeFor(key)
 	attempts := 0
 	var final *bufferedResponse
+	var tooLarge *http.MaxBytesError
 	err := resilience.Retry(r.Context(), g.cfg.Policy, func(int) error {
 		rep := rt.next()
 		if rep == nil {
 			return resilience.RetryAfter(errNoReplicas, g.cfg.RetryAfter)
 		}
 		attempts++
-		resp, err := g.forward(r.Context(), rep, r.Method, path, r.Header, body)
+		resp, err := g.forward(r.Context(), rep, r.Method, target, r.Header, body)
+		if errors.As(err, &tooLarge) {
+			rep.breaker.Record(false)
+			g.tel.requests.With(rep.id, "relayed_error").Inc()
+			return resilience.Permanent(err)
+		}
 		if err != nil {
 			rep.breaker.Record(true)
 			g.tel.requests.With(rep.id, "transport_error").Inc()
@@ -479,7 +514,12 @@ func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, path
 	if attempts > 1 {
 		g.tel.failovers.With(strings.TrimPrefix(path, "/v1/")).Add(uint64(attempts - 1))
 	}
-	if err != nil {
+	switch {
+	case tooLarge != nil:
+		serve.WriteErrorBody(w, http.StatusBadGateway, serve.CodeInternal,
+			fmt.Sprintf("gateway: replica reply exceeds %d bytes", tooLarge.Limit), 0)
+		return nil
+	case err != nil:
 		serve.WriteErrorBody(w, http.StatusServiceUnavailable, serve.CodeUpstreamUnavailable,
 			fmt.Sprintf("gateway: no replica could serve the request: %v", err), g.cfg.RetryAfter)
 		return nil
@@ -593,24 +633,31 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 			"gateway draining", g.cfg.RetryAfter)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(w, r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
 	if err != nil {
 		serve.WriteErrorBody(w, http.StatusBadRequest, serve.CodeBadRequest,
 			fmt.Sprintf("gateway: reading request body: %v", err), 0)
 		return
 	}
-	// The design name is the routing key; a malformed body still routes
-	// (to the ""-keyed owner) and the replica reports the parse error.
+	// The design name is the routing key. A raw body names it in the query
+	// and is never parsed; a JSON body names it in its design field, and a
+	// malformed one still routes (to the ""-keyed owner) so the replica
+	// reports the parse error.
+	raw := serve.RawBody(r)
 	var req struct {
 		Design string `json:"design"`
 	}
-	_ = json.Unmarshal(body, &req)
+	if raw {
+		req.Design = r.URL.Query().Get("design")
+	} else {
+		_ = json.Unmarshal(body, &req)
+	}
 
 	// Identical idempotent matches are answered from the gateway cache —
 	// no replica round-trip, no queue slot, no quota draw.
 	var inHash string
 	if g.cache != nil {
-		inHash = inputHash(body)
+		inHash = inputHash(raw, body)
 		if resp := g.cache.lookup(req.Design, inHash); resp != nil {
 			g.tel.cacheHits.Inc()
 			w.Header().Set(CacheHeader, "hit")
@@ -621,8 +668,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(CacheHeader, "miss")
 	}
 	resp := g.proxyWithFailover(w, r, "/v1/match", req.Design, body)
-	if g.cache != nil && resp != nil && resp.status == http.StatusOK &&
-		resp.header.Get(serve.IdempotentHeader) == "true" {
-		g.cache.store(req.Design, resp.header.Get(serve.DesignHashHeader), inHash, resp)
+	if g.cache != nil && resp != nil && resp.status == http.StatusOK && resp.idempotent == "true" {
+		g.cache.store(req.Design, resp.designHash, inHash, resp)
 	}
 }

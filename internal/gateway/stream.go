@@ -49,7 +49,7 @@ func (g *Gateway) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	design := r.URL.Query().Get("design")
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	raw, err := serve.ReadBody(w, r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
 	if err != nil {
 		serve.WriteErrorBody(w, http.StatusBadRequest, serve.CodeBadRequest,
 			fmt.Sprintf("gateway: reading request body: %v", err), 0)
@@ -147,7 +147,7 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 		rep.breaker.Record(false)
 		return resilience.Permanent(err)
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", serve.RawContentType)
 	if st.tenant != "" {
 		req.Header.Set(serve.TenantHeader, st.tenant)
 	}
@@ -162,8 +162,8 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 	defer resp.Body.Close()
 
 	if resp.StatusCode != http.StatusOK {
-		buffered := &bufferedResponse{status: resp.StatusCode, header: resp.Header}
-		buffered.body, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		buffered := newBufferedResponse(resp, data)
 		breakerFailed, failover, hint := classifyResponse(buffered)
 		rep.breaker.Record(breakerFailed)
 		if failover {

@@ -16,6 +16,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -24,6 +25,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -369,8 +371,42 @@ func (s *Server) handleDesigns(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Designs())
 }
 
-// matchRequest is the single-shot match API request body. Exactly one of
-// Text, InputBase64, or Records supplies the input stream.
+// RawContentType marks a request body that is the input itself: a raw
+// /v1/match body (the design named by the design query parameter) and every
+// /v1/match/stream body.
+const RawContentType = "application/octet-stream"
+
+// RawBody reports whether a match request carries its input as the raw body
+// rather than as a JSON matchRequest. The media type decides, so JSON
+// requests of every earlier client keep working unchanged.
+func RawBody(r *http.Request) bool {
+	mediaType, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+	return strings.EqualFold(strings.TrimSpace(mediaType), RawContentType)
+}
+
+// exactReadMax caps the buffer ReadBody allocates from a declared length
+// before any byte arrives. A Content-Length header costs the client nothing
+// to send, so a larger declared body grows its buffer only as its bytes come.
+const exactReadMax = 1 << 20
+
+// ReadBody reads a body once, into one buffer. size is its declared length
+// (Content-Length, -1 when unknown). A declared length within limit and
+// exactReadMax is allocated exactly and filled with io.ReadFull; any other
+// body is read through http.MaxBytesReader, so one longer than limit fails
+// with an *http.MaxBytesError. w is the request's ResponseWriter, which
+// http.MaxBytesReader tells to close the connection after an oversized
+// request; it is nil for a response body.
+func ReadBody(w http.ResponseWriter, body io.ReadCloser, size, limit int64) ([]byte, error) {
+	if size >= 0 && size <= min(limit, exactReadMax) {
+		buf := make([]byte, size)
+		_, err := io.ReadFull(body, buf)
+		return buf, err
+	}
+	return io.ReadAll(http.MaxBytesReader(w, body, limit))
+}
+
+// matchRequest is the JSON form of a single-shot match request. Exactly one
+// of Text, InputBase64, or Records supplies the input stream.
 type matchRequest struct {
 	// Design names the mounted design; optional when one design is mounted.
 	Design string `json:"design,omitempty"`
@@ -381,6 +417,21 @@ type matchRequest struct {
 	// Records is framed with the reserved separator per the paper's
 	// flattened-array convention (leading separator, one after each record).
 	Records []string `json:"records,omitempty"`
+}
+
+// input decodes the request's input stream.
+func (req *matchRequest) input() ([]byte, error) {
+	switch {
+	case req.InputBase64 != "":
+		in, err := base64.StdEncoding.DecodeString(req.InputBase64)
+		if err != nil {
+			return nil, fmt.Errorf("serve: bad input_base64: %v", err)
+		}
+		return in, nil
+	case len(req.Records) > 0:
+		return rapid.FrameStrings(req.Records...), nil
+	}
+	return []byte(req.Text), nil
 }
 
 type reportJSON struct {
@@ -397,10 +448,21 @@ type matchResponse struct {
 	Reports []reportJSON `json:"reports"`
 }
 
+// handleMatch serves both request forms: a raw body (RawBody) is the input,
+// with the design in the query; any other body is a JSON matchRequest. The
+// body is read once either way, and both forms share the response.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
+	raw := RawBody(r)
 	var req matchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	switch {
+	case err != nil:
+	case raw:
+		req.Design = r.URL.Query().Get("design")
+	default:
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	}
+	if err != nil {
 		WriteErrorBody(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("serve: bad request body: %v", err), 0)
 		return
@@ -409,20 +471,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		WriteErrorBody(w, http.StatusNotFound, CodeNotFound, err.Error(), 0)
 		return
 	}
-	var input []byte
-	var err error
-	switch {
-	case req.InputBase64 != "":
-		input, err = base64.StdEncoding.DecodeString(req.InputBase64)
-		if err != nil {
-			WriteErrorBody(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("serve: bad input_base64: %v", err), 0)
+	input := body
+	if !raw {
+		if input, err = req.input(); err != nil {
+			WriteErrorBody(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 			return
 		}
-	case len(req.Records) > 0:
-		input = rapid.FrameStrings(req.Records...)
-	default:
-		input = []byte(req.Text)
 	}
 	d, reports, err := s.submitNamed(r.Context(), req.Design, tenantOf(r), input)
 	if err != nil {

@@ -9,12 +9,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -95,7 +95,8 @@ func (e *StatusError) IsRetryable() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// MatchResult is the single-shot match response.
+// MatchResult is the single-shot match response. encoding/json matches the
+// reply's design/hash/backend/reports keys to these untagged fields.
 type MatchResult struct {
 	Design  string
 	Hash    string
@@ -106,31 +107,16 @@ type MatchResult struct {
 // Match executes input against the named design (empty when the server
 // mounts exactly one), retrying over-capacity and draining responses per
 // the client's policy with the server's Retry-After hint as a backoff
-// floor.
+// floor. The input travels as the raw request body, the design as the
+// design query parameter.
 func (c *Client) Match(ctx context.Context, design string, input []byte) (*MatchResult, error) {
-	body, err := json.Marshal(map[string]string{
-		"design":       design,
-		"input_base64": base64.StdEncoding.EncodeToString(input),
-	})
-	if err != nil {
+	path := "/v1/match"
+	if design != "" {
+		path += "?design=" + url.QueryEscape(design)
+	}
+	res := &MatchResult{}
+	if err := c.postRetry(ctx, path, serve.RawContentType, input, res); err != nil {
 		return nil, err
-	}
-	var out struct {
-		Design  string `json:"design"`
-		Hash    string `json:"hash"`
-		Backend string `json:"backend"`
-		Reports []struct {
-			Offset int    `json:"offset"`
-			Code   int    `json:"code"`
-			Site   string `json:"site"`
-		} `json:"reports"`
-	}
-	if err := c.postRetry(ctx, "/v1/match", "application/json", body, &out); err != nil {
-		return nil, err
-	}
-	res := &MatchResult{Design: out.Design, Hash: out.Hash, Backend: out.Backend}
-	for _, r := range out.Reports {
-		res.Reports = append(res.Reports, rapid.Report{Offset: r.Offset, Code: r.Code, Site: r.Site})
 	}
 	return res, nil
 }
@@ -186,16 +172,16 @@ func (e *RecordError) IsRetryable() bool { return serve.RetryableCode(e.Code) }
 // final line, or a cleanly closed but short response — is an error, never
 // a silently shortened result slice.
 func (c *Client) MatchStream(ctx context.Context, design string, stream []byte) ([]RecordResult, error) {
-	url := c.base + "/v1/match/stream"
+	target := c.base + "/v1/match/stream"
 	if design != "" {
-		url += "?design=" + design
+		target += "?design=" + url.QueryEscape(design)
 	}
 	records, _ := rapid.SplitRecords(stream)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(stream))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(stream))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", serve.RawContentType)
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return nil, err

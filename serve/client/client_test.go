@@ -1,10 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +16,36 @@ import (
 
 	rapid "repro"
 	"repro/internal/resilience"
+	"repro/internal/serve"
 )
+
+// TestMatchSendsRawBody: Match posts the input itself as an
+// application/octet-stream body with the design in the query, and decodes
+// the reply's reports, site included, straight into rapid.Report.
+func TestMatchSendsRawBody(t *testing.T) {
+	input := []byte{0xff, 'x', 0x00, 'a', 'b', 'c'}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if r.URL.Path != "/v1/match" || r.URL.Query().Get("design") != "a b" ||
+			r.Header.Get("Content-Type") != serve.RawContentType || !bytes.Equal(body, input) {
+			http.Error(w, fmt.Sprintf("unexpected request %s %q %q", r.URL, r.Header.Get("Content-Type"), body), http.StatusBadRequest)
+			return
+		}
+		fmt.Fprint(w, `{"design":"a b","hash":"h","backend":"engine","count":2,`+
+			`"reports":[{"offset":5,"code":1,"site":"m(abc)"},{"offset":5,"code":2}]}`)
+	}))
+	defer srv.Close()
+	res, err := New(srv.URL).Match(context.Background(), "a b", input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MatchResult{Design: "a b", Hash: "h", Backend: "engine",
+		Reports: []rapid.Report{{Offset: 5, Code: 1, Site: "m(abc)"}, {Offset: 5, Code: 2}}}
+	if res.Design != want.Design || res.Hash != want.Hash || res.Backend != want.Backend ||
+		fmt.Sprint(res.Reports) != fmt.Sprint(want.Reports) {
+		t.Fatalf("Match = %+v, want %+v", *res, want)
+	}
+}
 
 // TestMatchRetriesWithRetryAfterFloor: a 429 with Retry-After is retried,
 // and the recorded sleep is floored at the server's hint rather than the
