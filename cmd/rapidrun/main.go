@@ -154,7 +154,7 @@ func main() {
 	// Explicit (not just deferred) because printReports may os.Exit on an
 	// interrupted run — the SIGINT drain still closes the listener cleanly.
 	shutdownMetrics()
-	printReports(reports, err)
+	printReports(design, reports, err)
 }
 
 // selectBackend resolves the shared -backend flag value: a BackendKind
@@ -181,9 +181,9 @@ func selectBackend(design *rapid.Design, name string, opts []rapid.Option) (func
 	return m.Match, nil
 }
 
-func printReports(reports []rapid.Report, err error) {
+func printReports(design *rapid.Design, reports []rapid.Report, err error) {
 	for _, r := range reports {
-		fmt.Printf("report offset=%d code=%d %s\n", r.Offset, r.Code, r.Site)
+		fmt.Printf("report offset=%d code=%d %s\n", r.Offset, r.Code, design.Site(r.Code))
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rapidrun: interrupted: %v (%d reports before cancellation)\n", err, len(reports))

@@ -22,7 +22,6 @@ import (
 // Engines are safe for concurrent use.
 type Engine struct {
 	proto   *lazydfa.Matcher
-	reports map[int]string
 	workers int
 	tel     *engineMetrics
 
@@ -86,7 +85,7 @@ func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{proto: proto, reports: d.reports, workers: workers, tel: newEngineMetrics(cfg.tel)}
+	e := &Engine{proto: proto, workers: workers, tel: newEngineMetrics(cfg.tel)}
 	e.matchers.New = func() any { return e.proto.Clone() }
 	return e, nil
 }
@@ -153,12 +152,20 @@ func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]by
 	if err != nil {
 		return err
 	}
+	// One allocation holds the whole group's reports; each stream's slice
+	// is capped at its own end, so an append to it copies instead of
+	// writing over the next stream's reports.
+	n := 0
+	for _, raw := range raws {
+		n += len(raw)
+	}
+	buf := make([]Report, 0, n)
 	for i, raw := range raws {
-		out := make([]Report, len(raw))
-		for j, r := range raw {
-			out[j] = Report{Offset: r.Offset, Code: r.Code, Site: e.reports[r.Code]}
+		lo := len(buf)
+		for _, r := range raw {
+			buf = append(buf, Report(r))
 		}
-		res[i].Reports = out
+		res[i].Reports = buf[lo:len(buf):len(buf)]
 	}
 	return nil
 }

@@ -160,8 +160,59 @@ func TestEngineRunRecords(t *testing.T) {
 	}
 }
 
-// TestEngineReportSites checks the engine resolves report sites like the
-// other backends.
+// TestEngineGroupReportArena checks the per-group report allocation: each
+// stream's reports are capped at their own length, so appending to one
+// stream's slice never writes into its neighbour's, and RunRecords rebases
+// every record's offsets exactly once.
+func TestEngineGroupReportArena(t *testing.T) {
+	design := mustDesign(t, slidingSrc, Str("abc"))
+	eng, err := design.NewEngine(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, inputs := make([]string, 8), make([][]byte, 8)
+	for i := range records {
+		records[i] = "x" + strings.Repeat("abc", i+1)
+		inputs[i] = []byte(records[i])
+	}
+	res := eng.RunBatchSettled(context.Background(), inputs)
+	for i, r := range res {
+		if r.Err != nil || len(r.Reports) != i+1 || cap(r.Reports) != len(r.Reports) {
+			t.Fatalf("stream %d: %d reports, cap %d, err %v; want %d, cap == len",
+				i, len(r.Reports), cap(r.Reports), r.Err, i+1)
+		}
+	}
+	second := append([]Report(nil), res[1].Reports...)
+	_ = append(res[0].Reports, Report{Offset: -1, Code: -1})
+	if !reflect.DeepEqual(res[1].Reports, second) {
+		t.Fatalf("append to stream 0 changed stream 1: %v, want %v", res[1].Reports, second)
+	}
+
+	stream := FrameStrings(records...)
+	want, err := design.RunBytes(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.RunRecords(context.Background(), stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged []Report
+	for i, rr := range got {
+		for _, r := range rr.Reports {
+			if r.Offset < rr.Offset || r.Offset >= rr.Offset+len(records[i]) {
+				t.Fatalf("record %d at %d: report offset %d outside the record", i, rr.Offset, r.Offset)
+			}
+		}
+		merged = append(merged, rr.Reports...)
+	}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("record reports %v != whole-stream %v", merged, want)
+	}
+}
+
+// TestEngineReportSites checks the engine's report codes resolve to sites
+// like the other backends'.
 func TestEngineReportSites(t *testing.T) {
 	design := mustDesign(t, slidingSrc, Str("ab"))
 	eng, err := design.NewEngine()
@@ -172,8 +223,8 @@ func TestEngineReportSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) == 0 || reports[0].Site == "" {
-		t.Fatalf("engine lost report sites: %v", reports)
+	if len(reports) == 0 || design.Site(reports[0].Code) == "" {
+		t.Fatalf("engine report codes have no site: %v", reports)
 	}
 }
 
@@ -335,11 +386,11 @@ func TestEngineRunBatchSettledCancelMidGroup(t *testing.T) {
 
 // TestWarmBatchSettledAllocs: a warm RunBatchSettled of 16 × 1 KiB
 // MOTOMATA-4 streams, the benchmark's scan-counter batch, allocates the
-// results, the pool's shared state and one report slice per stream, and
-// nothing per lane: 19, against 22 when each stream drew a pooled buffer
-// under a cancellable context.
+// results, the pool's shared state and one report slice per lane group,
+// and nothing per lane or per stream: 7, against 19 with one report slice
+// per stream.
 func TestWarmBatchSettledAllocs(t *testing.T) {
-	const bound = 22
+	const bound = 8
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops Puts at random, so matcher clones come back cold")
 	}

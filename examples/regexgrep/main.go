@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, r := range reports {
-		fmt.Printf("  match ends at offset %2d  (%s)\n", r.Offset, r.Site)
+		fmt.Printf("  match ends at offset %2d  (%s)\n", r.Offset, design.Site(r.Code))
 	}
 
 	// The lazy-DFA backend determinizes the pattern set on the fly; it

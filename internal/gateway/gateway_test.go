@@ -610,6 +610,12 @@ func (l *lineKiller) Flush() {
 	}
 }
 
+// Unwrap lets serve's http.ResponseController reach the connection, so the
+// wounded replica reads its body full duplex as a healthy one does. Without
+// it net/http drains or refuses the unread body at the first result line,
+// and the replica answers the record it was reading from a prefix.
+func (l *lineKiller) Unwrap() http.ResponseWriter { return l.ResponseWriter }
+
 // TestStreamAllReplicasDown: with the whole fleet gone, every record gets
 // a typed upstream_unavailable error line — the stream is never silently
 // truncated.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	rapid "repro"
@@ -138,11 +139,11 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 	g := st.gw
 	start := st.acked
 	suffix := rapid.FrameRecords(st.records[start:]...)
-	url := rep.base + "/v1/match/stream"
+	target := rep.base + "/v1/match/stream"
 	if st.design != "" {
-		url += "?design=" + st.design
+		target += "?design=" + url.QueryEscape(st.design)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(suffix))
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, target, bytes.NewReader(suffix))
 	if err != nil {
 		rep.breaker.Record(false)
 		return resilience.Permanent(err)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"slices"
 	"strings"
@@ -43,9 +44,16 @@ func wireRequest(t *testing.T, base, design string, input []byte, raw bool) *htt
 	return req
 }
 
+// wireReport is one report as the wire carries it: (offset, code, site).
+type wireReport struct {
+	Offset int
+	Code   int
+	Site   string
+}
+
 // wireDo sends req and returns the 200 reply's reports and its cache
 // outcome header, failing the test on any other status.
-func wireDo(t *testing.T, req *http.Request) ([]rapid.Report, string) {
+func wireDo(t *testing.T, req *http.Request) ([]wireReport, string) {
 	t.Helper()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -56,16 +64,16 @@ func wireDo(t *testing.T, req *http.Request) ([]rapid.Report, string) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("%s: %d %s", req.URL, resp.StatusCode, body)
 	}
-	var out struct{ Reports []rapid.Report }
+	var out struct{ Reports []wireReport }
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	return out.Reports, resp.Header.Get(CacheHeader)
 }
 
-func sortedReports(rs []rapid.Report) []rapid.Report {
+func sortedReports(rs []wireReport) []wireReport {
 	out := slices.Clone(rs)
-	slices.SortFunc(out, func(a, b rapid.Report) int {
+	slices.SortFunc(out, func(a, b wireReport) int {
 		if a.Offset != b.Offset {
 			return a.Offset - b.Offset
 		}
@@ -80,7 +88,8 @@ func sortedReports(rs []rapid.Report) []rapid.Report {
 // TestWireParity: every bench design at one instance, on inputs of 0 B,
 // 1 B, 4 KiB ± 1 and 64 KiB + 1, gives the same (offset, code, site) list
 // on every route — JSON and raw, straight to serve and through the gateway
-// on a miss and then a hit — and that list is the design's own.
+// on a miss and then a hit — and that list is the design's own, each site
+// resolved from its code by the design.
 func TestWireParity(t *testing.T) {
 	srv, err := serve.New(serve.Config{})
 	if err != nil {
@@ -127,12 +136,16 @@ func TestWireParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := sortedReports(own)
+			mine := make([]wireReport, len(own))
+			for i, r := range own {
+				mine[i] = wireReport{Offset: r.Offset, Code: r.Code, Site: d.Site(r.Code)}
+			}
+			want := sortedReports(mine)
 			ref, _ := wireDo(t, wireRequest(t, serveTS.URL, name, input, false))
 			if got := sortedReports(ref); !slices.Equal(got, want) {
 				t.Fatalf("%s/%d B: serve JSON gave %d reports, the design %d", name, size, len(got), len(want))
 			}
-			check := func(route string, got []rapid.Report) {
+			check := func(route string, got []wireReport) {
 				t.Helper()
 				if !slices.Equal(got, ref) {
 					t.Fatalf("%s/%d B: %s gave %v, serve JSON %v", name, size, route, got, ref)
@@ -151,6 +164,52 @@ func TestWireParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStreamEscapesDesignName: a design whose name needs query escaping
+// reaches the replica's stream endpoint under that name, so every record
+// gets its reports rather than a not_found refusal.
+func TestStreamEscapesDesignName(t *testing.T) {
+	const name = "a+b&c"
+	srv, err := serve.New(serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AddDesign(testSpec(name)); err != nil {
+		t.Fatal(err)
+	}
+	serveTS := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		serveTS.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	g := mustGateway(t, testGatewayConfig([]string{serveTS.URL}, nil))
+	waitAllReady(t, g)
+	gwTS := httptest.NewServer(g.Handler())
+	t.Cleanup(gwTS.Close)
+
+	stream := rapid.FrameStrings("xxabcx", "xbcdx")
+	resp, err := http.Post(gwTS.URL+"/v1/match/stream?design="+url.QueryEscape(name),
+		serve.RawContentType, bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream for %q: %d %s", name, resp.StatusCode, body)
+	}
+	var lines []streamLine
+	for _, raw := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		var line streamLine
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatalf("bad stream line %q: %v", raw, err)
+		}
+		lines = append(lines, line)
+	}
+	if len(lines) != 2 || lines[0].Error != "" || lines[0].Count != 1 || lines[1].Error != "" || lines[1].Count != 1 {
+		t.Fatalf("stream for %q: %s", name, body)
 	}
 }
 

@@ -41,7 +41,6 @@ func (t *tier) adapt(window int) bool {
 func (t *tier) demote() {
 	t.demoted = true
 	t.demotions++
-	t.flushes++
 	t.cache.releaseAll()
 }
 

@@ -172,7 +172,6 @@ type tier struct {
 	sim           *automata.FastSimulator // built on first demoted run
 
 	fills     int
-	flushes   int
 	demotions int
 	skipped   int
 }
@@ -275,8 +274,9 @@ func (m *Matcher) Fills() int { return m.sum(func(t *tier) int { return t.fills 
 // Flushes returns how many times a whole state cache was dropped. Under
 // per-state eviction this no longer happens on capacity pressure; the only
 // remaining whole-cache drop is the one performed by demotion, when the
-// DFA gives the memory back before switching to the bitset walk.
-func (m *Matcher) Flushes() int { return m.sum(func(t *tier) int { return t.flushes }) }
+// DFA gives the memory back before switching to the bitset walk, so it
+// equals Demotions.
+func (m *Matcher) Flushes() int { return m.Demotions() }
 
 // Evictions returns how many single states the caches have evicted to make
 // room.
@@ -308,15 +308,10 @@ func (m *Matcher) Run(input []byte) []Report {
 	return out
 }
 
-// RunContext is Run with cooperative cancellation: input is processed in
-// chunks and the run aborts with ctx.Err() once ctx is done, returning the
-// reports produced so far.
-func (m *Matcher) RunContext(ctx context.Context, input []byte) ([]Report, error) {
-	return m.RunAppend(ctx, input, nil)
-}
-
-// RunAppend is RunContext appending into dst (which may be nil), letting
-// callers recycle report buffers across streams.
+// RunAppend is Run with cooperative cancellation, appending into dst
+// (which may be nil) so callers can recycle report buffers across streams:
+// input is processed in chunks and the run aborts with ctx.Err() once ctx
+// is done, returning the reports produced so far.
 func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]Report, error) {
 	outs, err := m.RunGroup(ctx, [][]byte{input})
 	return append(dst, outs[0]...), err

@@ -451,7 +451,7 @@ func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	input := make([]byte, 100000)
-	if _, err := m.RunContext(ctx, input); err == nil {
+	if _, err := m.RunAppend(ctx, input, nil); err == nil {
 		t.Fatal("cancelled run should error")
 	}
 }

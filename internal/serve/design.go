@@ -51,6 +51,11 @@ type DesignInfo struct {
 	// Tiers is Engine.Tiers() in engine mode ("lazy-dfa", "counter-dfa" or
 	// "lazy-dfa+counter-dfa"), or the failover ladder in failover mode.
 	Tiers string `json:"tiers,omitempty"`
+	// Sites maps each report code to its source site (rapid.Design.Sites).
+	// Match replies resolve every report's site from it, so it is shared
+	// with the server and read only; a caller-supplied Matcher has none,
+	// so its reports carry no site.
+	Sites map[int]string `json:"sites,omitempty"`
 }
 
 // design is one mounted design: its compiled artifact, executor, bounded
@@ -137,6 +142,7 @@ func (s *Server) compileDesign(spec DesignSpec) (*design, error) {
 	d.info.Counters = stats.Counters
 	d.info.Gates = stats.BooleanGates
 	d.info.Reporting = stats.Reporting
+	d.info.Sites = compiled.Sites()
 
 	opts := []rapid.Option{}
 	if s.cfg.Workers > 0 {

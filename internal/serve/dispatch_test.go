@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	rapid "repro"
@@ -279,7 +281,7 @@ func TestRecordScannerEmptyRecords(t *testing.T) {
 func TestRecordScannerLargeRecord(t *testing.T) {
 	big := strings.Repeat("x", 100<<10)
 	stream := rapid.FrameStrings("a", big, "b")
-	sc := newRecordScanner(iotest(bytes.NewReader(stream), 7))
+	sc := newRecordScanner(shortReads(bytes.NewReader(stream), 7))
 	wantOff := []int{1, 3, 3 + len(big) + 1}
 	wantText := []string{"a", big, "b"}
 	for i := range wantText {
@@ -293,9 +295,36 @@ func TestRecordScannerLargeRecord(t *testing.T) {
 	}
 }
 
-// iotest wraps r so every Read returns at most n bytes, exercising refill
-// boundaries.
-func iotest(r io.Reader, n int) io.Reader { return &smallReader{r: r, n: n} }
+// TestRecordScannerOneByteReads: a body that arrives one byte at a time,
+// with a record longer than the scanner's first buffer and a final record
+// without a trailing separator, gives the records and offsets SplitRecords
+// finds in the whole stream. Records are copied as they come, since each
+// is a view valid only until the next call.
+func TestRecordScannerOneByteReads(t *testing.T) {
+	big := strings.Repeat("y", 10<<10)
+	stream := append(rapid.FrameStrings("a", big, "", "bc"), "tail"...)
+	wantRecs, wantOffs := rapid.SplitRecords(stream)
+	sc := newRecordScanner(iotest.OneByteReader(bytes.NewReader(stream)))
+	var recs [][]byte
+	var offs []int
+	for {
+		r, off, err := sc.next()
+		if r == nil {
+			if err != io.EOF {
+				t.Fatal(err)
+			}
+			break
+		}
+		recs, offs = append(recs, bytes.Clone(r)), append(offs, off)
+	}
+	if !reflect.DeepEqual(recs, wantRecs) || !reflect.DeepEqual(offs, wantOffs) {
+		t.Fatalf("got %d records at %v, want %d at %v", len(recs), offs, len(wantRecs), wantOffs)
+	}
+}
+
+// shortReads wraps r so every Read returns at most n bytes, exercising
+// refill boundaries.
+func shortReads(r io.Reader, n int) io.Reader { return &smallReader{r: r, n: n} }
 
 type smallReader struct {
 	r io.Reader

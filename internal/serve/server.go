@@ -25,6 +25,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -492,7 +493,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		Hash:    d.info.Hash,
 		Backend: d.info.Backend,
 		Count:   len(reports),
-		Reports: toReportJSON(reports, 0),
+		Reports: toReportJSON(reports, 0, d.info.Sites),
 	})
 }
 
@@ -544,7 +545,7 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		line := streamResult{Index: index, Offset: offset}
-		_, reports, err := s.submitNamed(r.Context(), name, tenant, rapid.FrameRecords(rec))
+		d, reports, err := s.submitNamed(r.Context(), name, tenant, rapid.FrameRecords(rec))
 		if err != nil {
 			_, code, retryAfter := s.errorStatus(err)
 			line.Error = err.Error()
@@ -553,7 +554,7 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		} else {
 			// Framed symbol k maps to stream offset offset-1+k (the
 			// record's leading separator sits one symbol before it).
-			line.Reports = toReportJSON(reports, offset-1)
+			line.Reports = toReportJSON(reports, offset-1, d.info.Sites)
 			line.Count = len(line.Reports)
 		}
 		if encErr := enc.Encode(line); encErr != nil {
@@ -609,10 +610,12 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	WriteErrorBody(w, status, code, err.Error(), retryAfter)
 }
 
-func toReportJSON(reports []rapid.Report, rebase int) []reportJSON {
+// toReportJSON encodes reports with offsets shifted by rebase, resolving
+// each code's site from sites.
+func toReportJSON(reports []rapid.Report, rebase int, sites map[int]string) []reportJSON {
 	out := make([]reportJSON, len(reports))
 	for i, r := range reports {
-		out[i] = reportJSON{Offset: r.Offset + rebase, Code: r.Code, Site: r.Site}
+		out[i] = reportJSON{Offset: r.Offset + rebase, Code: r.Code, Site: sites[r.Code]}
 	}
 	return out
 }
@@ -624,12 +627,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // recordScanner carves separator-framed records out of a streaming body,
-// tracking each record's stream offset.
+// tracking each record's stream offset. It reads into the spare capacity
+// of one buffer, grown only when a single record fills it.
 type recordScanner struct {
 	r      io.Reader
-	buf    []byte
-	chunk  []byte // read buffer, reused across reads
-	off    int    // stream offset of buf[0]
+	buf    []byte // buf[lo:] is read and not yet returned
+	lo     int
+	off    int // stream offset of buf[lo]
 	err    error
 	closed bool
 }
@@ -639,45 +643,43 @@ func newRecordScanner(r io.Reader) *recordScanner {
 }
 
 // next returns the next non-empty record and the stream offset of its
-// first symbol. It returns (nil, 0, err) at end of stream (err == io.EOF)
-// or on a read error.
+// first symbol. The record is a view into the scanner's buffer, valid
+// until the next call. It returns (nil, 0, err) at end of stream
+// (err == io.EOF) or on a read error.
 func (s *recordScanner) next() ([]byte, int, error) {
 	for {
-		// Look for a complete record in the buffer.
+		data := s.buf[s.lo:]
 		start := 0
-		for start < len(s.buf) && s.buf[start] == rapid.StartOfInput {
+		for start < len(data) && data[start] == rapid.StartOfInput {
 			start++
 		}
-		for i := start; i < len(s.buf); i++ {
-			if s.buf[i] == rapid.StartOfInput {
-				rec := append([]byte(nil), s.buf[start:i]...)
-				recOff := s.off + start
-				s.buf = s.buf[i+1:]
-				s.off = recOff + len(rec) + 1
-				return rec, recOff, nil
-			}
+		if i := bytes.IndexByte(data[start:], rapid.StartOfInput); i >= 0 {
+			s.lo += start + i + 1
+			s.off += start + i + 1
+			return data[start : start+i], s.off - i - 1, nil
 		}
 		if s.closed {
 			// Final unterminated record, if any.
-			if start < len(s.buf) {
-				rec := append([]byte(nil), s.buf[start:]...)
-				recOff := s.off + start
-				s.buf = nil
-				return rec, recOff, nil
+			s.lo = len(s.buf)
+			if start < len(data) {
+				return data[start:], s.off + start, nil
 			}
 			if s.err == nil {
 				s.err = io.EOF
 			}
 			return nil, 0, s.err
 		}
-		// Separators consumed so far can be discarded.
-		s.off += start
-		s.buf = s.buf[start:]
-		if s.chunk == nil {
-			s.chunk = make([]byte, 32<<10)
+		// Drop what was returned and the separators scanned, then read
+		// into the spare capacity.
+		if drop := s.lo + start; drop > 0 {
+			s.buf = s.buf[:copy(s.buf, s.buf[drop:])]
+			s.lo, s.off = 0, s.off+start
 		}
-		n, err := s.r.Read(s.chunk)
-		s.buf = append(s.buf, s.chunk[:n]...)
+		if len(s.buf) == cap(s.buf) {
+			s.buf = slices.Grow(s.buf, max(len(s.buf), 4<<10))
+		}
+		n, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf = s.buf[:len(s.buf)+n]
 		if err != nil {
 			s.closed = true
 			if err != io.EOF {

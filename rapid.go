@@ -36,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
 	"time"
@@ -172,12 +173,19 @@ func (d *Design) Stats() Stats {
 
 // Report is a report event produced by simulation: a reporting element was
 // active while processing the symbol at Offset. Code identifies the report
-// statement instance; Site describes its source location when known.
+// statement instance; Design.Site maps it to its source location.
 type Report struct {
 	Offset int
 	Code   int
-	Site   string
 }
+
+// Site describes the source location of the report statement instance
+// code, "" when unknown. Reports carry only the code, as the device's
+// report events do; the host resolves a code when it prints or encodes it.
+func (d *Design) Site(code int) string { return d.reports[code] }
+
+// Sites returns a copy of the design's code → site table (see Site).
+func (d *Design) Sites() map[int]string { return maps.Clone(d.reports) }
 
 // Run simulates the design in lock-step over input, exactly as the AP
 // executes it, and returns all report events in offset order. The
@@ -185,7 +193,7 @@ type Report struct {
 // ctx is done, returning the reports produced up to that point.
 func (d *Design) Run(ctx context.Context, input []byte) ([]Report, error) {
 	raw, err := d.net.RunContext(ctx, input)
-	return convertReports(raw, d.reports), err
+	return convertReports(raw), err
 }
 
 // RunBytes is Run with context.Background().
@@ -193,10 +201,10 @@ func (d *Design) RunBytes(input []byte) ([]Report, error) {
 	return d.Run(context.Background(), input)
 }
 
-func convertReports(raw []automata.Report, sites map[int]string) []Report {
+func convertReports(raw []automata.Report) []Report {
 	out := make([]Report, len(raw))
 	for i, r := range raw {
-		out[i] = Report{Offset: r.Offset, Code: r.Code, Site: sites[r.Code]}
+		out[i] = Report{Offset: r.Offset, Code: r.Code}
 	}
 	return out
 }
@@ -336,9 +344,8 @@ func (p *Program) Tessellate(args ...Value) (*Tessellation, error) {
 // precomputes per-symbol acceptance tables once and can then stream many
 // inputs. It is the "device" backend of the failover ladder.
 type Runner struct {
-	sim     *automata.FastSimulator
-	reports map[int]string
-	bm      *backendMetrics // per-backend stream accounting
+	sim *automata.FastSimulator
+	bm  *backendMetrics // per-backend stream accounting
 }
 
 // NewRunner builds the design's fast execution path. Options: WithTelemetry.
@@ -348,8 +355,7 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{sim: sim, reports: d.reports,
-		bm: newBackendMetrics(cfg.tel, string(BackendDevice))}, nil
+	return &Runner{sim: sim, bm: newBackendMetrics(cfg.tel, string(BackendDevice))}, nil
 }
 
 // Run streams input through the design and returns the report events. The
@@ -360,7 +366,7 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
 	start := r.bm.start()
 	raw, err := r.sim.RunContext(ctx, input)
-	out := convertReports(raw, r.reports)
+	out := convertReports(raw)
 	r.bm.record(len(input), len(out), err, start)
 	return out, err
 }
@@ -377,7 +383,7 @@ func (r *Runner) RunBytes(input []byte) ([]Report, error) {
 // without rebuilding the tables. Clones share the parent's telemetry
 // instruments (counters are concurrency-safe).
 func (r *Runner) Clone() *Runner {
-	return &Runner{sim: r.sim.Clone(), reports: r.reports, bm: r.bm}
+	return &Runner{sim: r.sim.Clone(), bm: r.bm}
 }
 
 // WriteDot renders the design in Graphviz DOT format for visualization.

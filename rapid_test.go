@@ -56,8 +56,8 @@ func TestParseCompileRun(t *testing.T) {
 	if got := Offsets(reports); !reflect.DeepEqual(got, []int{4}) {
 		t.Fatalf("offsets = %v", got)
 	}
-	// Site metadata survives.
-	if reports[0].Site == "" {
+	// The report's code resolves to its site.
+	if design.Site(reports[0].Code) == "" {
 		t.Error("report site missing")
 	}
 }
@@ -211,7 +211,7 @@ func TestCompileRegex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 2 || reports[0].Site == "" {
+	if len(reports) != 2 || set.Site(reports[0].Code) == "" {
 		t.Fatalf("set reports = %v", reports)
 	}
 }

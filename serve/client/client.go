@@ -96,7 +96,9 @@ func (e *StatusError) IsRetryable() bool {
 }
 
 // MatchResult is the single-shot match response. encoding/json matches the
-// reply's design/hash/backend/reports keys to these untagged fields.
+// reply's design/hash/backend/reports keys to these untagged fields; a
+// report's site key matches no field of rapid.Report and is skipped (see
+// DesignInfo.Sites).
 type MatchResult struct {
 	Design  string
 	Hash    string
@@ -200,11 +202,9 @@ func (c *Client) MatchStream(ctx context.Context, design string, stream []byte) 
 			Error        string `json:"error"`
 			Code         string `json:"code"`
 			RetryAfterMS int64  `json:"retry_after_ms"`
-			Reports      []struct {
-				Offset int    `json:"offset"`
-				Code   int    `json:"code"`
-				Site   string `json:"site"`
-			} `json:"reports"`
+			// The wire's per-report site matches no field and is
+			// skipped; Designs returns each design's sites once.
+			Reports []rapid.Report `json:"reports"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			return results, fmt.Errorf("serve client: torn stream line after %d of %d records: %w",
@@ -214,16 +214,13 @@ func (c *Client) MatchStream(ctx context.Context, design string, stream []byte) 
 			return results, fmt.Errorf("serve client: stream out of order: got record %d, want %d",
 				line.Index, len(results))
 		}
-		rr := RecordResult{Index: line.Index, Offset: line.Offset}
+		rr := RecordResult{Index: line.Index, Offset: line.Offset, Reports: line.Reports}
 		if line.Error != "" {
 			rr.Err = &RecordError{
 				Code:       line.Code,
 				Message:    line.Error,
 				RetryAfter: time.Duration(line.RetryAfterMS) * time.Millisecond,
 			}
-		}
-		for _, r := range line.Reports {
-			rr.Reports = append(rr.Reports, rapid.Report{Offset: r.Offset, Code: r.Code, Site: r.Site})
 		}
 		results = append(results, rr)
 	}
@@ -271,6 +268,9 @@ type DesignInfo struct {
 	Gates     int    `json:"gates"`
 	Reporting int    `json:"reporting"`
 	Tiers     string `json:"tiers"`
+	// Sites maps each report code to its source site: a match result's
+	// reports carry only (offset, code), and this resolves the code.
+	Sites map[int]string `json:"sites,omitempty"`
 }
 
 // Designs lists the server's mounted designs.

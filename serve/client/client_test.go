@@ -21,7 +21,8 @@ import (
 
 // TestMatchSendsRawBody: Match posts the input itself as an
 // application/octet-stream body with the design in the query, and decodes
-// the reply's reports, site included, straight into rapid.Report.
+// the reply's reports straight into rapid.Report as (offset, code): the
+// wire's per-report site is skipped.
 func TestMatchSendsRawBody(t *testing.T) {
 	input := []byte{0xff, 'x', 0x00, 'a', 'b', 'c'}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -40,10 +41,61 @@ func TestMatchSendsRawBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := MatchResult{Design: "a b", Hash: "h", Backend: "engine",
-		Reports: []rapid.Report{{Offset: 5, Code: 1, Site: "m(abc)"}, {Offset: 5, Code: 2}}}
+		Reports: []rapid.Report{{Offset: 5, Code: 1}, {Offset: 5, Code: 2}}}
 	if res.Design != want.Design || res.Hash != want.Hash || res.Backend != want.Backend ||
 		fmt.Sprint(res.Reports) != fmt.Sprint(want.Reports) {
 		t.Fatalf("Match = %+v, want %+v", *res, want)
+	}
+}
+
+// TestDesignsReturnsSites: Designs carries each mounted design's code →
+// site table, which resolves the codes of a match result's reports to the
+// sites the wire reply carries.
+func TestDesignsReturnsSites(t *testing.T) {
+	srv, err := serve.New(serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `macro m(String s) {
+  whenever (ALL_INPUT == input()) {
+    foreach (char c : s) c == input();
+    report;
+  }
+}
+network (String s) { m(s); }`
+	if _, err := srv.AddDesign(serve.DesignSpec{Name: "d", Source: src, Args: []rapid.Value{rapid.Str("abc")}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	ctx := context.Background()
+	c := New(ts.URL)
+	designs, err := c.Designs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.MatchText(ctx, "d", "xxabcx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/match", "application/json", strings.NewReader(`{"design":"d","text":"xxabcx"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire struct{ Reports []struct{ Site string } }
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(designs) != 1 || len(res.Reports) != 1 || len(wire.Reports) != 1 {
+		t.Fatalf("designs %+v, reports %v, wire %+v", designs, res.Reports, wire)
+	}
+	site := designs[0].Sites[res.Reports[0].Code]
+	if site == "" || site != wire.Reports[0].Site {
+		t.Fatalf("sites %v resolve code %d to %q, the wire says %q",
+			designs[0].Sites, res.Reports[0].Code, site, wire.Reports[0].Site)
 	}
 }
 

@@ -46,8 +46,8 @@ func TestRunner(t *testing.T) {
 		if got := Offsets(reports); !reflect.DeepEqual(got, []int{2}) {
 			t.Fatalf("trial %d: offsets = %v", trial, got)
 		}
-		if reports[0].Site == "" {
-			t.Error("runner lost report site")
+		if design.Site(reports[0].Code) == "" {
+			t.Error("runner report code has no site")
 		}
 	}
 	// Runner agrees with the reference path.
