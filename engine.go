@@ -38,10 +38,11 @@ type engineMetrics struct {
 	batches          *telemetry.Counter
 	laneStreams      *telemetry.Counter
 	cacheFills       *telemetry.Counter
-	cacheFlushes     *telemetry.Counter
 	cacheEvictions   *telemetry.Counter
 	prefilterSkipped *telemetry.Counter
 	demotions        *telemetry.Counter
+	specHits         *telemetry.Counter
+	specMisses       *telemetry.Counter
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
@@ -58,14 +59,16 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"Streams a batch worker ran in a group of two or more, interleaved through one lazy-DFA cache."),
 		cacheFills: reg.Counter("rapid_lazydfa_cache_fills_total",
 			"Lazy-DFA transitions materialized on cache miss, counter tier included."),
-		cacheFlushes: reg.Counter("rapid_lazydfa_cache_flushes_total",
-			"Lazy-DFA whole-cache drops (now only the one performed by demotion)."),
 		cacheEvictions: reg.Counter("rapid_lazydfa_cache_evictions_total",
 			"Lazy-DFA single states evicted by the second-chance clock, counter tier included."),
 		prefilterSkipped: reg.Counter("rapid_lazydfa_prefilter_skipped_bytes_total",
 			"Input bytes skipped by the rest-state literal prefilter."),
 		demotions: reg.Counter("rapid_lazydfa_demotions_total",
 			"Lazy-DFA tiers (pure or counter) that demoted to the NFA bitset walk."),
+		specHits: reg.Counter("rapid_lazydfa_speculation_hits_total",
+			"Speculative segments of a long lone stream whose guessed start met the true walk."),
+		specMisses: reg.Counter("rapid_lazydfa_speculation_misses_total",
+			"Speculative segments whose guessed start never met the true walk, so it walked them itself."),
 	}
 }
 
@@ -129,11 +132,11 @@ func (e *Engine) RunBytes(input []byte) ([]Report, error) {
 // error, which can only be ctx's and so is every stream's.
 func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]byte, res []BatchResult) error {
 	var start time.Time
-	var fills0, flushes0, evictions0, skipped0, demotions0 int
+	var fills0, evictions0, skipped0, demotions0, hits0, misses0 int
 	if e.tel != nil {
 		start = time.Now()
-		fills0, flushes0 = m.Fills(), m.Flushes()
-		evictions0, skipped0, demotions0 = m.Evictions(), m.PrefilterSkipped(), m.Demotions()
+		fills0, evictions0, skipped0 = m.Fills(), m.Evictions(), m.PrefilterSkipped()
+		demotions0, hits0, misses0 = m.Demotions(), m.SpeculationHits(), m.SpeculationMisses()
 	}
 	raws, err := m.RunGroup(ctx, inputs)
 	if e.tel != nil {
@@ -144,10 +147,11 @@ func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]by
 			e.tel.laneStreams.Add(uint64(len(inputs)))
 		}
 		e.tel.cacheFills.Add(uint64(m.Fills() - fills0))
-		e.tel.cacheFlushes.Add(uint64(m.Flushes() - flushes0))
 		e.tel.cacheEvictions.Add(uint64(m.Evictions() - evictions0))
 		e.tel.prefilterSkipped.Add(uint64(m.PrefilterSkipped() - skipped0))
 		e.tel.demotions.Add(uint64(m.Demotions() - demotions0))
+		e.tel.specHits.Add(uint64(m.SpeculationHits() - hits0))
+		e.tel.specMisses.Add(uint64(m.SpeculationMisses() - misses0))
 	}
 	if err != nil {
 		return err

@@ -18,6 +18,12 @@
 //     (and then rewound and resumed again) reports exactly like an
 //     uninterrupted run.
 //
+// And one per program:
+//
+//  6. segments   — Engine.Run over the case's inputs framed as records
+//     (FrameRecords) and repeated to longStreamBytes, a lone stream it
+//     walks as speculative segments, matches the reference backend.
+//
 // Every backend kind must construct for every case; a construction
 // failure is an error. Interpreter runs that hit resource limits are
 // counted as skips, not failures.
@@ -229,7 +235,39 @@ func Check(c *Case) (*Outcome, error) {
 			}
 		}
 	}
+
+	// 6. One long stream through the engine's segment walk. The stream
+	// derives from every input, so a failure carries none of its own.
+	long := longStream(c.Inputs)
+	ref, err := backends[rapid.BackendReference].Match(context.Background(), long)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: reference run of the long stream failed: %w", err)
+	}
+	got, err := engine.Run(context.Background(), long)
+	if err != nil {
+		out.fail("backend:lazy-dfa-segments", nil, "run error: %v", err)
+	} else {
+		out.Checks++
+		if d := diffReports(ref, got); d != "" {
+			out.fail("backend:lazy-dfa-segments", nil, "the inputs framed and repeated to %d bytes: %s", len(long), d)
+		}
+	}
 	return out, nil
+}
+
+// longStreamBytes is past the engine's segment threshold, four 4 KiB
+// windows, so Engine.Run cuts the long stream into speculative segments.
+const longStreamBytes = 20 << 10
+
+// longStream frames inputs as records and repeats them to at least
+// longStreamBytes.
+func longStream(inputs [][]byte) []byte {
+	framed := rapid.FrameRecords(inputs...)
+	long := make([]byte, 0, longStreamBytes+len(framed))
+	for len(long) < longStreamBytes {
+		long = append(long, framed...)
+	}
+	return long
 }
 
 func roundTripPrinter(printed string, args []value.Value) (*rapid.Design, error) {

@@ -210,6 +210,11 @@ func New(cfg Config) (*Gateway, error) {
 // Handler returns the gateway's HTTP handler, for mounting without Start.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers: without it, a client that sends part of a request line and waits
+// holds its connection and goroutine for as long as it likes. Tests lower it.
+var readHeaderTimeout = 10 * time.Second
+
 // Start binds the configured listeners and serves in the background.
 func (g *Gateway) Start() error {
 	ln, err := net.Listen("tcp", g.cfg.Addr)
@@ -217,7 +222,7 @@ func (g *Gateway) Start() error {
 		return err
 	}
 	g.ln = ln
-	g.httpSrv = &http.Server{Handler: g.mux}
+	g.httpSrv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout}
 	g.serveDone = make(chan struct{})
 	go func() {
 		defer close(g.serveDone)
@@ -464,9 +469,9 @@ func classifyResponse(resp *bufferedResponse) (breakerFailed, failover bool, hin
 // under the retry policy, with upstream Retry-After hints flooring the
 // backoff. When every attempt fails the client gets 503
 // upstream_unavailable — a typed, retryable refusal, never silence. The
-// relayed response is returned (nil after a refusal) so handleMatch can
-// feed the idempotent-response cache. A reply over MaxBodyBytes is answered
-// 502 internal: every replica would send the same one, so it is neither
+// response to relay is returned, and the caller relays it; after a refusal,
+// already written, it is nil. A reply over MaxBodyBytes is answered 502
+// internal: every replica would send the same one, so it is neither
 // retried nor held against the replica.
 func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, path, key string, body []byte) *bufferedResponse {
 	target := path
@@ -524,7 +529,6 @@ func (g *Gateway) proxyWithFailover(w http.ResponseWriter, r *http.Request, path
 			fmt.Sprintf("gateway: no replica could serve the request: %v", err), g.cfg.RetryAfter)
 		return nil
 	}
-	g.relay(w, final)
 	return final
 }
 
@@ -624,7 +628,9 @@ func (g *Gateway) handleReplicas(w http.ResponseWriter, _ *http.Request) {
 // handleDesigns relays the mounted-design listing from any healthy
 // replica (the fleet serves a uniform manifest).
 func (g *Gateway) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	g.proxyWithFailover(w, r, "/v1/designs", "", nil)
+	if resp := g.proxyWithFailover(w, r, "/v1/designs", "", nil); resp != nil {
+		g.relay(w, resp)
+	}
 }
 
 func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
@@ -668,7 +674,13 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(CacheHeader, "miss")
 	}
 	resp := g.proxyWithFailover(w, r, "/v1/match", req.Design, body)
-	if g.cache != nil && resp != nil && resp.status == http.StatusOK && resp.idempotent == "true" {
+	if resp == nil {
+		return
+	}
+	// Stored before it is relayed, so a client that sends the same match
+	// once it has this reply finds it cached.
+	if g.cache != nil && resp.status == http.StatusOK && resp.idempotent == "true" {
 		g.cache.store(req.Design, resp.designHash, inHash, resp)
 	}
+	g.relay(w, resp)
 }

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -684,4 +686,31 @@ func TestReplicasEndpoint(t *testing.T) {
 		sts := g.Replicas()
 		return !sts[0].Ready && sts[0].LastError != ""
 	})
+}
+
+// TestStalledHeaderDisconnected: a client that sends part of a request
+// line and then waits is disconnected once readHeaderTimeout has passed,
+// instead of holding its connection for as long as it likes.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+	rep := startReplica(t, "", serve.Config{})
+	cfg := testGatewayConfig([]string{rep.addr}, telemetry.NewRegistry())
+	cfg.Addr = "127.0.0.1:0"
+	g := mustGateway(t, cfg)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/match HT")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the server still holds a connection whose headers stalled 5 s ago")
+	}
 }

@@ -11,11 +11,14 @@ import (
 
 // TestWarmRunAppendAllocatesNothing: once a matcher is warm, a stream run
 // into a report buffer large enough for it allocates nothing on any paper
-// design — every step is a cache hit and the reports land in place.
+// design — every step is a cache hit and the reports land in place. The
+// streams are 64 KiB, so they take the segment walk, whose lane reports,
+// end configurations and cut checks reuse the matcher's scratch.
 func TestWarmRunAppendAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range compilePaperTiers(t, paperDesigns(), 64<<10) {
 		buf := make([]lazydfa.Report, 0, 2*len(p.lazy.Run(p.input)))
+		hits := p.lazy.SpeculationHits()
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := p.lazy.RunAppend(ctx, p.input, buf[:0]); err != nil {
 				t.Fatal(err)
@@ -23,6 +26,9 @@ func TestWarmRunAppendAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm RunAppend allocated %.1f times per run, want 0", p.name, allocs)
+		}
+		if p.lazy.SpeculationHits() == hits {
+			t.Errorf("%s: the warm 64 KiB runs met no speculative segment", p.name)
 		}
 	}
 }

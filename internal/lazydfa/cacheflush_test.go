@@ -80,7 +80,7 @@ func TestCacheEvictionBoundaries(t *testing.T) {
 				}
 			}
 			evictions += m.Evictions()
-			if m.Flushes() != 0 {
+			if m.Demotions() != 0 {
 				t.Errorf("program %d %s: whole-cache flush under per-state eviction", i, name)
 			}
 		}

@@ -37,7 +37,7 @@ func (t *tier) adapt(window int) bool {
 }
 
 // demote flips the tier to the NFA bitset walk permanently and releases
-// the cache's memory. The whole-cache drop is what Flushes() now counts.
+// the cache's memory.
 func (t *tier) demote() {
 	t.demoted = true
 	t.demotions++

@@ -29,12 +29,20 @@ const (
 	// laneFloor: on the scan designs whose walk waits on its table loads
 	// (arm-32's rows miss the cache, motomata-4's counter tier is large),
 	// walking Lanes warm streams interleaved beats walking them one after
-	// another. Typically 2×.
+	// another, each on one cursor. Typically 2×. One stream cut into Lanes
+	// speculative segments is held to the same floor against its one-cursor
+	// walk; typically 2.1–2.5×.
 	laneFloor = 1.5
 	// Each verdict times the two sides in interleaved pairs: at least
 	// floorPairs of them, spread over at least floorSpan of wall time.
 	floorPairs = 9
 	floorSpan  = 500 * time.Millisecond
+	// segmentSpan is the segment row's span. Its segments' fastest run
+	// stays slow for whole 0.5 s stretches on motomata-4 (0.65 ms against
+	// 0.43 ms quiet, the one-cursor side near 1 ms throughout), so a
+	// 0.5 s verdict read 1.42–2.16× across 40 windows; over 1.5 s both
+	// sides reach a quiet moment.
+	segmentSpan = 3 * floorSpan
 )
 
 // raceEnabled is set by race_test.go when the race detector is on.
@@ -111,25 +119,37 @@ type tier struct {
 	run  func()
 }
 
-// tiers returns the sides the floors compare: the lazy and bitset walks of
-// the input, and the input cut into lazydfa.Lanes streams walked one after
-// another and interleaved. The cut keeps the working set of the one-stream
-// walk, so all four sides walk the same bytes.
-func (p paperTiers) tiers() (lazy, bitset, sequential, lanes tier) {
+// sides are the passes the floors compare, all over the same bytes.
+type sides struct {
+	lazy, bitset tier // the input as one stream: the lazy DFA (segment walk) and the bitset walk
+	// The input through RunGroup as one stream: the segment walk, and the
+	// one-cursor walk it replaces.
+	segments, unsplit tier
+	// The input cut into lazydfa.Lanes streams, walked one after another on
+	// one cursor each, and interleaved. The cut keeps the working set of the
+	// one-stream walk.
+	sequential, lanes tier
+}
+
+func (p paperTiers) tiers() sides {
 	ctx := context.Background()
+	one := [][]byte{p.input}
 	streams := make([][]byte, lazydfa.Lanes)
 	for i := range streams {
 		streams[i] = p.input[i*len(p.input)/len(streams) : (i+1)*len(p.input)/len(streams)]
 	}
-	lazy = tier{"lazy-dfa", func() { p.lazy.Run(p.input) }}
-	bitset = tier{"nfa-bitset", func() { p.bitset.Run(p.input) }}
-	sequential = tier{"lazy-dfa-seq", func() {
-		for i := range streams {
-			p.lazy.RunGroup(ctx, streams[i:i+1])
-		}
-	}}
-	lanes = tier{"lazy-dfa-x4", func() { p.lazy.RunGroup(ctx, streams) }}
-	return lazy, bitset, sequential, lanes
+	return sides{
+		lazy:     tier{"lazy-dfa", func() { p.lazy.Run(p.input) }},
+		bitset:   tier{"nfa-bitset", func() { p.bitset.Run(p.input) }},
+		segments: tier{"lazy-dfa-segments", func() { p.lazy.RunGroup(ctx, one) }},
+		unsplit:  tier{"lazy-dfa-unsplit", func() { p.lazy.RunUnsplit(ctx, one) }},
+		sequential: tier{"lazy-dfa-seq", func() {
+			for i := range streams {
+				p.lazy.RunUnsplit(ctx, streams[i:i+1])
+			}
+		}},
+		lanes: tier{"lazy-dfa-x4", func() { p.lazy.RunGroup(ctx, streams) }},
+	}
 }
 
 // time runs the side once and returns the CPU time its thread spent. The
@@ -151,9 +171,9 @@ func (t tier) time() time.Duration {
 // lane walk's advantage sits near 2.1× for a while, then near 1.5× for
 // stretches of half a second or more, alone or beside other work (a median
 // of pairs over 0.5 s still read 1.49× on motomata-4). So each side counts
-// its least disturbed run, and the pairs span floorSpan so both sides see
-// the same quiet moments.
-func speedup(fast, slow tier) float64 {
+// its least disturbed run, and the pairs span at least span so both sides
+// see the same quiet moments.
+func speedup(fast, slow tier, span time.Duration) float64 {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	fast.run()
@@ -161,7 +181,7 @@ func speedup(fast, slow tier) float64 {
 	runtime.GC()
 	bestFast, bestSlow := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	start := time.Now()
-	for i := 0; i < floorPairs || time.Since(start) < floorSpan; i++ {
+	for i := 0; i < floorPairs || time.Since(start) < span; i++ {
 		if i%2 == 0 {
 			bestFast, bestSlow = min(bestFast, fast.time()), min(bestSlow, slow.time())
 		} else {
@@ -178,18 +198,20 @@ func speedup(fast, slow tier) float64 {
 // the Brill and Gappy floors, a tiny byte cap demotes MOTOMATA's counter
 // tier). On arm-32 and motomata-4 it holds the interleaved walk of
 // lazydfa.Lanes warm 64 KiB streams to ≥ laneFloor × the same streams
-// walked one after another. It takes near 4 s, floorSpan per design, and
-// a little more under -race, where the tier ratios only widen; the lane
-// floor skips there, since instrumented loads no longer wait on memory
-// (0.7–0.9× measured).
+// walked one after another, and one warm 256 KiB stream's segment walk to
+// ≥ laneFloor × its one-cursor walk. It takes near 6 s, floorSpan per
+// design and row (segmentSpan for the segment row), and a little more
+// under -race, where the tier ratios
+// only widen; the lane and segment rows skip there, since instrumented
+// loads no longer wait on memory (0.7–0.9× measured).
 func TestTierFloors(t *testing.T) {
 	for _, p := range compilePaperTiers(t, paperDesigns(), 64<<10) {
 		floor := lazyFloor
 		if p.name == "MOTOMATA" {
 			floor = counterFloor
 		}
-		lazy, bitset, _, _ := p.tiers()
-		ratio := speedup(lazy, bitset)
+		s := p.tiers()
+		ratio := speedup(s.lazy, s.bitset, floorSpan)
 		if ratio < floor {
 			t.Errorf("%s: warm lazy-dfa is %.2f× nfa-bitset (fastest runs over %v), below its %.2f× floor (states=%d demoted=%v)",
 				p.name, ratio, floorSpan, floor, p.lazy.CachedStates(), p.lazy.Demoted())
@@ -198,28 +220,37 @@ func TestTierFloors(t *testing.T) {
 		t.Logf("%s: lazy-dfa %.2f× nfa-bitset (floor %.2f×, states=%d)", p.name, ratio, floor, p.lazy.CachedStates())
 	}
 	if raceEnabled {
-		t.Skip("race-detector instrumentation, not memory, bounds the walk, so interleaving cannot pay; plain go test checks the lane floor")
+		t.Skip("race-detector instrumentation, not memory, bounds the walk, so interleaving cannot pay; plain go test checks the lane and segment floors")
 	}
 	for _, p := range compilePaperTiers(t, scanDesigns()[1:], lazydfa.Lanes*64<<10) {
-		_, _, sequential, lanes := p.tiers()
-		if ratio := speedup(lanes, sequential); ratio < laneFloor {
+		s := p.tiers()
+		if ratio := speedup(s.lanes, s.sequential, floorSpan); ratio < laneFloor {
 			t.Errorf("%s: %d warm streams interleaved are %.2f× the same streams one after another (fastest runs over %v), below the %.2f× floor (states=%d demoted=%v)",
 				p.name, lazydfa.Lanes, ratio, floorSpan, laneFloor, p.lazy.CachedStates(), p.lazy.Demoted())
 		} else {
 			t.Logf("%s: interleaved %.2f× sequential (floor %.2f×, states=%d)", p.name, ratio, laneFloor, p.lazy.CachedStates())
+		}
+		if ratio := speedup(s.segments, s.unsplit, segmentSpan); ratio < laneFloor {
+			t.Errorf("%s: one warm %d KiB stream in %d speculative segments is %.2f× its one-cursor walk (fastest runs over %v), below the %.2f× floor (states=%d demoted=%v cuts met=%d missed=%d)",
+				p.name, len(p.input)>>10, lazydfa.Lanes, ratio, segmentSpan, laneFloor, p.lazy.CachedStates(), p.lazy.Demoted(),
+				p.lazy.SpeculationHits(), p.lazy.SpeculationMisses())
+		} else {
+			t.Logf("%s: segments %.2f× unsplit (floor %.2f×, cuts met=%d missed=%d)", p.name, ratio, laneFloor,
+				p.lazy.SpeculationHits(), p.lazy.SpeculationMisses())
 		}
 	}
 }
 
 // BenchmarkTiers reports MB/s on the tiers the floors compare, for each
 // paper design and each of the repository benchmark's scan designs: the
-// lazy and bitset walks, and lazy-dfa-x4, the same input cut into
-// lazydfa.Lanes streams walked interleaved: go test -bench Tiers
-// ./internal/lazydfa.
+// lazy walk (the segment walk, as every stream of 16 KiB or more), its
+// one-cursor walk lazy-dfa-unsplit, the bitset walk, and lazy-dfa-x4, the
+// same input cut into lazydfa.Lanes streams walked interleaved: go test
+// -bench Tiers ./internal/lazydfa.
 func BenchmarkTiers(b *testing.B) {
 	for _, p := range compilePaperTiers(b, append(paperDesigns(), scanDesigns()...), 1<<20) {
-		lazy, bitset, _, lanes := p.tiers()
-		for _, side := range []tier{lazy, bitset, lanes} {
+		s := p.tiers()
+		for _, side := range []tier{s.lazy, s.unsplit, s.bitset, s.lanes} {
 			b.Run(p.name+"/"+side.name, func(b *testing.B) {
 				b.SetBytes(int64(len(p.input)))
 				for i := 0; i < b.N; i++ {

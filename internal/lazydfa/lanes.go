@@ -13,13 +13,32 @@ import (
 // stepLanes is written out for exactly four.
 const Lanes = 4
 
+// The segment walk: a lone stream of at least Lanes × CancelCheckInterval
+// bytes is cut into Lanes equal segments, walked as a group. Only segment 0
+// starts where the stream does; the others start from a guess, the start
+// state, as if the stream began at their cut. The guess reaches the true
+// configuration within a few dozen bytes on every paper design, so most of
+// each lane's walk stands, and verify finds where.
+const (
+	// specReach is how far into a segment the true walk steps beside the
+	// replayed guess before the cut counts as missed and the true walk
+	// finishes the segment itself; 15× the worst convergence measured.
+	specReach = 1 << 10
+	// specMissLimit is how many missed segments in a row stop a tier
+	// speculating; like the prefilter's verdict it is sticky.
+	specMissLimit = 16
+)
+
 // laneSet is the interleaved walk over a group of streams. Lanes [0, live)
 // each run one stream: its index in the group, its unread input and the
 // lane's cursor (a row offset). Idle lanes mirror lane 0, so the four-wide
-// step needs no per-lane test.
+// step needs no per-lane test. Under the segment walk stream k is the
+// prefix of the stream that ends where segment k does, so offsets are the
+// stream's, and ends holds each segment's end configuration, nwords apiece.
 type laneSet struct {
 	inputs [][]byte
 	outs   [][]Report
+	ends   []uint64 // nil for a group of streams
 	stream [Lanes]int
 	in     [Lanes][]byte
 	cur    [Lanes]int32
@@ -37,25 +56,60 @@ func (ls *laneSet) pin(c *stateCache) {
 	}
 }
 
+// keepEnd copies lane k's configuration into its segment's end under the
+// segment walk: a retired lane is unpinned, so its row offset may be
+// evicted and reused before verify reads it.
+func (ls *laneSet) keepEnd(c *stateCache, k int) {
+	if ls.ends != nil {
+		s := ls.stream[k] * c.nwords
+		copy(ls.ends[s:s+c.nwords], c.config(ls.cur[k]/c.ngroups))
+	}
+}
+
 // runGroup runs every stream of a group through the tier, appending stream
-// s's reports to outs[s]. Up to Lanes streams walk interleaved; when one
-// ends, the group's next stream takes its lane, and the last live lane
-// finishes on runLazy from its cursor. Per round of lockstep steps the
-// context is checked, and adapt counts the bytes of all lanes. Singles, a
-// demoted tier, a cache too small to pin every lane and still evict, and
-// the streams a demotion left unstarted run one after another.
-func (t *tier) runGroup(ctx context.Context, inputs [][]byte, outs [][]Report) (err error) {
+// s's reports to outs[s]. A lone long stream takes the segment walk, cut
+// checks at most reach bytes deep. Up to Lanes streams walk interleaved;
+// when one ends, the group's next stream takes its lane. Singles, a demoted
+// tier, a cache too small to pin every lane and still evict, and the
+// streams a demotion left unstarted run one after another.
+func (t *tier) runGroup(ctx context.Context, inputs [][]byte, outs [][]Report, reach int) (err error) {
+	next, lanes := 0, !t.demoted && t.cache.limit > Lanes
+	switch {
+	case lanes && len(inputs) == 1 && t.speculate && len(inputs[0]) >= Lanes*automata.CancelCheckInterval:
+		outs[0], err = t.runSegments(ctx, inputs[0], outs[0], reach)
+		return err
+	case lanes && len(inputs) > 1:
+		ls, demote, e := t.walk(ctx, laneSet{inputs: inputs, outs: outs})
+		if err = e; demote {
+			err = t.demoteLanes(ctx, &ls)
+		}
+		next = ls.next
+	}
+	for ; next < len(inputs) && err == nil; next++ {
+		outs[next], _, err = t.runLazy(ctx, inputs[next], outs[next], -1, 0)
+	}
+	return err
+}
+
+// walk steps the lanes until every stream has ended, and the last live
+// lane finishes on runLazy from its cursor. Per round of lockstep steps the
+// context is checked, and adapt counts the bytes of all lanes; walk returns
+// demote when adapt says the tier should. ls is taken and returned by value
+// so the caller's input slices stay on its stack.
+func (t *tier) walk(ctx context.Context, ls laneSet) (_ laneSet, demote bool, err error) {
 	c := t.cache
-	ls := laneSet{inputs: inputs, outs: outs}
-	for window := 0; len(inputs) > 1 && !t.demoted && c.limit > Lanes; {
+	for window := 0; ; {
 		if t.refill(&ls); ls.live < 2 {
 			if s := ls.stream[0]; ls.live == 1 {
-				outs[s], err = t.runLazy(ctx, ls.in[0], outs[s], ls.cur[0], ls.offset(0))
+				ls.outs[s], ls.cur[0], err = t.runLazy(ctx, ls.in[0], ls.outs[s], ls.cur[0], ls.offset(0))
+				if err == nil && !t.demoted {
+					ls.keepEnd(c, 0)
+				}
 			}
-			return err
+			return ls, false, err
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return ls, false, err
 		}
 		n := automata.CancelCheckInterval
 		for _, in := range ls.in[:ls.live] {
@@ -72,24 +126,92 @@ func (t *tier) runGroup(ctx context.Context, inputs [][]byte, outs [][]Report) (
 		}
 		if t.adaptive && window >= automata.CancelCheckInterval {
 			if t.adapt(window) {
-				err = t.demoteLanes(ctx, &ls)
+				return ls, true, nil
 			}
 			window = 0
 		}
 	}
-	for ; ls.next < len(inputs) && err == nil; ls.next++ {
-		s := ls.next
-		outs[s], err = t.runLazy(ctx, inputs[s], outs[s], -1, 0)
-	}
-	return err
 }
 
-// refill retires the lanes whose streams have ended and starts the group's
-// next nonempty streams in their place (an empty stream has no reports).
+// runSegments walks input as Lanes segments and then verifies the cuts in
+// order, so out gains exactly the stream's reports. A demotion anywhere
+// drops the speculative work and runs the stream on the bitset walk from
+// offset 0. A cancelled run keeps lane 0's reports and the verified
+// prefix, a prefix of the stream's.
+func (t *tier) runSegments(ctx context.Context, input []byte, out []Report, reach int) ([]Report, error) {
+	mid := len(out)
+	var prefixes [Lanes][]byte
+	ls := laneSet{inputs: prefixes[:], outs: t.segOuts[:], ends: t.ends, live: Lanes, next: Lanes}
+	start := t.startState()
+	for k := range prefixes {
+		lo, hi := k*len(input)/Lanes, (k+1)*len(input)/Lanes
+		prefixes[k], ls.stream[k], ls.in[k], ls.cur[k] = input[:hi], k, input[lo:hi], start
+		ls.outs[k] = ls.outs[k][:0]
+	}
+	ls.outs[0] = out
+	ls, demote, err := t.walk(ctx, ls)
+	if demote {
+		t.demote()
+	}
+	out = ls.outs[0]
+	for k := 1; k < Lanes && err == nil && !t.demoted; k++ {
+		out, err = t.verify(ctx, &ls, k, out, reach)
+	}
+	if t.demoted {
+		return t.runDemoted(ctx, input, out[:mid], 0, nil)
+	}
+	return out, err
+}
+
+// verify checks cut k. The true configuration there, segment k-1's end,
+// walks beside a replay of lane k's guess, both cursors pinned: two pinned
+// states share a slot only if they are one configuration, so equal row
+// offsets prove the walks met. Meeting after byte i, out takes the true
+// walk's reports up to i and lane k's after it, and lane k's end is the
+// truth at the next cut. Missing within reach bytes, the true walk
+// finishes the segment on runLazy, and its end is.
+func (t *tier) verify(ctx context.Context, ls *laneSet, k int, out []Report, reach int) ([]Report, error) {
+	c := t.cache
+	cut, w := len(ls.inputs[k-1]), c.nwords
+	seg := ls.inputs[k][cut:]
+	n := min(reach, len(seg))
+	truth := c.intern(ls.ends[(k-1)*w:k*w], false) * c.ngroups
+	c.pins = [Lanes]int32{truth + 1}
+	guess := t.startState()
+	c.pins[1] = guess + 1
+	for i, sym := range seg[:n] {
+		truth, out, _ = t.slowStep(truth, sym, out, cut+i)
+		c.pins[0] = truth + 1
+		guess, t.replayed, _ = t.slowStep(guess, sym, t.replayed[:0], cut+i)
+		c.pins[1] = guess + 1
+		if truth == guess {
+			t.specHits, t.missRun = t.specHits+1, 0
+			lane := ls.outs[k]
+			for len(lane) > 0 && lane[0].Offset <= cut+i {
+				lane = lane[1:]
+			}
+			return append(out, lane...), nil
+		}
+	}
+	t.specMisses++
+	if t.missRun++; t.missRun >= specMissLimit {
+		t.speculate = false
+	}
+	out, truth, err := t.runLazy(ctx, seg[n:], out, truth, cut+n)
+	if err == nil && !t.demoted {
+		copy(ls.ends[k*w:(k+1)*w], c.config(truth/c.ngroups))
+	}
+	return out, err
+}
+
+// refill retires the lanes whose streams have ended, keeping a segment's
+// end, and starts the group's next nonempty streams in their place (an
+// empty stream has no reports).
 // Interning a start state may evict, so every lane's state is pinned first.
 func (t *tier) refill(ls *laneSet) {
 	for k := ls.live - 1; k >= 0; k-- { // downward, so the lane swapped into k is already checked
 		if len(ls.in[k]) == 0 {
+			ls.keepEnd(t.cache, k)
 			ls.live--
 			ls.stream[k], ls.in[k], ls.cur[k] = ls.stream[ls.live], ls.in[ls.live], ls.cur[ls.live]
 		}

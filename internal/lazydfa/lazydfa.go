@@ -8,7 +8,7 @@
 // itself to an NFA bitset walk mid-stream, so no input ever runs slower
 // than the nfa-bitset tier by more than the detection window.
 //
-// Four mechanisms carry the throughput:
+// Five mechanisms carry the throughput:
 //
 //   - Transition rows are indexed by symbol equivalence group, not by raw
 //     byte: a design distinguishing g of the 256 symbols stores g-entry
@@ -34,6 +34,14 @@
 //     four independent load chains, and one test on the four cells
 //     sends a step to the slow path, which resolves the lanes one at a
 //     time with every lane's state pinned against eviction.
+//   - A lone stream of at least Lanes × automata.CancelCheckInterval bytes
+//     walks as Lanes segments through the same lanes. Segments after the
+//     first start in a guess, the start state, which meets the true walk
+//     within a few dozen bytes on the paper designs. Each cut is then
+//     verified by replaying the guess beside the true configuration until
+//     the two cursors meet; a guess that has not met within 1 KiB is
+//     dropped and the true walk finishes the segment itself, and a tier
+//     whose guesses keep missing stops speculating.
 //
 // Designs containing counters or boolean gates run as two tiers of the
 // same lazy DFA: weakly-connected components made only of STEs determinize
@@ -157,6 +165,12 @@ type tier struct {
 	nextBuf   []uint64
 	codesBuf  []int
 
+	// Segment walk scratch: each segment's end configuration (nwords
+	// apiece), lane reports, and the replayed guess's discarded reports.
+	ends     []uint64
+	segOuts  [Lanes][]Report
+	replayed []Report
+
 	// Prefilter state. prefilter starts true when the design has usable
 	// facts and flips off permanently when measured dead runs are too
 	// short to pay for the scan.
@@ -170,6 +184,13 @@ type tier struct {
 	thrashWindows int
 	demoted       bool
 	sim           *automata.FastSimulator // built on first demoted run
+
+	// speculate is the segment walk's verdict: it flips off for good after
+	// specMissLimit missed segments in a row (missRun).
+	speculate  bool
+	missRun    int
+	specHits   int
+	specMisses int
 
 	fills     int
 	demotions int
@@ -190,7 +211,7 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 	m := &Matcher{}
 	for _, sub := range []*automata.Topology{pure, special} {
 		if sub != nil {
-			m.tiers = append(m.tiers, &tier{prog: compile(sub)})
+			m.tiers = append(m.tiers, &tier{prog: compile(sub), speculate: true})
 		}
 	}
 	if len(m.tiers) == 0 {
@@ -210,6 +231,7 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 func (t *tier) reset(max, limit int) {
 	t.activeBuf = make([]uint64, t.prog.nwords)
 	t.nextBuf = make([]uint64, t.prog.nwords)
+	t.ends = make([]uint64, Lanes*t.prog.nwords)
 	t.cache = newStateCache(t.prog, max, limit)
 }
 
@@ -230,11 +252,11 @@ func cacheBudget(o options, p *program) (start, limit int, adaptive bool) {
 // tables but owning fresh (empty) DFA caches, so a server can fan one
 // design out across goroutines. Learned heuristic state carries over: the
 // clone inherits each tier's grown cache budget, its demotion decision,
-// and its prefilter enable/disable verdict.
+// its prefilter enable/disable verdict and its speculation verdict.
 func (m *Matcher) Clone() *Matcher {
 	c := &Matcher{}
 	for _, t := range m.tiers {
-		ct := &tier{prog: t.prog, adaptive: t.adaptive, demoted: t.demoted, prefilter: t.prefilter}
+		ct := &tier{prog: t.prog, adaptive: t.adaptive, demoted: t.demoted, prefilter: t.prefilter, speculate: t.speculate}
 		ct.reset(t.cache.max, t.cache.limit)
 		c.tiers = append(c.tiers, ct)
 	}
@@ -271,12 +293,13 @@ func (m *Matcher) CacheBudget() int { return m.sum(func(t *tier) int { return t.
 // surfaces.
 func (m *Matcher) Fills() int { return m.sum(func(t *tier) int { return t.fills }) }
 
-// Flushes returns how many times a whole state cache was dropped. Under
-// per-state eviction this no longer happens on capacity pressure; the only
-// remaining whole-cache drop is the one performed by demotion, when the
-// DFA gives the memory back before switching to the bitset walk, so it
-// equals Demotions.
-func (m *Matcher) Flushes() int { return m.Demotions() }
+// SpeculationHits returns how many speculative segments met the true walk
+// within reach, so their lane's walk stood.
+func (m *Matcher) SpeculationHits() int { return m.sum(func(t *tier) int { return t.specHits }) }
+
+// SpeculationMisses returns how many speculative segments never met it, so
+// the true walk finished them itself.
+func (m *Matcher) SpeculationMisses() int { return m.sum(func(t *tier) int { return t.specMisses }) }
 
 // Evictions returns how many single states the caches have evicted to make
 // room.
@@ -320,10 +343,18 @@ func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]
 // RunGroup runs each of inputs as an independent stream and returns their
 // report runs in input order, each exactly what RunAppend would return for
 // it. Each tier walks up to Lanes of the streams interleaved, so their table
-// loads overlap instead of waiting on each other. The runs are scratch
-// owned by m and valid until its next run. If ctx ends first, the walk
-// stops, the runs hold the reports produced so far, and err is ctx.Err().
+// loads overlap instead of waiting on each other; a lone stream of at least
+// Lanes × automata.CancelCheckInterval bytes is cut into Lanes speculative
+// segments walked the same way. The runs are scratch owned by m and valid
+// until its next run. If ctx ends first, the walk stops, the runs hold a
+// prefix of each stream's reports, and err is ctx.Err().
 func (m *Matcher) RunGroup(ctx context.Context, inputs [][]byte) ([][]Report, error) {
+	return m.runGroup(ctx, inputs, specReach)
+}
+
+// runGroup is RunGroup with the segment walk's cut checks at most reach
+// bytes deep.
+func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) ([][]Report, error) {
 	if len(m.outs) < len(inputs) {
 		m.outs, m.mids = make([][]Report, len(inputs)), make([]int, len(inputs))
 	}
@@ -335,7 +366,7 @@ func (m *Matcher) RunGroup(ctx context.Context, inputs [][]byte) ([][]Report, er
 		for s := range outs {
 			m.mids[s] = len(outs[s])
 		}
-		err := t.runGroup(ctx, inputs, outs)
+		err := t.runGroup(ctx, inputs, outs, reach)
 		for s := range outs {
 			outs[s] = m.merge(outs[s], m.mids[s])
 		}
@@ -389,10 +420,12 @@ func isCanonical(rs []Report) bool {
 // state's row offset, so the per-symbol fast path is one load, one add and
 // one branch: the cell at cur + group holds the successor's row offset, and
 // one unsigned compare sends unfilled, reporting and rest-entering cells to
-// slowStep.
-func (t *tier) runLazy(ctx context.Context, input []byte, out []Report, cur int32, base int) ([]Report, error) {
+// slowStep. It returns out and the final cursor, -1 once the tier has
+// demoted.
+func (t *tier) runLazy(ctx context.Context, input []byte, out []Report, cur int32, base int) ([]Report, int32, error) {
 	if t.demoted {
-		return t.runDemoted(ctx, input, out, 0, nil)
+		out, err := t.runDemoted(ctx, input, out, 0, nil)
+		return out, -1, err
 	}
 	if cur < 0 {
 		cur = t.startState()
@@ -401,7 +434,7 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report, cur int3
 	rows := c.rows // reloaded after a miss, which may grow the slab
 	for len(input) > 0 {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return out, cur, err
 		}
 		chunk := input
 		if len(chunk) > automata.CancelCheckInterval {
@@ -428,10 +461,11 @@ func (t *tier) runLazy(ctx context.Context, input []byte, out []Report, cur int3
 			// first-symbol start state.)
 			config := c.config(cur / c.ngroups)
 			t.demote()
-			return t.runDemoted(ctx, input, out, base, config)
+			out, err := t.runDemoted(ctx, input, out, base, config)
+			return out, -1, err
 		}
 	}
-	return out, nil
+	return out, cur, nil
 }
 
 // slowStep takes the step from row offset cur on sym off the fast path: it

@@ -171,8 +171,8 @@ func TestTinyCapEvicts(t *testing.T) {
 	if m.Evictions() == 0 {
 		t.Fatal("cap-2 cache should have evicted states")
 	}
-	if m.Flushes() != 0 {
-		t.Fatalf("fixed-cap cache should never flush wholesale, got %d", m.Flushes())
+	if m.Demotions() != 0 {
+		t.Fatalf("fixed-cap cache should never flush wholesale, got %d", m.Demotions())
 	}
 	if m.Demoted() {
 		t.Fatal("fixed-cap matcher must not demote")
@@ -281,8 +281,8 @@ func TestDemotion(t *testing.T) {
 	if !m.Demoted() || m.Demotions() != 1 {
 		t.Fatalf("matcher should have demoted exactly once: demoted=%v demotions=%d", m.Demoted(), m.Demotions())
 	}
-	if m.Flushes() != 1 {
-		t.Fatalf("demotion should count as the one whole-cache flush, got %d", m.Flushes())
+	if m.Demotions() != 1 {
+		t.Fatalf("demotion should count as the one whole-cache flush, got %d", m.Demotions())
 	}
 	if m.CachedStates() != 0 {
 		t.Fatalf("demoted matcher should have released its cache, still holds %d states", m.CachedStates())

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -703,5 +706,30 @@ func TestMatchIdempotencyHeaders(t *testing.T) {
 	}
 	if refused.Header.Get(IdempotentHeader) != "" || refused.Header.Get(DesignHashHeader) != "" {
 		t.Fatal("refusal carries idempotency headers; a gateway could cache an error")
+	}
+}
+
+// TestStalledHeaderDisconnected: a client that sends part of a request
+// line and then waits is disconnected once readHeaderTimeout has passed,
+// instead of holding its connection for as long as it likes.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+	s := mustNew(t, Config{Addr: "127.0.0.1:0"})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/match HT")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the server still holds a connection whose headers stalled 5 s ago")
 	}
 }

@@ -247,6 +247,11 @@ func (s *Server) lookup(name string) (*design, error) {
 // Handler returns the server's HTTP handler, for mounting without Start.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers: without it, a client that sends part of a request line and waits
+// holds its connection and goroutine for as long as it likes. Tests lower it.
+var readHeaderTimeout = 10 * time.Second
+
 // Start binds the configured listeners and serves in the background.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
@@ -254,7 +259,7 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.serveDone = make(chan struct{})
 	go func() {
 		defer close(s.serveDone)

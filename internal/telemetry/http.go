@@ -4,7 +4,13 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"time"
 )
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers: without it, a client that sends part of a request line and waits
+// holds its connection and goroutine for as long as it likes. Tests lower it.
+var readHeaderTimeout = 10 * time.Second
 
 // MetricsServer is a managed HTTP listener serving a registry's Handler.
 // Unlike a bare http.Serve goroutine, it owns an http.Server that can be
@@ -27,7 +33,7 @@ func ListenAndServe(addr string, reg *Registry) (*MetricsServer, error) {
 		return nil, err
 	}
 	s := &MetricsServer{
-		srv:  &http.Server{Handler: Handler(reg)},
+		srv:  &http.Server{Handler: Handler(reg), ReadHeaderTimeout: readHeaderTimeout},
 		ln:   ln,
 		done: make(chan struct{}),
 	}

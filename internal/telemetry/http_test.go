@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"context"
+	"errors"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -52,5 +55,30 @@ func TestMetricsServerLifecycle(t *testing.T) {
 func TestMetricsServerBadAddr(t *testing.T) {
 	if _, err := ListenAndServe("127.0.0.1:-1", NewRegistry()); err == nil {
 		t.Fatal("want listen error")
+	}
+}
+
+// TestStalledHeaderDisconnected: a client that sends part of a request
+// line and then waits is disconnected once readHeaderTimeout has passed,
+// instead of holding its connection for as long as it likes.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+	ms, err := ListenAndServe("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", ms.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/match HT")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the server still holds a connection whose headers stalled 5 s ago")
 	}
 }
