@@ -13,24 +13,54 @@ import (
 // edges incident to removed elements. Out-edge lists keep their order;
 // in-edge lists come out ordered by source.
 func (n *Network) compact(keep []bool) *Network {
-	out := &Network{Name: n.Name, elems: make([]Element, 0, n.Len()),
-		outs: make([][]Edge, 0, n.Len()), ins: make([][]Edge, 0, n.Len())}
+	out := &Network{Name: n.Name, elems: make([]Element, 0, n.Len())}
 	remap := make([]ElementID, n.Len())
 	for i := range n.elems {
 		if remap[i] = NoElement; keep == nil || keep[i] {
 			remap[i] = out.add(n.elems[i])
 		}
 	}
-	for i := range n.elems {
-		for _, e := range n.outs[i] {
-			if from, to := remap[i], remap[e.To]; from != NoElement && to != NoElement {
-				ed := Edge{From: from, To: to, Port: e.Port}
-				out.outs[from] = append(out.outs[from], ed) // n has no duplicate edges
-				out.ins[to] = append(out.ins[to], ed)
+	out.link(func(edge func(from, to ElementID, port Port)) {
+		for i := range n.elems {
+			for _, e := range n.outs[i] {
+				if from, to := remap[i], remap[e.To]; from != NoElement && to != NoElement {
+					edge(from, to, e.Port) // n has no duplicate edges
+				}
 			}
 		}
-	}
+	})
 	return out
+}
+
+// link sets n's edge lists to the edges that each passes to edge, which
+// must be distinct and come in source order; link calls each twice. Every
+// element's lists are cut from two flat arrays with cap == len, so a later
+// Connect copies its list out instead of overwriting a neighbour's.
+func (n *Network) link(each func(edge func(from, to ElementID, port Port))) {
+	outDeg, inDeg, m := make([]int, n.Len()), make([]int, n.Len()), 0
+	each(func(from, to ElementID, _ Port) {
+		outDeg[from]++
+		inDeg[to]++
+		m++
+	})
+	n.outs, n.ins = cutEdges(outDeg, m), cutEdges(inDeg, m)
+	each(func(from, to ElementID, port Port) {
+		e := Edge{From: from, To: to, Port: port}
+		n.outs[from] = append(n.outs[from], e)
+		n.ins[to] = append(n.ins[to], e)
+	})
+}
+
+// cutEdges returns one empty edge list per degree, cut from one flat array
+// of m edges with capacity exactly the degree (nil for degree 0).
+func cutEdges(deg []int, m int) [][]Edge {
+	flat, lists := make([]Edge, m), make([][]Edge, len(deg))
+	for id, d := range deg {
+		if d > 0 {
+			lists[id], flat = flat[:0:d], flat[d:]
+		}
+	}
+	return lists
 }
 
 // PruneUnreachable returns a copy of n without elements that can never

@@ -76,16 +76,15 @@ func extract(t *Topology, name string, keep func(int) bool) *Topology {
 	if out.Len() == 0 {
 		return nil
 	}
-	for i := 0; i < t.Len(); i++ {
-		if remap[i] == NoElement {
-			continue
-		}
-		for _, edge := range t.Outs(ElementID(i)) {
-			if to := remap[edge.Node]; to != NoElement {
-				out.Connect(remap[i], to, edge.Port)
+	out.link(func(edge func(from, to ElementID, port Port)) {
+		for i := 0; i < t.Len(); i++ {
+			for _, e := range t.Outs(ElementID(i)) {
+				if from, to := remap[i], remap[e.Node]; from != NoElement && to != NoElement {
+					edge(from, to, e.Port)
+				}
 			}
 		}
-	}
+	})
 	return out.MustFreeze()
 }
 

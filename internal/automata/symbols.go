@@ -21,52 +21,63 @@ type SymbolPartition struct {
 func Partition(tops ...*Topology) *SymbolPartition {
 	// Signature of a symbol: the set of distinct classes containing it.
 	// Build incrementally: start with one group holding all symbols and
-	// split by each class.
-	groups := [][]byte{allSymbols()}
+	// split by each class, in STE order. Splitting again by a class already
+	// applied changes nothing, so each distinct class is applied once.
+	r := refinement{ends: make([]int, 1, 256), next: make([]int, 0, 256)}
+	for i := range r.syms {
+		r.syms[i] = byte(i)
+	}
+	r.ends[0] = len(r.syms)
+	seen := make(map[charclass.Class]bool)
 	for _, t := range tops {
 		for id := ElementID(0); id < ElementID(t.Len()); id++ {
-			if t.Kind(id) != KindSTE {
-				continue
+			if cls := t.Class(id); t.Kind(id) == KindSTE && !seen[cls] {
+				seen[cls] = true
+				r.split(cls)
 			}
-			groups = splitGroups(groups, t.Class(id))
 		}
 	}
-	p := &SymbolPartition{}
-	for gi, g := range groups {
-		p.Representatives = append(p.Representatives, g[0])
-		for _, sym := range g {
+	p := &SymbolPartition{Representatives: make([]byte, len(r.ends))}
+	lo := 0
+	for gi, hi := range r.ends {
+		p.Representatives[gi] = r.syms[lo]
+		for _, sym := range r.syms[lo:hi] {
 			p.GroupOf[sym] = gi
 		}
+		lo = hi
 	}
 	return p
 }
 
-func allSymbols() []byte {
-	out := make([]byte, 256)
-	for i := range out {
-		out[i] = byte(i)
-	}
-	return out
+// refinement is a partition of the symbols in progress: syms lists them
+// group after group, and group i ends at ends[i].
+type refinement struct {
+	syms, buf  [256]byte
+	ends, next []int
 }
 
-// splitGroups refines the partition against one class.
-func splitGroups(groups [][]byte, cls charclass.Class) [][]byte {
-	out := groups[:0:0]
-	for _, g := range groups {
-		var in, notIn []byte
-		for _, sym := range g {
+// split refines every group against one class: its symbols in the class
+// stay first, in order, and the rest follow as a new group.
+func (r *refinement) split(cls charclass.Class) {
+	r.next = r.next[:0]
+	lo := 0
+	for _, hi := range r.ends {
+		in, out := lo, 0
+		for _, sym := range r.syms[lo:hi] {
 			if cls.Contains(sym) {
-				in = append(in, sym)
+				r.syms[in] = sym
+				in++
 			} else {
-				notIn = append(notIn, sym)
+				r.buf[out] = sym
+				out++
 			}
 		}
-		if len(in) > 0 {
-			out = append(out, in)
+		copy(r.syms[in:hi], r.buf[:out])
+		if in > lo && in < hi {
+			r.next = append(r.next, in)
 		}
-		if len(notIn) > 0 {
-			out = append(out, notIn)
-		}
+		r.next = append(r.next, hi)
+		lo = hi
 	}
-	return out
+	r.ends, r.next = r.next, r.ends
 }

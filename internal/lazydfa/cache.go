@@ -1,9 +1,8 @@
 package lazydfa
 
 import (
+	"math/bits"
 	"slices"
-
-	"repro/internal/automata"
 )
 
 // The state cache interns DFA states (NFA configurations) and owns the
@@ -30,8 +29,12 @@ import (
 // State metadata lives in slabs: meta holds values, not pointers, the
 // configurations share one []uint64 (nwords per slot, overwritten in place
 // when a slot is reused), and each new slot's first in-edge records are
-// carved from a shared []inEdge, so interning a state costs about one
-// allocation (its key) rather than one per field.
+// carved from a shared []inEdge. A state's key is its configuration in the
+// slab: an open-addressed index of slot ids, probed by the configuration's
+// hash and compared word for word in place, finds it. Interning a state
+// allocates nothing of its own: the slabs are reserved when the budget
+// doubles and the index doubles with the slot count, so what remains is a
+// share of that growth and of the in-edge slab.
 //
 // Capacity pressure is handled per state with a second-chance clock: the
 // hand sweeps slots, clearing reference bits, and reuses the first cold
@@ -69,7 +72,7 @@ type inEdge struct {
 // cache's rows slab at [id*ngroups, (id+1)*ngroups) and its configuration
 // in the configs slab at [id*nwords, (id+1)*nwords).
 type state struct {
-	key     string
+	hash    uint64 // of the configuration and first, as the index probes it
 	first   bool
 	ref     bool   // second-chance reference bit
 	gen     uint32 // bumped on eviction; validates inEdge records
@@ -92,7 +95,12 @@ func (st *state) setCodes(g int32, codes []int) {
 // stateCache's meta may grow on intern, so a &meta[id] taken before an
 // intern call is stale after it: index again.
 type stateCache struct {
-	ids     map[string]int32
+	// index is the intern table: open-addressed with linear probing, a
+	// power of two at least twice as long as meta, each entry a slot id + 1
+	// (0 empty). A state sits at or after its hash's home, with no empty
+	// entry between, and release shifts the run after it back so that
+	// stays true without tombstones.
+	index   []int32
 	meta    []state
 	rows    []int32
 	configs []uint64 // enable words, then packed counter values; nwords per slot
@@ -113,22 +121,21 @@ type stateCache struct {
 	pins [Lanes]int32
 
 	// restOff is the row offset where the prefilter's rest configuration
-	// currently lives (-1 when not interned or evicted), so the hot loop
-	// can compare offsets instead of keys.
-	restKey string
+	// (rest, never a first-symbol state) currently lives (-1 when not
+	// interned or evicted), so the hot loop can compare offsets instead of
+	// configurations.
+	rest    []uint64
 	restOff int32
-
-	keyBuf []byte
 }
 
 func newStateCache(p *program, max, limit int) *stateCache {
 	return &stateCache{
-		ids:     make(map[string]int32),
+		index:   make([]int32, 16),
 		ngroups: int32(p.ngroups),
 		nwords:  p.nwords,
 		max:     max,
 		limit:   limit,
-		restKey: p.restKey,
+		rest:    p.rest,
 		restOff: -1,
 	}
 }
@@ -139,14 +146,54 @@ func (c *stateCache) config(id int32) []uint64 {
 	return c.configs[lo:hi:hi]
 }
 
+// hashConfig folds each word into the hash with a multiply and a rotate,
+// then finishes with murmur3's fmix64, so a difference in any bit of any
+// word reaches the low bits the index masks with.
+func hashConfig(config []uint64, first bool) uint64 {
+	h := uint64(len(config))
+	if first {
+		h = ^h
+	}
+	for _, w := range config {
+		h = bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 29)
+	}
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// find returns the index position holding the configuration, or the empty
+// position where it would go.
+func (c *stateCache) find(h uint64, config []uint64, first bool) int {
+	mask := len(c.index) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := c.index[i]
+		if e == 0 {
+			return i
+		}
+		if st := &c.meta[e-1]; st.hash == h && st.first == first && slices.Equal(c.config(e-1), config) {
+			return i
+		}
+	}
+}
+
+// reindex doubles the index and reinserts every live slot by the hash
+// recorded in its state.
+func (c *stateCache) reindex() {
+	c.index = make([]int32, 2*len(c.index))
+	for id := range c.meta {
+		c.index[c.find(c.meta[id].hash, c.config(int32(id)), c.meta[id].first)] = int32(id) + 1
+	}
+}
+
 // intern returns the id of the configuration, copying it into a slot when
 // new. A full cache evicts one cold state, never one in pins. Always
 // succeeds.
 func (c *stateCache) intern(config []uint64, first bool) int32 {
-	c.keyBuf = automata.AppendConfigKey(c.keyBuf[:0], config, first)
-	if id, ok := c.ids[string(c.keyBuf)]; ok { // no-alloc map probe
-		c.meta[id].ref = true
-		return id
+	h := hashConfig(config, first)
+	if e := c.index[c.find(h, config, first)]; e != 0 {
+		c.meta[e-1].ref = true
+		return e - 1
 	}
 	if len(c.meta) >= c.max && c.max < c.limit {
 		// Demand-driven budget growth: slots materialize organically, so
@@ -154,11 +201,18 @@ func (c *stateCache) intern(config []uint64, first bool) int32 {
 		// and growing instead of evicting below the byte cap keeps slot
 		// assignment in discovery order — eviction churn during a growth
 		// phase would scatter hot states across the row slab and degrade
-		// the warm walk's locality measurably.
+		// the warm walk's locality measurably. The slabs are reserved to
+		// the new budget.
 		c.max = min(2*c.max, c.limit)
+		c.meta = slices.Grow(c.meta, c.max-len(c.meta))
+		c.configs = slices.Grow(c.configs, c.max*c.nwords-len(c.configs))
+		c.rows = slices.Grow(c.rows, c.max*int(c.ngroups)-len(c.rows))
 	}
 	var id int32
 	if len(c.meta) < c.max {
+		if 2*len(c.meta) >= len(c.index) { // before the new slot exists: it has no hash yet
+			c.reindex()
+		}
 		id = int32(len(c.meta))
 		if cap(c.edges)-len(c.edges) < 4 {
 			c.edges = make([]inEdge, 0, 4*max(len(c.meta), 16))
@@ -167,20 +221,22 @@ func (c *stateCache) intern(config []uint64, first bool) int32 {
 		c.edges = c.edges[:n+4]
 		c.meta = append(c.meta, state{inEdges: c.edges[n : n : n+4]}) // a fifth record reallocates this slot's list only
 		c.configs = append(c.configs, config...)
-		for i := int32(0); i < c.ngroups; i++ {
-			c.rows = append(c.rows, cellUnfilled)
+		lo := len(c.rows)
+		c.rows = slices.Grow(c.rows, int(c.ngroups))[:lo+int(c.ngroups)]
+		for i := lo; i < len(c.rows); i++ {
+			c.rows[i] = cellUnfilled
 		}
 	} else {
 		id = c.evict()
 		copy(c.config(id), config)
 	}
 	st := &c.meta[id]
-	st.key = string(c.keyBuf)
+	st.hash = h
 	st.first = first
 	st.ref = true
 	st.reps = st.reps[:0]
-	c.ids[st.key] = id
-	if st.key == c.restKey {
+	c.index[c.find(h, config, first)] = id + 1
+	if c.rest != nil && !first && slices.Equal(config, c.rest) {
 		c.restOff = id * c.ngroups
 	}
 	return id
@@ -210,12 +266,23 @@ func (c *stateCache) evict() int32 {
 	}
 }
 
-// release detaches the victim: its key leaves the intern map, every live
-// in-edge cell pointing at its row offset is reset to cellUnfilled, its own
-// row is cleared, and its generation is bumped so surviving records naming
-// this slot are recognized as stale.
+// release detaches the victim: it leaves the index, every live in-edge
+// cell pointing at its row offset is reset to cellUnfilled, its own row is
+// cleared, and its generation is bumped so surviving records naming this
+// slot are recognized as stale.
+//
+// The index entry is deleted by backward shift: each later entry of its
+// probe run moves into the hole unless the hole lies before that entry's
+// home, and the run ends at the first empty entry.
 func (c *stateCache) release(id int32, st *state) {
-	delete(c.ids, st.key)
+	mask := len(c.index) - 1
+	hole := c.find(st.hash, c.config(id), st.first)
+	for i := (hole + 1) & mask; c.index[i] != 0; i = (i + 1) & mask {
+		if home := int(c.meta[c.index[i]-1].hash) & mask; (i-home)&mask >= (i-hole)&mask {
+			c.index[hole], hole = c.index[i], i
+		}
+	}
+	c.index[hole] = 0
 	off := id * c.ngroups
 	if off == c.restOff {
 		c.restOff = -1
@@ -260,7 +327,7 @@ func (c *stateCache) noteInEdge(succ, from, group int32) {
 // hands the memory back before switching to the bitset walk; eviction
 // counters survive for telemetry.
 func (c *stateCache) releaseAll() {
-	c.ids = nil
+	c.index = nil
 	c.meta = nil
 	c.rows = nil
 	c.configs = nil

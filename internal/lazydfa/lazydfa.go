@@ -83,8 +83,8 @@ type Options struct {
 	MaxCachedStates int
 
 	// MaxCacheBytes caps the adaptive budget's memory, denominated in
-	// estimated bytes of cache (rows, keys, configurations, in-edge
-	// records). It is the matcher's cap, shared equally by its tiers; each
+	// estimated bytes of cache (rows, configurations, in-edge records,
+	// index). It is the matcher's cap, shared equally by its tiers; each
 	// tier's cap in states is derived from its word and group counts.
 	// Default DefaultMaxCacheBytes. Ignored when MaxCachedStates is
 	// positive.
@@ -498,7 +498,7 @@ func (t *tier) slowStep(cur int32, sym byte, out []Report, offset int) (int32, [
 
 // startState interns the start-of-data configuration (no enables,
 // counters zero, first symbol pending) and returns its row offset. The
-// cache is kept warm across runs, so this is a map hit on every stream
+// cache is kept warm across runs, so this is an index hit on every stream
 // after the first.
 func (t *tier) startState() int32 {
 	clear(t.nextBuf)

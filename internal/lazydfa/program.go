@@ -17,18 +17,17 @@ type program struct {
 	ngroups int
 	groupOf [256]uint8 // symbol → equivalence group; rows are ngroups wide
 
-	// stateBytes estimates one cached state's memory (row cells, key,
-	// configuration copy, in-edge records, struct overhead); it denominates
-	// Options.MaxCacheBytes into a state-count cap.
+	// stateBytes estimates one cached state's memory (row cells,
+	// configuration copy, in-edge records, index entries, struct overhead);
+	// it denominates Options.MaxCacheBytes into a state-count cap.
 	stateBytes int
 
-	// Prefilter facts (automata.ExtractPrefilter). restKey is the config
-	// key of the rest configuration ("" when no facts — keys are always
-	// nonempty, so "" never collides); liveBytes is the byte set that can
+	// Prefilter facts (automata.ExtractPrefilter). rest is the rest
+	// configuration (nil when no facts); liveBytes is the byte set that can
 	// move the automaton out of it, nil-able and possibly empty (a fully
 	// anchored design whose rest configuration is dead).
 	hasFacts  bool
-	restKey   string
+	rest      []uint64
 	liveBytes []byte
 }
 
@@ -39,19 +38,21 @@ func compile(t *automata.Topology) *program {
 	for sym := range p.groupOf {
 		p.groupOf[sym] = uint8(part.GroupOf[sym])
 	}
-	// Per-state memory: one int32 row cell per group, the interned key and
-	// the configuration copy (8 bytes per word each, plus the key's flag
-	// byte), an amortized in-edge record per row cell (16 bytes), and a
-	// fixed allowance for the state struct, map entry, and slice headers.
+	// Per-state memory: one int32 row cell per group, 16 bytes per
+	// configuration word, an amortized in-edge record per row cell (16
+	// bytes), and a fixed 224 bytes for the state struct and slice headers.
+	// The words and the allowance were sized when a state also had a string
+	// key and a map entry; the configuration is now its own key and the
+	// index costs 8–16 bytes a state, so the estimate is conservative. It
+	// is kept as it was so that every cap derived from it stays put.
 	p.stateBytes = 4*p.ngroups + 16*p.nwords + 16*p.ngroups + 224
 
 	if facts := automata.ExtractPrefilter(t); facts != nil {
 		p.hasFacts = true
-		rest := make([]uint64, p.nwords)
+		p.rest = make([]uint64, p.nwords)
 		for _, id := range facts.Rest {
-			rest[id>>6] |= 1 << (uint(id) & 63)
+			p.rest[id>>6] |= 1 << (uint(id) & 63)
 		}
-		p.restKey = string(automata.AppendConfigKey(nil, rest, false))
 		p.liveBytes = facts.Live.Symbols()
 	}
 	return p
