@@ -2,7 +2,6 @@ package automata
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/charclass"
 )
@@ -171,23 +170,28 @@ func (n *Network) Stats() Stats {
 	var s Stats
 	for i := range n.elems {
 		e := &n.elems[i]
-		switch e.Kind {
-		case KindSTE:
-			s.STEs++
-			if e.Start != StartNone {
-				s.Starts++
-			}
-		case KindCounter:
-			s.Counters++
-		case KindGate:
-			s.Gates++
-		}
-		if e.Report {
-			s.Reporting++
-		}
+		s.count(e.Kind, e.Start, e.Report)
 		s.Edges += len(n.outs[i])
 	}
 	return s
+}
+
+// count adds one element to s.
+func (s *Stats) count(kind Kind, start StartKind, report bool) {
+	switch kind {
+	case KindSTE:
+		s.STEs++
+		if start != StartNone {
+			s.Starts++
+		}
+	case KindCounter:
+		s.Counters++
+	case KindGate:
+		s.Gates++
+	}
+	if report {
+		s.Reporting++
+	}
 }
 
 // Validate checks structural well-formedness: edge ports match destination
@@ -195,8 +199,14 @@ func (n *Network) Stats() Stats {
 // special-element subgraph (counters and gates) is acyclic, and at least one
 // STE has a start kind (otherwise the automaton can never activate).
 func (n *Network) Validate() error {
+	_, err := n.validate()
+	return err
+}
+
+// validate is Validate that also returns the specials' combinational order.
+func (n *Network) validate() ([]ElementID, error) {
 	if n.Len() == 0 {
-		return fmt.Errorf("automata: network %q is empty", n.Name)
+		return nil, fmt.Errorf("automata: network %q is empty", n.Name)
 	}
 	hasStart := false
 	for i := range n.elems {
@@ -204,14 +214,14 @@ func (n *Network) Validate() error {
 		switch e.Kind {
 		case KindSTE:
 			if e.Class.IsEmpty() {
-				return fmt.Errorf("automata: STE %d has empty character class", e.ID)
+				return nil, fmt.Errorf("automata: STE %d has empty character class", e.ID)
 			}
 			if e.Start != StartNone {
 				hasStart = true
 			}
 		case KindCounter:
 			if e.Target <= 0 {
-				return fmt.Errorf("automata: counter %d has non-positive target %d", e.ID, e.Target)
+				return nil, fmt.Errorf("automata: counter %d has non-positive target %d", e.ID, e.Target)
 			}
 			hasCount := false
 			for _, in := range n.ins[i] {
@@ -220,15 +230,15 @@ func (n *Network) Validate() error {
 				}
 			}
 			if !hasCount {
-				return fmt.Errorf("automata: counter %d has no count input", e.ID)
+				return nil, fmt.Errorf("automata: counter %d has no count input", e.ID)
 			}
 		case KindGate:
 			fanIn := len(n.ins[i])
 			if fanIn == 0 {
-				return fmt.Errorf("automata: gate %d has no inputs", e.ID)
+				return nil, fmt.Errorf("automata: gate %d has no inputs", e.ID)
 			}
 			if e.Op == GateNot && fanIn != 1 {
-				return fmt.Errorf("automata: inverter %d has fan-in %d, want 1", e.ID, fanIn)
+				return nil, fmt.Errorf("automata: inverter %d has fan-in %d, want 1", e.ID, fanIn)
 			}
 		}
 		for _, out := range n.outs[i] {
@@ -236,67 +246,54 @@ func (n *Network) Validate() error {
 			switch out.Port {
 			case PortIn:
 				if dst.Kind == KindCounter {
-					return fmt.Errorf("automata: edge %d->%d drives counter on activation port; use count or reset", out.From, out.To)
+					return nil, fmt.Errorf("automata: edge %d->%d drives counter on activation port; use count or reset", out.From, out.To)
 				}
 			case PortCount, PortReset:
 				if dst.Kind != KindCounter {
-					return fmt.Errorf("automata: edge %d->%d uses port %v on non-counter", out.From, out.To, out.Port)
+					return nil, fmt.Errorf("automata: edge %d->%d uses port %v on non-counter", out.From, out.To, out.Port)
 				}
 			}
 		}
 	}
 	if !hasStart {
-		return fmt.Errorf("automata: network %q has no start STE", n.Name)
+		return nil, fmt.Errorf("automata: network %q has no start STE", n.Name)
 	}
-	if _, err := n.specialOrder(); err != nil {
-		return err
-	}
-	return nil
+	return n.specialOrder()
 }
 
 // specialOrder returns counters and gates in a topological order of the
-// special-element subgraph (edges between specials only). It reports an
-// error if that subgraph has a cycle, which would make combinational
-// evaluation ill-defined.
+// special-element subgraph (edges between specials only): Kahn's order,
+// taking the sources by ascending id and each element's successors in
+// edge order. It reports an error if that subgraph has a cycle, which
+// would make combinational evaluation ill-defined.
 func (n *Network) specialOrder() ([]ElementID, error) {
-	indeg := make(map[ElementID]int)
-	var specials []ElementID
+	indeg, specials := make([]int32, n.Len()), 0
 	for i := range n.elems {
 		if n.elems[i].Kind != KindSTE {
-			specials = append(specials, ElementID(i))
-			indeg[ElementID(i)] = 0
+			specials++
+			for _, out := range n.outs[i] {
+				if n.elems[out.To].Kind != KindSTE {
+					indeg[out.To]++
+				}
+			}
 		}
 	}
-	for _, id := range specials {
-		for _, out := range n.outs[id] {
+	var order []ElementID // also the queue: order[k:] waits
+	for i := range n.elems {
+		if n.elems[i].Kind != KindSTE && indeg[i] == 0 {
+			order = append(order, ElementID(i))
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		for _, out := range n.outs[order[k]] {
 			if n.elems[out.To].Kind != KindSTE {
-				indeg[out.To]++
+				if indeg[out.To]--; indeg[out.To] == 0 {
+					order = append(order, out.To)
+				}
 			}
 		}
 	}
-	queue := make([]ElementID, 0, len(specials))
-	for _, id := range specials {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	var order []ElementID
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, out := range n.outs[id] {
-			if n.elems[out.To].Kind == KindSTE {
-				continue
-			}
-			indeg[out.To]--
-			if indeg[out.To] == 0 {
-				queue = append(queue, out.To)
-			}
-		}
-	}
-	if len(order) != len(specials) {
+	if len(order) != specials {
 		return nil, fmt.Errorf("automata: network %q has a combinational cycle among counters/gates", n.Name)
 	}
 	return order, nil

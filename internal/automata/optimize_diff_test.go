@@ -36,14 +36,22 @@ func paperNetwork(t testing.TB, b *bench.Benchmark, hand bool, n int) *automata.
 	return res.Network
 }
 
-// checkOptimize holds OptimizeForDevice to the reference merge byte for
-// byte and, when equiv is set and the design is counter-free, to the input
-// design's language.
+// checkOptimize holds OptimizeForDevice to the reference pipeline byte for
+// byte, its merge index to its invariant after every round and, when equiv
+// is set and the design is counter-free, its output to the input design's
+// language.
 func checkOptimize(t *testing.T, name string, net *automata.Network, equiv bool) {
 	t.Helper()
 	got := net.OptimizeForDevice(16)
 	if err := automata.SameNetwork(got, automata.ReferenceOptimizeForDevice(net, 16)); err != nil {
-		t.Fatalf("%s: optimiser differs from the reference merge: %v", name, err)
+		t.Fatalf("%s: optimiser differs from the reference pipeline: %v", name, err)
+	}
+	checked, err := automata.CheckedOptimizeForDevice(net, 16)
+	if err != nil {
+		t.Fatalf("%s: merge index: %v", name, err)
+	}
+	if err := automata.SameNetwork(got, checked); err != nil {
+		t.Fatalf("%s: checked optimiser differs: %v", name, err)
 	}
 	if equiv && net.MustFreeze().Pure() {
 		if err := automata.Equivalent(net.MustFreeze(), got.MustFreeze()); err != nil {
@@ -52,11 +60,12 @@ func checkOptimize(t *testing.T, name string, net *automata.Network, equiv bool)
 	}
 }
 
-// TestOptimizeMatchesReference is the worklist merge's differential
+// TestOptimizeMatchesReference is the device optimiser's differential
 // property: on every paper design, RAPID and hand, from 1 to 150 instances,
-// on Brill at its fixed size, and on generated RAPID programs, the device
-// pipeline's output equals the round-based reference element for element
-// and edge for edge. The one-instance designs and the generated programs
+// on Brill at its fixed size, and on 200 generated RAPID programs, the
+// one-copy pipeline's output equals the pass-by-pass reference, with the
+// round-based merge, element for element and edge for edge, and its merge
+// index keeps its invariant after every round. The one-instance designs and the generated programs
 // are also checked for equivalence where they are counter-free, except
 // Gappy, whose joint subset construction does not finish.
 func TestOptimizeMatchesReference(t *testing.T) {
@@ -76,7 +85,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 		}
 	}
 	g := rapidgen.New(35)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 200; i++ {
 		p := g.Program()
 		prog, err := core.Load(p.Source)
 		if err != nil {
@@ -113,10 +122,11 @@ const optimizePairs = 7
 
 // TestOptimizeFloor holds the worklist merge to its reason to exist: on
 // gappy-32, whose prefix merge takes 25 rounds, OptimizeForDevice runs at
-// least 8× faster than the same pipeline with the round-based reference
-// merge (≈12× measured on a 2-vCPU Xeon). Both sides run in this process,
-// interleaved, and each collects first so neither pays for the other's
-// garbage.
+// least 8× faster than the pass-by-pass reference pipeline with the
+// round-based merge (≈49× measured on a 2-vCPU Xeon since the optimiser
+// works on one copy with slab keys, ≈12× before). Both sides run in this
+// process, interleaved, and each collects first so neither pays for the
+// other's garbage.
 func TestOptimizeFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation distorts the ratio; plain go test checks the floor")

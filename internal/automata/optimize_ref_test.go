@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file keeps the round-based merge that mergeEquivalent replaced, as
-// the oracle the worklist merge must reproduce byte for byte. Every round
+// This file keeps the round-based merge that the worklist merge replaced,
+// as the oracle it must reproduce byte for byte. Every round
 // keys every STE with strings, groups the keys in a map and rebuilds the
 // whole network with compact. The one change from the original is that
 // the groups are taken in ascending order of their representative instead
@@ -89,15 +89,176 @@ func (n *Network) referenceMerge(byIns bool) *Network {
 	}
 }
 
-// ReferenceOptimizeForDevice is OptimizeForDevice with the reference merge.
+// refPruneUnreachable returns a copy of n without elements that can never
+// activate: elements with no path from a start STE. Counter reset edges are
+// treated as ordinary connectivity.
+func (n *Network) refPruneUnreachable() *Network {
+	reachable := make([]bool, n.Len())
+	var queue []ElementID
+	for i := range n.elems {
+		e := &n.elems[i]
+		if e.Kind == KindSTE && e.Start != StartNone {
+			reachable[i] = true
+			queue = append(queue, ElementID(i))
+		}
+		// Gates that compute true on all-inactive inputs (NOT/NOR/NAND)
+		// are live regardless of upstream reachability.
+		if e.Kind == KindGate && (e.Op == GateNot || e.Op == GateNor || e.Op == GateNand) {
+			reachable[i] = true
+			queue = append(queue, ElementID(i))
+		}
+	}
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		for _, e := range n.outs[id] {
+			if !reachable[e.To] {
+				reachable[e.To] = true
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return n.compact(reachable)
+}
+
+// refPruneNonProductive returns a copy of n without elements that cannot
+// contribute to any report: elements with no path to a reporting element.
+func (n *Network) refPruneNonProductive() *Network {
+	productive := make([]bool, n.Len())
+	var queue []ElementID
+	for i := range n.elems {
+		if n.elems[i].Report {
+			productive[i] = true
+			queue = append(queue, ElementID(i))
+		}
+	}
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		for _, e := range n.ins[id] {
+			if !productive[e.From] {
+				productive[e.From] = true
+				queue = append(queue, e.From)
+			}
+		}
+	}
+	return n.compact(productive)
+}
+
+// refSplitHighFanIn returns a copy of n in which every STE with more than
+// limit in-edges keeps its first limit and hands the rest, limit at a time,
+// to fresh copies of itself with its out-edges.
+func (n *Network) refSplitHighFanIn(limit int) *Network {
+	out := n.Clone()
+	for id := 0; id < out.Len(); id++ { // out.Len() grows as we split
+		e := &out.elems[id]
+		if e.Kind != KindSTE {
+			continue
+		}
+		ins := append([]Edge(nil), out.ins[id]...)
+		if len(ins) <= limit {
+			continue
+		}
+		for _, ed := range ins[limit:] {
+			out.Disconnect(ed.From, ed.To, ed.Port)
+		}
+		rest := ins[limit:]
+		for len(rest) > 0 {
+			chunk := rest
+			if len(chunk) > limit {
+				chunk = chunk[:limit]
+			}
+			rest = rest[len(chunk):]
+			copyID := out.add(Element{
+				Kind:       KindSTE,
+				Class:      e.Class,
+				Start:      e.Start,
+				Report:     e.Report,
+				ReportCode: e.ReportCode,
+				Origin:     e.Origin,
+			})
+			for _, oe := range out.outs[id] {
+				out.Connect(copyID, oe.To, oe.Port)
+			}
+			for _, ie := range chunk {
+				out.Connect(ie.From, copyID, ie.Port)
+			}
+			e = &out.elems[id] // re-take pointer: add may have reallocated
+		}
+	}
+	return out
+}
+
+// ReferenceOptimizeForDevice is OptimizeForDevice as separate passes, each
+// on its own copy: prune the unreachable, then the non-productive
+// elements, merge prefixes and suffixes round by round, then split high
+// fan-in. It shares only compact and the builder methods with the code it
+// checks.
 func ReferenceOptimizeForDevice(n *Network, fanInLimit int) *Network {
-	out := n.PruneUnreachable().PruneNonProductive()
+	out := n.refPruneUnreachable().refPruneNonProductive()
 	out = out.referenceMerge(true).referenceMerge(false)
 	if fanInLimit > 0 {
-		out = out.SplitHighFanIn(fanInLimit)
+		out = out.refSplitHighFanIn(fanInLimit)
 	}
 	out.Name = n.Name
 	return out
+}
+
+// CheckedOptimizeForDevice is OptimizeForDevice with checkIndex run on the
+// merge index when each pass begins and after every round. It returns the
+// first violation.
+func CheckedOptimizeForDevice(n *Network, fanInLimit int) (*Network, error) {
+	work := n.compact(n.liveMask())
+	m := newMerger(work)
+	for _, byIns := range []bool{true, false} {
+		pass := "prefix"
+		if !byIns {
+			work.relink()
+			pass = "suffix"
+		}
+		m.begin(byIns)
+		for round := 0; ; round++ {
+			if err := m.checkIndex(); err != nil {
+				return nil, fmt.Errorf("%s %s pass, round %d: %w", n.Name, pass, round, err)
+			}
+			if !m.round() {
+				break
+			}
+		}
+	}
+	out := work.compact(m.live)
+	out.splitHighFanIn(fanInLimit)
+	return out, nil
+}
+
+// checkIndex verifies the merge index between rounds: every live keyed
+// element's recorded hash is its key's, a probe from that hash finds the
+// element itself, and the index holds as many entries as there are live
+// keyed elements, so it holds exactly them, each once.
+func (m *merger) checkIndex() error {
+	entries, keyed := 0, 0
+	for _, e := range m.index {
+		if e >= 0 {
+			entries++
+		}
+	}
+	for id := range m.el {
+		el := &m.el[id]
+		if !m.live[id] || el.klen < 0 {
+			continue
+		}
+		keyed++
+		if h := m.hashKey(ElementID(id)); el.hash != h {
+			return fmt.Errorf("element %d records hash %#x, its key hashes to %#x", id, el.hash, h)
+		}
+		if e := m.index[m.find(ElementID(id))]; e != int32(id) {
+			return fmt.Errorf("a probe for element %d's key finds entry %d", id, e)
+		}
+	}
+	if entries != keyed {
+		return fmt.Errorf("index holds %d entries for %d live keyed elements", entries, keyed)
+	}
+	return nil
 }
 
 // SameNetwork describes the first difference between a and b: in name, in

@@ -7,6 +7,16 @@ import (
 	"repro/internal/charclass"
 )
 
+// mergePass runs one merge pass, prefixes when byIns, on a copy of n and
+// drops the merged elements.
+func mergePass(n *Network, byIns bool) *Network {
+	work := n.Clone()
+	m := newMerger(work)
+	for m.begin(byIns); m.round(); {
+	}
+	return work.compact(m.live)
+}
+
 func TestPruneUnreachable(t *testing.T) {
 	n := NewNetwork("p")
 	a := n.AddSTE(charclass.Single('a'), StartOfData)
@@ -14,7 +24,7 @@ func TestPruneUnreachable(t *testing.T) {
 	n.AddSTE(charclass.Single('z'), StartNone) // orphan, unreachable
 	n.Connect(a, b, PortIn)
 	n.SetReport(b, 0)
-	out := n.PruneUnreachable()
+	out := n.compact(n.liveMask())
 	if out.Len() != 2 {
 		t.Fatalf("pruned len = %d, want 2", out.Len())
 	}
@@ -35,7 +45,7 @@ func TestPruneNonProductive(t *testing.T) {
 	n.Connect(a, b, PortIn)
 	n.Connect(a, dead, PortIn) // reachable but leads nowhere
 	n.SetReport(b, 0)
-	out := n.PruneNonProductive()
+	out := n.compact(n.liveMask())
 	if out.Len() != 2 {
 		t.Fatalf("pruned len = %d, want 2", out.Len())
 	}
@@ -53,7 +63,7 @@ func TestMergePrefixes(t *testing.T) {
 	n.Connect(a2, c, PortIn)
 	n.SetReport(b, 1)
 	n.SetReport(c, 2)
-	out := n.MergePrefixes()
+	out := mergePass(n, true)
 	if got := out.Stats().STEs; got != 3 {
 		t.Fatalf("after prefix merge STEs = %d, want 3", got)
 	}
@@ -82,7 +92,7 @@ func TestMergeSuffixes(t *testing.T) {
 	n.Connect(b, t2, PortIn)
 	n.SetReport(t1, 9)
 	n.SetReport(t2, 9)
-	out := n.MergeSuffixes()
+	out := mergePass(n, false)
 	if got := out.Stats().STEs; got != 3 {
 		t.Fatalf("after suffix merge STEs = %d, want 3", got)
 	}
@@ -106,7 +116,7 @@ func TestMergeKeepsDistinctReportCodes(t *testing.T) {
 	n.Connect(a, t2, PortIn)
 	n.SetReport(t1, 1)
 	n.SetReport(t2, 2)
-	out := n.MergePrefixes()
+	out := mergePass(n, true)
 	if got := out.Stats().STEs; got != 3 {
 		t.Fatalf("STEs with distinct report codes must not merge: %d", got)
 	}
@@ -121,7 +131,8 @@ func TestSplitHighFanIn(t *testing.T) {
 		s := n.AddSTE(charclass.Single('a'), StartAllInput)
 		n.Connect(s, target, PortIn)
 	}
-	out := n.SplitHighFanIn(4)
+	out := n.Clone()
+	out.splitHighFanIn(4)
 	// 10 in-edges with limit 4: original keeps 4, copies take 4 and 2.
 	if got := out.Stats().STEs; got != sources+3 {
 		t.Fatalf("after split STEs = %d, want %d", got, sources+3)
@@ -240,8 +251,9 @@ func TestOptimizeShrinksSharedPrefixes(t *testing.T) {
 }
 
 // TestOptimizeMatchesReferenceRandom holds OptimizeForDevice to the
-// round-based reference merge byte for byte on random chain sets and
-// quick-check word matchers, the random half of TestOptimizeMatchesReference.
+// reference pipeline byte for byte, and its merge index to its invariant,
+// on random chain sets and quick-check word matchers, the random half of
+// TestOptimizeMatchesReference.
 func TestOptimizeMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 200; trial++ {
@@ -249,8 +261,14 @@ func TestOptimizeMatchesReferenceRandom(t *testing.T) {
 		if trial%2 == 1 {
 			n, _ = wordNetwork(rng.Uint32())
 		}
-		if err := SameNetwork(n.OptimizeForDevice(16), ReferenceOptimizeForDevice(n, 16)); err != nil {
+		got := n.OptimizeForDevice(16)
+		if err := SameNetwork(got, ReferenceOptimizeForDevice(n, 16)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if checked, err := CheckedOptimizeForDevice(n, 16); err != nil {
+			t.Fatalf("trial %d: merge index: %v", trial, err)
+		} else if err := SameNetwork(got, checked); err != nil {
+			t.Fatalf("trial %d: checked optimiser differs: %v", trial, err)
 		}
 	}
 }

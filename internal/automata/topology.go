@@ -78,10 +78,7 @@ func (n *Network) Freeze() (*Topology, error) {
 	if t := n.frozen.Load(); t != nil {
 		return t, nil
 	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	specials, err := n.specialOrder()
+	specials, err := n.validate()
 	if err != nil {
 		return nil, err
 	}

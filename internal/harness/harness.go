@@ -27,10 +27,6 @@ const (
 	VersionRegex Version = "Re"
 )
 
-// FanInLimit is the routing fan-in bound used for device optimization
-// throughout the evaluation (one row of STEs).
-const FanInLimit = 16
-
 // Table4Row compares program size and STE usage (Table 4).
 type Table4Row struct {
 	Benchmark  string
@@ -128,7 +124,7 @@ func Table4() ([]Table4Row, error) {
 				LOC:        loc,
 				ANMLLOC:    lines,
 				STEs:       net.Stats().STEs,
-				DeviceSTEs: net.OptimizeForDevice(FanInLimit).Stats().STEs,
+				DeviceSTEs: net.OptimizeForDevice(place.DefaultFanInLimit).Stats().STEs,
 			})
 			return nil
 		}
@@ -156,7 +152,7 @@ func Table5() ([]Table5Row, error) {
 			return nil, err
 		}
 		add := func(v Version, net *automata.Network) error {
-			p, err := place.Place(net, place.Config{FanInLimit: FanInLimit})
+			p, err := place.Place(net, place.Config{FanInLimit: place.DefaultFanInLimit})
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", b.Name, v, err)
 			}
@@ -211,7 +207,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime := time.Since(genStart)
 		prStart := time.Now()
-		basePlacement, err := place.Place(full, place.Config{FanInLimit: FanInLimit})
+		basePlacement, err := place.Place(full, place.Config{FanInLimit: place.DefaultFanInLimit})
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline place: %w", b.Name, err)
 		}
@@ -231,7 +227,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime = time.Since(genStart)
 		prStart = time.Now()
-		_, stamped, err := place.PlaceStamped(unit, n, place.Config{FanInLimit: FanInLimit})
+		_, stamped, err := place.PlaceStamped(unit, n, place.Config{FanInLimit: place.DefaultFanInLimit})
 		if err != nil {
 			return nil, fmt.Errorf("%s precompiled place: %w", b.Name, err)
 		}
@@ -259,7 +255,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime = time.Since(genStart)
 		prStart = time.Now()
-		tess, err := prog.Tessellate(args, place.Config{FanInLimit: FanInLimit})
+		tess, err := prog.Tessellate(args, place.Config{FanInLimit: place.DefaultFanInLimit})
 		if err != nil {
 			return nil, fmt.Errorf("%s tessellate: %w", b.Name, err)
 		}

@@ -72,11 +72,13 @@ func TestColdCloneAllocsPerState(t *testing.T) {
 
 // TestSetupAllocs holds set-up to a fixed allocation count: building the
 // lazy DFA's tables for arm-32 and gappy-32, and the device optimiser on
-// gappy-32. Each bound is the count measured once the symbol partition
-// refined once per distinct class and the optimiser's compact and the tier
-// split cut every element's edge lists from two flat arrays (111, 114 and
-// 64 229), plus 10 %. Before that change this test counted 187 945,
-// 142 896 and 199 245.
+// gappy-32. Each bound is the count measured once the tier split cut its
+// sub-topologies straight from the frozen arrays and the optimiser worked
+// on one copy with its merge keys in a slab (68, 55–57 and 7 922), plus
+// 10 %. Before that change the bounds were 122, 125 and 70 651 (counts
+// 111, 114 and 64 229); before the symbol partition refined once per
+// distinct class and compact cut edge lists from flat arrays, this test
+// counted 187 945, 142 896 and 199 245.
 func TestSetupAllocs(t *testing.T) {
 	arm, gappy := scanNetwork(t, bench.ARM(), 32), scanNetwork(t, bench.Gappy(), 32)
 	for _, c := range []struct {
@@ -84,9 +86,9 @@ func TestSetupAllocs(t *testing.T) {
 		bound float64
 		run   func()
 	}{
-		{"lazydfa.New arm-32", 122, func() { lazydfa.New(arm, nil) }},
-		{"lazydfa.New gappy-32", 125, func() { lazydfa.New(gappy, nil) }},
-		{"OptimizeForDevice(16) gappy-32", 70651, func() { gappy.OptimizeForDevice(16) }},
+		{"lazydfa.New arm-32", 75, func() { lazydfa.New(arm, nil) }},
+		{"lazydfa.New gappy-32", 63, func() { lazydfa.New(gappy, nil) }},
+		{"OptimizeForDevice(16) gappy-32", 8714, func() { gappy.OptimizeForDevice(16) }},
 	} {
 		allocs := testing.AllocsPerRun(3, c.run)
 		t.Logf("%s: %.0f allocations (bound %.0f)", c.name, allocs, c.bound)

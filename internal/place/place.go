@@ -45,6 +45,10 @@ import (
 // block it touches.
 const BRLinesPerBlock = 48
 
+// DefaultFanInLimit is the routing fan-in bound of the device optimisation
+// when Config.FanInLimit is unset: one row of STEs.
+const DefaultFanInLimit = 16
+
 // broadcastFanOut is the out-degree at which an element is treated as a
 // broadcast source (e.g. the START_OF_INPUT tracker): placement replicates
 // such elements into each block that consumes them rather than routing one
@@ -111,7 +115,7 @@ type Config struct {
 	// Res is the device resource model; zero value means first generation.
 	Res ap.Resources
 	// FanInLimit is the routing fan-in bound enforced during device
-	// optimization; <= 0 uses 16 (one row).
+	// optimization; <= 0 uses DefaultFanInLimit.
 	FanInLimit int
 	// SkipOptimize places the network exactly as given, without the
 	// device transformation pipeline.
@@ -144,7 +148,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Res = ap.FirstGeneration()
 	}
 	if cfg.FanInLimit <= 0 {
-		cfg.FanInLimit = 16
+		cfg.FanInLimit = DefaultFanInLimit
 	}
 	if cfg.RefinePasses <= 0 {
 		cfg.RefinePasses = 6

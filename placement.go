@@ -78,7 +78,7 @@ func (d *Design) EnsurePlaced(cache *PlacementCache) (restored bool, err error) 
 // never into a bogus layout.
 func (d *Design) restorePlacement() *place.Placement {
 	raw := d.rawPlacement
-	work := d.net.OptimizeForDevice(16) // mirrors place.Config defaults
+	work := d.net.OptimizeForDevice(place.DefaultFanInLimit) // as place.Place optimises it
 	top, err := work.Freeze()
 	if err != nil {
 		return nil

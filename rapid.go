@@ -259,7 +259,7 @@ func LoadANML(data []byte) (*Design, error) {
 // before mapping a design onto the device (pruning, prefix/suffix sharing,
 // fan-in splitting) and returns the optimized design.
 func (d *Design) OptimizeForDevice() *Design {
-	return &Design{net: d.net.OptimizeForDevice(16), reports: d.reports}
+	return &Design{net: d.net.OptimizeForDevice(place.DefaultFanInLimit), reports: d.reports}
 }
 
 // Placement reports the Table 5 placement-and-routing statistics of a
