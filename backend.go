@@ -12,8 +12,9 @@ type BackendKind string
 
 // The three execution tiers of a compiled design.
 const (
-	// BackendDevice is the functional AP device model on the
-	// precomputed-table bitset simulator (Runner).
+	// BackendDevice is the functional AP device model: the design's
+	// device network, the one placement places (pruned, merged and
+	// fan-in split), on the precomputed-table bitset simulator (Runner).
 	BackendDevice BackendKind = "device"
 	// BackendLazyDFA is the bounded-memory lazy-DFA engine (NewEngine);
 	// always available — counter components determinize whole

@@ -252,7 +252,7 @@ func BenchmarkAblationTessellationDensity(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r, err := tessellate.Tessellate(unit.Network, spec.Count, place.Config{})
+		r, err := tessellate.Tessellate(place.DeviceNetwork(unit.Network), spec.Count, place.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,6 +65,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Placement places the compiled design's device network, the one
+	// OptimizeForDevice returns, so place before swapping it in.
+	var placement *rapid.Placement
+	if *doPlace {
+		if placement, err = design.PlaceAndRoute(); err != nil {
+			fatal(err)
+		}
+	}
 	if *optimize {
 		design = design.OptimizeForDevice()
 	}
@@ -73,11 +81,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "STEs=%d counters=%d boolean=%d edges=%d reporting=%d clock-divisor=%d\n",
 			s.STEs, s.Counters, s.BooleanGates, s.Edges, s.Reporting, s.ClockDivisor)
 	}
-	if *doPlace {
-		p, err := design.PlaceAndRoute()
-		if err != nil {
-			fatal(err)
-		}
+	if p := placement; p != nil {
 		fmt.Fprintf(os.Stderr, "blocks=%d STE-utilization=%.1f%% mean-BR=%.1f%% clock-divisor=%d\n",
 			p.TotalBlocks, 100*p.STEUtilization, 100*p.MeanBRAllocation, p.ClockDivisor)
 	}

@@ -1,8 +1,8 @@
 package ap
 
 import (
+	"math"
 	"testing"
-	"time"
 
 	"repro/internal/automata"
 	"repro/internal/charclass"
@@ -50,114 +50,6 @@ func TestBlockUsageFits(t *testing.T) {
 	}
 }
 
-func chain(name, word string) *automata.Network {
-	n := automata.NewNetwork(name)
-	prev := automata.NoElement
-	for i := 0; i < len(word); i++ {
-		start := automata.StartNone
-		if i == 0 {
-			start = automata.StartAllInput
-		}
-		id := n.AddSTE(charclass.Single(word[i]), start)
-		if prev != automata.NoElement {
-			n.Connect(prev, id, automata.PortIn)
-		}
-		prev = id
-	}
-	n.SetReport(prev, 0)
-	return n
-}
-
-func TestBoardLoadAndCapacity(t *testing.T) {
-	b := NewBoard(FirstGeneration())
-	if b.BlocksFree() != 6144 {
-		t.Fatalf("fresh board free blocks = %d", b.BlocksFree())
-	}
-	if err := b.Load(LoadedDesign{Network: chain("d1", "abc"), Blocks: 6000, ClockDivisor: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if b.BlocksUsed() != 6000 || b.BlocksFree() != 144 {
-		t.Fatalf("used=%d free=%d", b.BlocksUsed(), b.BlocksFree())
-	}
-	if err := b.Load(LoadedDesign{Network: chain("d2", "xy"), Blocks: 200, ClockDivisor: 1}); err == nil {
-		t.Fatal("overcommit should fail")
-	}
-	b.Clear()
-	if b.BlocksUsed() != 0 {
-		t.Fatal("Clear did not free blocks")
-	}
-}
-
-func TestBoardLoadValidation(t *testing.T) {
-	b := NewBoard(FirstGeneration())
-	if err := b.Load(LoadedDesign{Network: nil, Blocks: 1, ClockDivisor: 1}); err == nil {
-		t.Error("nil network should fail")
-	}
-	if err := b.Load(LoadedDesign{Network: chain("d", "a"), Blocks: 0, ClockDivisor: 1}); err == nil {
-		t.Error("zero blocks should fail")
-	}
-	if err := b.Load(LoadedDesign{Network: chain("d", "a"), Blocks: 1, ClockDivisor: 0}); err == nil {
-		t.Error("zero divisor should fail")
-	}
-}
-
-func TestBoardRunMergesReports(t *testing.T) {
-	b := NewBoard(FirstGeneration())
-	mustLoad := func(d LoadedDesign) {
-		t.Helper()
-		if err := b.Load(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustLoad(LoadedDesign{Network: chain("abc", "abc"), Blocks: 1, ClockDivisor: 1})
-	mustLoad(LoadedDesign{Network: chain("bc", "bc"), Blocks: 1, ClockDivisor: 1})
-	reports, err := b.Run([]byte("zabcz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "abc" ends at offset 3; "bc" ends at offset 3 as well.
-	if len(reports) != 2 {
-		t.Fatalf("reports = %v", reports)
-	}
-	if reports[0].Design != "abc" || reports[1].Design != "bc" {
-		t.Fatalf("design attribution/order wrong: %v", reports)
-	}
-	for _, r := range reports {
-		if r.Offset != 3 {
-			t.Fatalf("offset = %d, want 3", r.Offset)
-		}
-	}
-}
-
-func TestBoardClockDivisorAndRuntime(t *testing.T) {
-	b := NewBoard(FirstGeneration())
-	if b.ClockDivisor() != 1 {
-		t.Fatal("empty board divisor should be 1")
-	}
-	if err := b.Load(LoadedDesign{Network: chain("d", "a"), Blocks: 1, ClockDivisor: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if b.ClockDivisor() != 2 {
-		t.Fatal("board divisor should follow loaded design")
-	}
-	rt := b.EstimateRuntime(SymbolRate) // one second of symbols at divisor 2
-	if rt != 2*time.Second {
-		t.Fatalf("EstimateRuntime = %v, want 2s", rt)
-	}
-}
-
-func TestRuntimeLinearInStreamLength(t *testing.T) {
-	b := NewBoard(FirstGeneration())
-	if err := b.Load(LoadedDesign{Network: chain("d", "a"), Blocks: 1, ClockDivisor: 1}); err != nil {
-		t.Fatal(err)
-	}
-	r1 := b.EstimateRuntime(1_000_000)
-	r2 := b.EstimateRuntime(2_000_000)
-	if diff := r2 - 2*r1; diff < -time.Microsecond || diff > time.Microsecond {
-		t.Fatalf("runtime not linear: %v vs %v", r1, r2)
-	}
-}
-
 func TestUsageOf(t *testing.T) {
 	n := automata.NewNetwork("u")
 	a := n.AddSTE(charclass.Single('a'), automata.StartAllInput)
@@ -168,5 +60,22 @@ func TestUsageOf(t *testing.T) {
 	u := UsageOf(n)
 	if u != (BlockUsage{STEs: 1, Counters: 1, Boolean: 1}) {
 		t.Fatalf("UsageOf = %+v", u)
+	}
+}
+
+func TestBoardClockDivisorAndRuntime(t *testing.T) {
+	if rt := RuntimeSeconds(SymbolRate, 1); rt != 1 {
+		t.Fatalf("one second of symbols at divisor 1 = %vs, want 1s", rt)
+	}
+	if rt := RuntimeSeconds(SymbolRate, 2); rt != 2 {
+		t.Fatalf("one second of symbols at divisor 2 = %vs, want 2s", rt)
+	}
+}
+
+func TestRuntimeLinearInStreamLength(t *testing.T) {
+	r1 := RuntimeSeconds(1_000_000, 1)
+	r2 := RuntimeSeconds(2_000_000, 1)
+	if diff := r2 - 2*r1; math.Abs(diff) > 1e-6 {
+		t.Fatalf("runtime not linear: %vs vs %vs", r1, r2)
 	}
 }

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/automata"
 	"repro/internal/codegen"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/interp"
@@ -144,9 +143,9 @@ func (spec *TileSpec) UnitArgs(args []value.Value) []value.Value {
 }
 
 // Tessellate applies the auto-tuning tessellation optimization: it detects
-// the tileable repetition, compiles the single-instance unit, and tiles it.
-// It fails when the heuristic finds no repetition (e.g., fixed-size designs
-// like Brill).
+// the tileable repetition, compiles the single-instance unit, and tiles its
+// device network. It fails when the heuristic finds no repetition (e.g.,
+// fixed-size designs like Brill).
 func (p *Program) Tessellate(args []value.Value, cfg place.Config) (*tessellate.Result, error) {
 	spec, ok := p.DetectTileable(args)
 	if !ok {
@@ -156,26 +155,5 @@ func (p *Program) Tessellate(args []value.Value, cfg place.Config) (*tessellate.
 	if err != nil {
 		return nil, err
 	}
-	return tessellate.Tessellate(unit.Network, spec.Count, cfg)
-}
-
-// PlaceAndRoute compiles the full design and runs the baseline global
-// placement flow.
-func (p *Program) PlaceAndRoute(args []value.Value, cfg place.Config) (*place.Placement, error) {
-	res, err := p.Compile(args, nil)
-	if err != nil {
-		return nil, err
-	}
-	return place.Place(res.Network, cfg)
-}
-
-// DeviceNetwork compiles and applies the device optimization pipeline,
-// returning the network as it would exist after placement tools transform
-// it (the "Device STEs" column of Table 4).
-func (p *Program) DeviceNetwork(args []value.Value, fanInLimit int) (*automata.Network, error) {
-	res, err := p.Compile(args, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Network.OptimizeForDevice(fanInLimit), nil
+	return tessellate.Tessellate(place.DeviceNetwork(unit.Network), spec.Count, cfg)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/lang/value"
 	"repro/internal/place"
 )
@@ -138,40 +139,98 @@ func TestTessellatePipeline(t *testing.T) {
 	}
 }
 
-func TestPlaceAndRoute(t *testing.T) {
-	p, err := Load(hammingSrc)
+// fanSrc's unit is 41 elements: the start-of-input tracker, 26 one-letter
+// alternatives and a 14-letter chain whose first STE takes 26 in-edges,
+// over the routing fan-in bound.
+const fanSrc = `
+macro fan(String s) {
+  some (char c : "abcdefghijklmnopqrstuvwxyz") c == input();
+  foreach (char c : s) c == input();
+  report;
+}
+network (String[] words) { some (String w : words) fan(w); }`
+
+// TestTessellateTilesDeviceNetwork pins that Tessellate tiles the unit's
+// device network: no STE of Result.Unit exceeds the routing fan-in bound,
+// and the footprint is the device network's. Tiling the unsplit unit
+// instead, as Tessellate once did, gives 50 blocks where the split one
+// needs 100.
+func TestTessellateTilesDeviceNetwork(t *testing.T) {
+	p, err := Load(fanSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := []value.Value{value.Strings([]string{"rapid", "tepid", "vapid"})}
-	placement, err := p.PlaceAndRoute(args, place.Config{})
+	words := make([]string, 100)
+	for i := range words {
+		words[i] = "rrrrrrrrrrrrrr"
+	}
+	args := []value.Value{value.Strings(words)}
+	r, err := p.Tessellate(args, place.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if placement.Metrics.TotalBlocks < 1 {
-		t.Fatalf("metrics = %+v", placement.Metrics)
+	spec, _ := p.DetectTileable(args)
+	unit, err := p.Compile(spec.UnitArgs(args), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if placement.Metrics.ClockDivisor != 2 {
-		t.Fatalf("divisor = %d, want 2 (counter design)", placement.Metrics.ClockDivisor)
+	if unit.Network.Len() != 41 {
+		t.Fatalf("unit has %d elements, want 41", unit.Network.Len())
+	}
+	maxIn := 0
+	r.Unit.Elements(func(e *automata.Element) {
+		if e.Kind == automata.KindSTE {
+			maxIn = max(maxIn, len(r.Unit.Ins(e.ID)))
+		}
+	})
+	if maxIn == 0 || maxIn > place.DefaultFanInLimit {
+		t.Fatalf("Result.Unit's widest STE fan-in is %d, want 1..%d", maxIn, place.DefaultFanInLimit)
+	}
+	if r.TotalBlocks != 100 || r.PerBlock != 1 {
+		t.Fatalf("100 instances tile into %d blocks at %d per block, want 100 at 1", r.TotalBlocks, r.PerBlock)
 	}
 }
 
+// TestDeviceNetwork: identical instances share structure in a program's
+// device network.
 func TestDeviceNetwork(t *testing.T) {
 	p, err := Load(hammingSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := []value.Value{value.Strings([]string{"rapid", "rapid"})}
-	dev, err := p.DeviceNetwork(args, 16)
+	full, err := p.Compile([]value.Value{value.Strings([]string{"rapid", "rapid"})}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := p.Compile(args, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two identical instances share structure after optimization.
+	dev := place.DeviceNetwork(full.Network)
 	if dev.Stats().STEs >= full.Network.Stats().STEs {
 		t.Fatalf("device STEs %d not reduced from %d", dev.Stats().STEs, full.Network.Stats().STEs)
+	}
+}
+
+// TestPlaceAndRoute: placing a program's device network places that
+// network and keeps the counter design's clock divisor.
+func TestPlaceAndRoute(t *testing.T) {
+	p, err := Load(hammingSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Compile([]value.Value{value.Strings([]string{"rapid", "tepid", "vapid"})}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := place.DeviceNetwork(res.Network)
+	pl, err := place.Place(dev, place.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Network != dev {
+		t.Fatal("Place did not place the network it was given")
+	}
+	if pl.Metrics.TotalBlocks < 1 {
+		t.Fatalf("metrics = %+v", pl.Metrics)
+	}
+	if pl.Metrics.ClockDivisor != 2 {
+		t.Fatalf("divisor = %d, want 2 (counter design)", pl.Metrics.ClockDivisor)
 	}
 }

@@ -124,7 +124,7 @@ func Table4() ([]Table4Row, error) {
 				LOC:        loc,
 				ANMLLOC:    lines,
 				STEs:       net.Stats().STEs,
-				DeviceSTEs: net.OptimizeForDevice(place.DefaultFanInLimit).Stats().STEs,
+				DeviceSTEs: place.DeviceNetwork(net).Stats().STEs,
 			})
 			return nil
 		}
@@ -152,7 +152,7 @@ func Table5() ([]Table5Row, error) {
 			return nil, err
 		}
 		add := func(v Version, net *automata.Network) error {
-			p, err := place.Place(net, place.Config{FanInLimit: place.DefaultFanInLimit})
+			p, err := place.Place(place.DeviceNetwork(net), place.Config{})
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", b.Name, v, err)
 			}
@@ -207,7 +207,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime := time.Since(genStart)
 		prStart := time.Now()
-		basePlacement, err := place.Place(full, place.Config{FanInLimit: place.DefaultFanInLimit})
+		basePlacement, err := place.Place(place.DeviceNetwork(full), place.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline place: %w", b.Name, err)
 		}
@@ -227,7 +227,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime = time.Since(genStart)
 		prStart = time.Now()
-		_, stamped, err := place.PlaceStamped(unit, n, place.Config{FanInLimit: place.DefaultFanInLimit})
+		_, stamped, err := place.PlaceStamped(place.DeviceNetwork(unit), n, place.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s precompiled place: %w", b.Name, err)
 		}
@@ -255,7 +255,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime = time.Since(genStart)
 		prStart = time.Now()
-		tess, err := prog.Tessellate(args, place.Config{FanInLimit: place.DefaultFanInLimit})
+		tess, err := prog.Tessellate(args, place.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s tessellate: %w", b.Name, err)
 		}

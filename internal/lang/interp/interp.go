@@ -16,6 +16,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -74,7 +75,8 @@ func Run(info *sema.Info, args []value.Value, input []byte, opts *Options) ([]Re
 	// order, into a shared environment (so counters declared in the
 	// network are shared by all parallel statements), and each remaining
 	// statement becomes an independent parallel matcher. The environment
-	// visible to a statement is snapshotted at its position.
+	// visible to a statement is snapshotted at its position, after the
+	// compile-time effects of every statement before it (see elaborate).
 	env := eval.NewEnv(nil)
 	for i, p := range net.Params {
 		env.Declare(p.Name, args[i])
@@ -95,6 +97,10 @@ func Run(info *sema.Info, args []value.Value, input []byte, opts *Options) ([]Re
 			}
 		default:
 			parallel = append(parallel, parallelStmt{s: s, env: env.Fork(), ctx: fmt.Sprintf("net#%d", i)})
+			var err error
+			if env, err = m.elaborate(env, s); err != nil {
+				return nil, err
+			}
 		}
 	}
 	spawnNetwork := func() {
@@ -168,6 +174,10 @@ type cont func(*eval.Env)
 type machine struct {
 	info *sema.Info
 	opts Options
+	// dry marks an elaboration machine (see elaborate): no input is read,
+	// a symbol match passes at once unless its class is empty, and a
+	// counter check passes at once.
+	dry bool
 
 	offset  int
 	reports []Report
@@ -326,7 +336,7 @@ func (m *machine) execStmt(ctx string, env *eval.Env, s ast.Stmt, k cont) {
 		k(env)
 
 	case *ast.ReportStmt:
-		if m.offset < 0 {
+		if m.offset < 0 && !m.dry {
 			m.fail(s.Pos(), "report before any input symbol is consumed")
 			return
 		}
@@ -476,6 +486,10 @@ func (m *machine) execStmt(ctx string, env *eval.Env, s ast.Stmt, k cont) {
 		// success runs the body (in parallel with everything else).
 		guardEnv := env.Fork()
 		bodyCtx := ctx + "/n" // all spawns share one static elaboration
+		if m.dry {
+			m.runPredExpr(guardEnv, s.Guard, false, func(e *eval.Env) { m.execStmt(bodyCtx, e, s.Body, k) })
+			return
+		}
 		m.spawners = append(m.spawners, func() {
 			m.spawn(func() {
 				attempt := guardEnv.Fork()
@@ -488,6 +502,29 @@ func (m *machine) execStmt(ctx string, env *eval.Env, s ast.Stmt, k cont) {
 	default:
 		m.fail(s.Pos(), "unexpected statement %T", s)
 	}
+}
+
+// errElaborated stops an elaboration machine once one path is through.
+var errElaborated = errors.New("interp: elaborated")
+
+// elaborate returns the compile-time state network statement s leaves
+// for the statements after it. The compiler elaborates network statements
+// once each, in order, against one shared environment, so an assignment
+// inside a block is visible to later statements whatever the input; a
+// thread of s reaches its end only on matching input, at a later cycle.
+// So s runs on a dry machine, on which every runtime predicate that can
+// match does, until one path reaches its end: every path leaves the same
+// state. A statement no path gets through leaves env as it was.
+func (m *machine) elaborate(env *eval.Env, s ast.Stmt) (*eval.Env, error) {
+	dry := &machine{info: m.info, opts: m.opts, dry: true, counters: map[*value.Counter]*counterState{},
+		counterMemo: map[string]*value.Counter{}}
+	out := env
+	dry.execStmt("net", env.Fork(), s, func(e *eval.Env) { out, dry.err = e, errElaborated })
+	dry.drain()
+	if dry.err != nil && dry.err != errElaborated {
+		return nil, dry.err
+	}
+	return out, nil
 }
 
 func (m *machine) execStmts(ctx string, env *eval.Env, stmts []ast.Stmt, i int, k cont) {
@@ -512,10 +549,11 @@ func (m *machine) execWhile(ctx string, env *eval.Env, s *ast.WhileStmt, k cont)
 			if !m.step(s.Pos()) {
 				return
 			}
-			bodyEnv := env.Fork()
-			m.runPredExpr(bodyEnv, s.Cond, false, func(pe *eval.Env) {
-				m.execStmt(bodyCtx, pe, s.Body, loop)
-			})
+			if !m.dry { // the body's state is a copy's: only the exit matters
+				m.runPredExpr(env.Fork(), s.Cond, false, func(pe *eval.Env) {
+					m.execStmt(bodyCtx, pe, s.Body, loop)
+				})
+			}
 			exitEnv := env.Fork()
 			m.runPredExpr(exitEnv, s.Cond, true, func(*eval.Env) { k(env.Fork()) })
 		}
@@ -650,12 +688,22 @@ func (m *machine) runPred(p eval.Pred, env *eval.Env, k cont) {
 		}
 	case eval.Match:
 		cls := p.Class
+		if m.dry {
+			if !cls.IsEmpty() {
+				k(env)
+			}
+			return
+		}
 		m.awaitInput(func(sym byte) {
 			if cls.Contains(sym) {
 				k(env)
 			}
 		})
 	case eval.CounterCheck:
+		if m.dry {
+			k(env)
+			return
+		}
 		st := m.counter(p.C)
 		m.awaitCounters(func() {
 			if eval.EvalCounterCheck(p.Op, st.val, p.N) {

@@ -39,12 +39,13 @@ func placementSurface(p *place.Placement) [3]interface{} {
 	return [3]interface{}{p.BlockOf, p.RowOf, p.Metrics}
 }
 
-// conformOne places net three ways — serial global, parallel global,
-// stamped — and asserts (a) parallel ≡ serial and (b) all three produce
-// identical match reports on every input. Returns false when the design
-// legitimately cannot place (capacity, empty after optimization).
+// conformOne places net's device network three ways — serial global,
+// parallel global, stamped — and asserts (a) parallel ≡ serial and (b) all
+// three produce identical match reports on every input. Returns false when
+// the design legitimately cannot place (capacity).
 func conformOne(t *testing.T, name string, net *automata.Network, st *place.Stamper, inputs [][]byte) bool {
 	t.Helper()
+	net = place.DeviceNetwork(net)
 	serial, err := place.Place(net, place.Config{Parallelism: 1})
 	if err != nil {
 		var ce *place.CapacityError

@@ -90,8 +90,8 @@ func TestStampedPlacementFloor(t *testing.T) {
 	} {
 		t.Run(bank.name, func(t *testing.T) {
 			nets := macroBank(bank.designs, bank.families, bank.instances)
-			cold := Config{SkipOptimize: true, Parallelism: 1}
-			stamped := Config{SkipOptimize: true, Parallelism: 1, Stamper: NewStamper()}
+			cold := Config{Parallelism: 1}
+			stamped := Config{Parallelism: 1, Stamper: NewStamper()}
 			placeBank(t, nets, stamped) // the first sweep pays each shape's one miss
 			ratios := make([]float64, stampedPairs)
 			for i := range ratios {

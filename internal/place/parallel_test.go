@@ -37,8 +37,8 @@ func keyOf(p *Placement) placementKey {
 func TestPlaceParallelDeterminism(t *testing.T) {
 	var want placementKey
 	for i, par := range []int{1, 2, 4, 8, 0} {
-		// Fresh network per run: SkipOptimize freezes the one passed in.
-		p, err := Place(manyChains(300, 20), Config{SkipOptimize: true, Parallelism: par})
+		// Fresh network per run: Place freezes the one passed in.
+		p, err := Place(manyChains(300, 20), Config{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestPlaceParallelDeterminismWithStamper(t *testing.T) {
 	var want placementKey
 	for i, par := range []int{1, 4, 0} {
 		p, err := Place(manyChains(300, 20), Config{
-			SkipOptimize: true, Parallelism: par, Stamper: NewStamper(),
+			Parallelism: par, Stamper: NewStamper(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestCapacityErrorNamesFailingComponent(t *testing.T) {
 	// by the 6th chain — is the first without a home.
 	for _, par := range []int{1, 4, 8} {
 		_, err := Place(bigNamedChains(t, 20), Config{
-			SkipOptimize: true, MaxBlocks: 5, Parallelism: par,
+			MaxBlocks: 5, Parallelism: par,
 		})
 		var ce *CapacityError
 		if !errors.As(err, &ce) {

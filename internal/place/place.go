@@ -5,7 +5,8 @@
 // blocks, and programs a hierarchical routing matrix to carry activation
 // signals. This package reproduces that process functionally and reports
 // the metrics of the paper's Table 5: total blocks, STE utilization, mean
-// block-routing (BR) allocation, and clock divisor.
+// block-routing (BR) allocation, and clock divisor. Every flow places the
+// network it is given; DeviceNetwork derives the one a design is placed as.
 //
 // Three compilation strategies from Table 6 are provided:
 //
@@ -45,9 +46,19 @@ import (
 // block it touches.
 const BRLinesPerBlock = 48
 
-// DefaultFanInLimit is the routing fan-in bound of the device optimisation
-// when Config.FanInLimit is unset: one row of STEs.
+// DefaultFanInLimit is the routing fan-in bound of the device network: one
+// row of STEs.
 const DefaultFanInLimit = 16
+
+// DeviceNetwork returns the network a design runs as on the device: net
+// pruned, prefix- and suffix-merged and fan-in split at DefaultFanInLimit,
+// as placement tools transform a design before mapping it (Table 4's
+// device STEs). It is the one derivation of that network: Place,
+// PlaceStamped and tessellation place what they are given, so callers
+// pass them this network.
+func DeviceNetwork(net *automata.Network) *automata.Network {
+	return net.OptimizeForDevice(DefaultFanInLimit)
+}
 
 // broadcastFanOut is the out-degree at which an element is treated as a
 // broadcast source (e.g. the START_OF_INPUT tracker): placement replicates
@@ -70,7 +81,7 @@ type Metrics struct {
 
 // Placement is the result of placing a design.
 type Placement struct {
-	// Network is the (device-optimized) network that was placed.
+	// Network is the network that was placed, frozen.
 	Network *automata.Network
 	// BlockOf maps element id to its block index (-1 for replicated
 	// broadcast sources, which exist in every consuming block).
@@ -114,12 +125,6 @@ func (e *CapacityError) Error() string {
 type Config struct {
 	// Res is the device resource model; zero value means first generation.
 	Res ap.Resources
-	// FanInLimit is the routing fan-in bound enforced during device
-	// optimization; <= 0 uses DefaultFanInLimit.
-	FanInLimit int
-	// SkipOptimize places the network exactly as given, without the
-	// device transformation pipeline.
-	SkipOptimize bool
 	// RefinePasses is the number of refinement sweeps of the baseline
 	// global placement; <= 0 uses 6.
 	RefinePasses int
@@ -146,9 +151,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Res == (ap.Resources{}) {
 		cfg.Res = ap.FirstGeneration()
-	}
-	if cfg.FanInLimit <= 0 {
-		cfg.FanInLimit = DefaultFanInLimit
 	}
 	if cfg.RefinePasses <= 0 {
 		cfg.RefinePasses = 6
@@ -194,26 +196,22 @@ func notePlacement(err error) {
 // neither changes the result for a given configuration — the output is a
 // pure function of the network and Config fields other than Parallelism.
 //
-// Placement freezes the work network (the device-optimized clone, or net
-// itself under SkipOptimize): the returned Placement.Network is immutable
-// afterwards and the partitioner reads the frozen struct-of-arrays
-// topology instead of chasing builder pointers.
+// Placement places net as given (a design's DeviceNetwork) and freezes it:
+// the returned Placement.Network is net itself, immutable afterwards, and
+// the partitioner reads the frozen struct-of-arrays topology instead of
+// chasing builder pointers.
 func Place(net *automata.Network, cfg Config) (pl *Placement, err error) {
 	defer func() { notePlacement(err) }()
 	cfg = cfg.withDefaults()
-	work := net
-	if !cfg.SkipOptimize {
-		work = net.OptimizeForDevice(cfg.FanInLimit)
+	if net.Len() == 0 {
+		return nil, fmt.Errorf("place: design %q is empty", net.Name)
 	}
-	if work.Len() == 0 {
-		return nil, fmt.Errorf("place: design %q is empty after optimization", net.Name)
-	}
-	top, err := work.Freeze()
+	top, err := net.Freeze()
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
 
-	p := newPartitioner(work, top, cfg)
+	p := newPartitioner(net, top, cfg)
 	p.arena = arenaPool.Get().(*placeArena)
 	p.place()
 	pl, err = p.finish()

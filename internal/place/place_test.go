@@ -78,10 +78,10 @@ func TestPlaceLongChainUsesBRLines(t *testing.T) {
 }
 
 func TestPlaceManyChainsFillsBlocks(t *testing.T) {
-	// 100 chains × 20 STEs = 2000 STEs → at least 8 blocks. Skip the
-	// device optimization: the generated chains repeat every 26 patterns
-	// and would otherwise be legitimately merged.
-	p, err := Place(manyChains(100, 20), Config{SkipOptimize: true})
+	// 100 chains × 20 STEs = 2000 STEs → at least 8 blocks. Placed as
+	// given: the generated chains repeat every 26 patterns, which
+	// DeviceNetwork would legitimately merge.
+	p, err := Place(manyChains(100, 20), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPlaceBroadcastReplication(t *testing.T) {
 		n.Connect(first, second, automata.PortIn)
 		n.SetReport(second, i)
 	}
-	p, err := Place(n, Config{SkipOptimize: true})
+	p, err := Place(n, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPlaceBroadcastReplication(t *testing.T) {
 }
 
 func TestPlaceEmptyFails(t *testing.T) {
-	if _, err := Place(automata.NewNetwork("empty"), Config{SkipOptimize: true}); err == nil {
+	if _, err := Place(automata.NewNetwork("empty"), Config{}); err == nil {
 		t.Fatal("empty design should fail")
 	}
 }
@@ -216,11 +216,11 @@ func TestPlaceStampedWorseThanBaseline(t *testing.T) {
 	for i := 0; i < count; i++ {
 		big.Merge(chain(unitWord))
 	}
-	baseline, err := Place(big, Config{SkipOptimize: true})
+	baseline, err := Place(big, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stamped, err := PlaceStamped(chain(unitWord), count, Config{SkipOptimize: true})
+	_, stamped, err := PlaceStamped(chain(unitWord), count, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestPlacePhysicalBlocksIdentityWithoutDefects(t *testing.T) {
 
 func TestPlaceRoutesAroundDefectiveBlocks(t *testing.T) {
 	defects := ap.NewDefectMap(64, 0, 1, 3)
-	p, err := Place(manyChains(100, 20), Config{SkipOptimize: true, Defects: defects})
+	p, err := Place(manyChains(100, 20), Config{Defects: defects})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPlaceInsufficientCapacityAfterDefects(t *testing.T) {
 	// A board of 8 blocks with 6 defective cannot hold a multi-block
 	// design: expect the typed, actionable capacity error.
 	defects := ap.NewDefectMap(8, 0, 1, 2, 3, 4, 5)
-	_, err := Place(manyChains(100, 20), Config{SkipOptimize: true, Defects: defects})
+	_, err := Place(manyChains(100, 20), Config{Defects: defects})
 	var ce *CapacityError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CapacityError", err)
@@ -304,7 +304,7 @@ func TestPlaceInsufficientCapacityAfterDefects(t *testing.T) {
 }
 
 func TestPlaceMaxBlocksCapsBoard(t *testing.T) {
-	_, err := Place(manyChains(100, 20), Config{SkipOptimize: true, MaxBlocks: 1})
+	_, err := Place(manyChains(100, 20), Config{MaxBlocks: 1})
 	var ce *CapacityError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CapacityError", err)

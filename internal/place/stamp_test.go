@@ -170,7 +170,7 @@ func TestPlaceWithStamperStampsRepeatedShapes(t *testing.T) {
 	// 64 chains of one shape: all 64 instances must take the stamping
 	// path, against a single cached footprint.
 	st := NewStamper()
-	p, err := Place(manyChains(64, 17), Config{SkipOptimize: true, Stamper: st})
+	p, err := Place(manyChains(64, 17), Config{Stamper: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestStamperSeededByDesignUniqueShape(t *testing.T) {
 	// rule family's shape. The first design places globally but must seed
 	// the cross-design cache, so the second design stamps.
 	st := NewStamper()
-	first, err := Place(manyChains(1, 17), Config{SkipOptimize: true, Stamper: st})
+	first, err := Place(manyChains(1, 17), Config{Stamper: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestStamperSeededByDesignUniqueShape(t *testing.T) {
 	if st.Shapes() != 1 {
 		t.Fatalf("first design did not seed the cache: shapes = %d, want 1", st.Shapes())
 	}
-	second, err := Place(manyChains(1, 17), Config{SkipOptimize: true, Stamper: st})
+	second, err := Place(manyChains(1, 17), Config{Stamper: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestStamperReusesFootprintsAcrossDesigns(t *testing.T) {
 	// First design populates the cache; a later design holding a single
 	// instance of the same shape (unique within itself) still stamps.
 	st := NewStamper()
-	if _, err := Place(manyChains(4, 17), Config{SkipOptimize: true, Stamper: st}); err != nil {
+	if _, err := Place(manyChains(4, 17), Config{Stamper: st}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := Place(manyChains(1, 17), Config{SkipOptimize: true, Stamper: st})
+	p, err := Place(manyChains(1, 17), Config{Stamper: st})
 	if err != nil {
 		t.Fatal(err)
 	}

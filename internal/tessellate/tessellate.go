@@ -20,7 +20,8 @@ import (
 
 // Result describes a tessellated design.
 type Result struct {
-	// Unit is the device-optimized single-instance automaton.
+	// Unit is the single-instance automaton as given (callers pass its
+	// place.DeviceNetwork).
 	Unit *automata.Network
 	// BlockDesign is the tiled block: PerBlock copies of Unit.
 	BlockDesign *automata.Network
@@ -39,7 +40,7 @@ type Result struct {
 }
 
 // Tessellate auto-tunes the per-block density for count instances of the
-// unit design and returns the tiled result.
+// unit design, placed as given, and returns the tiled result.
 func Tessellate(unit *automata.Network, count int, cfg place.Config) (*Result, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("tessellate: instance count must be positive, have %d", count)
@@ -49,17 +50,12 @@ func Tessellate(unit *automata.Network, count int, cfg place.Config) (*Result, e
 		res = ap.FirstGeneration()
 		cfg.Res = res
 	}
-
-	opt := unit
-	if !cfg.SkipOptimize {
-		opt = unit.OptimizeForDevice(cfg.FanInLimit)
-	}
-	u := ap.UsageOf(opt)
+	u := ap.UsageOf(unit)
 
 	// A unit larger than one block tiles at its own multi-block
 	// granularity.
 	if !u.Fits(res) {
-		unitPlacement, err := place.Place(opt, cfg)
+		unitPlacement, err := place.Place(unit, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -72,8 +68,8 @@ func Tessellate(unit *automata.Network, count int, cfg place.Config) (*Result, e
 		boardM.Counters *= count
 		boardM.Gates *= count
 		return &Result{
-			Unit:        opt,
-			BlockDesign: opt,
+			Unit:        unit,
+			BlockDesign: unit,
 			PerBlock:    1,
 			UnitBlocks:  m.TotalBlocks,
 			Instances:   count,
@@ -91,7 +87,7 @@ func Tessellate(unit *automata.Network, count int, cfg place.Config) (*Result, e
 	var blockDesign *automata.Network
 	k := kMax
 	for ; k > 1; k-- {
-		candidate := tile(opt, k)
+		candidate := tile(unit, k)
 		if blockRoutable(candidate, res) {
 			blockDesign = candidate
 			break
@@ -99,13 +95,13 @@ func Tessellate(unit *automata.Network, count int, cfg place.Config) (*Result, e
 	}
 	if blockDesign == nil {
 		k = 1
-		blockDesign = tile(opt, 1)
+		blockDesign = tile(unit, 1)
 	}
 
 	totalBlocks := (count + k - 1) / k
-	m := boardMetrics(opt, blockDesign, k, count, totalBlocks, res)
+	m := boardMetrics(unit, blockDesign, k, count, totalBlocks, res)
 	return &Result{
-		Unit:        opt,
+		Unit:        unit,
 		BlockDesign: blockDesign,
 		PerBlock:    k,
 		UnitBlocks:  1,
@@ -113,16 +109,6 @@ func Tessellate(unit *automata.Network, count int, cfg place.Config) (*Result, e
 		TotalBlocks: totalBlocks,
 		Metrics:     m,
 	}, nil
-}
-
-// LoadBoard fills a board with the tessellated design, tiling the block
-// design across as many blocks as the instances require.
-func (r *Result) LoadBoard(board *ap.Board) error {
-	return board.Load(ap.LoadedDesign{
-		Network:      r.BlockDesign,
-		Blocks:       r.TotalBlocks,
-		ClockDivisor: r.Metrics.ClockDivisor,
-	})
 }
 
 // maxByResources returns how many copies of usage u fit in one block.

@@ -31,11 +31,11 @@ func (d *Design) HasPlacement() bool { return d.placed != nil }
 // artifact carrying a (not yet validated) placement section.
 func (d *Design) HasStoredPlacement() bool { return d.rawPlacement != nil }
 
-// EnsurePlaced gives the design a placement: it keeps an existing one,
-// otherwise restores and validates a placement section loaded from an
-// artifact, otherwise runs the baseline placement flow (through cache's
-// stamping fast path when cache is non-nil; a nil cache just disables
-// cross-design stamping). restored reports whether a stored section was
+// EnsurePlaced gives the design's device network a placement: it keeps
+// an existing one, otherwise restores and validates a placement section
+// loaded from an artifact, otherwise runs the baseline placement flow
+// (through cache's stamping fast path when cache is non-nil; a nil cache
+// just disables cross-design stamping). restored reports whether a stored section was
 // used — false with a stored section present means the section was
 // corrupt or stale and a fresh placement was computed instead, which
 // callers use to re-persist the artifact and count a cache miss.
@@ -58,7 +58,7 @@ func (d *Design) EnsurePlaced(cache *PlacementCache) (restored bool, err error) 
 	if cache != nil {
 		cfg.Stamper = cache.stamper
 	}
-	p, err := place.Place(d.net, cfg)
+	p, err := place.Place(d.device(), cfg)
 	if err != nil {
 		return false, err
 	}
@@ -67,8 +67,8 @@ func (d *Design) EnsurePlaced(cache *PlacementCache) (restored bool, err error) 
 }
 
 // restorePlacement validates the raw artifact placement section against
-// the design's device-optimized topology and converts it. The device
-// optimization is deterministic (its prefix and suffix merges take their
+// the design's device network and converts it. The device network's
+// derivation is deterministic (its prefix and suffix merges take their
 // groups in ascending id order, so even edge order repeats), so a section
 // recorded by any process that placed the design with the same compiler
 // lines up exactly; any disagreement — truncated
@@ -78,7 +78,7 @@ func (d *Design) EnsurePlaced(cache *PlacementCache) (restored bool, err error) 
 // never into a bogus layout.
 func (d *Design) restorePlacement() *place.Placement {
 	raw := d.rawPlacement
-	work := d.net.OptimizeForDevice(place.DefaultFanInLimit) // as place.Place optimises it
+	work := d.device()
 	top, err := work.Freeze()
 	if err != nil {
 		return nil

@@ -1,10 +1,16 @@
 package rapid
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/ap"
+	"repro/internal/automata"
+	"repro/internal/place"
 )
 
 func compilePatternDesign(t *testing.T, pats []string) *Design {
@@ -218,5 +224,111 @@ func TestPlacementCacheSharedAcrossDesigns(t *testing.T) {
 	}
 	if pl.Stamped != a.placed.Stamped {
 		t.Fatalf("public Placement.Stamped = %d, want %d", pl.Stamped, a.placed.Stamped)
+	}
+}
+
+// TestDeviceNetworkDerivedOnce: the device backend of a placed design
+// steps the placed network itself, and EnsurePlaced, NewRunner and
+// OptimizeForDevice share one derivation of it, fresh or restored from an
+// artifact.
+func TestDeviceNetworkDerivedOnce(t *testing.T) {
+	derived := 0
+	deviceNetwork = func(n *automata.Network) *automata.Network {
+		derived++
+		return place.DeviceNetwork(n)
+	}
+	defer func() { deviceNetwork = place.DeviceNetwork }()
+
+	design := compilePatternDesign(t, []string{"abc", "abd", "xbd"})
+	if _, err := design.EnsurePlaced(nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := design.MarshalArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := UnmarshalArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := loaded.EnsurePlaced(nil); err != nil || !restored {
+		t.Fatalf("EnsurePlaced on the artifact = (%v, %v), want restored", restored, err)
+	}
+	for name, d := range map[string]*Design{"placed": design, "restored": loaded} {
+		r, err := d.NewRunner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.net != d.placed.Network || r.Clone().net != d.placed.Network {
+			t.Fatalf("%s: the runner does not step the placed network", name)
+		}
+		if d.OptimizeForDevice().net != d.placed.Network {
+			t.Fatalf("%s: OptimizeForDevice is not the placed network", name)
+		}
+		got, err := r.RunBytes([]byte("xxabdxbdabc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.RunBytes([]byte("xxabdxbdabc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !sameReportSet(got, want) {
+			t.Fatalf("%s: device reports %v, reference %v", name, got, want)
+		}
+	}
+	if derived != 2 {
+		t.Fatalf("the device network was derived %d times for 2 designs, want once each", derived)
+	}
+}
+
+// TestEmptyDeviceNetwork: a design whose device network is empty (it
+// matches but nothing in it can report) builds every backend, and each
+// reports nothing. The program is the shape of generated conformance
+// cases (rapidconform -seed 7) whose device backend once failed to build.
+func TestEmptyDeviceNetwork(t *testing.T) {
+	prog, err := Parse("network (int p5, String p6, String p7) { foreach (char c : p6) c == input(); }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := prog.Compile(Int(3), Str("ab"), Str(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := design.OptimizeForDevice().net.Len(); n != 0 || design.Stats().STEs == 0 {
+		t.Fatalf("device network has %d elements (compiled: %d STEs), want 0 of a non-empty design",
+			n, design.Stats().STEs)
+	}
+	for _, kind := range BackendKinds() {
+		m, err := design.Backend(kind)
+		if err != nil {
+			t.Fatalf("Backend(%s): %v", kind, err)
+		}
+		got, err := m.Match(context.Background(), []byte("\xffab\xffxyz"))
+		if err != nil || len(got) != 0 {
+			t.Fatalf("%s: Match = %v, %v; want no reports", kind, got, err)
+		}
+	}
+	r, err := design.NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Clone().Run(ctx, []byte("ab")); err != context.Canceled {
+		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
+	}
+}
+
+// TestEstimatedRuntime pins the runtime model: the nominal symbol rate
+// scaled by the design's clock divisor, linear in the stream length.
+func TestEstimatedRuntime(t *testing.T) {
+	if rt := newPlacement(place.Metrics{ClockDivisor: 2}, 0).EstimatedRuntime(ap.SymbolRate); rt != 2*time.Second {
+		t.Fatalf("one second of symbols at divisor 2 = %v, want 2s", rt)
+	}
+	est := newPlacement(place.Metrics{ClockDivisor: 1}, 0).EstimatedRuntime
+	r1, r2 := est(1_000_000), est(2_000_000)
+	if diff := r2 - 2*r1; diff < -time.Microsecond || diff > time.Microsecond {
+		t.Fatalf("runtime not linear: %v vs %v", r1, r2)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"maps"
 	"os"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/anml"
@@ -141,7 +142,10 @@ type Design struct {
 	net     *automata.Network
 	reports map[int]string
 
-	// placed is the validated placement, if EnsurePlaced has run.
+	// dev is the design's device network (see device), derived once.
+	devOnce sync.Once
+	dev     *automata.Network
+	// placed is the validated placement of dev, if EnsurePlaced has run.
 	placed *place.Placement
 	// rawPlacement is an artifact placement section awaiting validation
 	// (see EnsurePlaced).
@@ -255,11 +259,25 @@ func LoadANML(data []byte) (*Design, error) {
 	return &Design{net: net, reports: map[int]string{}}, nil
 }
 
-// OptimizeForDevice applies the transformations placement tools perform
-// before mapping a design onto the device (pruning, prefix/suffix sharing,
-// fan-in splitting) and returns the optimized design.
+// device returns the design's device network, place.DeviceNetwork of its
+// compiled network. It is derived once per design, so placement, the
+// device backend and OptimizeForDevice share one network, and concurrent
+// callers are safe.
+func (d *Design) device() *automata.Network {
+	d.devOnce.Do(func() { d.dev = deviceNetwork(d.net) })
+	return d.dev
+}
+
+// deviceNetwork derives a device network; a test counts derivations
+// through it.
+var deviceNetwork = place.DeviceNetwork
+
+// OptimizeForDevice returns the design as the device runs it: the
+// transformations placement tools perform before mapping a design onto
+// the device (pruning, prefix/suffix sharing, fan-in splitting) applied.
+// Its network is the one the device backend steps and placement places.
 func (d *Design) OptimizeForDevice() *Design {
-	return &Design{net: d.net.OptimizeForDevice(place.DefaultFanInLimit), reports: d.reports}
+	return &Design{net: d.device(), reports: d.reports}
 }
 
 // Placement reports the Table 5 placement-and-routing statistics of a
@@ -275,34 +293,25 @@ type Placement struct {
 	EstimatedRuntime func(symbols int) time.Duration
 }
 
-// PlaceAndRoute runs the baseline global placement flow on the design,
-// reusing a placement already computed or restored by EnsurePlaced.
+// PlaceAndRoute places the design's device network with the baseline
+// global placement flow, reusing a placement already computed or restored
+// by EnsurePlaced. It mutates the design as EnsurePlaced does.
 func (d *Design) PlaceAndRoute() (*Placement, error) {
-	if d.placed != nil {
-		pl := newPlacement(d.placed.Metrics)
-		pl.Stamped = d.placed.Stamped
-		return pl, nil
-	}
-	p, err := place.Place(d.net, place.Config{})
-	if err != nil {
+	if _, err := d.EnsurePlaced(nil); err != nil {
 		return nil, err
 	}
-	d.placed = p
-	pl := newPlacement(p.Metrics)
-	pl.Stamped = p.Stamped
-	return pl, nil
+	return newPlacement(d.placed.Metrics, d.placed.Stamped), nil
 }
 
-func newPlacement(m place.Metrics) *Placement {
-	div := m.ClockDivisor
+func newPlacement(m place.Metrics, stamped int) *Placement {
 	return &Placement{
 		TotalBlocks:      m.TotalBlocks,
-		ClockDivisor:     div,
+		ClockDivisor:     m.ClockDivisor,
 		STEUtilization:   m.STEUtilization,
 		MeanBRAllocation: m.MeanBRAlloc,
+		Stamped:          stamped,
 		EstimatedRuntime: func(symbols int) time.Duration {
-			secs := float64(symbols) * float64(div) / float64(ap.SymbolRate)
-			return time.Duration(secs * float64(time.Second))
+			return time.Duration(ap.RuntimeSeconds(symbols, m.ClockDivisor) * float64(time.Second))
 		},
 	}
 }
@@ -335,27 +344,34 @@ func (p *Program) Tessellate(args ...Value) (*Tessellation, error) {
 		InstancesPerBlock: r.PerBlock,
 		Instances:         r.Instances,
 		TotalBlocks:       r.TotalBlocks,
-		Placement:         newPlacement(r.Metrics),
+		Placement:         newPlacement(r.Metrics, 0),
 		BlockDesign:       &Design{net: r.BlockDesign, reports: map[int]string{}},
 	}, nil
 }
 
-// Runner is a reusable high-throughput executor for one design: it
-// precomputes per-symbol acceptance tables once and can then stream many
-// inputs. It is the "device" backend of the failover ladder.
+// Runner is a reusable high-throughput executor for one design's device
+// network (the network placement places): it precomputes per-symbol
+// acceptance tables once and can then stream many inputs. It is the
+// "device" backend of the failover ladder.
 type Runner struct {
-	sim *automata.FastSimulator
-	bm  *backendMetrics // per-backend stream accounting
+	net *automata.Network       // the device network it steps
+	sim *automata.FastSimulator // nil when net is empty
+	bm  *backendMetrics         // per-backend stream accounting
 }
 
-// NewRunner builds the design's fast execution path. Options: WithTelemetry.
+// NewRunner builds the design's fast execution path over its device
+// network. A design whose device network is empty (nothing in it can
+// report) gets a runner that reports nothing. Options: WithTelemetry.
 func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
-	cfg := applyOptions(opts)
-	sim, err := automata.NewFastSimulator(d.net)
-	if err != nil {
-		return nil, err
+	r := &Runner{net: d.device(), bm: newBackendMetrics(applyOptions(opts).tel, string(BackendDevice))}
+	if r.net.Len() > 0 {
+		sim, err := automata.NewFastSimulator(r.net)
+		if err != nil {
+			return nil, err
+		}
+		r.sim = sim
 	}
-	return &Runner{sim: sim, bm: newBackendMetrics(cfg.tel, string(BackendDevice))}, nil
+	return r, nil
 }
 
 // Run streams input through the design and returns the report events. The
@@ -365,7 +381,13 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 // gives each goroutine its own cheap copy.
 func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
 	start := r.bm.start()
-	raw, err := r.sim.RunContext(ctx, input)
+	var raw []automata.Report
+	var err error
+	if r.sim != nil {
+		raw, err = r.sim.RunContext(ctx, input)
+	} else {
+		err = ctx.Err()
+	}
 	out := convertReports(raw)
 	r.bm.record(len(input), len(out), err, start)
 	return out, err
@@ -383,7 +405,11 @@ func (r *Runner) RunBytes(input []byte) ([]Report, error) {
 // without rebuilding the tables. Clones share the parent's telemetry
 // instruments (counters are concurrency-safe).
 func (r *Runner) Clone() *Runner {
-	return &Runner{sim: r.sim.Clone(), bm: r.bm}
+	c := &Runner{net: r.net, bm: r.bm}
+	if r.sim != nil {
+		c.sim = r.sim.Clone()
+	}
+	return c
 }
 
 // WriteDot renders the design in Graphviz DOT format for visualization.
