@@ -26,6 +26,12 @@ type Engine struct {
 	tel     *engineMetrics
 
 	matchers sync.Pool // *lazydfa.Matcher
+
+	// busy counts the goroutines walking streams: each caller of Run and
+	// each of runPool's workers while it walks a group, unconditionally,
+	// and a split stream's helper, taken only while busy < workers, so a
+	// busy engine never splits a stream.
+	busy atomic.Int32
 }
 
 // engineMetrics is the engine's instrument set: the shared per-backend
@@ -33,16 +39,12 @@ type Engine struct {
 // lazy-DFA cache counters. nil means telemetry disabled — the hot path
 // pays one pointer test per stream, never per byte.
 type engineMetrics struct {
-	bm               *backendMetrics
-	queueDepth       *telemetry.Gauge
-	batches          *telemetry.Counter
-	laneStreams      *telemetry.Counter
-	cacheFills       *telemetry.Counter
-	cacheEvictions   *telemetry.Counter
-	prefilterSkipped *telemetry.Counter
-	demotions        *telemetry.Counter
-	specHits         *telemetry.Counter
-	specMisses       *telemetry.Counter
+	bm          *backendMetrics
+	queueDepth  *telemetry.Gauge
+	batches     *telemetry.Counter
+	laneStreams *telemetry.Counter
+	spanStreams *telemetry.Counter
+	lazy        [6]*telemetry.Counter // the matcherCounts, in order
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
@@ -57,18 +59,22 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"RunBatch/RunRecords invocations."),
 		laneStreams: reg.Counter("rapid_engine_lane_streams_total",
 			"Streams a batch worker ran in a group of two or more, interleaved through one lazy-DFA cache."),
-		cacheFills: reg.Counter("rapid_lazydfa_cache_fills_total",
-			"Lazy-DFA transitions materialized on cache miss, counter tier included."),
-		cacheEvictions: reg.Counter("rapid_lazydfa_cache_evictions_total",
-			"Lazy-DFA single states evicted by the second-chance clock, counter tier included."),
-		prefilterSkipped: reg.Counter("rapid_lazydfa_prefilter_skipped_bytes_total",
-			"Input bytes skipped by the rest-state literal prefilter."),
-		demotions: reg.Counter("rapid_lazydfa_demotions_total",
-			"Lazy-DFA tiers (pure or counter) that demoted to the NFA bitset walk."),
-		specHits: reg.Counter("rapid_lazydfa_speculation_hits_total",
-			"Speculative segments of a long lone stream whose guessed start met the true walk."),
-		specMisses: reg.Counter("rapid_lazydfa_speculation_misses_total",
-			"Speculative segments whose guessed start never met the true walk, so it walked them itself."),
+		spanStreams: reg.Counter("rapid_engine_span_streams_total",
+			"Lone streams walked as spans, of which a helper on an idle worker walked at least one."),
+		lazy: [6]*telemetry.Counter{
+			reg.Counter("rapid_lazydfa_cache_fills_total",
+				"Lazy-DFA transitions materialized on cache miss, counter tier included."),
+			reg.Counter("rapid_lazydfa_cache_evictions_total",
+				"Lazy-DFA single states evicted by the second-chance clock, counter tier included."),
+			reg.Counter("rapid_lazydfa_prefilter_skipped_bytes_total",
+				"Input bytes skipped by the rest-state literal prefilter."),
+			reg.Counter("rapid_lazydfa_demotions_total",
+				"Lazy-DFA tiers (pure or counter) that demoted to the NFA bitset walk."),
+			reg.Counter("rapid_lazydfa_speculation_hits_total",
+				"Speculative segments of a long lone stream whose guessed start met the true walk."),
+			reg.Counter("rapid_lazydfa_speculation_misses_total",
+				"Speculative segments whose guessed start never met the true walk, so it walked them itself."),
+		},
 	}
 }
 
@@ -113,7 +119,9 @@ func (e *Engine) Tiers() string {
 }
 
 // Run executes one stream on a pooled matcher and returns the report
-// events in (offset, code) order, deduplicated by (offset, code).
+// events in (offset, code) order, deduplicated by (offset, code). A stream
+// of 32 KiB or more walks as 16 KiB spans, shared with a helper on another
+// matcher while one of the engine's workers is idle.
 func (e *Engine) Run(ctx context.Context, input []byte) ([]Report, error) {
 	m := e.matchers.Get().(*lazydfa.Matcher)
 	defer e.matchers.Put(m)
@@ -131,12 +139,21 @@ func (e *Engine) RunBytes(input []byte) ([]Report, error) {
 // several, and sets res[i].Reports for each; or it returns the group's
 // error, which can only be ctx's and so is every stream's.
 func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]byte, res []BatchResult) error {
+	e.busy.Add(1)
+	defer e.busy.Add(-1)
 	var start time.Time
-	var fills0, evictions0, skipped0, demotions0, hits0, misses0 int
 	if e.tel != nil {
 		start = time.Now()
-		fills0, evictions0, skipped0 = m.Fills(), m.Evictions(), m.PrefilterSkipped()
-		demotions0, hits0, misses0 = m.Demotions(), m.SpeculationHits(), m.SpeculationMisses()
+	}
+	counts0 := e.tel.counts(m)
+	// A lone stream of two spans or more splits if a worker is idle, and
+	// a core for it (on one core the helper only takes turns with the
+	// caller): a non-blocking try-acquire, which a concurrent change of
+	// busy fails.
+	spans, b := len(inputs[0])/lazydfa.SpanBytes, e.busy.Load()
+	if len(inputs) == 1 && spans >= 2 && b < int32(min(e.workers, runtime.GOMAXPROCS(0))) && e.busy.CompareAndSwap(b, b+1) {
+		m.Split(ctx, inputs[0], spans)
+		handOff(spanJob{e, m})
 	}
 	raws, err := m.RunGroup(ctx, inputs)
 	if e.tel != nil {
@@ -146,12 +163,7 @@ func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]by
 		if len(inputs) > 1 {
 			e.tel.laneStreams.Add(uint64(len(inputs)))
 		}
-		e.tel.cacheFills.Add(uint64(m.Fills() - fills0))
-		e.tel.cacheEvictions.Add(uint64(m.Evictions() - evictions0))
-		e.tel.prefilterSkipped.Add(uint64(m.PrefilterSkipped() - skipped0))
-		e.tel.demotions.Add(uint64(m.Demotions() - demotions0))
-		e.tel.specHits.Add(uint64(m.SpeculationHits() - hits0))
-		e.tel.specMisses.Add(uint64(m.SpeculationMisses() - misses0))
+		e.tel.addSince(m, counts0)
 	}
 	if err != nil {
 		return err
@@ -172,6 +184,72 @@ func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]by
 		res[i].Reports = buf[lo:len(buf):len(buf)]
 	}
 	return nil
+}
+
+// matcherCounts is a matcher's cache and speculation counts, in the order
+// of engineMetrics.lazy.
+type matcherCounts [6]int
+
+func (t *engineMetrics) counts(m *lazydfa.Matcher) matcherCounts {
+	if t == nil {
+		return matcherCounts{}
+	}
+	return matcherCounts{m.Fills(), m.Evictions(), m.PrefilterSkipped(),
+		m.Demotions(), m.SpeculationHits(), m.SpeculationMisses()}
+}
+
+// addSince adds what m counted since c0.
+func (t *engineMetrics) addSince(m *lazydfa.Matcher, c0 matcherCounts) {
+	if t == nil {
+		return
+	}
+	for i, c := range t.counts(m) {
+		t.lazy[i].Add(uint64(c - c0[i]))
+	}
+}
+
+// spanJob is a split stream, for a helper to walk spans of on a matcher of
+// the engine's: m is the matcher that split it.
+type spanJob struct {
+	e *Engine
+	m *lazydfa.Matcher
+}
+
+// spanJobs hands split streams to the helper goroutines, GOMAXPROCS of
+// them shared by every engine, started on the first split and parked on
+// the channel for the life of the process, so no engine owns one. Its
+// buffer is one slot per helper, so a send, which allocates nothing, waits
+// only while every helper already has a stream waiting. A helper that
+// takes a stream after its splitter has claimed every span walks none.
+var (
+	spanJobs     chan spanJob
+	startHelpers sync.Once
+)
+
+func handOff(j spanJob) {
+	startHelpers.Do(func() {
+		spanJobs = make(chan spanJob, runtime.GOMAXPROCS(0))
+		for range cap(spanJobs) {
+			go helpLoop()
+		}
+	})
+	spanJobs <- j
+}
+
+// helpLoop walks the spans a helper claims of each stream handed to it on
+// a pooled matcher of the stream's engine, and gives back the worker
+// runGroup counted busy for it.
+func helpLoop() {
+	for j := range spanJobs {
+		m := j.e.matchers.Get().(*lazydfa.Matcher)
+		counts0 := j.e.tel.counts(m)
+		if m.HelpSpans(j.m) > 0 && j.e.tel != nil {
+			j.e.tel.spanStreams.Inc()
+		}
+		j.e.tel.addSince(m, counts0)
+		j.e.matchers.Put(m)
+		j.e.busy.Add(-1)
+	}
 }
 
 // runPool runs a batch on up to e.workers workers, the caller's goroutine

@@ -6,11 +6,19 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/bench"
+	"repro/internal/charclass"
+	"repro/internal/lazydfa"
+	"repro/internal/telemetry"
 )
 
 // TestEngineMatchesSimulatorOnBenchmarks is the paper-benchmark half of the
@@ -447,5 +455,193 @@ func TestEngineRunBatchSettledCancel(t *testing.T) {
 		if want := fmt.Sprintf("stream %d", i); !strings.Contains(r.Err.Error(), want) {
 			t.Fatalf("stream %d error %q does not name its stream", i, r.Err)
 		}
+	}
+}
+
+// TestWarmRunAllocs: a warm 64 KiB arm-32 Run on an engine of two workers
+// allocates its report slice and nothing else, while a parked helper walks
+// spans of it: the span state is the matcher's and the hand-off is a
+// channel send. Every allocation in the process counts, the helper's too.
+//
+// What sync.Pool does is left out, not the engine's path. The GC is off
+// from the warm-up on, since a GC empties the pool. A run in which the pool
+// built a clone, or a clone still learned states (a cold walk), is not
+// counted. As the goroutines move between Ps, a warm clone can also take a
+// role it has not had before, such as splitting the stream, and size that
+// role's scratch once, or the pool grow its chains: so a round of 50
+// counted runs may allocate 16 times more than 1 apiece in all, and a
+// round that allocates more is measured again, up to three rounds. A path
+// that allocates on every run fails all three. A round goes on, up to 500
+// runs, until a helper has walked a span: on a loaded host the caller may
+// finish every span before its helper is scheduled.
+func TestWarmRunAllocs(t *testing.T) {
+	const runs, bound, slack = 50, 1, 16
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops Puts at random, so matcher clones come back cold")
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("a helper needs a second core")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	b := bench.ARM()
+	src, args := b.RAPID(32)
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := prog.Compile(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	eng, err := design.NewEngine(WithWorkers(2), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clones atomic.Int64
+	eng.matchers.New = func() any { clones.Add(1); return eng.proto.Clone() }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	input := b.Input(rand.New(rand.NewSource(26)), 64<<10)
+	ctx := context.Background()
+	for i := 0; i < 200; i++ { // both clones walk every span and learn its states
+		eng.Run(ctx, input)
+	}
+	spans := reg.Counter("rapid_engine_span_streams_total", "")
+	fills := reg.Counter("rapid_lazydfa_cache_fills_total", "")
+	var before, after runtime.MemStats
+	for round := 1; ; round++ {
+		helped0 := spans.Value()
+		var counted, extra uint64
+		for i := 0; i < 500 && (counted < runs || spans.Value() == helped0); i++ {
+			clones0, fills0 := clones.Load(), fills.Value()
+			runtime.ReadMemStats(&before)
+			if _, err := eng.Run(ctx, input); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if after.NumGC != before.NumGC || clones.Load() != clones0 || fills.Value() != fills0 || counted == runs {
+				continue
+			}
+			counted++
+			if n := after.Mallocs - before.Mallocs; n > bound {
+				extra += n - bound
+				t.Logf("round %d: warm 64 KiB Run %d allocated %d times", round, i, n)
+			}
+		}
+		helped := spans.Value() - helped0
+		t.Logf("round %d: %d runs counted, %d allocations over 1 apiece; a helper walked spans of %d runs", round, counted, extra, helped)
+		if extra <= slack && counted == runs && helped > 0 {
+			return
+		}
+		if round == 3 {
+			t.Fatalf("three rounds failed, the last with %d counted warm 64 KiB Runs (want %d) allocating %d times more than %d apiece (slack %d), a helper walking spans of %d",
+				counted, runs, extra, bound, slack, helped)
+		}
+	}
+}
+
+// hybridDesign has both lazy-DFA tiers: sliding words (pure components)
+// beside counters that count one letter and reset on another.
+func hybridDesign() *Design {
+	n := automata.NewNetwork("hybrid")
+	for code, word := range []string{"abc", "bca", "cc"} {
+		prev := n.AddSTE(charclass.Single(word[0]), automata.StartAllInput)
+		for _, c := range []byte(word[1:]) {
+			next := n.AddSTE(charclass.Single(c), automata.StartNone)
+			n.Connect(prev, next, automata.PortIn)
+			prev = next
+		}
+		n.SetReport(prev, code)
+	}
+	for i := 0; i < 3; i++ {
+		ctr := n.AddCounter(4 + i)
+		n.Connect(n.AddSTE(charclass.Single(byte('a'+i)), automata.StartAllInput), ctr, automata.PortCount)
+		n.Connect(n.AddSTE(charclass.Single(byte('d'+i)), automata.StartAllInput), ctr, automata.PortReset)
+		n.SetReport(ctr, 10+i)
+	}
+	return &Design{net: n}
+}
+
+// TestEngineSplitHammer: four goroutines share one engine of eight workers
+// whose matchers have a fixed 7-state cache, and run lone long streams
+// through Run and RunBatchSettled and batches of three, some under
+// contexts that cancel mid-walk. Every run that finishes equals an
+// unsplit engine's, and every cancelled one is a prefix of it with the
+// context's error. Under -race it checks the span state's hand-offs.
+func TestEngineSplitHammer(t *testing.T) {
+	design := hybridDesign()
+	reg := telemetry.NewRegistry()
+	eng, err := design.NewEngine(WithWorkers(8), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Tiers() != "lazy-dfa+counter-dfa" {
+		t.Fatalf("tiers %q, want both", eng.Tiers())
+	}
+	if eng.proto, err = lazydfa.New(design.net, &lazydfa.Options{MaxCachedStates: 7}); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := design.NewEngine(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	inputs, wants := make([][]byte, 8), make([][]Report, 8)
+	for i := range inputs {
+		inputs[i] = make([]byte, 32<<10+rng.Intn(48<<10))
+		for j := range inputs[i] {
+			inputs[i][j] = byte('a' + rng.Intn(6))
+		}
+		if wants[i], err = ref.Run(context.Background(), inputs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(got []Report, err error, want []Report) {
+		switch {
+		case err == nil && !slices.Equal(got, want):
+			t.Errorf("%d reports, unsplit engine %d", len(got), len(want))
+		case err != nil && (!errors.Is(err, context.Canceled) || !slices.Equal(got, want[:min(len(got), len(want))])):
+			t.Errorf("cancelled run: err %v, %d reports not a prefix of %d", err, len(got), len(want))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for it := 0; it < 12; it++ {
+				i := rng.Intn(len(inputs) - 2)
+				var ctx context.Context = context.Background()
+				if rng.Intn(3) == 0 {
+					c := &cancelAfter{Context: ctx}
+					c.n.Store(int64(rng.Intn(24)))
+					ctx = c
+				}
+				switch rng.Intn(3) {
+				case 0:
+					got, err := eng.Run(ctx, inputs[i])
+					check(got, err, wants[i])
+				case 1:
+					r := eng.RunBatchSettled(ctx, inputs[i:i+1])
+					check(r[0].Reports, r[0].Err, wants[i])
+				default:
+					for k, r := range eng.RunBatchSettled(ctx, inputs[i:i+3]) {
+						check(r.Reports, r.Err, wants[i+k])
+					}
+				}
+			}
+		}(rand.New(rand.NewSource(int64(g))))
+	}
+	wg.Wait()
+	spans := reg.Counter("rapid_engine_span_streams_total", "")
+	t.Logf("%d lone streams had a helper", spans.Value())
+	// Quiet, the engine has idle workers: a lone long stream splits, and on
+	// two cores its helper soon walks a span.
+	for i := 0; spans.Value() == 0 && runtime.GOMAXPROCS(0) > 1; i++ {
+		if i == 100 {
+			t.Fatal("no helper walked a span")
+		}
+		got, err := eng.Run(context.Background(), inputs[0])
+		check(got, err, wants[0])
 	}
 }

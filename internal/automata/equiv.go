@@ -1,12 +1,15 @@
 package automata
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Equivalence checking for counter-free networks: two designs are
-// report-equivalent when, for every input stream, they report at exactly
-// the same offsets. This is decidable for pure STE networks via a joint
-// subset construction, and is how the optimization pipeline is verified
-// beyond sampling.
+// report-equivalent when, for every input stream, they report exactly the
+// same codes at the same offsets. This is decidable for pure STE networks
+// via a joint subset construction, and is how the optimization pipeline is
+// verified beyond sampling.
 
 // ErrHasSpecials is returned when a design contains counters or gates,
 // whose unbounded state puts exact equivalence checking out of scope.
@@ -22,7 +25,7 @@ func steOnly(t *Topology) error {
 
 // Equivalent checks report-equivalence of two counter-free topologies. It
 // returns nil when equivalent, or an error carrying a counterexample input
-// on which exactly one of the designs reports.
+// on whose last symbol the designs report different sets of codes.
 func Equivalent(a, b *Topology) error {
 	if err := steOnly(a); err != nil {
 		return err
@@ -47,6 +50,7 @@ func Equivalent(a, b *Topology) error {
 	// Successors are stepped into scratch vectors and copied only when
 	// they turn out to be new: most expansions land on a pair already seen.
 	na, nb := make([]uint64, wa), make([]uint64, wb)
+	var codesA, codesB []int
 	seen := map[string]bool{}
 	var key []byte
 	queue := []pair{{ea: make([]uint64, wa), eb: make([]uint64, wb)}}
@@ -55,12 +59,13 @@ func Equivalent(a, b *Topology) error {
 		queue = queue[1:]
 		for _, sym := range part.Representatives {
 			first := len(cur.witness) == 0
-			ra := ka.Step(cur.ea, first, sym, activeA, na)
-			rb := kb.Step(cur.eb, first, sym, activeB, nb)
-			if ra != rb {
+			ka.Step(cur.ea, first, sym, activeA, na)
+			kb.Step(cur.eb, first, sym, activeB, nb)
+			codesA, codesB = ka.ReportCodes(codesA[:0], activeA), kb.ReportCodes(codesB[:0], activeB)
+			if !slices.Equal(codesA, codesB) {
 				w := extend(cur.witness, sym)
-				return fmt.Errorf("automata: designs differ on input %q (offset %d): %q reports %v, %q reports %v",
-					w, len(w)-1, a.Name, ra, b.Name, rb)
+				return fmt.Errorf("automata: designs differ on input %q (offset %d): %q reports codes %v, %q reports codes %v",
+					w, len(w)-1, a.Name, codesA, b.Name, codesB)
 			}
 			key = AppendConfigKey(AppendConfigKey(key[:0], na, false), nb, false)
 			if seen[string(key)] {

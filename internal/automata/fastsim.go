@@ -140,11 +140,8 @@ func (s *FastSimulator) Step(symbol byte) {
 
 // Run resets the simulator and processes the whole input.
 func (s *FastSimulator) Run(input []byte) []Report {
-	s.Reset()
-	for _, b := range input {
-		s.Step(b)
-	}
-	return s.Reports()
+	reports, _ := s.RunContext(context.Background(), input)
+	return reports
 }
 
 // RunContext resets the simulator and feeds it the whole input.

@@ -3,7 +3,7 @@ package automata
 import (
 	"encoding/binary"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Kernel is the word-parallel implementation of the AP's lock-step cycle,
@@ -287,18 +287,8 @@ func (k *Kernel) forEachReport(active []uint64, f func(id ElementID, code int)) 
 func (k *Kernel) ReportCodes(dst []int, active []uint64) []int {
 	base := len(dst)
 	k.forEachReport(active, func(_ ElementID, code int) { dst = append(dst, code) })
-	codes := dst[base:]
-	if len(codes) < 2 {
-		return dst
-	}
-	sort.Ints(codes)
-	out := codes[:1]
-	for _, c := range codes[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return dst[:base+len(out)]
+	slices.Sort(dst[base:])
+	return dst[:base+len(slices.Compact(dst[base:]))]
 }
 
 // AppendConfigKey serializes a configuration (the first-symbol flag, then

@@ -391,6 +391,25 @@ func (m *merger) remove(id ElementID) {
 	m.index[hole] = -1
 }
 
+// redirect moves was, an other-side edge of a folded element, onto the
+// group's representative as now, unless the representative has it already.
+// now goes at the end of both lists, as Connect would put it, and was
+// leaves the neighbour's list at once, as it would when merge drops the
+// folded elements' edges: the neighbour's list keeps its order and its
+// length, so only the representative's grows.
+func (m *merger) redirect(was, now Edge) {
+	n := m.net
+	if slices.Contains(n.outs[now.From], now) {
+		return
+	}
+	own, theirs := &n.outs[now.From], &n.ins[now.To]
+	if !m.byIns {
+		own, theirs = theirs, own
+	}
+	i := slices.Index(*theirs, was)
+	*own, *theirs = append(*own, now), append(slices.Delete(*theirs, i, i+1), now)
+}
+
 // merge folds each group's other members into its first, in group order,
 // then drops the folded elements' edges from their neighbours' lists (the
 // other edges keep their order) and sets dirty to the neighbours whose
@@ -401,11 +420,11 @@ func (m *merger) merge(groups [][]ElementID) {
 		for _, dup := range g[1:] {
 			if m.byIns {
 				for _, e := range n.outs[dup] {
-					n.Connect(g[0], e.To, e.Port)
+					m.redirect(e, Edge{From: g[0], To: e.To, Port: e.Port})
 				}
 			} else {
 				for _, e := range n.ins[dup] {
-					n.Connect(e.From, g[0], e.Port)
+					m.redirect(e, Edge{From: e.From, To: g[0], Port: e.Port})
 				}
 			}
 			m.live[dup] = false

@@ -91,9 +91,7 @@ func (s *Simulator) Reset() {
 	s.enabled.reset()
 	s.nextEnabled.reset()
 	s.active.reset()
-	for i := range s.counterVal {
-		s.counterVal[i] = 0
-	}
+	clear(s.counterVal)
 	s.offset = 0
 	s.reports = nil
 }
@@ -202,11 +200,8 @@ func (s *Simulator) Step(symbol byte) {
 // Run resets the simulator and processes the whole input, returning the
 // report events.
 func (s *Simulator) Run(input []byte) []Report {
-	s.Reset()
-	for _, b := range input {
-		s.Step(b)
-	}
-	return s.Reports()
+	reports, _ := s.RunContext(context.Background(), input)
+	return reports
 }
 
 // RunContext resets the simulator and processes input in chunks of
@@ -234,11 +229,7 @@ func (s *Simulator) RunContext(ctx context.Context, input []byte) ([]Report, err
 // Run is a convenience that simulates the network over input and returns
 // its report events.
 func (n *Network) Run(input []byte) ([]Report, error) {
-	s, err := NewSimulator(n)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(input), nil
+	return n.RunContext(context.Background(), input)
 }
 
 // RunContext is Run with cooperative cancellation: simulation proceeds in

@@ -2,6 +2,7 @@ package automata
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -123,6 +124,39 @@ func TestEquivalentDetectsDifference(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "differ on input") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestEquivalentComparesCodes: designs that report at the same offsets
+// with different codes differ, and the counterexample names both code
+// sets: one STE reporting code 1 against code 2, and two STEs that swap
+// their codes.
+func TestEquivalentComparesCodes(t *testing.T) {
+	one := func(code int) *Network {
+		n := NewNetwork(fmt.Sprintf("code-%d", code))
+		n.SetReport(n.AddSTE(charclass.Single('a'), StartAllInput), code)
+		return n
+	}
+	two := func(codeA, codeB int) *Network {
+		n := NewNetwork(fmt.Sprintf("a%d-b%d", codeA, codeB))
+		n.SetReport(n.AddSTE(charclass.Single('a'), StartAllInput), codeA)
+		n.SetReport(n.AddSTE(charclass.Single('b'), StartAllInput), codeB)
+		return n
+	}
+	for _, c := range []struct {
+		a, b *Network
+		want string
+	}{
+		{one(1), one(2), `reports codes [1], "code-2" reports codes [2]`},
+		{two(1, 2), two(2, 1), "reports codes ["},
+	} {
+		err := Equivalent(c.a.MustFreeze(), c.b.MustFreeze())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s vs %s: err %v, want it to contain %q", c.a.Name, c.b.Name, err, c.want)
+		}
+	}
+	if err := Equivalent(two(1, 2).MustFreeze(), two(1, 2).MustFreeze()); err != nil {
+		t.Fatalf("identical coded designs differ: %v", err)
 	}
 }
 

@@ -21,8 +21,10 @@
 // And one per program:
 //
 //  6. segments   — Engine.Run over the case's inputs framed as records
-//     (FrameRecords) and repeated to longStreamBytes, a lone stream it
-//     walks as speculative segments, matches the reference backend.
+//     (FrameRecords) and repeated to longStreamBytes, a lone stream an
+//     engine of two workers walks as 16 KiB spans on two matchers when a
+//     helper is idle, each span as speculative segments, matches the
+//     reference backend.
 //
 // Every backend kind must construct for every case; a construction
 // failure is an error. Interpreter runs that hit resource limits are
@@ -32,6 +34,7 @@ package conformance
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -236,14 +239,21 @@ func Check(c *Case) (*Outcome, error) {
 		}
 	}
 
-	// 6. One long stream through the engine's segment walk. The stream
-	// derives from every input, so a failure carries none of its own.
+	// 6. One long stream through the engine's span and segment walks. The
+	// stream derives from every input, so a failure carries none of its
+	// own.
 	long := longStream(c.Inputs)
 	ref, err := backends[rapid.BackendReference].Match(context.Background(), long)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: reference run of the long stream failed: %w", err)
 	}
-	got, err := engine.Run(context.Background(), long)
+	// An engine of two workers, so the stream splits wherever a helper and
+	// a second core are idle, whatever GOMAXPROCS is beyond two.
+	spanEngine, err := design.NewEngine(rapid.WithWorkers(2))
+	if err != nil {
+		return nil, fmt.Errorf("conformance: engine construction failed: %w", err)
+	}
+	got, err := spanEngine.Run(context.Background(), long)
 	if err != nil {
 		out.fail("backend:lazy-dfa-segments", nil, "run error: %v", err)
 	} else {
@@ -255,9 +265,10 @@ func Check(c *Case) (*Outcome, error) {
 	return out, nil
 }
 
-// longStreamBytes is past the engine's segment threshold, four 4 KiB
-// windows, so Engine.Run cuts the long stream into speculative segments.
-const longStreamBytes = 20 << 10
+// longStreamBytes is three of the engine's 16 KiB spans, past its split
+// threshold of two, so Engine.Run hands spans to an idle helper and walks
+// each span as four speculative segments.
+const longStreamBytes = 48 << 10
 
 // longStream frames inputs as records and repeats them to at least
 // longStreamBytes.
@@ -347,8 +358,12 @@ func rawKeys(rs []automata.Report) map[rkey]bool {
 }
 
 // diffReports compares distinct (offset, code) sets and describes the
-// symmetric difference, or returns "".
+// symmetric difference, or returns "". Equal runs are equal sets, so the
+// sets are built only when the runs differ.
 func diffReports(want, got []rapid.Report) string {
+	if slices.Equal(want, got) {
+		return ""
+	}
 	return diffKeys(keys(want), keys(got))
 }
 

@@ -48,9 +48,8 @@ func (t *tier) demote() {
 // kernel the nfa-bitset tier runs. It serves a demoted tier's whole runs
 // (config == nil) and the mid-stream hand-off (config = the configuration
 // at the demotion point, counter values included; base = bytes already
-// consumed). The simulator reports per element, so its run is re-sorted
-// and deduplicated unless canonical already; every report it appends lies
-// past the lazy walk's.
+// consumed). The simulator reports per element, so its run is sorted and
+// deduplicated; every report it appends lies past the lazy walk's.
 func (t *tier) runDemoted(ctx context.Context, input []byte, out []Report, base int, config []uint64) ([]Report, error) {
 	if t.sim == nil {
 		t.sim = t.prog.k.NewFastSimulator()
@@ -61,8 +60,5 @@ func (t *tier) runDemoted(ctx context.Context, input []byte, out []Report, base 
 	for _, r := range raw {
 		out = append(out, Report{Offset: r.Offset, Code: r.Code})
 	}
-	if !isCanonical(out[start:]) {
-		out = out[:start+len(canonicalize(out[start:]))]
-	}
-	return out, err
+	return out[:start+len(canonicalize(out[start:]))], err
 }

@@ -14,8 +14,8 @@ import (
 const Lanes = 4
 
 // The segment walk: a lone stream of at least Lanes × CancelCheckInterval
-// bytes is cut into Lanes equal segments, walked as a group. Only segment 0
-// starts where the stream does; the others start from a guess, the start
+// bytes is cut into Lanes equal segments per span (Split), walked as groups
+// of Lanes. Only segment 0 starts where the stream does; the others start from a guess, the start
 // state, as if the stream began at their cut. The guess reaches the true
 // configuration within a few dozen bytes on every paper design, so most of
 // each lane's walk stands, and verify finds where.
@@ -67,18 +67,13 @@ func (ls *laneSet) keepEnd(c *stateCache, k int) {
 }
 
 // runGroup runs every stream of a group through the tier, appending stream
-// s's reports to outs[s]. A lone long stream takes the segment walk, cut
-// checks at most reach bytes deep. Up to Lanes streams walk interleaved;
-// when one ends, the group's next stream takes its lane. Singles, a demoted
-// tier, a cache too small to pin every lane and still evict, and the
-// streams a demotion left unstarted run one after another.
-func (t *tier) runGroup(ctx context.Context, inputs [][]byte, outs [][]Report, reach int) (err error) {
-	next, lanes := 0, !t.demoted && t.cache.limit > Lanes
-	switch {
-	case lanes && len(inputs) == 1 && t.speculate && len(inputs[0]) >= Lanes*automata.CancelCheckInterval:
-		outs[0], err = t.runSegments(ctx, inputs[0], outs[0], reach)
-		return err
-	case lanes && len(inputs) > 1:
+// s's reports to outs[s]. Up to Lanes streams walk interleaved; when one
+// ends, the group's next stream takes its lane. Singles, a demoted tier, a
+// cache too small to pin every lane and still evict, and the streams a
+// demotion left unstarted run one after another.
+func (t *tier) runGroup(ctx context.Context, inputs [][]byte, outs [][]Report) (err error) {
+	next := 0
+	if !t.demoted && t.cache.limit > Lanes && len(inputs) > 1 {
 		ls, demote, e := t.walk(ctx, laneSet{inputs: inputs, outs: outs})
 		if err = e; demote {
 			err = t.demoteLanes(ctx, &ls)
@@ -133,32 +128,39 @@ func (t *tier) walk(ctx context.Context, ls laneSet) (_ laneSet, demote bool, er
 	}
 }
 
-// runSegments walks input as Lanes segments and then verifies the cuts in
-// order, so out gains exactly the stream's reports. A demotion anywhere
-// drops the speculative work and runs the stream on the bitset walk from
-// offset 0. A cancelled run keeps lane 0's reports and the verified
-// prefix, a prefix of the stream's.
-func (t *tier) runSegments(ctx context.Context, input []byte, out []Report, reach int) ([]Report, error) {
-	mid := len(out)
-	var prefixes [Lanes][]byte
-	ls := laneSet{inputs: prefixes[:], outs: t.segOuts[:], ends: t.ends, live: Lanes, next: Lanes}
-	start := t.startState()
-	for k := range prefixes {
-		lo, hi := k*len(input)/Lanes, (k+1)*len(input)/Lanes
-		prefixes[k], ls.stream[k], ls.in[k], ls.cur[k] = input[:hi], k, input[lo:hi], start
-		ls.outs[k] = ls.outs[k][:0]
+// segments reports whether the tier walks a lone long stream as segments.
+func (t *tier) segments() bool { return !t.demoted && t.speculate && t.cache.limit > Lanes }
+
+// walkSegments walks segments lo to lo+Lanes of the stream ls cuts into
+// len(ls.inputs) equal segments as lanes, each from the start state as if
+// the stream began at its cut, keeping each one's reports and end
+// configuration. A demotion drops the walk.
+func (t *tier) walkSegments(ctx context.Context, ls laneSet, lo int) error {
+	start, input := t.startState(), ls.inputs[len(ls.inputs)-1]
+	ls.live, ls.next = Lanes, len(ls.inputs)
+	for k := range Lanes {
+		s := lo + k
+		ls.stream[k], ls.in[k], ls.cur[k] = s, input[s*len(input)/len(ls.inputs):len(ls.inputs[s])], start
+		ls.outs[s] = ls.outs[s][:0]
 	}
-	ls.outs[0] = out
-	ls, demote, err := t.walk(ctx, ls)
+	_, demote, err := t.walk(ctx, ls)
 	if demote {
 		t.demote()
 	}
-	out = ls.outs[0]
-	for k := 1; k < Lanes && err == nil && !t.demoted; k++ {
-		out, err = t.verify(ctx, &ls, k, out, reach)
+	return err
+}
+
+// joinSpans appends the tier's reports for a split stream to out: segment
+// 0's walk, the truth, and then every cut verified in order. A demotion
+// runs the stream on the bitset walk from offset 0 instead.
+func (t *tier) joinSpans(ctx context.Context, ls *laneSet, out []Report, reach int) (_ []Report, err error) {
+	mid := len(out)
+	out = append(out, ls.outs[0]...)
+	for k := 1; k < len(ls.inputs) && err == nil && !t.demoted; k++ {
+		out, err = t.verify(ctx, ls, k, out, reach)
 	}
 	if t.demoted {
-		return t.runDemoted(ctx, input, out[:mid], 0, nil)
+		return t.runDemoted(ctx, ls.inputs[len(ls.inputs)-1], out[:mid], 0, nil)
 	}
 	return out, err
 }

@@ -42,6 +42,10 @@
 //     the two cursors meet; a guess that has not met within 1 KiB is
 //     dropped and the true walk finishes the segment itself, and a tier
 //     whose guesses keep missing stops speculating.
+//   - Split carries the segment walk across matchers: a stream of two
+//     such spans or more is cut into four segments per span, clones of
+//     the matcher walk spans of them at once, each in its own cache, and
+//     the matcher that split it verifies every cut in its own.
 //
 // Designs containing counters or boolean gates run as two tiers of the
 // same lazy DFA: weakly-connected components made only of STEs determinize
@@ -57,9 +61,12 @@ package lazydfa
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/automata"
 )
@@ -153,6 +160,7 @@ type Matcher struct {
 	mergeBuf []Report
 	outs     [][]Report // RunGroup's per-stream report runs
 	mids     []int      // where the current tier's run starts in each of outs
+	spans    spans      // the stream m last split
 }
 
 // tier is the lazy DFA of one component set: its compiled facts, state
@@ -165,11 +173,7 @@ type tier struct {
 	nextBuf   []uint64
 	codesBuf  []int
 
-	// Segment walk scratch: each segment's end configuration (nwords
-	// apiece), lane reports, and the replayed guess's discarded reports.
-	ends     []uint64
-	segOuts  [Lanes][]Report
-	replayed []Report
+	replayed []Report // the segment walk's replayed guess's discarded reports
 
 	// Prefilter state. prefilter starts true when the design has usable
 	// facts and flips off permanently when measured dead runs are too
@@ -231,7 +235,6 @@ func New(n *automata.Network, opts *Options) (*Matcher, error) {
 func (t *tier) reset(max, limit int) {
 	t.activeBuf = make([]uint64, t.prog.nwords)
 	t.nextBuf = make([]uint64, t.prog.nwords)
-	t.ends = make([]uint64, Lanes*t.prog.nwords)
 	t.cache = newStateCache(t.prog, max, limit)
 }
 
@@ -344,17 +347,27 @@ func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]
 // report runs in input order, each exactly what RunAppend would return for
 // it. Each tier walks up to Lanes of the streams interleaved, so their table
 // loads overlap instead of waiting on each other; a lone stream of at least
-// Lanes × automata.CancelCheckInterval bytes is cut into Lanes speculative
-// segments walked the same way. The runs are scratch owned by m and valid
-// until its next run. If ctx ends first, the walk stops, the runs hold a
-// prefix of each stream's reports, and err is ctx.Err().
+// SpanBytes is cut into Lanes speculative segments walked the same way
+// (Split with one span). After Split, m's next RunGroup must be of the
+// split stream alone: it walks the spans left beside the clones helping,
+// waits for theirs, and joins them. The runs are scratch owned by m and
+// valid until its next run. If ctx ends first, the walk stops, the runs
+// hold a prefix of each stream's reports, and err is ctx.Err().
 func (m *Matcher) RunGroup(ctx context.Context, inputs [][]byte) ([][]Report, error) {
 	return m.runGroup(ctx, inputs, specReach)
 }
 
 // runGroup is RunGroup with the segment walk's cut checks at most reach
 // bytes deep.
-func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) ([][]Report, error) {
+func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [][]Report, err error) {
+	sp := &m.spans
+	if sp.ctx == nil && len(inputs) == 1 && len(inputs[0]) >= SpanBytes {
+		m.Split(ctx, inputs[0], 1)
+	}
+	if sp.ctx != nil {
+		m.HelpSpans(m)
+		sp.walks.Wait()
+	}
 	if len(m.outs) < len(inputs) {
 		m.outs, m.mids = make([][]Report, len(inputs)), make([]int, len(inputs))
 	}
@@ -362,19 +375,88 @@ func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) ([][
 	for s := range outs {
 		outs[s] = outs[s][:0]
 	}
-	for _, t := range m.tiers {
+	for i, t := range m.tiers {
 		for s := range outs {
 			m.mids[s] = len(outs[s])
 		}
-		err := t.runGroup(ctx, inputs, outs, reach)
+		if sp.ctx != nil && !sp.failed[i].Load() {
+			outs[0], err = t.joinSpans(ctx, &sp.tiers[i], outs[0], reach)
+		} else { // a tier whose span walks did not all stand walks the stream on one cursor
+			err = t.runGroup(ctx, inputs, outs)
+		}
 		for s := range outs {
 			outs[s] = m.merge(outs[s], m.mids[s])
 		}
 		if err != nil {
-			return outs, err
+			break
 		}
 	}
-	return outs, nil
+	if sp.ctx != nil { // the stream is the caller's again
+		clear(sp.tiers[0].inputs)
+		sp.ctx = nil
+	}
+	return outs, err
+}
+
+// SpanBytes is the shortest span: a lone stream of one span or more walks
+// as Lanes speculative segments per span.
+const SpanBytes = Lanes * automata.CancelCheckInterval
+
+// spans is a lone long stream that one matcher, or several of one design
+// at once, walks as spans of SpanBytes or more, each of Lanes segments.
+// Each matcher claims the next span from a shared counter and walks its
+// segments as lanes in its own cache from the start state; the splitting
+// matcher's RunGroup waits for the spans others claimed and then verifies
+// every cut in its own caches. The matchers hand over configuration words,
+// never state ids.
+type spans struct {
+	// next holds the span count in its high half and the claims in its
+	// low half. Split stores it last, so a matcher that claims a span
+	// reads the stream it belongs to, and one that claims after the last
+	// span was taken walks nothing and is never waited for.
+	next   atomic.Int64
+	walks  sync.WaitGroup // the spans not yet walked
+	failed [2]atomic.Bool // per tier: a span walk did not stand
+	ctx    context.Context
+	tiers  []laneSet // per tier: the segments, their reports and end configurations
+}
+
+// Split cuts input into n spans of at least SpanBytes (1 ≤ n ≤ len(input)
+// / SpanBytes) for m and clones of it (HelpSpans) to walk under ctx.
+func (m *Matcher) Split(ctx context.Context, input []byte, n int) {
+	sp, segs := &m.spans, Lanes*n
+	sp.tiers = slices.Grow(sp.tiers[:0], len(m.tiers))[:len(m.tiers)]
+	prefixes := sp.tiers[0].inputs[:0]
+	for k := 1; k <= segs; k++ {
+		prefixes = append(prefixes, input[:k*len(input)/segs])
+	}
+	for i, t := range m.tiers {
+		ls, w := &sp.tiers[i], t.prog.nwords
+		ls.inputs, ls.ends = prefixes, slices.Grow(ls.ends[:0], segs*w)[:segs*w]
+		ls.outs = append(ls.outs, make([][]Report, max(segs-len(ls.outs), 0))...)
+	}
+	sp.ctx, sp.failed = ctx, [2]atomic.Bool{}
+	sp.walks.Add(n)
+	sp.next.Store(int64(n) << 32)
+}
+
+// HelpSpans walks the spans of the stream splitter split that m claims
+// until none is left, and returns how many it walked. A tier that cannot
+// walk segments, demotes or is cancelled leaves the tier to the splitter.
+func (m *Matcher) HelpSpans(splitter *Matcher) (walked int) {
+	sp := &splitter.spans
+	for ; ; walked++ {
+		v := sp.next.Add(1) - 1
+		if int32(v) >= int32(v>>32) {
+			return walked
+		}
+		for i, t := range m.tiers {
+			if sp.failed[i].Load() || !t.segments() || t.walkSegments(sp.ctx, sp.tiers[i], Lanes*int(int32(v))) != nil || t.demoted {
+				sp.failed[i].Store(true)
+			}
+		}
+		sp.walks.Done()
+	}
 }
 
 // merge folds the canonical runs out[:mid] and out[mid:] — the earlier
@@ -403,15 +485,6 @@ func (m *Matcher) merge(out []Report, mid int) []Report {
 
 func less(a, b Report) bool {
 	return a.Offset < b.Offset || a.Offset == b.Offset && a.Code < b.Code
-}
-
-func isCanonical(rs []Report) bool {
-	for i := 1; i < len(rs); i++ {
-		if !less(rs[i-1], rs[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // runLazy walks the lazy DFA over input, materializing transitions on
@@ -551,10 +624,6 @@ func (t *tier) skipDead(s []byte) int {
 	case len(live) == 0:
 		t.skipped += n
 		return n
-	case len(live) == 1:
-		if j := bytes.IndexByte(s, live[0]); j >= 0 {
-			n = j
-		}
 	default:
 		for _, b := range live {
 			if j := bytes.IndexByte(s[:n], b); j >= 0 {
@@ -575,14 +644,9 @@ func (t *tier) skipDead(s []byte) int {
 }
 
 // canonicalize sorts rs by (offset, code) and drops duplicates in place,
-// returning the shortened slice.
+// returning the shortened slice; on a run already canonical both passes
+// are linear.
 func canonicalize(rs []Report) []Report {
-	sort.Slice(rs, func(i, j int) bool { return less(rs[i], rs[j]) })
-	out := rs[:0]
-	for i, r := range rs {
-		if i == 0 || r != rs[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
+	slices.SortFunc(rs, func(a, b Report) int { return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Code, b.Code)) })
+	return slices.Compact(rs)
 }

@@ -429,11 +429,11 @@ func (d *Design) FindWitness(maxLength int) ([]byte, error) {
 	return d.net.FindWitness(&automata.WitnessOptions{MaxLength: maxLength})
 }
 
-// Equivalent proves that two counter-free designs report at identical
-// offsets on every possible input, via a joint subset construction. It
-// returns nil when equivalent, an error carrying a counterexample when
-// not, and ErrHasSpecials-wrapped errors for designs with counters or
-// gates (whose equivalence is out of scope).
+// Equivalent proves that two counter-free designs report the same codes
+// at identical offsets on every possible input, via a joint subset
+// construction. It returns nil when equivalent, an error carrying a
+// counterexample when not, and ErrHasSpecials-wrapped errors for designs
+// with counters or gates (whose equivalence is out of scope).
 func (d *Design) Equivalent(other *Design) error {
 	ta, err := d.topology()
 	if err != nil {
