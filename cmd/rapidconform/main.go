@@ -76,6 +76,7 @@ func main() {
 
 	fmt.Printf("programs:  %d (%d distinct)\n", res.Programs, res.Distinct)
 	fmt.Printf("checks:    %d in %s\n", res.Checks, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("caches:    %d evictions, %d demotions on the long streams\n", res.Evictions, res.Demotions)
 	if len(res.Skips) > 0 {
 		var keys []string
 		for k := range res.Skips {

@@ -9,7 +9,9 @@
 //     offsets match the compiled reference simulation.
 //  2. backends   — every Design.Backend kind (device, lazy-dfa,
 //     reference) plus the lazy-DFA engine's batch path produce
-//     identical (offset, code) report sets.
+//     identical (offset, code) report sets. The batch runs on one
+//     worker over the inputs padded to a multiple of lazydfa.Lanes, so
+//     every group walks four ragged lanes down to its one-lane tail.
 //  3. printer    — parse → print → parse → compile yields a design
 //     with identical reports.
 //  4. anml       — ANML marshal → unmarshal yields a design with
@@ -24,7 +26,9 @@
 //     (FrameRecords) and repeated to longStreamBytes, a lone stream an
 //     engine of two workers walks as 16 KiB spans on two matchers when a
 //     helper is idle, each span as speculative segments, matches the
-//     reference backend.
+//     reference backend; and so does the same stream through a
+//     lazydfa.Matcher on a fixed cache of 5–9 states, which evicts, and
+//     through one under a byte cap small enough to demote.
 //
 // Every backend kind must construct for every case; a construction
 // failure is an error. Interpreter runs that hit resource limits are
@@ -44,6 +48,7 @@ import (
 	"repro/internal/lang/interp"
 	"repro/internal/lang/printer"
 	"repro/internal/lang/value"
+	"repro/internal/lazydfa"
 )
 
 // Case is one conformance unit: a program, its network arguments, and
@@ -74,6 +79,9 @@ type Outcome struct {
 	Checks   int // individual comparisons performed
 	Skips    map[string]int
 	Failures []*Failure
+	// Evictions and Demotions count what the long stream's tiny and
+	// demoting lazy-DFA caches did, so a campaign can show it reached both.
+	Evictions, Demotions int
 }
 
 func (o *Outcome) skip(reason string) {
@@ -135,11 +143,17 @@ func Check(c *Case) (*Outcome, error) {
 		}
 		backends[kind] = m
 	}
-	engine, err := design.NewEngine()
+	// One worker takes the whole batch in groups of Lanes, whatever
+	// GOMAXPROCS is; padding with repeats makes every group full.
+	engine, err := design.NewEngine(rapid.WithWorkers(1))
 	if err != nil {
 		return nil, fmt.Errorf("conformance: engine construction failed: %w", err)
 	}
-	batch, err := engine.RunBatch(context.Background(), c.Inputs)
+	padded := slices.Clip(c.Inputs)
+	for len(padded)%lazydfa.Lanes != 0 {
+		padded = append(padded, c.Inputs[len(padded)%len(c.Inputs)])
+	}
+	batch, err := engine.RunBatch(context.Background(), padded)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: engine batch run failed: %w", err)
 	}
@@ -260,6 +274,26 @@ func Check(c *Case) (*Outcome, error) {
 		out.Checks++
 		if d := diffReports(ref, got); d != "" {
 			out.fail("backend:lazy-dfa-segments", nil, "the inputs framed and repeated to %d bytes: %s", len(long), d)
+		}
+	}
+	// The same stream through lazy DFAs built directly: a fixed cache of
+	// 5–9 states, taken from the case, evicts on nearly every new state,
+	// and a 1-byte cap (its 16-state floor) demotes where the working set
+	// keeps thrashing.
+	for _, opts := range []*lazydfa.Options{{MaxCachedStates: 5 + len(c.Source)%5}, {MaxCacheBytes: 1}} {
+		m, err := lazydfa.New(res.Network, opts)
+		if err != nil {
+			return nil, fmt.Errorf("conformance: lazy DFA construction failed: %w", err)
+		}
+		var got []rapid.Report
+		for _, r := range m.Run(long) {
+			got = append(got, rapid.Report{Offset: r.Offset, Code: r.Code})
+		}
+		out.Checks++
+		out.Evictions += m.Evictions()
+		out.Demotions += m.Demotions()
+		if d := diffReports(ref, got); d != "" {
+			out.fail("lazy-dfa-cache", nil, "the long stream on a cache of %+v: %s", *opts, d)
 		}
 	}
 	return out, nil

@@ -51,7 +51,8 @@ func TestCheckKnownProgram(t *testing.T) {
 // One input of length ≥ 2 makes exactly one oracle check, one check per
 // non-reference backend kind, one engine-batch check, and one each for the
 // printer, ANML and snapshot round-trips; the case adds one long-stream
-// segment check. So a backend that did not run shows up as a short count.
+// segment check and two long-stream lazy-DFA cache checks. So a backend
+// that did not run shows up as a short count.
 func TestCheckRunsEveryBackendOnCounters(t *testing.T) {
 	src := `network () {
   Counter c;
@@ -64,7 +65,7 @@ func TestCheckRunsEveryBackendOnCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if want := 1 + (len(rapid.BackendKinds()) - 1) + 1 + 3 + 1; out.Checks != want {
+	if want := 1 + (len(rapid.BackendKinds()) - 1) + 1 + 3 + 1 + 2; out.Checks != want {
 		t.Errorf("checks = %d, want %d (every backend kind once)", out.Checks, want)
 	}
 	for reason := range out.Skips {

@@ -43,6 +43,8 @@ type SoakResult struct {
 	Coverage map[string]bool
 	Skips    map[string]int
 	Failures []*SoakFailure
+	// Evictions and Demotions sum the cases' long-stream cache counts.
+	Evictions, Demotions int
 }
 
 // CoverageComplete reports whether every required statement kind was
@@ -102,6 +104,8 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 			out.fail("setup", nil, "%v", err)
 		}
 		res.Checks += out.Checks
+		res.Evictions += out.Evictions
+		res.Demotions += out.Demotions
 		for k, n := range out.Skips {
 			res.Skips[k] += n
 		}

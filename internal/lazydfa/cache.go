@@ -113,11 +113,11 @@ type stateCache struct {
 	hand      int
 	evictions int
 
-	// pins are the states eviction must skip: the walker's current state,
-	// and under the interleaved walk every lane's. Each holds its row
-	// offset + 1, so the zero value pins nothing and a walk pins without a
-	// division. The interleaved walk runs only when limit exceeds Lanes, so
-	// a victim always exists.
+	// pins are the states eviction must skip: every live lane's current
+	// state, and verify's two cursors'. Each holds its row offset + 1, so
+	// the zero value pins nothing and a walk pins without a division. More
+	// than one lane walks only when limit exceeds Lanes, so a victim always
+	// exists.
 	pins [Lanes]int32
 
 	// restOff is the row offset where the prefilter's rest configuration

@@ -57,7 +57,7 @@ func checkMatcher(m *Matcher) error {
 }
 
 // walkChecked walks input through each tier's slow path one byte at a
-// time, the walker's state pinned as runLazy pins it on a miss, and checks
+// time, the walker's state pinned as stepOne pins it on a miss, and checks
 // the cache after the start state's intern and after every step: a step
 // interns at most one state, which releases at most one. It returns the
 // reports, merged across tiers.

@@ -5,9 +5,10 @@ import "context"
 // Adaptive budget controller (RE2's "is the DFA cache useless?" heuristic,
 // adapted to per-state eviction). The budget grows on demand from its
 // small initial size toward the byte-denominated cap as states intern
-// (see stateCache.intern); eviction only begins at the cap. The walker
-// calls adapt once per input chunk with the chunk length; the eviction
-// delta over that window is the thrash signal.
+// (see stateCache.intern); eviction only begins at the cap. The walk
+// calls adapt with the bytes its lanes stepped or skipped, once they reach
+// a chunk and once more when it ends; the eviction delta over that window
+// is the thrash signal.
 //
 // Demotion fires when, at the cap, one eviction per demoteDenominator
 // bytes is sustained for demoteWindows consecutive windows: the working

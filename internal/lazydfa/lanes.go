@@ -29,12 +29,13 @@ const (
 	specMissLimit = 16
 )
 
-// laneSet is the interleaved walk over a group of streams. Lanes [0, live)
+// laneSet is the walk over a group of one or more streams. Lanes [0, live)
 // each run one stream: its index in the group, its unread input and the
-// lane's cursor (a row offset). Idle lanes mirror lane 0, so the four-wide
-// step needs no per-lane test. Under the segment walk stream k is the
-// prefix of the stream that ends where segment k does, so offsets are the
-// stream's, and ends holds each segment's end configuration, nwords apiece.
+// lane's cursor (a row offset). While lanes step four wide, idle lanes
+// mirror lane 0, so the step needs no per-lane test. Under the segment
+// walk stream k is the prefix of the stream that ends where segment k
+// does, so offsets are the stream's, and ends holds each segment's end
+// configuration, nwords apiece.
 type laneSet struct {
 	inputs [][]byte
 	outs   [][]Report
@@ -49,9 +50,11 @@ type laneSet struct {
 // offset is where lane k's unread input starts in its stream.
 func (ls *laneSet) offset(k int) int { return len(ls.inputs[ls.stream[k]]) - len(ls.in[k]) }
 
-// pin makes every lane's current state one eviction skips.
+// pin makes every live lane's current state one eviction skips. Idle
+// lanes pin nothing: between streams their mirrored cursors are stale.
 func (ls *laneSet) pin(c *stateCache) {
-	for k, cur := range ls.cur {
+	c.pins = [Lanes]int32{}
+	for k, cur := range ls.cur[:ls.live] {
 		c.pins[k] = cur + 1
 	}
 }
@@ -66,51 +69,38 @@ func (ls *laneSet) keepEnd(c *stateCache, k int) {
 	}
 }
 
-// runGroup runs every stream of a group through the tier, appending stream
-// s's reports to outs[s]. Up to Lanes streams walk interleaved; when one
-// ends, the group's next stream takes its lane. Singles, a demoted tier, a
-// cache too small to pin every lane and still evict, and the streams a
-// demotion left unstarted run one after another.
-func (t *tier) runGroup(ctx context.Context, inputs [][]byte, outs [][]Report) (err error) {
-	next := 0
-	if !t.demoted && t.cache.limit > Lanes && len(inputs) > 1 {
-		ls, demote, e := t.walk(ctx, laneSet{inputs: inputs, outs: outs})
-		if err = e; demote {
-			err = t.demoteLanes(ctx, &ls)
-		}
-		next = ls.next
-	}
-	for ; next < len(inputs) && err == nil; next++ {
-		outs[next], _, err = t.runLazy(ctx, inputs[next], outs[next], -1, 0)
-	}
-	return err
-}
-
-// walk steps the lanes until every stream has ended, and the last live
-// lane finishes on runLazy from its cursor. Per round of lockstep steps the
-// context is checked, and adapt counts the bytes of all lanes; walk returns
-// demote when adapt says the tier should. ls is taken and returned by value
-// so the caller's input slices stay on its stack.
-func (t *tier) walk(ctx context.Context, ls laneSet) (_ laneSet, demote bool, err error) {
-	c := t.cache
-	for window := 0; ; {
-		if t.refill(&ls); ls.live < 2 {
-			if s := ls.stream[0]; ls.live == 1 {
-				ls.outs[s], ls.cur[0], err = t.runLazy(ctx, ls.in[0], ls.outs[s], ls.cur[0], ls.offset(0))
-				if err == nil && !t.demoted {
-					ls.keepEnd(c, 0)
-				}
+// walk runs every stream of ls through the tier, appending stream s's
+// reports to ls.outs[s]: up to Lanes streams interleaved, and when one ends
+// the group's next stream takes its lane. A lone live lane steps on its
+// own (stepOne), and so does every stream when the cache is too small to
+// pin every lane and still evict. Per round of steps the context is
+// checked and each lane at the rest state skips its dead bytes; adapt
+// counts the bytes of all lanes, once a window reaches a chunk and once
+// more when the walk ends, and when it says the tier should demote, or the
+// tier already has, demoteLanes finishes the walk. ls is taken by value so
+// the caller's input slices stay on its stack.
+func (t *tier) walk(ctx context.Context, ls laneSet) error {
+	c, window := t.cache, 0
+	for !t.demoted {
+		if t.refill(&ls); ls.live == 0 {
+			if !t.adaptive || window == 0 || !t.adapt(window) {
+				return nil
 			}
-			return ls, false, err
+			break
 		}
 		if err := ctx.Err(); err != nil {
-			return ls, false, err
+			return err
 		}
 		n := automata.CancelCheckInterval
 		for _, in := range ls.in[:ls.live] {
 			n = min(n, len(in))
 		}
-		steps := t.stepLanes(&ls, n)
+		steps := 0
+		if ls.live == 1 {
+			steps = t.stepOne(&ls, n)
+		} else {
+			steps = t.stepLanes(&ls, n)
+		}
 		window += steps * ls.live
 		for k := range ls.in[:ls.live] {
 			ls.in[k] = ls.in[k][steps:]
@@ -121,11 +111,12 @@ func (t *tier) walk(ctx context.Context, ls laneSet) (_ laneSet, demote bool, er
 		}
 		if t.adaptive && window >= automata.CancelCheckInterval {
 			if t.adapt(window) {
-				return ls, true, nil
+				break
 			}
 			window = 0
 		}
 	}
+	return t.demoteLanes(ctx, &ls)
 }
 
 // segments reports whether the tier walks a lone long stream as segments.
@@ -143,11 +134,7 @@ func (t *tier) walkSegments(ctx context.Context, ls laneSet, lo int) error {
 		ls.stream[k], ls.in[k], ls.cur[k] = s, input[s*len(input)/len(ls.inputs):len(ls.inputs[s])], start
 		ls.outs[s] = ls.outs[s][:0]
 	}
-	_, demote, err := t.walk(ctx, ls)
-	if demote {
-		t.demote()
-	}
-	return err
+	return t.walk(ctx, ls)
 }
 
 // joinSpans appends the tier's reports for a split stream to out: segment
@@ -171,7 +158,9 @@ func (t *tier) joinSpans(ctx context.Context, ls *laneSet, out []Report, reach i
 // offsets prove the walks met. Meeting after byte i, out takes the true
 // walk's reports up to i and lane k's after it, and lane k's end is the
 // truth at the next cut. Missing within reach bytes, the true walk
-// finishes the segment on runLazy, and its end is.
+// finishes the segment as a lane of its own, and its end is: the lane's
+// stream is segment k's prefix and its end is segment k's slot. A demotion
+// there leaves the stream to joinSpans.
 func (t *tier) verify(ctx context.Context, ls *laneSet, k int, out []Report, reach int) ([]Report, error) {
 	c := t.cache
 	cut, w := len(ls.inputs[k-1]), c.nwords
@@ -199,18 +188,22 @@ func (t *tier) verify(ctx context.Context, ls *laneSet, k int, out []Report, rea
 	if t.missRun++; t.missRun >= specMissLimit {
 		t.speculate = false
 	}
-	out, truth, err := t.runLazy(ctx, seg[n:], out, truth, cut+n)
-	if err == nil && !t.demoted {
-		copy(ls.ends[k*w:(k+1)*w], c.config(truth/c.ngroups))
-	}
-	return out, err
+	outs := [][]Report{out}
+	err := t.walk(ctx, laneSet{inputs: ls.inputs[k : k+1], outs: outs, ends: ls.ends[k*w : (k+1)*w],
+		in: [Lanes][]byte{seg[n:]}, cur: [Lanes]int32{truth}, live: 1, next: 1})
+	return outs[0], err
 }
 
 // refill retires the lanes whose streams have ended, keeping a segment's
 // end, and starts the group's next nonempty streams in their place (an
-// empty stream has no reports).
-// Interning a start state may evict, so every lane's state is pinned first.
+// empty stream has no reports), one lane at most in a cache of Lanes states
+// or fewer. Interning a start state may evict, so every live lane's state
+// is pinned first.
 func (t *tier) refill(ls *laneSet) {
+	width := Lanes
+	if t.cache.limit <= Lanes {
+		width = 1
+	}
 	for k := ls.live - 1; k >= 0; k-- { // downward, so the lane swapped into k is already checked
 		if len(ls.in[k]) == 0 {
 			ls.keepEnd(t.cache, k)
@@ -218,25 +211,26 @@ func (t *tier) refill(ls *laneSet) {
 			ls.stream[k], ls.in[k], ls.cur[k] = ls.stream[ls.live], ls.in[ls.live], ls.cur[ls.live]
 		}
 	}
-	for ; ls.live < Lanes && ls.next < len(ls.inputs); ls.next++ {
+	for ; ls.live < width && ls.next < len(ls.inputs); ls.next++ {
 		if in := ls.inputs[ls.next]; len(in) > 0 {
 			ls.pin(t.cache)
 			ls.stream[ls.live], ls.in[ls.live], ls.cur[ls.live] = ls.next, in, t.startState()
 			ls.live++
 		}
 	}
-	for k := ls.live; k < Lanes; k++ {
-		ls.in[k], ls.cur[k] = ls.in[0], ls.cur[0]
-	}
 }
 
-// stepLanes walks every lane n bytes in lockstep: per step four group
+// stepLanes walks every lane n bytes in lockstep, the idle lanes mirroring
+// lane 0: per step four group
 // lookups, four independent row loads, and one test that sends the step to
 // resolve if any lane's cell is unfilled, reports or enters the rest state.
 // It returns the steps taken, fewer than n when a lane entered the rest
 // state with the prefilter on, so the caller can skip that lane's dead
 // bytes. The inputs are cut to n so the loop indexes without bounds checks.
 func (t *tier) stepLanes(ls *laneSet, n int) int {
+	for k := ls.live; k < Lanes; k++ {
+		ls.in[k], ls.cur[k] = ls.in[0], ls.cur[0]
+	}
 	rows, gof := t.cache.rows, &t.prog.groupOf
 	s0 := ls.in[0][:n]
 	s1, s2, s3 := ls.in[1][:len(s0)], ls.in[2][:len(s0)], ls.in[3][:len(s0)]
@@ -259,6 +253,33 @@ func (t *tier) stepLanes(ls *laneSet, n int) int {
 	}
 	ls.cur = [Lanes]int32{c0, c1, c2, c3}
 	return n
+}
+
+// stepOne is stepLanes for a lone live lane: one load chain, and a slow
+// step goes straight to slowStep with exactly the lane's own state pinned.
+// The cursor is a row offset, so a plain step is one load, one add and one
+// unsigned compare, which sends unfilled, reporting and rest-entering cells
+// off the fast path.
+func (t *tier) stepOne(ls *laneSet, n int) (i int) {
+	c, gof := t.cache, &t.prog.groupOf
+	rows, s, cur := c.rows, ls.in[0][:n], ls.cur[0]
+	st, base := ls.stream[0], ls.offset(0)
+	out := ls.outs[st]
+	for ; i < len(s); i++ {
+		v := rows[cur+int32(gof[s[i]])]
+		if uint32(v) >= uint32(cellRest) {
+			var rest bool
+			c.pins = [Lanes]int32{cur + 1} // a miss must not evict the state the walk is in
+			if v, out, rest = t.slowStep(cur, s[i], out, base+i); rest {
+				cur, i = v, i+1
+				break
+			}
+			rows = c.rows
+		}
+		cur = v
+	}
+	ls.cur[0], ls.outs[st] = cur, out
+	return i
 }
 
 // resolve takes step i of every live lane, one lane at a time: it re-reads
@@ -287,19 +308,29 @@ func (t *tier) resolve(ls *laneSet, i int) (rest bool) {
 	return rest
 }
 
-// demoteLanes hands the live lanes to the bitset walk: each lane's
-// configuration is taken before demote releases the cache (the slices keep
-// the dropped slab alive, and nothing writes it again), and each lane
-// finishes from its configuration.
+// demoteLanes demotes the tier, unless it already has, and hands the walk
+// to the bitset walk: each live lane's configuration is taken before
+// demote releases the cache (the slices keep the dropped slab alive, and
+// nothing writes it again), each lane finishes from its configuration, and
+// the streams not yet started run from the start. A segment walk is
+// dropped instead, and joinSpans walks its stream on the bitset walk.
 func (t *tier) demoteLanes(ctx context.Context, ls *laneSet) (err error) {
 	var configs [Lanes][]uint64
 	for k := range configs[:ls.live] {
 		configs[k] = t.cache.config(ls.cur[k] / t.cache.ngroups)
 	}
-	t.demote()
+	if !t.demoted {
+		t.demote()
+	}
+	if ls.ends != nil {
+		return nil
+	}
 	for k := 0; k < ls.live && err == nil; k++ {
 		s := ls.stream[k]
 		ls.outs[s], err = t.runDemoted(ctx, ls.in[k], ls.outs[s], ls.offset(k), configs[k])
+	}
+	for ; ls.next < len(ls.inputs) && err == nil; ls.next++ {
+		ls.outs[ls.next], err = t.runDemoted(ctx, ls.inputs[ls.next], ls.outs[ls.next], 0, nil)
 	}
 	return err
 }

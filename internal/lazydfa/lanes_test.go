@@ -46,7 +46,9 @@ func raggedGroup(rng *rand.Rand) [][]byte {
 // on random networks (both tiers), ragged groups, the adaptive budget and
 // fixed caps from Lanes+1 (every lane pinned, one slot left to evict) to 9,
 // with the prefilter on and off, every stream's reports equal its single
-// walk on a matcher of its own.
+// walk on a matcher of its own. The single walk is the same loop's one-lane
+// case, so both sides also answer to the bitset FastSimulator of the same
+// network.
 func TestLanesMatchSingleWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ctx := context.Background()
@@ -54,6 +56,14 @@ func TestLanesMatchSingleWalk(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := randomNetwork(rng)
 		group := raggedGroup(rng)
+		sim, err := automata.NewFastSimulator(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants := make([][]Report, len(group))
+		for s, in := range group {
+			wants[s] = simSet(sim.Run(in))
+		}
 		for _, cap := range []int{0, Lanes + 1, Lanes + 2, 7, 8, 9} {
 			for _, noPrefilter := range []bool{false, true} {
 				opts := &Options{MaxCachedStates: cap, DisablePrefilter: noPrefilter}
@@ -70,9 +80,14 @@ func TestLanesMatchSingleWalk(t *testing.T) {
 					t.Fatal(err)
 				}
 				for s, in := range group {
-					if want := single.Run(in); !slices.Equal(outs[s], want) {
+					want := single.Run(in)
+					if !slices.Equal(outs[s], want) {
 						t.Fatalf("trial %d cap %d noPrefilter %v stream %d (%d bytes): interleaved %d reports, single walk %d",
 							trial, cap, noPrefilter, s, len(in), len(outs[s]), len(want))
+					}
+					if !slices.Equal(want, wants[s]) {
+						t.Fatalf("trial %d cap %d noPrefilter %v stream %d (%d bytes): %d reports, the bitset simulator %d",
+							trial, cap, noPrefilter, s, len(in), len(want), len(wants[s]))
 					}
 				}
 				skipped += m.PrefilterSkipped()

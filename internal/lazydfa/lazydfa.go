@@ -381,8 +381,8 @@ func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [
 		}
 		if sp.ctx != nil && !sp.failed[i].Load() {
 			outs[0], err = t.joinSpans(ctx, &sp.tiers[i], outs[0], reach)
-		} else { // a tier whose span walks did not all stand walks the stream on one cursor
-			err = t.runGroup(ctx, inputs, outs)
+		} else { // the group on the lanes, and a split stream whose span walks did not all stand as one lane
+			err = t.walk(ctx, laneSet{inputs: inputs, outs: outs})
 		}
 		for s := range outs {
 			outs[s] = m.merge(outs[s], m.mids[s])
@@ -485,60 +485,6 @@ func (m *Matcher) merge(out []Report, mid int) []Report {
 
 func less(a, b Report) bool {
 	return a.Offset < b.Offset || a.Offset == b.Offset && a.Code < b.Code
-}
-
-// runLazy walks the lazy DFA over input, materializing transitions on
-// demand, from row offset cur at stream offset base; cur < 0 starts a fresh
-// stream (only fresh streams reach a demoted tier). cur is the current
-// state's row offset, so the per-symbol fast path is one load, one add and
-// one branch: the cell at cur + group holds the successor's row offset, and
-// one unsigned compare sends unfilled, reporting and rest-entering cells to
-// slowStep. It returns out and the final cursor, -1 once the tier has
-// demoted.
-func (t *tier) runLazy(ctx context.Context, input []byte, out []Report, cur int32, base int) ([]Report, int32, error) {
-	if t.demoted {
-		out, err := t.runDemoted(ctx, input, out, 0, nil)
-		return out, -1, err
-	}
-	if cur < 0 {
-		cur = t.startState()
-	}
-	p, c := t.prog, t.cache
-	rows := c.rows // reloaded after a miss, which may grow the slab
-	for len(input) > 0 {
-		if err := ctx.Err(); err != nil {
-			return out, cur, err
-		}
-		chunk := input
-		if len(chunk) > automata.CancelCheckInterval {
-			chunk = chunk[:automata.CancelCheckInterval]
-		}
-		for i := 0; i < len(chunk); i++ {
-			v := rows[cur+int32(p.groupOf[chunk[i]])]
-			if uint32(v) >= uint32(cellRest) {
-				var rest bool
-				c.pins = [Lanes]int32{cur + 1} // a miss must not evict the state the walk is in
-				if v, out, rest = t.slowStep(cur, chunk[i], out, base+i); rest {
-					i += t.skipDead(chunk[i+1:])
-				}
-				rows = c.rows
-			}
-			cur = v
-		}
-		base += len(chunk)
-		input = input[len(chunk):]
-		if t.adaptive && t.adapt(len(chunk)) {
-			// Demote: carry the live configuration — counter values and
-			// all — into the bitset walk and give the cache memory back.
-			// (cur consumed at least one byte, so it is never the
-			// first-symbol start state.)
-			config := c.config(cur / c.ngroups)
-			t.demote()
-			out, err := t.runDemoted(ctx, input, out, base, config)
-			return out, -1, err
-		}
-	}
-	return out, cur, nil
 }
 
 // slowStep takes the step from row offset cur on sym off the fast path: it

@@ -818,7 +818,10 @@ func (p *progGen) ifStatic(c stCtx, ind string) (string, bool) {
 	// The taken branch elaborates against the live scope (its
 	// assignments persist past the if); the untaken branch merely
 	// typechecks — it is never compiled, so its compile-time effects and
-	// counter counts must not be relied on.
+	// counter counts must not be relied on. An if without else is decided
+	// first: a taken else it drops must not have marked macros used or
+	// assigned variables.
+	noElse := p.chance(25)
 	branch := func(taken bool) (string, bool) {
 		cB := c
 		cB.depth++
@@ -829,26 +832,18 @@ func (p *progGen) ifStatic(c stCtx, ind string) (string, bool) {
 		}
 		return p.blockIn(cB, ind)
 	}
-	var thenB, elseB string
-	var thenC, elseC bool
-	if condVal {
-		thenB, thenC = branch(true)
-		elseB, elseC = branch(false)
-	} else {
-		thenB, thenC = branch(false)
-		elseB, elseC = branch(true)
-	}
-	takenConsumes := thenC
-	if !condVal {
-		takenConsumes = elseC
-	}
-	if p.chance(25) { // if without else
+	thenB, thenC := branch(condVal)
+	if noElse {
 		if condVal {
 			return ind + "if (" + cond + ") " + thenB + "\n", thenC
 		}
 		return ind + "if (" + cond + ") " + thenB + "\n", c.consumed
 	}
-	return ind + "if (" + cond + ") " + thenB + " else " + elseB + "\n", takenConsumes
+	elseB, elseC := branch(!condVal)
+	if !condVal {
+		thenC = elseC // the taken branch's
+	}
+	return ind + "if (" + cond + ") " + thenB + " else " + elseB + "\n", thenC
 }
 
 // varyingCond builds a static-but-unknown boolean condition from a
@@ -1024,6 +1019,9 @@ func (p *progGen) pickSeq(sc *scope) seqChoice {
 // unrolled iterations; some forks per element with a shared
 // continuation).
 func (p *progGen) foreachStmt(c stCtx, ind string, parallel bool) (string, bool) {
+	if parallel && p.chance(10) {
+		return p.wideSome(c, ind), true
+	}
 	seq := p.pickSeq(c.sc)
 	kw := "foreach"
 	if parallel {
@@ -1096,6 +1094,33 @@ func (p *progGen) foreachStmt(c stCtx, ind string, parallel bool) (string, bool)
 	// Sequential: consumption accumulates across ≥1 iterations.
 	// Parallel: every element thread runs the same body.
 	return out, c.consumed || consumedByBody
+}
+
+// wideSome emits a some over 17–26 distinct letters and then a shared
+// continuation, in a block so the continuation follows it anywhere (network
+// statements run in parallel). The continuation takes one in-edge per
+// letter, more than the device's routing fan-in bound of 16, so the device
+// network splits it. The continuation and the step after it match any
+// symbol and a report follows them, so a letter routed to a split copy
+// reports only through the copy's out-edges.
+func (p *progGen) wideSome(c stCtx, ind string) string {
+	p.cover["stmt/block"], p.cover["stmt/some"], p.cover["stmt/assert"], p.cover["stmt/report"] = true, true, true, true
+	if !c.dead {
+		p.reports++
+	}
+	letters := []byte("abcdefghijklmnopqrstuvwxyz")
+	p.rng.Shuffle(len(letters), func(i, j int) { letters[i], letters[j] = letters[j], letters[i] })
+	letters = letters[:17+p.pick(10)]
+	for _, b := range letters {
+		p.alpha[b] = true
+	}
+	vn, in2 := p.name("x"), ind+"  "
+	return ind + "{\n" +
+		in2 + "some (char " + vn + " : \"" + string(letters) + "\") " + vn + " == input();\n" +
+		in2 + "ALL_INPUT == input();\n" +
+		in2 + "ALL_INPUT == input();\n" +
+		in2 + "report;\n" +
+		ind + "}\n"
 }
 
 // eitherStmt emits 2–3 parallel arms; each arm elaborates forked state
