@@ -177,11 +177,8 @@ func (e *Engine) runGroup(ctx context.Context, m *lazydfa.Matcher, inputs [][]by
 	}
 	buf := make([]Report, 0, n)
 	for i, raw := range raws {
-		lo := len(buf)
-		for _, r := range raw {
-			buf = append(buf, Report(r))
-		}
-		res[i].Reports = buf[lo:len(buf):len(buf)]
+		buf = append(buf, raw...)
+		res[i].Reports = buf[len(buf)-len(raw) : len(buf) : len(buf)]
 	}
 	return nil
 }

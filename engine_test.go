@@ -53,16 +53,15 @@ func TestEngineMatchesSimulatorOnBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSet := reportSet(want)
-			if fast := reportSet(mustRunBytes(t, runner, input)); !reflect.DeepEqual(fast, wantSet) {
+			if !sameReportSet(mustRunBytes(t, runner, input), want) {
 				t.Fatalf("fast simulator diverged from reference")
 			}
 			got, err := eng.Run(context.Background(), input)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotSet := reportSet(got); !reflect.DeepEqual(gotSet, wantSet) {
-				t.Fatalf("engine report set %v != simulator %v", gotSet, wantSet)
+			if !sameReportSet(got, want) {
+				t.Fatalf("engine report set %v != simulator %v", got, want)
 			}
 		})
 	}
@@ -100,7 +99,7 @@ func TestEngineRunBatchOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(reportSet(got[i]), reportSet(want)) {
+		if !sameReportSet(got[i], want) {
 			t.Fatalf("stream %d out of order or wrong: %v != %v", i, got[i], want)
 		}
 	}
@@ -110,7 +109,7 @@ func TestEngineRunBatchOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(reportSet(got[i]), reportSet(again[i])) {
+		if !sameReportSet(got[i], again[i]) {
 			t.Fatalf("warm batch diverged on stream %d", i)
 		}
 	}
@@ -163,8 +162,8 @@ func TestEngineRunRecords(t *testing.T) {
 		}
 		merged = append(merged, rr.Reports...)
 	}
-	if !reflect.DeepEqual(reportSet(merged), reportSet(want)) {
-		t.Fatalf("record reports %v != whole-stream %v", reportSet(merged), reportSet(want))
+	if !sameReportSet(merged, want) {
+		t.Fatalf("record reports %v != whole-stream %v", merged, want)
 	}
 }
 
@@ -266,8 +265,8 @@ network (String s) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(reportSet(got), reportSet(want)) {
-		t.Fatalf("engine %v != simulator %v", reportSet(got), reportSet(want))
+	if !sameReportSet(got, want) {
+		t.Fatalf("engine %v != simulator %v", got, want)
 	}
 }
 
@@ -344,7 +343,7 @@ func TestEngineRunBatchSettledParity(t *testing.T) {
 		if got[i].Err != nil {
 			t.Fatalf("stream %d: %v", i, got[i].Err)
 		}
-		if !reflect.DeepEqual(reportSet(got[i].Reports), reportSet(want[i])) {
+		if !sameReportSet(got[i].Reports, want[i]) {
 			t.Fatalf("stream %d diverged from RunBatch", i)
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/resilience"
@@ -245,35 +245,5 @@ func (c *FailoverChain) Run(ctx context.Context, input []byte) ([]Report, error)
 // sameReportSet compares the distinct (offset, code) sets of two report
 // lists — the backend-independent observable of a stream.
 func sameReportSet(a, b []Report) bool {
-	return reportSetKeyEqual(reportSet(a), reportSet(b))
-}
-
-func reportSet(rs []Report) [][2]int {
-	set := make(map[[2]int]bool, len(rs))
-	for _, r := range rs {
-		set[[2]int{r.Offset, r.Code}] = true
-	}
-	out := make([][2]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-func reportSetKeyEqual(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(Canonical(slices.Clone(a)), Canonical(slices.Clone(b)))
 }

@@ -130,8 +130,8 @@ func (s *FastSimulator) Active() []ElementID {
 // Step processes one input symbol through the kernel.
 func (s *FastSimulator) Step(symbol byte) {
 	if s.k.Step(s.config, s.offset == 0, symbol, s.active, s.next) {
-		s.k.forEachReport(s.active, func(id ElementID, code int) {
-			s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: code})
+		s.k.forEachReport(s.active, func(code int) {
+			s.reports = append(s.reports, Report{Offset: s.offset, Code: code})
 		})
 	}
 	s.config, s.next = s.next, s.config

@@ -270,13 +270,12 @@ func (k *Kernel) propagate(active, next []uint64) (reports bool) {
 	return rep != 0
 }
 
-// forEachReport calls f for every reporting element set in active, in
-// increasing element order.
-func (k *Kernel) forEachReport(active []uint64, f func(id ElementID, code int)) {
+// forEachReport calls f with the code of every reporting element set in
+// active, in increasing element order.
+func (k *Kernel) forEachReport(active []uint64, f func(code int)) {
 	for wi, w := range active[:k.nwords] {
 		for rep := w & k.reportBits[wi]; rep != 0; rep &= rep - 1 {
-			id := ElementID(wi<<6 + bits.TrailingZeros64(rep))
-			f(id, int(k.codes[id]))
+			f(int(k.codes[wi<<6+bits.TrailingZeros64(rep)]))
 		}
 	}
 }
@@ -286,7 +285,7 @@ func (k *Kernel) forEachReport(active []uint64, f func(id ElementID, code int)) 
 // the determinized tiers — and returns the extended slice.
 func (k *Kernel) ReportCodes(dst []int, active []uint64) []int {
 	base := len(dst)
-	k.forEachReport(active, func(_ ElementID, code int) { dst = append(dst, code) })
+	k.forEachReport(active, func(code int) { dst = append(dst, code) })
 	slices.Sort(dst[base:])
 	return dst[:base+len(slices.Compact(dst[base:]))]
 }

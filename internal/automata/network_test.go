@@ -296,7 +296,7 @@ func TestMergeAndClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 || reports[0].Element != 3 {
+	if len(reports) != 1 || reports[0] != (Report{Offset: 1, Code: 1}) {
 		t.Fatalf("merged network reports = %v", reports)
 	}
 	c := a.Clone()

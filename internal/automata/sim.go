@@ -1,21 +1,30 @@
 package automata
 
 import (
+	"cmp"
 	"context"
-	"fmt"
+	"slices"
 )
 
-// Report is a report event generated during simulation: a reporting element
-// was active while processing the symbol at Offset (0-based) in the input
-// stream.
+// Report is a report event, the one output of every execution tier: a
+// reporting element with report code Code was active while processing the
+// symbol at Offset (0-based) in the input stream.
 type Report struct {
-	Offset  int
-	Element ElementID
-	Code    int
+	Offset int
+	Code   int
 }
 
-func (r Report) String() string {
-	return fmt.Sprintf("report{offset=%d elem=%d code=%d}", r.Offset, r.Element, r.Code)
+// CompareReports orders reports by offset, then code.
+func CompareReports(a, b Report) int {
+	return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Code, b.Code))
+}
+
+// Canonical sorts rs by (offset, code) and drops duplicates in place,
+// returning the shortened slice: the form in which two tiers' report sets
+// compare equal. On a run already canonical both passes are linear.
+func Canonical(rs []Report) []Report {
+	slices.SortFunc(rs, CompareReports)
+	return slices.Compact(rs)
 }
 
 // CancelCheckInterval is the number of symbols simulators process between
@@ -185,7 +194,7 @@ func (s *Simulator) Step(symbol byte) {
 	s.active.forEach(func(id ElementID) {
 		e := &n.elems[id]
 		if e.Report {
-			s.reports = append(s.reports, Report{Offset: s.offset, Element: id, Code: e.ReportCode})
+			s.reports = append(s.reports, Report{Offset: s.offset, Code: e.ReportCode})
 		}
 		for _, out := range n.outs[id] {
 			if out.Port == PortIn && n.elems[out.To].Kind == KindSTE {

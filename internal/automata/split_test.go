@@ -2,6 +2,7 @@ package automata
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/charclass"
@@ -125,7 +126,7 @@ func TestSplitSpecialsAllSpecialMulti(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := special.Run(input)
-	if !reflect.DeepEqual(reportSet(half), reportSet(whole)) {
+	if !slices.Equal(Canonical(half), Canonical(whole)) {
 		t.Fatalf("special run %v != whole run %v", half, whole)
 	}
 }
@@ -156,7 +157,7 @@ func TestSplitSpecialsSingletons(t *testing.T) {
 	whole, _ := n.Run(input)
 	pr := pure.Run(input)
 	sr := special.Run(input)
-	if !reflect.DeepEqual(reportSet(append(pr, sr...)), reportSet(whole)) {
+	if !slices.Equal(Canonical(append(pr, sr...)), Canonical(whole)) {
 		t.Fatalf("split runs %v+%v != whole %v", pr, sr, whole)
 	}
 }
@@ -202,12 +203,4 @@ func TestSplitSpecialsDeadComponents(t *testing.T) {
 	if _, err := n2.Freeze(); err == nil {
 		t.Fatal("all-dead network froze, want validation error")
 	}
-}
-
-func reportSet(rs []Report) map[[2]int]bool {
-	m := map[[2]int]bool{}
-	for _, r := range rs {
-		m[[2]int{r.Offset, r.Code}] = true
-	}
-	return m
 }

@@ -39,7 +39,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	rapid "repro"
@@ -285,10 +284,7 @@ func Check(c *Case) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("conformance: lazy DFA construction failed: %w", err)
 		}
-		var got []rapid.Report
-		for _, r := range m.Run(long) {
-			got = append(got, rapid.Report{Offset: r.Offset, Code: r.Code})
-		}
+		got := m.Run(long)
 		out.Checks++
 		out.Evictions += m.Evictions()
 		out.Demotions += m.Demotions()
@@ -339,7 +335,7 @@ func snapshotCheck(sim *automata.FastSimulator, input []byte) string {
 	mid := len(input) / 2
 
 	c := sim.Clone()
-	reportsC := rawKeys(c.Run(input))
+	reportsC := c.Run(input)
 
 	s := sim.Clone()
 	s.Reset()
@@ -350,18 +346,18 @@ func snapshotCheck(sim *automata.FastSimulator, input []byte) string {
 	for _, b := range input[mid:] {
 		s.Step(b)
 	}
-	reportsA := rawKeys(s.Reports())
+	reportsA := slices.Clone(s.Reports())
 
 	s.Restore(snap)
 	for _, b := range input[mid:] {
 		s.Step(b)
 	}
-	reportsB := rawKeys(s.Reports())
+	reportsB := s.Reports()
 
-	if d := diffKeys(reportsC, reportsA); d != "" {
+	if d := diffReports(reportsC, reportsA); d != "" {
 		return "interrupted run (snapshot at " + fmt.Sprint(mid) + ") diverged: " + d
 	}
-	if d := diffKeys(reportsC, reportsB); d != "" {
+	if d := diffReports(reportsC, reportsB); d != "" {
 		return "restored run (snapshot at " + fmt.Sprint(mid) + ") diverged: " + d
 	}
 	return ""
@@ -369,55 +365,18 @@ func snapshotCheck(sim *automata.FastSimulator, input []byte) string {
 
 // ----------------------------------------------------------- comparison
 
-type rkey struct {
-	off, code int
-}
-
-func (k rkey) String() string { return fmt.Sprintf("(offset=%d code=%d)", k.off, k.code) }
-
-func keys(rs []rapid.Report) map[rkey]bool {
-	m := make(map[rkey]bool, len(rs))
-	for _, r := range rs {
-		m[rkey{r.Offset, r.Code}] = true
-	}
-	return m
-}
-
-func rawKeys(rs []automata.Report) map[rkey]bool {
-	m := make(map[rkey]bool, len(rs))
-	for _, r := range rs {
-		m[rkey{r.Offset, r.Code}] = true
-	}
-	return m
-}
-
 // diffReports compares distinct (offset, code) sets and describes the
 // symmetric difference, or returns "". Equal runs are equal sets, so the
-// sets are built only when the runs differ.
+// canonical forms are built only when the runs differ.
 func diffReports(want, got []rapid.Report) string {
 	if slices.Equal(want, got) {
 		return ""
 	}
-	return diffKeys(keys(want), keys(got))
-}
-
-func diffKeys(want, got map[rkey]bool) string {
-	var missing, extra []string
-	for k := range want {
-		if !got[k] {
-			missing = append(missing, k.String())
-		}
-	}
-	for k := range got {
-		if !want[k] {
-			extra = append(extra, k.String())
-		}
-	}
+	want, got = automata.Canonical(slices.Clone(want)), automata.Canonical(slices.Clone(got))
+	missing, extra := absent(want, got), absent(got, want)
 	if len(missing) == 0 && len(extra) == 0 {
 		return ""
 	}
-	sort.Strings(missing)
-	sort.Strings(extra)
 	var sb strings.Builder
 	sb.WriteString("report sets differ:")
 	if len(missing) > 0 {
@@ -427,6 +386,17 @@ func diffKeys(want, got map[rkey]bool) string {
 		sb.WriteString(" extra " + strings.Join(extra, ", "))
 	}
 	return sb.String()
+}
+
+// absent lists, in order, the reports of the canonical run a that the
+// canonical run b lacks.
+func absent(a, b []rapid.Report) (out []string) {
+	for _, r := range a {
+		if _, ok := slices.BinarySearchFunc(b, r, automata.CompareReports); !ok {
+			out = append(out, fmt.Sprintf("(offset=%d code=%d)", r.Offset, r.Code))
+		}
+	}
+	return out
 }
 
 func equalInts(a, b []int) bool {

@@ -134,3 +134,16 @@ func TestCorpusRoundTrip(t *testing.T) {
 		t.Errorf("reproducer file is not a checkable case: %v", err)
 	}
 }
+
+// TestDiffReports: runs that differ only in order and repeats are one set,
+// and a real difference lists each missing and extra report in order.
+func TestDiffReports(t *testing.T) {
+	r := func(off, code int) rapid.Report { return rapid.Report{Offset: off, Code: code} }
+	if d := diffReports([]rapid.Report{r(1, 0), r(3, 2), r(3, 1)}, []rapid.Report{r(3, 1), r(1, 0), r(3, 2), r(1, 0)}); d != "" {
+		t.Fatalf("one set in two orders: %q", d)
+	}
+	want := "report sets differ: missing (offset=3 code=1), (offset=9 code=0) extra (offset=4 code=0)"
+	if d := diffReports([]rapid.Report{r(9, 0), r(3, 1), r(1, 0)}, []rapid.Report{r(4, 0), r(1, 0)}); d != want {
+		t.Fatalf("got %q, want %q", d, want)
+	}
+}

@@ -339,10 +339,10 @@ func runChaosStream(httpc *http.Client, base string, stream []byte, records [][]
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Sprintf("stream status %d through gateway", resp.StatusCode)
 	}
-	var lines []streamLine
+	var lines []serve.StreamResult
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var line streamLine
+		var line serve.StreamResult
 		if err := dec.Decode(&line); err == io.EOF {
 			break
 		} else if err != nil {

@@ -389,13 +389,13 @@ func TestUnknownDesignRelayed(t *testing.T) {
 }
 
 // decodeStream reads the gateway's NDJSON response into lines.
-func decodeStream(t *testing.T, body io.Reader) []streamLine {
+func decodeStream(t *testing.T, body io.Reader) []serve.StreamResult {
 	t.Helper()
-	var lines []streamLine
+	var lines []serve.StreamResult
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
-		var line streamLine
+		var line serve.StreamResult
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -409,7 +409,7 @@ func decodeStream(t *testing.T, body io.Reader) []streamLine {
 
 // checkStreamComplete asserts the zero-loss contract: exactly one line
 // per record, in order, each either a success or a typed error.
-func checkStreamComplete(t *testing.T, lines []streamLine, records [][]byte, offsets []int) (ok, failed int) {
+func checkStreamComplete(t *testing.T, lines []serve.StreamResult, records [][]byte, offsets []int) (ok, failed int) {
 	t.Helper()
 	if len(lines) != len(records) {
 		t.Fatalf("stream returned %d lines for %d records — records were lost", len(lines), len(records))
@@ -568,13 +568,13 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 	}
 }
 
-func firstError(lines []streamLine) streamLine {
+func firstError(lines []serve.StreamResult) serve.StreamResult {
 	for _, line := range lines {
 		if line.Error != "" {
 			return line
 		}
 	}
-	return streamLine{}
+	return serve.StreamResult{}
 }
 
 // dieMidStream wounds rep so that it tears the connection of the first

@@ -15,24 +15,6 @@ import (
 	"repro/internal/serve"
 )
 
-// streamLine mirrors the serve layer's NDJSON stream result, so the
-// gateway can rewrite indexes and offsets losslessly while relaying.
-type streamLine struct {
-	Index        int          `json:"index"`
-	Offset       int          `json:"offset"`
-	Count        int          `json:"count"`
-	Reports      []reportLine `json:"reports"`
-	Error        string       `json:"error,omitempty"`
-	Code         string       `json:"code,omitempty"`
-	RetryAfterMS int64        `json:"retry_after_ms,omitempty"`
-}
-
-type reportLine struct {
-	Offset int    `json:"offset"`
-	Code   int    `json:"code"`
-	Site   string `json:"site,omitempty"`
-}
-
 // handleMatchStream is the failover-capable streaming endpoint. The
 // gateway reads the whole framed stream up front, splits it into records,
 // and forwards the unacknowledged suffix to the design's owner replica —
@@ -96,7 +78,7 @@ func (g *Gateway) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	// exactly the suffix that was never executed.
 	for i := st.acked; i < len(records); i++ {
 		g.tel.streamRecords.With("unavailable").Inc()
-		line := streamLine{
+		line := serve.StreamResult{
 			Index:        i,
 			Offset:       offsets[i],
 			Error:        fmt.Sprintf("gateway: no replica could serve the record: %v", err),
@@ -187,7 +169,7 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 16<<20) // starts at bufio's 4 KiB and grows to the cap
 	for sc.Scan() {
-		var line streamLine
+		var line serve.StreamResult
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			// A torn line means the replica died mid-write: resume.
 			rep.breaker.Record(true)

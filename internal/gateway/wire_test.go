@@ -200,9 +200,9 @@ func TestStreamEscapesDesignName(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream for %q: %d %s", name, resp.StatusCode, body)
 	}
-	var lines []streamLine
+	var lines []serve.StreamResult
 	for _, raw := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-		var line streamLine
+		var line serve.StreamResult
 		if err := json.Unmarshal(raw, &line); err != nil {
 			t.Fatalf("bad stream line %q: %v", raw, err)
 		}

@@ -19,7 +19,7 @@ import (
 func TestWarmRunAppendAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range compilePaperTiers(t, paperDesigns(), 64<<10) {
-		buf := make([]lazydfa.Report, 0, 2*len(p.lazy.Run(p.input)))
+		buf := make([]automata.Report, 0, 2*len(p.lazy.Run(p.input)))
 		hits := p.lazy.SpeculationHits()
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := p.lazy.RunAppend(ctx, p.input, buf[:0]); err != nil {
@@ -50,7 +50,7 @@ func TestColdCloneAllocsPerState(t *testing.T) {
 		inputs[i] = d.app.Input(rng, 64<<10)
 	}
 	ctx := context.Background()
-	buf := make([]lazydfa.Report, 0, 1<<16)
+	buf := make([]automata.Report, 0, 1<<16)
 	var states int
 	allocs := testing.AllocsPerRun(3, func() {
 		c := p.lazy.Clone()

@@ -61,8 +61,8 @@ func checkMatcher(m *Matcher) error {
 // the cache after the start state's intern and after every step: a step
 // interns at most one state, which releases at most one. It returns the
 // reports, merged across tiers.
-func walkChecked(m *Matcher, input []byte) ([]Report, error) {
-	var out []Report
+func walkChecked(m *Matcher, input []byte) ([]automata.Report, error) {
+	var out []automata.Report
 	for i, t := range m.tiers {
 		cur := t.startState()
 		if err := checkCache(t.cache); err != nil {
@@ -76,7 +76,7 @@ func walkChecked(m *Matcher, input []byte) ([]Report, error) {
 			}
 		}
 	}
-	return canonicalize(out), nil
+	return automata.Canonical(out), nil
 }
 
 // TestStateCacheIndexInvariant hammers the intern index on random
@@ -101,9 +101,9 @@ func TestStateCacheIndexInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		group := [][]byte{randomInput(rng, long), randomInput(rng, 300), randomInput(rng, 40), randomInput(rng, 900), randomInput(rng, 120)}
-		wants := make([][]Report, len(group))
+		wants := make([][]automata.Report, len(group))
 		for i, in := range group {
-			wants[i] = simSet(sim.Run(in))
+			wants[i] = automata.Canonical(sim.Run(in))
 		}
 		opts := []*Options{{MaxCacheBytes: 1, InitialCachedStates: 2}}
 		for c := 2; c <= 9; c++ {
@@ -120,7 +120,7 @@ func TestStateCacheIndexInvariant(t *testing.T) {
 			}
 			for k := 0; k < 3; k++ {
 				input := randomInput(rng, rng.Intn(200))
-				want := simSet(sim.Run(input))
+				want := automata.Canonical(sim.Run(input))
 				got, err := walkChecked(m, input)
 				if err != nil {
 					fail("byte-wise walk", input, err)

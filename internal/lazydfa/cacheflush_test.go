@@ -1,9 +1,9 @@
 package lazydfa_test
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/automata"
@@ -53,14 +53,14 @@ func TestCacheEvictionBoundaries(t *testing.T) {
 		// The oracle is the naive Simulator (Network.Run): the lazy
 		// tiers step through the same kernel as FastSimulator, so
 		// comparing against that would prove nothing.
-		var wants []map[[2]int]bool
+		var wants [][]automata.Report
 		inputs := rapidgen.Inputs(p, 5)
 		for _, input := range inputs {
 			raw, err := res.Network.Run(input)
 			if err != nil {
 				t.Fatalf("program %d: oracle: %v", i, err)
 			}
-			wants = append(wants, reportKeys(raw))
+			wants = append(wants, automata.Canonical(raw))
 		}
 
 		for name, opts := range lazyVariants() {
@@ -73,8 +73,8 @@ func TestCacheEvictionBoundaries(t *testing.T) {
 			}
 			for k, input := range inputs {
 				want := wants[k]
-				got := lazyKeys(m.Run(input))
-				if fmt.Sprint(want) != fmt.Sprint(got) {
+				got := m.Run(input)
+				if !slices.Equal(got, want) {
 					t.Errorf("program %d %s input %q: lazy %v, oracle %v\n%s",
 						i, name, input, got, want, p.Source)
 				}
@@ -117,7 +117,7 @@ func TestPaperBenchmarkParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := reportKeys(raw)
+			want := automata.Canonical(raw)
 			for name, opts := range lazyVariants() {
 				m, err := lazydfa.New(res.Network, opts)
 				if err != nil {
@@ -125,8 +125,8 @@ func TestPaperBenchmarkParity(t *testing.T) {
 				}
 				// Two passes: cold cache, then warm (or post-demotion).
 				for pass := 0; pass < 2; pass++ {
-					got := lazyKeys(m.Run(input))
-					if fmt.Sprint(want) != fmt.Sprint(got) {
+					got := m.Run(input)
+					if !slices.Equal(got, want) {
 						t.Fatalf("%s pass %d: %d lazy reports vs %d oracle reports",
 							name, pass, len(got), len(want))
 					}
@@ -134,22 +134,6 @@ func TestPaperBenchmarkParity(t *testing.T) {
 			}
 		})
 	}
-}
-
-func reportKeys(rs []automata.Report) map[[2]int]bool {
-	m := map[[2]int]bool{}
-	for _, r := range rs {
-		m[[2]int{r.Offset, r.Code}] = true
-	}
-	return m
-}
-
-func lazyKeys(rs []lazydfa.Report) map[[2]int]bool {
-	m := map[[2]int]bool{}
-	for _, r := range rs {
-		m[[2]int{r.Offset, r.Code}] = true
-	}
-	return m
 }
 
 // TestCounterProductStaysBounded is the counter tier's worst paper case:

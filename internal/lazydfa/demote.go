@@ -1,7 +1,5 @@
 package lazydfa
 
-import "context"
-
 // Adaptive budget controller (RE2's "is the DFA cache useless?" heuristic,
 // adapted to per-state eviction). The budget grows on demand from its
 // small initial size toward the byte-denominated cap as states intern
@@ -43,23 +41,4 @@ func (t *tier) demote() {
 	t.demoted = true
 	t.demotions++
 	t.cache.releaseAll()
-}
-
-// runDemoted finishes a stream on the tier's bitset simulator — the same
-// kernel the nfa-bitset tier runs. It serves a demoted tier's whole runs
-// (config == nil) and the mid-stream hand-off (config = the configuration
-// at the demotion point, counter values included; base = bytes already
-// consumed). The simulator reports per element, so its run is sorted and
-// deduplicated; every report it appends lies past the lazy walk's.
-func (t *tier) runDemoted(ctx context.Context, input []byte, out []Report, base int, config []uint64) ([]Report, error) {
-	if t.sim == nil {
-		t.sim = t.prog.k.NewFastSimulator()
-	}
-	t.sim.Seed(config, base)
-	raw, err := t.sim.Feed(ctx, input)
-	start := len(out)
-	for _, r := range raw {
-		out = append(out, Report{Offset: r.Offset, Code: r.Code})
-	}
-	return out[:start+len(canonicalize(out[start:]))], err
 }

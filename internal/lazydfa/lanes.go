@@ -35,16 +35,31 @@ const (
 // mirror lane 0, so the step needs no per-lane test. Under the segment
 // walk stream k is the prefix of the stream that ends where segment k
 // does, so offsets are the stream's, and ends holds each segment's end
-// configuration, nwords apiece.
+// configuration, nwords apiece. Each matcher owns one, which its walks
+// reuse.
 type laneSet struct {
 	inputs [][]byte
-	outs   [][]Report
+	outs   [][]automata.Report
 	ends   []uint64 // nil for a group of streams
 	stream [Lanes]int
 	in     [Lanes][]byte
 	cur    [Lanes]int32
 	live   int
 	next   int // the group's next stream to start
+}
+
+// reset readies ls to walk the streams of inputs from their starts into
+// outs, keeping segment ends in ends (nil for a group of streams). It
+// copies the stream headers, so a caller's group stays on its stack.
+func (ls *laneSet) reset(inputs [][]byte, outs [][]automata.Report, ends []uint64) *laneSet {
+	ls.inputs, ls.outs, ls.ends, ls.live, ls.next = append(ls.inputs[:0], inputs...), outs, ends, 0, 0
+	return ls
+}
+
+// release drops every walk's references to the caller's streams.
+func (ls *laneSet) release() {
+	clear(ls.inputs[:cap(ls.inputs)])
+	ls.in = [Lanes][]byte{}
 }
 
 // offset is where lane k's unread input starts in its stream.
@@ -77,12 +92,11 @@ func (ls *laneSet) keepEnd(c *stateCache, k int) {
 // checked and each lane at the rest state skips its dead bytes; adapt
 // counts the bytes of all lanes, once a window reaches a chunk and once
 // more when the walk ends, and when it says the tier should demote, or the
-// tier already has, demoteLanes finishes the walk. ls is taken by value so
-// the caller's input slices stay on its stack.
-func (t *tier) walk(ctx context.Context, ls laneSet) error {
+// tier already has, demoteLanes finishes the walk.
+func (t *tier) walk(ctx context.Context, ls *laneSet) error {
 	c, window := t.cache, 0
 	for !t.demoted {
-		if t.refill(&ls); ls.live == 0 {
+		if t.refill(ls); ls.live == 0 {
 			if !t.adaptive || window == 0 || !t.adapt(window) {
 				return nil
 			}
@@ -97,9 +111,9 @@ func (t *tier) walk(ctx context.Context, ls laneSet) error {
 		}
 		steps := 0
 		if ls.live == 1 {
-			steps = t.stepOne(&ls, n)
+			steps = t.stepOne(ls, n)
 		} else {
-			steps = t.stepLanes(&ls, n)
+			steps = t.stepLanes(ls, n)
 		}
 		window += steps * ls.live
 		for k := range ls.in[:ls.live] {
@@ -116,82 +130,83 @@ func (t *tier) walk(ctx context.Context, ls laneSet) error {
 			window = 0
 		}
 	}
-	return t.demoteLanes(ctx, &ls)
+	return t.demoteLanes(ctx, ls)
 }
 
 // segments reports whether the tier walks a lone long stream as segments.
 func (t *tier) segments() bool { return !t.demoted && t.speculate && t.cache.limit > Lanes }
 
-// walkSegments walks segments lo to lo+Lanes of the stream ls cuts into
-// len(ls.inputs) equal segments as lanes, each from the start state as if
-// the stream began at its cut, keeping each one's reports and end
-// configuration. A demotion drops the walk.
-func (t *tier) walkSegments(ctx context.Context, ls laneSet, lo int) error {
-	start, input := t.startState(), ls.inputs[len(ls.inputs)-1]
-	ls.live, ls.next = Lanes, len(ls.inputs)
+// walkSegments walks segments lo to lo+Lanes of the stream segs cuts into
+// len(segs.inputs) equal segments as ls's lanes, each from the start state
+// as if the stream began at its cut, keeping each one's reports and end
+// configuration in segs. A demotion drops the walk.
+func (t *tier) walkSegments(ctx context.Context, ls, segs *laneSet, lo int) error {
+	start, input, n, w := t.startState(), segs.inputs[len(segs.inputs)-1], len(segs.inputs), t.prog.nwords
+	ls.reset(segs.inputs[lo:lo+Lanes], segs.outs[lo:lo+Lanes], segs.ends[lo*w:(lo+Lanes)*w])
+	ls.live, ls.next = Lanes, Lanes
 	for k := range Lanes {
-		s := lo + k
-		ls.stream[k], ls.in[k], ls.cur[k] = s, input[s*len(input)/len(ls.inputs):len(ls.inputs[s])], start
-		ls.outs[s] = ls.outs[s][:0]
+		ls.stream[k], ls.in[k], ls.cur[k] = k, input[(lo+k)*len(input)/n:len(ls.inputs[k])], start
+		ls.outs[k] = ls.outs[k][:0]
 	}
 	return t.walk(ctx, ls)
 }
 
-// joinSpans appends the tier's reports for a split stream to out: segment
-// 0's walk, the truth, and then every cut verified in order. A demotion
-// runs the stream on the bitset walk from offset 0 instead.
-func (t *tier) joinSpans(ctx context.Context, ls *laneSet, out []Report, reach int) (_ []Report, err error) {
-	mid := len(out)
-	out = append(out, ls.outs[0]...)
-	for k := 1; k < len(ls.inputs) && err == nil && !t.demoted; k++ {
-		out, err = t.verify(ctx, ls, k, out, reach)
+// joinSpans appends the tier's reports for a split stream to outs[0]:
+// segment 0's walk, the truth, and then every cut verified in order, on
+// ls's lanes. A demotion runs the stream on the bitset walk from offset 0
+// instead.
+func (t *tier) joinSpans(ctx context.Context, segs, ls *laneSet, outs [][]automata.Report, reach int) (err error) {
+	mid := len(outs[0])
+	outs[0] = append(outs[0], segs.outs[0]...)
+	for k := 1; k < len(segs.inputs) && err == nil && !t.demoted; k++ {
+		err = t.verify(ctx, segs, ls, k, outs, reach)
 	}
 	if t.demoted {
-		return t.runDemoted(ctx, ls.inputs[len(ls.inputs)-1], out[:mid], 0, nil)
+		outs[0], err = t.runDemoted(ctx, segs.inputs[len(segs.inputs)-1], outs[0][:mid], 0, nil)
 	}
-	return out, err
+	return err
 }
 
 // verify checks cut k. The true configuration there, segment k-1's end,
 // walks beside a replay of lane k's guess, both cursors pinned: two pinned
 // states share a slot only if they are one configuration, so equal row
-// offsets prove the walks met. Meeting after byte i, out takes the true
-// walk's reports up to i and lane k's after it, and lane k's end is the
-// truth at the next cut. Missing within reach bytes, the true walk
-// finishes the segment as a lane of its own, and its end is: the lane's
+// offsets prove the walks met. Meeting after byte i, outs[0] takes the
+// true walk's reports up to i and lane k's after it, and lane k's end is
+// the truth at the next cut. Missing within reach bytes, the true walk
+// finishes the segment as ls's one lane, and its end is: the lane's
 // stream is segment k's prefix and its end is segment k's slot. A demotion
 // there leaves the stream to joinSpans.
-func (t *tier) verify(ctx context.Context, ls *laneSet, k int, out []Report, reach int) ([]Report, error) {
+func (t *tier) verify(ctx context.Context, segs, ls *laneSet, k int, outs [][]automata.Report, reach int) error {
 	c := t.cache
-	cut, w := len(ls.inputs[k-1]), c.nwords
-	seg := ls.inputs[k][cut:]
+	cut, w := len(segs.inputs[k-1]), c.nwords
+	seg := segs.inputs[k][cut:]
 	n := min(reach, len(seg))
-	truth := c.intern(ls.ends[(k-1)*w:k*w], false) * c.ngroups
+	truth := c.intern(segs.ends[(k-1)*w:k*w], false) * c.ngroups
 	c.pins = [Lanes]int32{truth + 1}
 	guess := t.startState()
 	c.pins[1] = guess + 1
 	for i, sym := range seg[:n] {
-		truth, out, _ = t.slowStep(truth, sym, out, cut+i)
+		truth, outs[0], _ = t.slowStep(truth, sym, outs[0], cut+i)
 		c.pins[0] = truth + 1
 		guess, t.replayed, _ = t.slowStep(guess, sym, t.replayed[:0], cut+i)
 		c.pins[1] = guess + 1
 		if truth == guess {
 			t.specHits, t.missRun = t.specHits+1, 0
-			lane := ls.outs[k]
+			lane := segs.outs[k]
 			for len(lane) > 0 && lane[0].Offset <= cut+i {
 				lane = lane[1:]
 			}
-			return append(out, lane...), nil
+			outs[0] = append(outs[0], lane...)
+			return nil
 		}
 	}
 	t.specMisses++
 	if t.missRun++; t.missRun >= specMissLimit {
 		t.speculate = false
 	}
-	outs := [][]Report{out}
-	err := t.walk(ctx, laneSet{inputs: ls.inputs[k : k+1], outs: outs, ends: ls.ends[k*w : (k+1)*w],
-		in: [Lanes][]byte{seg[n:]}, cur: [Lanes]int32{truth}, live: 1, next: 1})
-	return outs[0], err
+	ls.reset(segs.inputs[k:k+1], outs[:1], segs.ends[k*w:(k+1)*w])
+	ls.stream[0], ls.in[0], ls.cur[0], ls.live, ls.next = 0, seg[n:], truth, 1, 1
+	return t.walk(ctx, ls)
 }
 
 // refill retires the lanes whose streams have ended, keeping a segment's
@@ -333,4 +348,21 @@ func (t *tier) demoteLanes(ctx context.Context, ls *laneSet) (err error) {
 		ls.outs[ls.next], err = t.runDemoted(ctx, ls.inputs[ls.next], ls.outs[ls.next], 0, nil)
 	}
 	return err
+}
+
+// runDemoted finishes a stream on the tier's bitset simulator — the same
+// kernel the nfa-bitset tier runs. It serves a demoted tier's whole runs
+// (config == nil) and the mid-stream hand-off (config = the configuration
+// at the demotion point, counter values included; base = bytes already
+// consumed). The simulator reports per element, so its run is sorted and
+// deduplicated; every report it appends lies past the lazy walk's.
+func (t *tier) runDemoted(ctx context.Context, input []byte, out []automata.Report, base int, config []uint64) ([]automata.Report, error) {
+	if t.sim == nil {
+		t.sim = t.prog.k.NewFastSimulator()
+	}
+	t.sim.Seed(config, base)
+	raw, err := t.sim.Feed(ctx, input)
+	start := len(out)
+	out = append(out, raw...)
+	return out[:start+len(automata.Canonical(out[start:]))], err
 }

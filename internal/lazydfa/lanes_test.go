@@ -60,9 +60,9 @@ func TestLanesMatchSingleWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wants := make([][]Report, len(group))
+		wants := make([][]automata.Report, len(group))
 		for s, in := range group {
-			wants[s] = simSet(sim.Run(in))
+			wants[s] = automata.Canonical(sim.Run(in))
 		}
 		for _, cap := range []int{0, Lanes + 1, Lanes + 2, 7, 8, 9} {
 			for _, noPrefilter := range []bool{false, true} {
@@ -132,7 +132,7 @@ func TestLanesDemotionKeepsCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := simSet(raw); !slices.Equal(outs[s], want) {
+		if want := automata.Canonical(raw); !slices.Equal(outs[s], want) {
 			t.Fatalf("stream %d: %d reports after the demotion, want %d", s, len(outs[s]), len(want))
 		}
 	}

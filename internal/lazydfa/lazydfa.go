@@ -61,7 +61,6 @@ package lazydfa
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -70,14 +69,6 @@ import (
 
 	"repro/internal/automata"
 )
-
-// Report is a report event produced by lazy-DFA execution. Reports are
-// deduplicated by (offset, code): several NFA elements reporting the same
-// code at one offset produce a single event.
-type Report struct {
-	Offset int
-	Code   int
-}
 
 // Options bound the engine's memory use and select its heuristics.
 type Options struct {
@@ -157,10 +148,11 @@ func (o *Options) withDefaults() options {
 // independent matcher sharing the immutable compiled tables.
 type Matcher struct {
 	tiers    []*tier // the pure component set's, then the special set's; either may be absent
-	mergeBuf []Report
-	outs     [][]Report // RunGroup's per-stream report runs
-	mids     []int      // where the current tier's run starts in each of outs
-	spans    spans      // the stream m last split
+	mergeBuf []automata.Report
+	outs     [][]automata.Report // RunGroup's per-stream report runs
+	mids     []int               // where the current tier's run starts in each of outs
+	lanes    laneSet             // every walk's lanes
+	spans    spans               // the stream m last split
 }
 
 // tier is the lazy DFA of one component set: its compiled facts, state
@@ -173,7 +165,7 @@ type tier struct {
 	nextBuf   []uint64
 	codesBuf  []int
 
-	replayed []Report // the segment walk's replayed guess's discarded reports
+	replayed []automata.Report // the segment walk's replayed guess's discarded reports
 
 	// Prefilter state. prefilter starts true when the design has usable
 	// facts and flips off permanently when measured dead runs are too
@@ -329,7 +321,7 @@ func (m *Matcher) Demoted() bool {
 
 // Run executes the design over one input stream and returns the merged
 // report events in (offset, code) order.
-func (m *Matcher) Run(input []byte) []Report {
+func (m *Matcher) Run(input []byte) []automata.Report {
 	out, _ := m.RunAppend(context.Background(), input, nil)
 	return out
 }
@@ -338,7 +330,7 @@ func (m *Matcher) Run(input []byte) []Report {
 // (which may be nil) so callers can recycle report buffers across streams:
 // input is processed in chunks and the run aborts with ctx.Err() once ctx
 // is done, returning the reports produced so far.
-func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]Report, error) {
+func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []automata.Report) ([]automata.Report, error) {
 	outs, err := m.RunGroup(ctx, [][]byte{input})
 	return append(dst, outs[0]...), err
 }
@@ -353,13 +345,13 @@ func (m *Matcher) RunAppend(ctx context.Context, input []byte, dst []Report) ([]
 // waits for theirs, and joins them. The runs are scratch owned by m and
 // valid until its next run. If ctx ends first, the walk stops, the runs
 // hold a prefix of each stream's reports, and err is ctx.Err().
-func (m *Matcher) RunGroup(ctx context.Context, inputs [][]byte) ([][]Report, error) {
+func (m *Matcher) RunGroup(ctx context.Context, inputs [][]byte) ([][]automata.Report, error) {
 	return m.runGroup(ctx, inputs, specReach)
 }
 
 // runGroup is RunGroup with the segment walk's cut checks at most reach
 // bytes deep.
-func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [][]Report, err error) {
+func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [][]automata.Report, err error) {
 	sp := &m.spans
 	if sp.ctx == nil && len(inputs) == 1 && len(inputs[0]) >= SpanBytes {
 		m.Split(ctx, inputs[0], 1)
@@ -369,7 +361,7 @@ func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [
 		sp.walks.Wait()
 	}
 	if len(m.outs) < len(inputs) {
-		m.outs, m.mids = make([][]Report, len(inputs)), make([]int, len(inputs))
+		m.outs, m.mids = make([][]automata.Report, len(inputs)), make([]int, len(inputs))
 	}
 	outs := m.outs[:len(inputs)]
 	for s := range outs {
@@ -380,9 +372,9 @@ func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [
 			m.mids[s] = len(outs[s])
 		}
 		if sp.ctx != nil && !sp.failed[i].Load() {
-			outs[0], err = t.joinSpans(ctx, &sp.tiers[i], outs[0], reach)
+			err = t.joinSpans(ctx, &sp.tiers[i], &m.lanes, outs, reach)
 		} else { // the group on the lanes, and a split stream whose span walks did not all stand as one lane
-			err = t.walk(ctx, laneSet{inputs: inputs, outs: outs})
+			err = t.walk(ctx, m.lanes.reset(inputs, outs, nil))
 		}
 		for s := range outs {
 			outs[s] = m.merge(outs[s], m.mids[s])
@@ -395,6 +387,7 @@ func (m *Matcher) runGroup(ctx context.Context, inputs [][]byte, reach int) (_ [
 		clear(sp.tiers[0].inputs)
 		sp.ctx = nil
 	}
+	m.lanes.release()
 	return outs, err
 }
 
@@ -433,7 +426,7 @@ func (m *Matcher) Split(ctx context.Context, input []byte, n int) {
 	for i, t := range m.tiers {
 		ls, w := &sp.tiers[i], t.prog.nwords
 		ls.inputs, ls.ends = prefixes, slices.Grow(ls.ends[:0], segs*w)[:segs*w]
-		ls.outs = append(ls.outs, make([][]Report, max(segs-len(ls.outs), 0))...)
+		ls.outs = append(ls.outs, make([][]automata.Report, max(segs-len(ls.outs), 0))...)
 	}
 	sp.ctx, sp.failed = ctx, [2]atomic.Bool{}
 	sp.walks.Add(n)
@@ -445,13 +438,14 @@ func (m *Matcher) Split(ctx context.Context, input []byte, n int) {
 // walk segments, demotes or is cancelled leaves the tier to the splitter.
 func (m *Matcher) HelpSpans(splitter *Matcher) (walked int) {
 	sp := &splitter.spans
+	defer m.lanes.release()
 	for ; ; walked++ {
 		v := sp.next.Add(1) - 1
 		if int32(v) >= int32(v>>32) {
 			return walked
 		}
 		for i, t := range m.tiers {
-			if sp.failed[i].Load() || !t.segments() || t.walkSegments(sp.ctx, sp.tiers[i], Lanes*int(int32(v))) != nil || t.demoted {
+			if sp.failed[i].Load() || !t.segments() || t.walkSegments(sp.ctx, &m.lanes, &sp.tiers[i], Lanes*int(int32(v))) != nil || t.demoted {
 				sp.failed[i].Store(true)
 			}
 		}
@@ -463,15 +457,15 @@ func (m *Matcher) HelpSpans(splitter *Matcher) (walked int) {
 // tiers' reports and one tier's — into one canonical run in place, keeping
 // a single copy of an (offset, code) both reported. The lazy walk emits
 // reports canonical (offset-ordered, codes sorted and distinct per offset),
-// and runDemoted canonicalizes the bitset walk's.
-func (m *Matcher) merge(out []Report, mid int) []Report {
+// and runDemoted makes the bitset walk's automata.Canonical.
+func (m *Matcher) merge(out []automata.Report, mid int) []automata.Report {
 	if mid == 0 || mid == len(out) {
 		return out
 	}
 	m.mergeBuf = append(m.mergeBuf[:0], out[:mid]...)
 	a, b, w := m.mergeBuf, out[mid:], 0
 	for ; len(a) > 0 || len(b) > 0; w++ {
-		if len(b) == 0 || len(a) > 0 && !less(b[0], a[0]) {
+		if len(b) == 0 || len(a) > 0 && automata.CompareReports(a[0], b[0]) <= 0 {
 			if len(b) > 0 && a[0] == b[0] {
 				b = b[1:]
 			}
@@ -483,16 +477,12 @@ func (m *Matcher) merge(out []Report, mid int) []Report {
 	return out[:w]
 }
 
-func less(a, b Report) bool {
-	return a.Offset < b.Offset || a.Offset == b.Offset && a.Code < b.Code
-}
-
 // slowStep takes the step from row offset cur on sym off the fast path: it
 // fills an unfilled cell, appends the step's reports at offset, and drops a
 // rest flag the prefilter no longer wants. It returns the successor's row
 // offset, out, and whether the step entered the rest state with the
 // prefilter on, so the caller skips dead bytes.
-func (t *tier) slowStep(cur int32, sym byte, out []Report, offset int) (int32, []Report, bool) {
+func (t *tier) slowStep(cur int32, sym byte, out []automata.Report, offset int) (int32, []automata.Report, bool) {
 	c := t.cache
 	g := int32(t.prog.groupOf[sym])
 	v := c.rows[cur+g]
@@ -503,7 +493,7 @@ func (t *tier) slowStep(cur int32, sym byte, out []Report, offset int) (int32, [
 		for _, gc := range c.meta[cur/c.ngroups].reps {
 			if gc.group == g {
 				for _, code := range gc.codes {
-					out = append(out, Report{Offset: offset, Code: code})
+					out = append(out, automata.Report{Offset: offset, Code: code})
 				}
 				break
 			}
@@ -587,12 +577,4 @@ func (t *tier) skipDead(s []byte) int {
 	}
 	t.skipped += n
 	return n
-}
-
-// canonicalize sorts rs by (offset, code) and drops duplicates in place,
-// returning the shortened slice; on a run already canonical both passes
-// are linear.
-func canonicalize(rs []Report) []Report {
-	slices.SortFunc(rs, func(a, b Report) int { return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Code, b.Code)) })
-	return slices.Compact(rs)
 }

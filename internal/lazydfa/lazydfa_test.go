@@ -100,16 +100,6 @@ func randomInput(rng *rand.Rand, size int) []byte {
 	return input
 }
 
-// simSet converts NFA simulator reports to the lazy engine's canonical
-// (offset, code) set representation.
-func simSet(rs []automata.Report) []Report {
-	var out []Report
-	for _, r := range rs {
-		out = append(out, Report{Offset: r.Offset, Code: r.Code})
-	}
-	return canonicalize(out)
-}
-
 // TestCrossCheckRandom is the cross-check property: on randomized networks
 // (including counter and gate designs, whose DFA states carry counter
 // values) the lazy engine's report set equals both reference simulators',
@@ -130,7 +120,7 @@ func TestCrossCheckRandom(t *testing.T) {
 			}
 			for inTrial := 0; inTrial < 4; inTrial++ {
 				input := randomInput(rng, rng.Intn(40))
-				want := simSet(sim.Run(input))
+				want := automata.Canonical(sim.Run(input))
 				got := m.Run(input)
 				if len(got) == 0 {
 					got = nil
@@ -142,7 +132,7 @@ func TestCrossCheckRandom(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(simSet(fast), want) {
+				if !reflect.DeepEqual(automata.Canonical(fast), want) {
 					t.Fatalf("trial %d input %q: fastsim diverged from sim", trial, input)
 				}
 			}
@@ -164,7 +154,7 @@ func TestTinyCapEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.Run([]byte("ababcabcab"))
-	want := []Report{{Offset: 4, Code: 0}, {Offset: 7, Code: 0}}
+	want := []automata.Report{{Offset: 4, Code: 0}, {Offset: 7, Code: 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reports = %v, want %v", got, want)
 	}
@@ -273,7 +263,7 @@ func TestDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := simSet(raw)
+	want := automata.Canonical(raw)
 	got := m.Run(input)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("demoting run diverged: %d reports vs %d", len(got), len(want))
@@ -321,7 +311,7 @@ func TestPrefilterSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.Run(input)
-	want := []Report{{Offset: 1005, Code: 0}, {Offset: 60005, Code: 0}}
+	want := []automata.Report{{Offset: 1005, Code: 0}, {Offset: 60005, Code: 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reports = %v, want %v", got, want)
 	}
@@ -413,7 +403,7 @@ func TestHybridTiers(t *testing.T) {
 	// The latched counter reaches its target at offset 0 and stays active
 	// every cycle thereafter; the "ab" chain reports at offset 2.
 	got := m.Run([]byte("yab"))
-	want := []Report{{Offset: 0, Code: 1}, {Offset: 1, Code: 1}, {Offset: 2, Code: 0}, {Offset: 2, Code: 1}}
+	want := []automata.Report{{Offset: 0, Code: 1}, {Offset: 1, Code: 1}, {Offset: 2, Code: 0}, {Offset: 2, Code: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed reports = %v, want %v", got, want)
 	}
@@ -466,7 +456,7 @@ func TestStartOfDataAnchoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Run([]byte("ab")); len(got) != 1 || got[0] != (Report{Offset: 1, Code: 0}) {
+	if got := m.Run([]byte("ab")); len(got) != 1 || got[0] != (automata.Report{Offset: 1, Code: 0}) {
 		t.Fatalf("anchored run = %v", got)
 	}
 	if got := m.Run([]byte("xab")); len(got) != 0 {
@@ -514,7 +504,7 @@ func TestCounterTierDemotionKeepsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := simSet(raw)
+	want := automata.Canonical(raw)
 
 	m, err := New(n, &Options{MaxCacheBytes: 1})
 	if err != nil {

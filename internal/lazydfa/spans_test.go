@@ -14,7 +14,7 @@ import (
 // order, and then joins them on ms[0], the matcher that split the stream,
 // with cut checks at most reach bytes deep. Every span is claimed before
 // the join, so ms[0] walks none there.
-func runSpansAs(ctx context.Context, ms []*Matcher, owner []int, input []byte, reach int) ([]Report, error) {
+func runSpansAs(ctx context.Context, ms []*Matcher, owner []int, input []byte, reach int) ([]automata.Report, error) {
 	n := int64(len(input) / SpanBytes)
 	ms[0].Split(ctx, input, int(n))
 	for k := range n {
@@ -111,7 +111,7 @@ func TestSpansHelperDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := simSet(raw)
+	want := automata.Canonical(raw)
 	for _, owner := range [][]int{{1, 0, 1, 0}, {0, 1, 1, 1}, {1, 1, 1, 1}, {0, 0, 1, 0}} {
 		m, err := New(n, &Options{MaxCachedStates: 64})
 		if err != nil {

@@ -12,13 +12,13 @@ import (
 )
 
 // fastSet is the canonical report set of the bitset walk over input.
-func fastSet(t *testing.T, n *automata.Network, input []byte) []Report {
+func fastSet(t *testing.T, n *automata.Network, input []byte) []automata.Report {
 	t.Helper()
 	raw, err := n.RunFast(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return simSet(raw)
+	return automata.Canonical(raw)
 }
 
 // TestSpeculationMatchesBitset is the segment walk's differential property:
@@ -125,7 +125,7 @@ func TestSpeculationDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.Run(input), simSet(raw); !slices.Equal(got, want) {
+	if got, want := m.Run(input), automata.Canonical(raw); !slices.Equal(got, want) {
 		t.Fatalf("%d reports after a demotion in the segment walk, want %d", len(got), len(want))
 	}
 	if m.Demotions() != 1 || m.CachedStates() != 0 || m.SpeculationHits()+m.SpeculationMisses() != 0 {

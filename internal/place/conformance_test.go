@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -25,14 +26,6 @@ import (
 	"repro/internal/place"
 	"repro/internal/rapidgen"
 )
-
-func reportKeys(rs []automata.Report) map[[2]int]bool {
-	out := make(map[[2]int]bool, len(rs))
-	for _, r := range rs {
-		out[[2]int{r.Offset, r.Code}] = true
-	}
-	return out
-}
 
 // placementSurface is the comparable part of a Placement.
 func placementSurface(p *place.Placement) [3]interface{} {
@@ -69,11 +62,11 @@ func conformOne(t *testing.T, name string, net *automata.Network, st *place.Stam
 	pTop := parallel.Network.MustFreeze()
 	mTop := stamped.Network.MustFreeze()
 	for i, input := range inputs {
-		want := reportKeys(sTop.Run(input))
-		if got := reportKeys(pTop.Run(input)); !reflect.DeepEqual(got, want) {
+		want := automata.Canonical(sTop.Run(input))
+		if got := automata.Canonical(pTop.Run(input)); !slices.Equal(got, want) {
 			t.Fatalf("%s input %d: parallel reports differ: got %d keys, want %d", name, i, len(got), len(want))
 		}
-		if got := reportKeys(mTop.Run(input)); !reflect.DeepEqual(got, want) {
+		if got := automata.Canonical(mTop.Run(input)); !slices.Equal(got, want) {
 			t.Fatalf("%s input %d: stamped reports differ: got %d keys, want %d", name, i, len(got), len(want))
 		}
 	}

@@ -163,10 +163,10 @@ func TestQuotaStreamPerRecord(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
 	}
-	var lines []streamResult
+	var lines []StreamResult
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var line streamResult
+		var line StreamResult
 		if err := dec.Decode(&line); err == io.EOF {
 			break
 		} else if err != nil {

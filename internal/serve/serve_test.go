@@ -68,7 +68,7 @@ func reportSet(reports []rapid.Report) []string {
 	return out
 }
 
-func jsonReportSet(reports []reportJSON) []string {
+func jsonReportSet(reports []WireReport) []string {
 	raw := make([]rapid.Report, len(reports))
 	for i, r := range reports {
 		raw[i] = rapid.Report{Offset: r.Offset, Code: r.Code}
@@ -374,7 +374,7 @@ func TestStreamEndpointParity(t *testing.T) {
 	dec := json.NewDecoder(resp.Body)
 	lines := 0
 	for {
-		var line streamResult
+		var line StreamResult
 		if err := dec.Decode(&line); err == io.EOF {
 			break
 		} else if err != nil {
@@ -460,7 +460,7 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 			dec := json.NewDecoder(resp.Body)
 			lines := 0
 			for ; ; lines++ {
-				var line streamResult
+				var line StreamResult
 				if err := dec.Decode(&line); err == io.EOF {
 					break
 				} else if err != nil {

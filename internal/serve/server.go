@@ -440,7 +440,9 @@ func (req *matchRequest) input() ([]byte, error) {
 	return []byte(req.Text), nil
 }
 
-type reportJSON struct {
+// WireReport is one report on the wire: the report event and its code's
+// source site.
+type WireReport struct {
 	Offset int    `json:"offset"`
 	Code   int    `json:"code"`
 	Site   string `json:"site,omitempty"`
@@ -451,7 +453,7 @@ type matchResponse struct {
 	Hash    string       `json:"hash"`
 	Backend string       `json:"backend"`
 	Count   int          `json:"count"`
-	Reports []reportJSON `json:"reports"`
+	Reports []WireReport `json:"reports"`
 }
 
 // handleMatch serves both request forms: a raw body (RawBody) is the input,
@@ -502,16 +504,17 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamResult is one NDJSON line of the streaming endpoint: the reports
-// of one record, with offsets rebased to stream coordinates. A failed
-// record carries the structured error fields instead of reports — the
-// same code vocabulary as ErrorBody, so clients can type per-record
-// failures and retry the retryable ones.
-type streamResult struct {
+// StreamResult is one NDJSON line of the streaming endpoint, and of the
+// gateway's, which relays it rewritten: the reports of one record, with
+// offsets rebased to stream coordinates. A failed record carries the
+// structured error fields instead of reports — the same code vocabulary
+// as ErrorBody, so clients can type per-record failures and retry the
+// retryable ones.
+type StreamResult struct {
 	Index        int          `json:"index"`
 	Offset       int          `json:"offset"`
 	Count        int          `json:"count"`
-	Reports      []reportJSON `json:"reports"`
+	Reports      []WireReport `json:"reports"`
 	Error        string       `json:"error,omitempty"`
 	Code         string       `json:"code,omitempty"`
 	RetryAfterMS int64        `json:"retry_after_ms,omitempty"`
@@ -545,11 +548,11 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		rec, offset, err := body.next()
 		if rec == nil {
 			if err != nil && err != io.EOF {
-				_ = enc.Encode(streamResult{Index: index, Error: err.Error(), Code: CodeBadRequest})
+				_ = enc.Encode(StreamResult{Index: index, Error: err.Error(), Code: CodeBadRequest})
 			}
 			return
 		}
-		line := streamResult{Index: index, Offset: offset}
+		line := StreamResult{Index: index, Offset: offset}
 		d, reports, err := s.submitNamed(r.Context(), name, tenant, rapid.FrameRecords(rec))
 		if err != nil {
 			_, code, retryAfter := s.errorStatus(err)
@@ -617,10 +620,10 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 
 // toReportJSON encodes reports with offsets shifted by rebase, resolving
 // each code's site from sites.
-func toReportJSON(reports []rapid.Report, rebase int, sites map[int]string) []reportJSON {
-	out := make([]reportJSON, len(reports))
+func toReportJSON(reports []rapid.Report, rebase int, sites map[int]string) []WireReport {
+	out := make([]WireReport, len(reports))
 	for i, r := range reports {
-		out[i] = reportJSON{Offset: r.Offset + rebase, Code: r.Code, Site: sites[r.Code]}
+		out[i] = WireReport{Offset: r.Offset + rebase, Code: r.Code, Site: sites[r.Code]}
 	}
 	return out
 }

@@ -175,13 +175,10 @@ func (d *Design) Stats() Stats {
 	}
 }
 
-// Report is a report event produced by simulation: a reporting element was
-// active while processing the symbol at Offset. Code identifies the report
-// statement instance; Design.Site maps it to its source location.
-type Report struct {
-	Offset int
-	Code   int
-}
+// Report is a report event, what every backend returns: a reporting element
+// was active while processing the symbol at Offset. Code identifies the
+// report statement instance; Design.Site maps it to its source location.
+type Report = automata.Report
 
 // Site describes the source location of the report statement instance
 // code, "" when unknown. Reports carry only the code, as the device's
@@ -196,8 +193,7 @@ func (d *Design) Sites() map[int]string { return maps.Clone(d.reports) }
 // simulation proceeds in chunks and aborts promptly with ctx.Err() once
 // ctx is done, returning the reports produced up to that point.
 func (d *Design) Run(ctx context.Context, input []byte) ([]Report, error) {
-	raw, err := d.net.RunContext(ctx, input)
-	return convertReports(raw), err
+	return d.net.RunContext(ctx, input)
 }
 
 // RunBytes is Run with context.Background().
@@ -205,13 +201,10 @@ func (d *Design) RunBytes(input []byte) ([]Report, error) {
 	return d.Run(context.Background(), input)
 }
 
-func convertReports(raw []automata.Report) []Report {
-	out := make([]Report, len(raw))
-	for i, r := range raw {
-		out[i] = Report{Offset: r.Offset, Code: r.Code}
-	}
-	return out
-}
+// Canonical sorts reports by (offset, code) and drops duplicates in place,
+// returning the shortened slice: the form in which two backends' report
+// sets compare equal.
+func Canonical(reports []Report) []Report { return automata.Canonical(reports) }
 
 // Offsets returns the distinct report offsets of a report list, sorted.
 func Offsets(reports []Report) []int {
@@ -381,14 +374,13 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 // gives each goroutine its own cheap copy.
 func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
 	start := r.bm.start()
-	var raw []automata.Report
+	var out []Report
 	var err error
 	if r.sim != nil {
-		raw, err = r.sim.RunContext(ctx, input)
+		out, err = r.sim.RunContext(ctx, input)
 	} else {
 		err = ctx.Err()
 	}
-	out := convertReports(raw)
 	r.bm.record(len(input), len(out), err, start)
 	return out, err
 }

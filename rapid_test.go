@@ -2,9 +2,14 @@ package rapid
 
 import (
 	"bytes"
+	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // mustRunBytes runs a backend over input and fails the test on error —
@@ -283,5 +288,69 @@ func TestOffsets(t *testing.T) {
 		if got := Offsets(tc.in); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: Offsets = %#v, want %#v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestWarmRunnerRunAllocs pins what a warm device-tier run allocates: the
+// simulator's report slice, returned as is, with no copy into a second
+// report type (the copy was one more allocation). The input reports once,
+// so the slice is one allocation.
+func TestWarmRunnerRunAllocs(t *testing.T) {
+	runner, err := mustDesign(t, exactSrc, Strings([]string{"abc"})).NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("abc")
+	if got := mustRunBytes(t, runner, input); len(got) != 1 {
+		t.Fatalf("%d reports, want 1", len(got))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { runner.RunBytes(input) }); allocs != 1 {
+		t.Fatalf("warm Runner.Run made %.1f allocations, want 1", allocs)
+	}
+}
+
+// TestPaperDesignsOneReportSet: on the five paper designs at one instance,
+// the reference simulator (Design.Run and the reference backend), the
+// device runner and the engine return one canonical report set.
+func TestPaperDesignsOneReportSet(t *testing.T) {
+	for _, b := range bench.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			src, args := b.RAPID(1)
+			design := mustDesign(t, src, args...)
+			input := b.Input(rand.New(rand.NewSource(50)), 4096)
+			want, err := design.RunBytes(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = Canonical(want)
+			if len(want) == 0 {
+				t.Fatal("the input reports nothing")
+			}
+			runner, err := design.NewRunner()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := design.NewEngine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := design.Backend(BackendReference)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, run := range map[string]func() ([]Report, error){
+				"Runner.Run": func() ([]Report, error) { return runner.RunBytes(input) },
+				"Engine.Run": func() ([]Report, error) { return eng.RunBytes(input) },
+				"reference":  func() ([]Report, error) { return ref.Match(context.Background(), input) },
+			} {
+				got, err := run()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got = Canonical(slices.Clone(got)); !slices.Equal(got, want) {
+					t.Errorf("%s: %d canonical reports, Design.Run %d", name, len(got), len(want))
+				}
+			}
+		})
 	}
 }

@@ -204,6 +204,7 @@ func (c *Client) MatchStream(ctx context.Context, design string, stream []byte) 
 			RetryAfterMS int64  `json:"retry_after_ms"`
 			// The wire's per-report site matches no field and is
 			// skipped; Designs returns each design's sites once.
+			// Not serve.StreamResult: it would allocate every site.
 			Reports []rapid.Report `json:"reports"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {

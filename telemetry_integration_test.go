@@ -66,8 +66,8 @@ func TestBackendEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend %s: %v", kind, err)
 		}
-		if !reportSetKeyEqual(reportSet(got), reportSet(want)) {
-			t.Fatalf("backend %s report set %v != reference %v", kind, reportSet(got), reportSet(want))
+		if !sameReportSet(got, want) {
+			t.Fatalf("backend %s report set %v != reference %v", kind, got, want)
 		}
 	}
 
