@@ -1,8 +1,11 @@
 package gateway
 
 import (
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/serve"
@@ -144,4 +147,93 @@ func TestGatewayMatchCache(t *testing.T) {
 	if got := reg.Snapshot().Counter(metricRequests, "replica", repID, "outcome", "relayed_error"); got != 2 {
 		t.Fatalf("relayed errors = %d, want 2 (refusals must not be cached)", got)
 	}
+}
+
+// TestResponseCacheSurvivesMissBurst: entries that were hit stay cached
+// through one-off misses totalling four times the byte bound, the byte
+// bound holds after every store, and the protected segment stays within
+// its share.
+func TestResponseCacheSurvivesMissBurst(t *testing.T) {
+	const max = 64 << 10
+	reg := telemetry.NewRegistry()
+	c := newResponseCache(max, newGatewayMetrics(reg))
+	resp := testCacheResponse(strings.Repeat("x", 1000))
+	hot := make([]string, 24) // ≈ 31 KiB, within the protected ¾
+	for i := range hot {
+		hot[i] = inputHash(true, []byte(fmt.Sprint("hot", i)))
+		c.store("d", "hash1", hot[i], resp)
+	}
+	for _, in := range hot {
+		if c.lookup("d", in) == nil {
+			t.Fatal("a stored entry missed")
+		}
+	}
+	var stored int64
+	for i := 0; stored < 4*max; i++ {
+		in := inputHash(true, []byte(fmt.Sprint("miss", i)))
+		c.store("d", "hash1", in, resp)
+		stored += int64(len(resp.body)+len("hash1")+len(in)) + 256
+		if n, _ := reg.Snapshot().Value(metricCacheBytes); n > max || c.probation.bytes+c.protected.bytes > max {
+			t.Fatalf("after %d misses the cache holds %v B, over its %d B bound", i+1, n, max)
+		}
+	}
+	for i, in := range hot {
+		if c.lookup("d", in) == nil {
+			t.Fatalf("hot entry %d was evicted by one-off misses", i)
+		}
+	}
+	if c.protected.bytes > max*3/4 {
+		t.Fatalf("protected segment holds %d B, over ¾ of %d", c.protected.bytes, max)
+	}
+	if got := reg.Snapshot().Counter(metricCacheEvictions); got == 0 {
+		t.Fatal("no evictions recorded for a burst four times the bound")
+	}
+}
+
+// TestGatewayCacheConcurrentHits: raw matches from several goroutines at
+// once, hits on shared cached replies beside misses that store and evict
+// several times the byte bound, each answer the body and cache outcome its
+// input calls for: the entries being hit are never evicted. Run it under
+// -race: the cached replies' header values and the pooled body scratch are
+// shared across requests.
+func TestGatewayCacheConcurrentHits(t *testing.T) {
+	r1 := startReplica(t, "", serve.Config{})
+	cfg := testGatewayConfig([]string{r1.addr}, nil)
+	cfg.CacheMaxBytes = 16 << 10
+	g := mustGateway(t, cfg)
+	waitAllReady(t, g)
+	raw := func(input string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/match?design=d", strings.NewReader(input))
+		req.Header.Set("Content-Type", serve.RawContentType)
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	hot := []string{"xxabcx", "abcabc", "zzzabc", "ab"}
+	want := map[string]string{}
+	for _, in := range hot {
+		want[in] = raw(in).Body.String()
+		if rec := raw(in); rec.Header().Get(CacheHeader) != "hit" || rec.Body.String() != want[in] {
+			t.Fatalf("%q: second match %s=%q, body %q", in, CacheHeader, rec.Header().Get(CacheHeader), rec.Body)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				in := hot[(w+i)%len(hot)]
+				if rec := raw(in); rec.Code != http.StatusOK || rec.Header().Get(CacheHeader) != "hit" || rec.Body.String() != want[in] {
+					t.Errorf("%q: %d %s=%q %q, want a hit with %q", in, rec.Code, CacheHeader, rec.Header().Get(CacheHeader), rec.Body, want[in])
+					return
+				}
+				if rec := raw(fmt.Sprintf("miss-%d-%d-abc", w, i)); rec.Code != http.StatusOK || rec.Header().Get(CacheHeader) != "miss" {
+					t.Errorf("one-off input: %d %s=%q", rec.Code, CacheHeader, rec.Header().Get(CacheHeader))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -17,8 +17,9 @@
 // number of them behind a TCP load balancer.
 //
 // Idempotent /v1/match responses are cached gateway-side, keyed on design
-// hash + body form + body hash (bounded bytes, LRU), so repeated probes and
-// hot queries never touch a replica. A raw match (application/octet-stream,
+// hash + body form + body hash (bounded bytes, segmented LRU: one-off misses
+// cannot flush entries that are being hit), so repeated probes and hot
+// queries never touch a replica. A raw match (application/octet-stream,
 // design in the query) is routed and keyed without parsing its body.
 //
 // Failover policy follows the serve layer's error vocabulary: transport
@@ -369,37 +370,61 @@ func (rt *route) next() *replica {
 
 // bufferedResponse is a fully-read upstream response, safe to relay after
 // the upstream connection is gone. It keeps only the header values relay
-// copies.
+// copies, each the first of the upstream's values as an immutable
+// one-element slice that every relay of a cached response assigns as is.
 type bufferedResponse struct {
 	status      int
-	contentType string
-	retryAfter  string
-	designHash  string
-	idempotent  string
+	contentType []string
+	retryAfter  []string
+	designHash  []string
+	idempotent  []string
 	body        []byte
 }
 
 func newBufferedResponse(resp *http.Response, body []byte) *bufferedResponse {
+	first := func(key string) []string {
+		if v := resp.Header[key]; len(v) > 0 && v[0] != "" {
+			return v[:1:1]
+		}
+		return nil
+	}
 	return &bufferedResponse{
 		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
-		designHash:  resp.Header.Get(serve.DesignHashHeader),
-		idempotent:  resp.Header.Get(serve.IdempotentHeader),
+		contentType: first("Content-Type"),
+		retryAfter:  first("Retry-After"),
+		designHash:  first(serve.DesignHashHeader),
+		idempotent:  first(serve.IdempotentHeader),
 		body:        body,
 	}
 }
 
+// header returns a relayed header's value, "" when it has none.
+func header(v []string) string {
+	if v == nil {
+		return ""
+	}
+	return v[0]
+}
+
+// X-Rapid-Cache values, shared by every response; net/http only reads them.
+var (
+	cacheHit  = []string{"hit"}
+	cacheMiss = []string{"miss"}
+)
+
 func (g *Gateway) relay(w http.ResponseWriter, resp *bufferedResponse) {
 	h := w.Header()
-	for _, kv := range [...][2]string{
+	for _, kv := range [...]struct {
+		key   string
+		value []string
+	}{
 		{"Content-Type", resp.contentType},
 		{"Retry-After", resp.retryAfter},
 		{serve.DesignHashHeader, resp.designHash},
 		{serve.IdempotentHeader, resp.idempotent},
 	} {
-		if kv[1] != "" {
-			h.Set(kv[0], kv[1])
+		if kv.value != nil {
+			h[kv.key] = kv.value
 		}
 	}
 	w.WriteHeader(resp.status)
@@ -418,9 +443,9 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, pathAndQuer
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range []string{"Content-Type", serve.TenantHeader} {
-		if v := hdr.Get(k); v != "" {
-			req.Header.Set(k, v)
+	for _, k := range [...]string{"Content-Type", serve.TenantHeader} {
+		if v := hdr[k]; len(v) > 0 && v[0] != "" {
+			req.Header[k] = v[:1:1] // the client's own value, which net/http only reads
 		}
 	}
 	g.acquire(rep)
@@ -430,7 +455,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, pathAndQuer
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := serve.ReadBody(nil, resp.Body, resp.ContentLength, g.cfg.MaxBodyBytes)
+	data, err := serve.ReadBody(nil, resp.Body, resp.ContentLength, g.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +664,13 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 			"gateway draining", g.cfg.RetryAfter)
 		return
 	}
-	body, err := serve.ReadBody(w, r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
+	// The body is read into pooled scratch and hashed there: a hit never
+	// copies it, and a miss copies it out before forwarding, because the
+	// upstream transport may still read a request body after it answers.
+	scratch := serve.GetScratch()
+	defer serve.PutScratch(scratch)
+	body, err := serve.ReadBody(w, r.Body, r.ContentLength, g.cfg.MaxBodyBytes, *scratch)
+	*scratch = body
 	if err != nil {
 		serve.WriteErrorBody(w, http.StatusBadRequest, serve.CodeBadRequest,
 			fmt.Sprintf("gateway: reading request body: %v", err), 0)
@@ -650,13 +681,11 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// malformed one still routes (to the ""-keyed owner) so the replica
 	// reports the parse error.
 	raw := serve.RawBody(r)
-	var req struct {
-		Design string `json:"design"`
-	}
+	var design string
 	if raw {
-		req.Design = r.URL.Query().Get("design")
+		design = serve.QueryDesign(r.URL.RawQuery)
 	} else {
-		_ = json.Unmarshal(body, &req)
+		design = jsonDesign(body)
 	}
 
 	// Identical idempotent matches are answered from the gateway cache —
@@ -664,23 +693,33 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var inHash string
 	if g.cache != nil {
 		inHash = inputHash(raw, body)
-		if resp := g.cache.lookup(req.Design, inHash); resp != nil {
+		if resp := g.cache.lookup(design, inHash); resp != nil {
 			g.tel.cacheHits.Inc()
-			w.Header().Set(CacheHeader, "hit")
+			w.Header()[CacheHeader] = cacheHit
 			g.relay(w, resp)
 			return
 		}
 		g.tel.cacheMisses.Inc()
-		w.Header().Set(CacheHeader, "miss")
+		w.Header()[CacheHeader] = cacheMiss
 	}
-	resp := g.proxyWithFailover(w, r, "/v1/match", req.Design, body)
+	resp := g.proxyWithFailover(w, r, "/v1/match", design, bytes.Clone(body))
 	if resp == nil {
 		return
 	}
 	// Stored before it is relayed, so a client that sends the same match
 	// once it has this reply finds it cached.
-	if g.cache != nil && resp.status == http.StatusOK && resp.idempotent == "true" {
-		g.cache.store(req.Design, resp.designHash, inHash, resp)
+	if g.cache != nil && resp.status == http.StatusOK && header(resp.idempotent) == "true" {
+		g.cache.store(design, header(resp.designHash), inHash, resp)
 	}
 	g.relay(w, resp)
+}
+
+// jsonDesign is a JSON match body's design field, "" when it has none or
+// is malformed.
+func jsonDesign(body []byte) string {
+	var req struct {
+		Design string `json:"design"`
+	}
+	_ = json.Unmarshal(body, &req)
+	return req.Design
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,8 +30,8 @@ func (g *Gateway) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 			"gateway draining", g.cfg.RetryAfter)
 		return
 	}
-	design := r.URL.Query().Get("design")
-	raw, err := serve.ReadBody(w, r.Body, r.ContentLength, g.cfg.MaxBodyBytes)
+	design := serve.QueryDesign(r.URL.RawQuery)
+	raw, err := serve.ReadBody(w, r.Body, r.ContentLength, g.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		serve.WriteErrorBody(w, http.StatusBadRequest, serve.CodeBadRequest,
 			fmt.Sprintf("gateway: reading request body: %v", err), 0)
@@ -47,7 +46,6 @@ func (g *Gateway) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		tenant:  r.Header.Get(serve.TenantHeader),
 		records: records,
 		offsets: offsets,
-		enc:     json.NewEncoder(w),
 	}
 	st.flusher, _ = w.(http.Flusher)
 
@@ -78,14 +76,14 @@ func (g *Gateway) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	// exactly the suffix that was never executed.
 	for i := st.acked; i < len(records); i++ {
 		g.tel.streamRecords.With("unavailable").Inc()
-		line := serve.StreamResult{
+		st.out = serve.AppendStreamResult(st.out[:0], &serve.StreamResult{
 			Index:        i,
 			Offset:       offsets[i],
 			Error:        fmt.Sprintf("gateway: no replica could serve the record: %v", err),
 			Code:         serve.CodeUpstreamUnavailable,
 			RetryAfterMS: g.cfg.RetryAfter.Milliseconds(),
-		}
-		if encErr := st.enc.Encode(line); encErr != nil {
+		}, serve.Sites{})
+		if _, werr := w.Write(st.out); werr != nil {
 			return
 		}
 	}
@@ -102,8 +100,8 @@ type streamState struct {
 	tenant  string
 	records [][]byte
 	offsets []int
-	enc     *json.Encoder
 	flusher http.Flusher
+	lineScratch
 
 	// acked counts records whose result line was relayed to the client;
 	// a failover resumes at records[acked].
@@ -169,15 +167,15 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 16<<20) // starts at bufio's 4 KiB and grows to the cap
 	for sc.Scan() {
-		var line serve.StreamResult
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		line, err := st.decode(sc.Bytes())
+		if err != nil {
 			// A torn line means the replica died mid-write: resume.
 			rep.breaker.Record(true)
 			g.tel.requests.With(rep.id, "transport_error").Inc()
 			return fmt.Errorf("gateway: torn stream line from %s: %w", rep.id, err)
 		}
 		global := start + line.Index
-		if global >= len(st.records) {
+		if line.Index < 0 || global >= len(st.records) {
 			rep.breaker.Record(true)
 			return fmt.Errorf("gateway: replica %s returned record %d beyond the stream", rep.id, global)
 		}
@@ -196,19 +194,12 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 			return resilience.RetryAfter(
 				fmt.Errorf("gateway: replica %s refused record %d: %s", rep.id, global, line.Error), hint)
 		}
-		// Rewrite into the original stream's coordinates.
-		delta := st.offsets[global] - line.Offset
-		line.Index = global
-		line.Offset = st.offsets[global]
-		for i := range line.Reports {
-			line.Reports[i].Offset += delta
-		}
 		if line.Error != "" {
 			g.tel.streamRecords.With("error").Inc()
 		} else {
 			g.tel.streamRecords.With("ok").Inc()
 		}
-		if encErr := st.enc.Encode(line); encErr != nil {
+		if _, werr := st.w.Write(st.rebase(global, st.offsets[global])); werr != nil {
 			// The client went away; nothing left to protect.
 			rep.breaker.Record(false)
 			return nil
@@ -233,4 +224,38 @@ func (st *streamState) leg(r *http.Request, rep *replica) error {
 	rep.breaker.Record(false)
 	g.tel.requests.With(rep.id, "ok").Inc()
 	return nil
+}
+
+// lineScratch is one stream's reusable line state: the upstream line
+// decoded with each report's site left as its raw JSON string, and the
+// rewritten line's bytes.
+type lineScratch struct {
+	line    serve.StreamResult
+	reports []rapid.Report // line.Reports' backing array, kept across lines without reports
+	sites   [][]byte
+	out     []byte
+}
+
+// decode reads one upstream line into the scratch. The line is valid until
+// the next decode.
+func (ls *lineScratch) decode(data []byte) (*serve.StreamResult, error) {
+	ls.line.Reports = ls.reports
+	err := serve.DecodeStreamResult(data, &ls.line, &ls.sites)
+	if cap(ls.line.Reports) > cap(ls.reports) {
+		ls.reports = ls.line.Reports[:0]
+	}
+	return &ls.line, err
+}
+
+// rebase moves the decoded line to the client stream's index and offset,
+// shifting its reports' offsets alike, and returns the line's bytes, each
+// site re-emitted as it arrived. They are valid until the next rebase.
+func (ls *lineScratch) rebase(index, offset int) []byte {
+	delta := offset - ls.line.Offset
+	ls.line.Index, ls.line.Offset = index, offset
+	for i := range ls.line.Reports {
+		ls.line.Reports[i].Offset += delta
+	}
+	ls.out = serve.AppendStreamResult(ls.out[:0], &ls.line, serve.Sites{ByIndex: ls.sites})
+	return ls.out
 }

@@ -1,9 +1,71 @@
 package harness
 
 import (
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/place"
 )
+
+// prPairs is how many interleaved (baseline, tessellated) P&R pairs
+// prSpeedup takes the median of.
+const prPairs = 9
+
+// prSpeedup times Table6's two P&R passes on one benchmark at n
+// instances, the baseline's global placement of the full hand design and
+// the RAPID tessellation, in prPairs interleaved pairs after one untimed
+// pass of each, and returns the median baseline/tessellated ratio with
+// every pair's.
+func prSpeedup(t *testing.T, name string, n int) (float64, []float64) {
+	t.Helper()
+	var b *bench.Benchmark
+	for _, c := range bench.All() {
+		if c.Name == name {
+			b = c
+		}
+	}
+	full, err := b.Hand(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, args := b.RAPID(n)
+	prog, err := core.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := func() time.Duration {
+		start := time.Now()
+		if _, err := place.Place(place.DeviceNetwork(full), place.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	tessellated := func() time.Duration {
+		start := time.Now()
+		if _, err := prog.Tessellate(args, place.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	baseline()
+	tessellated()
+	ratios := make([]float64, prPairs)
+	for i := range ratios {
+		var base, tess time.Duration
+		if i%2 == 0 {
+			base, tess = baseline(), tessellated()
+		} else {
+			tess, base = tessellated(), baseline()
+		}
+		ratios[i] = float64(base) / float64(tess)
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2], ratios
+}
 
 func TestTable4Shapes(t *testing.T) {
 	rows, err := Table4()
@@ -121,9 +183,13 @@ func TestTable6SmallScale(t *testing.T) {
 		if name != "Gappy" && r.TotalBlocks > p.TotalBlocks {
 			t.Errorf("%s: tessellation %d blocks > pre-compiled %d", name, r.TotalBlocks, p.TotalBlocks)
 		}
-		// Tessellation P&R is faster than the baseline's global pass.
-		if r.PRTime >= b.PRTime {
-			t.Errorf("%s: tessellation P&R %v not faster than baseline %v", name, r.PRTime, b.PRTime)
+		// Tessellation P&R is faster than the baseline's global pass. One
+		// sample of each (b and r) is a fraction of a millisecond that a
+		// stall on a busy host can decide alone, so the claim is the median
+		// of interleaved pairs.
+		if ratio, ratios := prSpeedup(t, name, b.ProblemSize); ratio <= 1 {
+			t.Errorf("%s: tessellation P&R not faster than baseline: median baseline/tessellated %.2f× (pairs %.2f)",
+				name, ratio, ratios)
 		}
 	}
 	out := FormatTable6(rows)

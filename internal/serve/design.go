@@ -61,11 +61,16 @@ type DesignInfo struct {
 // design is one mounted design: its compiled artifact, executor, bounded
 // admission queue, and instrument set.
 type design struct {
-	info    DesignInfo
-	engine  batchEngine   // engine mode: the batching path
-	matcher rapid.Matcher // other modes: executed one request at a time
-	queue   chan *job
-	tel     designMetrics
+	info DesignInfo
+	// sites is info.Sites quoted for the reply codec, and hashHeader is
+	// info.Hash as a header value; both are built at mount and never
+	// mutated.
+	sites      map[int][]byte
+	hashHeader []string
+	engine     batchEngine   // engine mode: the batching path
+	matcher    rapid.Matcher // other modes: executed one request at a time
+	queue      chan *job
+	tel        designMetrics
 	// identity is the spec fingerprint (program hash + backend) hot
 	// reloads compare to decide whether a mounted design changed.
 	identity string
@@ -118,8 +123,19 @@ func (m *chainMatcher) Match(ctx context.Context, input []byte) ([]rapid.Report,
 }
 
 // compileDesign resolves a spec into a compiled artifact (through the
-// server's hash-keyed cache) plus its executor.
+// server's hash-keyed cache) plus its executor, and builds what its
+// replies share.
 func (s *Server) compileDesign(spec DesignSpec) (*design, error) {
+	d, err := s.buildDesign(spec)
+	if err != nil {
+		return nil, err
+	}
+	d.sites = SiteTable(d.info.Sites)
+	d.hashHeader = []string{d.info.Hash}
+	return d, nil
+}
+
+func (s *Server) buildDesign(spec DesignSpec) (*design, error) {
 	d := &design{info: DesignInfo{Name: spec.Name, Backend: spec.Backend}, identity: specIdentity(spec)}
 	if d.info.Backend == "" {
 		d.info.Backend = BackendEngine

@@ -68,7 +68,7 @@ func reportSet(reports []rapid.Report) []string {
 	return out
 }
 
-func jsonReportSet(reports []WireReport) []string {
+func jsonReportSet(reports []wireReport) []string {
 	raw := make([]rapid.Report, len(reports))
 	for i, r := range reports {
 		raw[i] = rapid.Report{Offset: r.Offset, Code: r.Code}
@@ -475,7 +475,7 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 				if line.Index != lines || line.Offset != want[lines].Offset {
 					t.Fatalf("line %d is record %d at offset %d, want offset %d", lines, line.Index, line.Offset, want[lines].Offset)
 				}
-				if got, wantSet := jsonReportSet(line.Reports), reportSet(want[lines].Reports); !equalStrings(got, wantSet) {
+				if got, wantSet := reportSet(line.Reports), reportSet(want[lines].Reports); !equalStrings(got, wantSet) {
 					t.Fatalf("record %d reports %v != RunRecords %v", lines, got, wantSet)
 				}
 			}

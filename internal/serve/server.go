@@ -25,6 +25,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -395,20 +396,66 @@ func RawBody(r *http.Request) bool {
 // to send, so a larger declared body grows its buffer only as its bytes come.
 const exactReadMax = 1 << 20
 
-// ReadBody reads a body once, into one buffer. size is its declared length
-// (Content-Length, -1 when unknown). A declared length within limit and
-// exactReadMax is allocated exactly and filled with io.ReadFull; any other
-// body is read through http.MaxBytesReader, so one longer than limit fails
-// with an *http.MaxBytesError. w is the request's ResponseWriter, which
+// ReadBody reads a body once, into buf's storage (nil: a fresh buffer),
+// and returns it. size is its declared length (Content-Length, -1 when
+// unknown). A declared length within limit and exactReadMax is sized
+// exactly and filled with io.ReadFull; any other body is read through
+// http.MaxBytesReader, so one longer than limit fails with an
+// *http.MaxBytesError. w is the request's ResponseWriter, which
 // http.MaxBytesReader tells to close the connection after an oversized
 // request; it is nil for a response body.
-func ReadBody(w http.ResponseWriter, body io.ReadCloser, size, limit int64) ([]byte, error) {
+func ReadBody(w http.ResponseWriter, body io.ReadCloser, size, limit int64, buf []byte) ([]byte, error) {
 	if size >= 0 && size <= min(limit, exactReadMax) {
-		buf := make([]byte, size)
+		buf = slices.Grow(buf[:0], int(size))[:size]
 		_, err := io.ReadFull(body, buf)
 		return buf, err
 	}
-	return io.ReadAll(http.MaxBytesReader(w, body, limit))
+	r := http.MaxBytesReader(w, body, limit)
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(len(buf), 512))
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// QueryDesign returns the design query parameter of a raw query, as
+// url.ParseQuery(rawQuery).Get("design") does but without building the
+// map: pairs split on '&', one holding a ';' or failing to unescape is
+// skipped, and the first pair whose key unescapes to "design" wins. A value
+// with nothing to unescape is returned as a substring of rawQuery.
+func QueryDesign(rawQuery string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key != "design" {
+			if !strings.ContainsAny(key, "%+") {
+				continue
+			}
+			if k, err := url.QueryUnescape(key); err != nil || k != "design" {
+				continue
+			}
+		}
+		if !strings.ContainsAny(value, "%+") {
+			return value
+		}
+		if v, err := url.QueryUnescape(value); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // matchRequest is the JSON form of a single-shot match request. Exactly one
@@ -440,85 +487,71 @@ func (req *matchRequest) input() ([]byte, error) {
 	return []byte(req.Text), nil
 }
 
-// WireReport is one report on the wire: the report event and its code's
-// source site.
-type WireReport struct {
-	Offset int    `json:"offset"`
-	Code   int    `json:"code"`
-	Site   string `json:"site,omitempty"`
-}
-
-type matchResponse struct {
-	Design  string       `json:"design"`
-	Hash    string       `json:"hash"`
-	Backend string       `json:"backend"`
-	Count   int          `json:"count"`
-	Reports []WireReport `json:"reports"`
-}
-
 // handleMatch serves both request forms: a raw body (RawBody) is the input,
 // with the design in the query; any other body is a JSON matchRequest. The
 // body is read once either way, and both forms share the response.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBody(w, r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
-	raw := RawBody(r)
-	var req matchRequest
+	body, err := ReadBody(w, r.Body, r.ContentLength, s.cfg.MaxBodyBytes, nil)
+	var design string
+	var req *matchRequest // the JSON form only, so a raw request allocates none
 	switch {
 	case err != nil:
-	case raw:
-		req.Design = r.URL.Query().Get("design")
+	case RawBody(r):
+		design = QueryDesign(r.URL.RawQuery)
 	default:
-		err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		req = new(matchRequest)
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(req)
+		design = req.Design
 	}
 	if err != nil {
 		WriteErrorBody(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("serve: bad request body: %v", err), 0)
 		return
 	}
-	if _, err := s.lookup(req.Design); err != nil {
+	if _, err := s.lookup(design); err != nil {
 		WriteErrorBody(w, http.StatusNotFound, CodeNotFound, err.Error(), 0)
 		return
 	}
 	input := body
-	if !raw {
+	if req != nil {
 		if input, err = req.input(); err != nil {
 			WriteErrorBody(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 			return
 		}
 	}
-	d, reports, err := s.submitNamed(r.Context(), req.Design, tenantOf(r), input)
+	d, reports, err := s.submitNamed(r.Context(), design, tenantOf(r), input)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
 	// A match result is a pure function of (design hash, input): mark it
 	// replayable so a gateway can cache it, keyed to survive hot reloads.
-	w.Header().Set(DesignHashHeader, d.info.Hash)
-	w.Header().Set(IdempotentHeader, "true")
-	writeJSON(w, http.StatusOK, matchResponse{
+	// The header values are shared, never-mutated slices.
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h[DesignHashHeader] = d.hashHeader
+	h[IdempotentHeader] = idempotentHeader
+	w.WriteHeader(http.StatusOK)
+	if reports == nil {
+		reports = []rapid.Report{}
+	}
+	buf := GetScratch()
+	*buf = AppendMatchReply(*buf, &MatchReply{
 		Design:  d.info.Name,
 		Hash:    d.info.Hash,
 		Backend: d.info.Backend,
 		Count:   len(reports),
-		Reports: toReportJSON(reports, 0, d.info.Sites),
-	})
+		Reports: reports,
+	}, Sites{ByCode: d.sites})
+	_, _ = w.Write(*buf)
+	PutScratch(buf)
 }
 
-// StreamResult is one NDJSON line of the streaming endpoint, and of the
-// gateway's, which relays it rewritten: the reports of one record, with
-// offsets rebased to stream coordinates. A failed record carries the
-// structured error fields instead of reports — the same code vocabulary
-// as ErrorBody, so clients can type per-record failures and retry the
-// retryable ones.
-type StreamResult struct {
-	Index        int          `json:"index"`
-	Offset       int          `json:"offset"`
-	Count        int          `json:"count"`
-	Reports      []WireReport `json:"reports"`
-	Error        string       `json:"error,omitempty"`
-	Code         string       `json:"code,omitempty"`
-	RetryAfterMS int64        `json:"retry_after_ms,omitempty"`
-}
+// Header values every match reply shares; net/http only reads them.
+var (
+	jsonContentType  = []string{"application/json; charset=utf-8"}
+	idempotentHeader = []string{"true"}
+)
 
 // handleMatchStream is the chunked streaming endpoint: the request body
 // is a record stream framed with the reserved separator (0xFF), and the
@@ -527,7 +560,7 @@ type StreamResult struct {
 // dispatcher as single-shot requests, so streaming clients are subject to
 // the same backpressure (surfaced as per-record error lines).
 func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("design")
+	name := QueryDesign(r.URL.RawQuery)
 	if _, err := s.lookup(name); err != nil {
 		WriteErrorBody(w, http.StatusNotFound, CodeNotFound, err.Error(), 0)
 		return
@@ -541,18 +574,25 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	buf := GetScratch()
+	defer PutScratch(buf)
+	write := func(line *StreamResult, sites Sites) error {
+		*buf = AppendStreamResult((*buf)[:0], line, sites)
+		_, err := w.Write(*buf)
+		return err
+	}
 	body := newRecordScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	index := 0
 	for {
 		rec, offset, err := body.next()
 		if rec == nil {
 			if err != nil && err != io.EOF {
-				_ = enc.Encode(StreamResult{Index: index, Error: err.Error(), Code: CodeBadRequest})
+				_ = write(&StreamResult{Index: index, Error: err.Error(), Code: CodeBadRequest}, Sites{})
 			}
 			return
 		}
 		line := StreamResult{Index: index, Offset: offset}
+		var sites Sites
 		d, reports, err := s.submitNamed(r.Context(), name, tenant, rapid.FrameRecords(rec))
 		if err != nil {
 			_, code, retryAfter := s.errorStatus(err)
@@ -561,11 +601,19 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 			line.RetryAfterMS = retryAfter.Milliseconds()
 		} else {
 			// Framed symbol k maps to stream offset offset-1+k (the
-			// record's leading separator sits one symbol before it).
-			line.Reports = toReportJSON(reports, offset-1, d.info.Sites)
-			line.Count = len(line.Reports)
+			// record's leading separator sits one symbol before it). The
+			// reports are this request's own, so they are rebased in place.
+			for i := range reports {
+				reports[i].Offset += offset - 1
+			}
+			if reports == nil {
+				reports = []rapid.Report{}
+			}
+			line.Reports = reports
+			line.Count = len(reports)
+			sites.ByCode = d.sites
 		}
-		if encErr := enc.Encode(line); encErr != nil {
+		if write(&line, sites) != nil {
 			return
 		}
 		if flusher != nil {
@@ -616,16 +664,6 @@ func (s *Server) errorStatus(err error) (int, string, time.Duration) {
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	status, code, retryAfter := s.errorStatus(err)
 	WriteErrorBody(w, status, code, err.Error(), retryAfter)
-}
-
-// toReportJSON encodes reports with offsets shifted by rebase, resolving
-// each code's site from sites.
-func toReportJSON(reports []rapid.Report, rebase int, sites map[int]string) []WireReport {
-	out := make([]WireReport, len(reports))
-	for i, r := range reports {
-		out[i] = WireReport{Offset: r.Offset + rebase, Code: r.Code, Site: sites[r.Code]}
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -95,10 +96,9 @@ func (e *StatusError) IsRetryable() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// MatchResult is the single-shot match response. encoding/json matches the
-// reply's design/hash/backend/reports keys to these untagged fields; a
-// report's site key matches no field of rapid.Report and is skipped (see
-// DesignInfo.Sites).
+// MatchResult is the single-shot match response: the reply's design, hash,
+// backend and reports, decoded by serve's reply codec. A report's site is
+// dropped on the way in; DesignInfo.Sites resolves its code.
 type MatchResult struct {
 	Design  string
 	Hash    string
@@ -116,11 +116,14 @@ func (c *Client) Match(ctx context.Context, design string, input []byte) (*Match
 	if design != "" {
 		path += "?design=" + url.QueryEscape(design)
 	}
-	res := &MatchResult{}
-	if err := c.postRetry(ctx, path, serve.RawContentType, input, res); err != nil {
+	var reply serve.MatchReply
+	err := c.postRetry(ctx, path, serve.RawContentType, input, func(body []byte) error {
+		return serve.DecodeMatchReply(body, &reply)
+	})
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &MatchResult{Design: reply.Design, Hash: reply.Hash, Backend: reply.Backend, Reports: reply.Reports}, nil
 }
 
 // MatchText is Match over literal text.
@@ -196,18 +199,9 @@ func (c *Client) MatchStream(ctx context.Context, design string, stream []byte) 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 16<<20) // starts at bufio's 4 KiB and grows to the cap
 	for sc.Scan() {
-		var line struct {
-			Index        int    `json:"index"`
-			Offset       int    `json:"offset"`
-			Error        string `json:"error"`
-			Code         string `json:"code"`
-			RetryAfterMS int64  `json:"retry_after_ms"`
-			// The wire's per-report site matches no field and is
-			// skipped; Designs returns each design's sites once.
-			// Not serve.StreamResult: it would allocate every site.
-			Reports []rapid.Report `json:"reports"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		// Each line decodes into fresh Reports, which the result keeps.
+		var line serve.StreamResult
+		if err := serve.DecodeStreamResult(sc.Bytes(), &line, nil); err != nil {
 			return results, fmt.Errorf("serve client: torn stream line after %d of %d records: %w",
 				len(results), len(records), err)
 		}
@@ -292,10 +286,11 @@ func (c *Client) Designs(ctx context.Context) ([]DesignInfo, error) {
 	return out, json.NewDecoder(resp.Body).Decode(&out)
 }
 
-// postRetry POSTs body, decoding a 2xx response into out, and retries
+// postRetry POSTs body, hands a 200 response's body to decode, and retries
 // retryable failures under the client's policy. A 429/503 Retry-After
-// hint floors the backoff delay via resilience.RetryAfter.
-func (c *Client) postRetry(ctx context.Context, path, contentType string, body []byte, out any) error {
+// hint floors the backoff delay via resilience.RetryAfter. The body decode
+// sees is pooled scratch, valid only during the call.
+func (c *Client) postRetry(ctx context.Context, path, contentType string, body []byte, decode func([]byte) error) error {
 	return resilience.Retry(ctx, c.policy, func(int) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 		if err != nil {
@@ -315,10 +310,14 @@ func (c *Client) postRetry(ctx context.Context, path, contentType string, body [
 			}
 			return resilience.Permanent(serr)
 		}
-		if out == nil {
-			return nil
+		scratch := serve.GetScratch()
+		defer serve.PutScratch(scratch)
+		data, err := serve.ReadBody(nil, resp.Body, resp.ContentLength, math.MaxInt64, *scratch)
+		*scratch = data
+		if err == nil {
+			err = decode(data)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err != nil {
 			return resilience.Permanent(err)
 		}
 		return nil
