@@ -3,11 +3,37 @@ package rapid
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 )
 
+// Matcher is one execution backend for a compiled design behind the
+// uniform interface every tier implements: the functional device model,
+// the lazy-DFA engine, or the reference simulator. Construct one with
+// Design.Backend. A Matcher owns its mutable state and is not safe for
+// concurrent use unless documented otherwise.
+type Matcher interface {
+	// Name identifies the backend in metrics labels and errors; it
+	// matches the BackendKind for the built-in tiers.
+	Name() string
+	// Match executes the design over one input stream.
+	Match(ctx context.Context, input []byte) ([]Report, error)
+}
+
+// backend is the one Matcher adapter: a tier's kind name and its run
+// function. Design.Backend builds it for every kind.
+type backend struct {
+	name string
+	run  func(ctx context.Context, input []byte) ([]Report, error)
+}
+
+func (b backend) Name() string { return b.name }
+func (b backend) Match(ctx context.Context, input []byte) ([]Report, error) {
+	return b.run(ctx, input)
+}
+
 // BackendKind names one of the design's execution tiers. The constants
-// are the canonical ladder order, fastest-and-least-trusted first.
+// are in canonical order, fastest-and-least-trusted first.
 type BackendKind string
 
 // The three execution tiers of a compiled design.
@@ -25,7 +51,7 @@ const (
 	BackendReference BackendKind = "reference"
 )
 
-// BackendKinds returns every backend kind in ladder order.
+// BackendKinds returns every backend kind in canonical order.
 func BackendKinds() []BackendKind {
 	return []BackendKind{BackendDevice, BackendLazyDFA, BackendReference}
 }
@@ -34,13 +60,15 @@ func BackendKinds() []BackendKind {
 // lists the valid kinds. Both CLIs surface it verbatim for -backend.
 type UnknownBackendError struct {
 	Got string
+	// Extra lists the names the refusing entry point accepts besides the
+	// backend kinds (serve's "engine" mode); they are listed first.
+	Extra []string
 }
 
 func (e *UnknownBackendError) Error() string {
-	kinds := BackendKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = string(k)
+	names := slices.Clone(e.Extra)
+	for _, k := range BackendKinds() {
+		names = append(names, string(k))
 	}
 	return fmt.Sprintf("rapid: unknown backend %q (valid kinds: %s)",
 		e.Got, strings.Join(names, ", "))
@@ -59,11 +87,11 @@ func ParseBackendKind(s string) (BackendKind, error) {
 }
 
 // Backend constructs the named execution tier behind the uniform Matcher
-// interface — the one entry point the failover chain, the CLIs, and the
-// harness build backends through. Options apply where relevant (workers
-// and cache caps to the lazy-DFA tier, telemetry to every tier); the
-// per-path constructors (NewRunner, NewEngine) remain for callers that
-// need a tier's own methods.
+// interface — the one entry point serve, the CLIs, and the harness build
+// backends through. Options apply where relevant (workers and cache caps
+// to the lazy-DFA tier, telemetry to every tier); the per-path
+// constructors (NewRunner, NewEngine) remain for callers that need a
+// tier's own methods.
 func (d *Design) Backend(kind BackendKind, opts ...Option) (Matcher, error) {
 	var run func(ctx context.Context, input []byte) ([]Report, error)
 	switch kind {

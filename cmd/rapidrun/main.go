@@ -7,13 +7,12 @@
 //	rapidrun -src program.rapid -args '[["rapid"]]' -input data.bin
 //	rapidrun -src program.rapid -args '[["rapid"]]' -text "xxrapidxx"
 //	rapidrun ... -backend lazy-dfa        # pick an execution tier
-//	rapidrun ... -backend failover        # full cross-checked chain
 //	rapidrun ... -interp                  # reference interpreter instead
 //	rapidrun ... -metrics-addr :9190      # serve /metrics and /debug/vars
 //
 // -backend selects the execution tier by BackendKind (device, lazy-dfa,
-// reference) or "failover" for the whole cross-checked degradation ladder;
-// it replaces the old -engine flag.
+// reference); any other value is refused with the valid kinds before the
+// program is read.
 //
 // With -metrics-addr, rapidrun serves Prometheus text format at /metrics
 // and expvar-style JSON at /debug/vars for the duration of the run, and
@@ -47,7 +46,7 @@ func main() {
 		sep         = flag.Bool("sep", false, "treat -text as comma-separated records joined by the reserved separator")
 		useInterp   = flag.Bool("interp", false, "run the reference interpreter instead of a compiled backend")
 		trace       = flag.Bool("trace", false, "print a per-cycle execution trace (active elements, reports)")
-		backendFlag = flag.String("backend", "device", "execution backend: device, lazy-dfa, reference, or failover (cross-checked chain)")
+		backendFlag = flag.String("backend", "device", "execution backend: device, lazy-dfa, or reference")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/vars (JSON) on this address during the run")
 		repeat      = flag.Int("repeat", 1, "stream the input this many times (soak mode; reports printed once)")
 	)
@@ -60,6 +59,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rapidrun: -src is required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	kind, err := rapid.ParseBackendKind(*backendFlag)
+	if err != nil {
+		fatal(err)
 	}
 
 	var opts []rapid.Option
@@ -140,13 +143,13 @@ func main() {
 		return
 	}
 
-	run, err := selectBackend(design, *backendFlag, opts)
+	m, err := design.Backend(kind, opts...)
 	if err != nil {
 		fatal(err)
 	}
 	var reports []rapid.Report
 	for i := 0; i < *repeat || i == 0; i++ {
-		reports, err = run(ctx, input)
+		reports, err = m.Match(ctx, input)
 		if err != nil {
 			break
 		}
@@ -155,30 +158,6 @@ func main() {
 	// interrupted run — the SIGINT drain still closes the listener cleanly.
 	shutdownMetrics()
 	printReports(design, reports, err)
-}
-
-// selectBackend resolves the shared -backend flag value: a BackendKind
-// parsed by rapid.ParseBackendKind, or "failover" for the full
-// cross-checked chain.
-func selectBackend(design *rapid.Design, name string, opts []rapid.Option) (func(context.Context, []byte) ([]rapid.Report, error), error) {
-	if name == "failover" {
-		chain, err := design.FailoverChain(opts...)
-		if err != nil {
-			return nil, err
-		}
-		chain.CrossCheck = true
-		fmt.Fprintf(os.Stderr, "rapidrun: failover chain: %s\n", strings.Join(chain.Backends(), " → "))
-		return chain.Run, nil
-	}
-	kind, err := rapid.ParseBackendKind(name)
-	if err != nil {
-		return nil, err
-	}
-	m, err := design.Backend(kind, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return m.Match, nil
 }
 
 func printReports(design *rapid.Design, reports []rapid.Report, err error) {

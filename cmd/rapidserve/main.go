@@ -9,7 +9,7 @@
 //	rapidserve -src program.rapid -args '[["rapid"]]'
 //	rapidserve -designs designs.json -addr :8765 -metrics-addr :9190
 //	rapidserve -designs designs.json -artifact-cache /var/cache/rapid
-//	rapidserve -src p.rapid -args '[]' -backend failover -crosscheck
+//	rapidserve -src p.rapid -args '[]' -backend device
 //
 // With -designs, the manifest is a JSON array of design entries:
 //
@@ -69,7 +69,7 @@ func main() {
 		anmlPath     = flag.String("anml", "", "ANML file for a single design (alternative to -src)")
 		argsJSON     = flag.String("args", "[]", "network arguments for -src as a JSON array")
 		name         = flag.String("name", "default", "design name for -src/-anml")
-		backend      = flag.String("backend", serve.BackendEngine, "execution mode for -src/-anml: engine, failover, or a backend kind (device, lazy-dfa, reference)")
+		backend      = flag.String("backend", serve.BackendEngine, "execution mode for -src/-anml: engine, or a backend kind (device, lazy-dfa, reference)")
 		designsPath  = flag.String("designs", "", "JSON manifest mounting multiple designs (SIGHUP hot-reloads it)")
 		artifactDir  = flag.String("artifact-cache", "", "persist compiled designs to this directory, keyed by program hash; restarts mount from it without recompiling")
 		placeFlag    = flag.Bool("place", true, "place mounted designs through the shared macro-stamping cache and persist layouts in the artifact cache")
@@ -79,7 +79,6 @@ func main() {
 		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant admission rate (requests/sec, X-Tenant header); 0 disables quotas")
 		tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant burst size (0 = ceil(rate))")
 		workers      = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-		crossCheck   = flag.Bool("crosscheck", false, "failover-mode designs verify results against the reference backend")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline after SIGTERM")
 	)
 	flag.Parse()
@@ -93,7 +92,6 @@ func main() {
 		TenantRate:  *tenantRate,
 		TenantBurst: *tenantBurst,
 		Workers:     *workers,
-		CrossCheck:  *crossCheck,
 		ArtifactDir: *artifactDir,
 		Placement:   *placeFlag,
 	}
@@ -225,9 +223,11 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 		return nil, err
 	}
 
-	var problems []string
+	// Each problem is an error, so a typed cause (an unknown backend)
+	// stays visible through the aggregate with errors.As.
+	var problems []any
 	problemf := func(line int, format string, args ...any) {
-		problems = append(problems, fmt.Sprintf("%s:%d: %s", path, line, fmt.Sprintf(format, args...)))
+		problems = append(problems, fmt.Errorf("%s:%d: "+format, append([]any{path, line}, args...)...))
 	}
 	lineAt := func(byteOffset int64) int {
 		if byteOffset > int64(len(data)) {
@@ -290,11 +290,8 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 			seen[e.Name] = line
 		}
 
-		if e.Backend != "" && e.Backend != serve.BackendEngine && e.Backend != serve.BackendFailover {
-			if _, err := rapid.ParseBackendKind(e.Backend); err != nil {
-				problemf(line, "%s: unknown backend %q (want engine, failover, or one of %s)",
-					label, e.Backend, strings.Join(backendKindNames(), ", "))
-			}
+		if _, err := serve.ParseBackend(e.Backend); err != nil {
+			problemf(line, "%s: %w", label, err)
 		}
 
 		spec := serve.DesignSpec{Name: e.Name, Backend: e.Backend}
@@ -329,19 +326,10 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 		specs = append(specs, spec)
 	}
 	if len(problems) > 0 {
-		return nil, fmt.Errorf("rapidserve: %d problem(s) in -designs manifest:\n  %s",
-			len(problems), strings.Join(problems, "\n  "))
+		return nil, fmt.Errorf("rapidserve: %d problem(s) in -designs manifest:"+
+			strings.Repeat("\n  %w", len(problems)), append([]any{len(problems)}, problems...)...)
 	}
 	return specs, nil
-}
-
-func backendKindNames() []string {
-	kinds := rapid.BackendKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = string(k)
-	}
-	return names
 }
 
 func fatal(err error) {

@@ -21,6 +21,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// sameReportSet compares the distinct (offset, code) sets of two report
+// lists — the backend-independent observable of a stream.
+func sameReportSet(a, b []Report) bool {
+	return slices.Equal(Canonical(slices.Clone(a)), Canonical(slices.Clone(b)))
+}
+
 // TestEngineMatchesSimulatorOnBenchmarks is the paper-benchmark half of the
 // lazy-DFA cross-check property: on all five benchmark apps the engine's
 // report set equals both the reference simulator's and the fast bitset

@@ -1,12 +1,11 @@
 // Package resilience provides the generic fault-tolerance primitives the
-// streaming execution layer builds on: a bounded retry policy with
+// serving gateway and the Go client build on: a bounded retry policy with
 // deterministic exponential backoff and jitter, permanent-error marking,
-// and panic recovery into structured errors.
+// Retry-After hints, and a per-replica circuit breaker.
 //
-// Real AP deployments stream detector-scale data through boards where
-// transient faults and defective silicon are routine; the execution layer
-// wraps device-model runs in these primitives so a misbehaving backend
-// degrades a stream instead of crashing the process.
+// A served request that meets a crashed, overloaded or draining replica is
+// retried on the next one under these primitives, so a lost replica costs
+// a retry instead of a failed request.
 package resilience
 
 import (
@@ -14,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"time"
 )
 
@@ -218,26 +216,4 @@ func Retry(ctx context.Context, p Policy, op func(attempt int) error) error {
 		}
 	}
 	return &ExhaustedError{Attempts: p.MaxAttempts, Last: last}
-}
-
-// PanicError is a panic recovered into a structured error by Recover.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("resilience: recovered panic: %v", e.Value)
-}
-
-// Recover runs f, converting a panic into a *PanicError instead of
-// unwinding the process. Backend adapters use it so one faulty backend
-// degrades a stream rather than crashing the server.
-func Recover(f func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return f()
 }

@@ -150,24 +150,6 @@ func TestBackoffGrowsCapsAndIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRecover(t *testing.T) {
-	if err := Recover(func() error { return nil }); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	sentinel := errors.New("plain")
-	if err := Recover(func() error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("error passthrough: %v", err)
-	}
-	err := Recover(func() error { panic("device on fire") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value != "device on fire" || len(pe.Stack) == 0 {
-		t.Fatalf("panic not captured: %+v", pe)
-	}
-}
-
 func TestRetryAfterFloorsBackoff(t *testing.T) {
 	var delays []time.Duration
 	calls := 0

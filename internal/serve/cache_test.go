@@ -86,7 +86,7 @@ func TestDiskCacheMemoryTierFirst(t *testing.T) {
 	if _, err := s.AddDesign(testSpec("a", "")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddDesign(testSpec("b", "failover")); err != nil {
+	if _, err := s.AddDesign(testSpec("b", "reference")); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

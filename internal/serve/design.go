@@ -13,13 +13,24 @@ import (
 
 // BackendEngine is the default per-design execution mode: the batched
 // lazy-DFA Engine, the only backend the micro-batching dispatcher can
-// coalesce requests into. BackendFailover runs the full cross-checkable
-// degradation ladder instead; any rapid.BackendKind name selects that
-// single tier. Non-engine modes execute requests one at a time.
-const (
-	BackendEngine   = "engine"
-	BackendFailover = "failover"
-)
+// coalesce requests into. Any rapid.BackendKind name selects that single
+// tier instead, executing requests one at a time.
+const BackendEngine = "engine"
+
+// ParseBackend resolves a DesignSpec.Backend value into the mode a design
+// mounts in: BackendEngine (also for "") or one rapid.BackendKind name.
+// Anything else is refused with a *rapid.UnknownBackendError that lists
+// engine and every kind. Mounting and rapidserve's manifest check both
+// call it.
+func ParseBackend(name string) (string, error) {
+	if name == "" || name == BackendEngine {
+		return BackendEngine, nil
+	}
+	if _, err := rapid.ParseBackendKind(name); err != nil {
+		return "", &rapid.UnknownBackendError{Got: name, Extra: []string{BackendEngine}}
+	}
+	return name, nil
+}
 
 // DesignSpec describes one design to mount on the server.
 type DesignSpec struct {
@@ -31,8 +42,8 @@ type DesignSpec struct {
 	ANML   []byte
 	// Args are the network arguments applied at compile time.
 	Args []rapid.Value
-	// Backend selects the execution mode: BackendEngine (default),
-	// BackendFailover, or a rapid.BackendKind name.
+	// Backend selects the execution mode: BackendEngine (default) or a
+	// rapid.BackendKind name.
 	Backend string
 	// Matcher, when non-nil, mounts a caller-supplied backend instead of
 	// compiling Source/ANML — custom tiers and test doubles.
@@ -49,7 +60,7 @@ type DesignInfo struct {
 	Gates     int    `json:"gates,omitempty"`
 	Reporting int    `json:"reporting,omitempty"`
 	// Tiers is Engine.Tiers() in engine mode ("lazy-dfa", "counter-dfa" or
-	// "lazy-dfa+counter-dfa"), or the failover ladder in failover mode.
+	// "lazy-dfa+counter-dfa"); a single-kind design leaves it empty.
 	Tiers string `json:"tiers,omitempty"`
 	// Sites maps each report code to its source site (rapid.Design.Sites).
 	// Match replies resolve every report's site from it, so it is shared
@@ -113,15 +124,6 @@ func programHash(spec DesignSpec) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// chainMatcher adapts a FailoverChain to the Matcher interface under the
-// name "failover".
-type chainMatcher struct{ chain *rapid.FailoverChain }
-
-func (m *chainMatcher) Name() string { return BackendFailover }
-func (m *chainMatcher) Match(ctx context.Context, input []byte) ([]rapid.Report, error) {
-	return m.chain.Run(ctx, input)
-}
-
 // compileDesign resolves a spec into a compiled artifact (through the
 // server's hash-keyed cache) plus its executor, and builds what its
 // replies share.
@@ -136,18 +138,18 @@ func (s *Server) compileDesign(spec DesignSpec) (*design, error) {
 }
 
 func (s *Server) buildDesign(spec DesignSpec) (*design, error) {
-	d := &design{info: DesignInfo{Name: spec.Name, Backend: spec.Backend}, identity: specIdentity(spec)}
-	if d.info.Backend == "" {
-		d.info.Backend = BackendEngine
-	}
-
+	d := &design{info: DesignInfo{Name: spec.Name}, identity: specIdentity(spec)}
 	if spec.Matcher != nil {
 		d.matcher = spec.Matcher
 		d.info.Backend = spec.Matcher.Name()
 		d.info.Hash = "custom:" + spec.Name
 		return d, nil
 	}
-
+	mode, err := ParseBackend(spec.Backend)
+	if err != nil {
+		return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
+	}
+	d.info.Backend = mode
 	d.info.Hash = programHash(spec)
 	compiled, err := s.compiledDesign(spec, d.info.Hash)
 	if err != nil {
@@ -168,33 +170,20 @@ func (s *Server) buildDesign(spec DesignSpec) (*design, error) {
 		opts = append(opts, rapid.WithTelemetry(s.cfg.Telemetry))
 	}
 
-	switch d.info.Backend {
-	case BackendEngine:
+	if mode == BackendEngine {
 		eng, err := compiled.NewEngine(opts...)
 		if err != nil {
 			return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
 		}
 		d.engine = eng
 		d.info.Tiers = eng.Tiers()
-	case BackendFailover:
-		chain, err := compiled.FailoverChain(opts...)
-		if err != nil {
-			return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
-		}
-		chain.CrossCheck = s.cfg.CrossCheck
-		d.matcher = &chainMatcher{chain: chain}
-		d.info.Tiers = joinArrow(chain.Backends())
-	default:
-		kind, err := rapid.ParseBackendKind(d.info.Backend)
-		if err != nil {
-			return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
-		}
-		m, err := compiled.Backend(kind, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
-		}
-		d.matcher = m
+		return d, nil
 	}
+	m, err := compiled.Backend(rapid.BackendKind(mode), opts...)
+	if err != nil {
+		return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
+	}
+	d.matcher = m
 	return d, nil
 }
 
@@ -287,15 +276,4 @@ func (s *Server) ensurePlacement(compiled *rapid.Design, hash string, fromDisk b
 			s.tel.cacheWrites.With("ok").Inc()
 		}
 	}
-}
-
-func joinArrow(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " → "
-		}
-		out += p
-	}
-	return out
 }

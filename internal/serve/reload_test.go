@@ -29,9 +29,9 @@ func TestReloadReconcile(t *testing.T) {
 	}
 
 	summary, err := s.ApplyManifest([]DesignSpec{
-		testSpec("b", ""),         // unchanged
-		testSpec("a", "failover"), // backend change → replacement
-		testSpec("c", ""),         // new
+		testSpec("b", ""),       // unchanged
+		testSpec("a", "device"), // backend change → replacement
+		testSpec("c", ""),       // new
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +197,12 @@ func TestReloadConcurrentHammer(t *testing.T) {
 			}
 		}()
 	}
-	// Alternate between the engine and failover backends so every reload
+	// Alternate between the engine and device backends so every reload
 	// really swaps the executor.
 	for i := 0; i < 50; i++ {
 		backend := ""
 		if i%2 == 1 {
-			backend = "failover"
+			backend = "device"
 		}
 		if _, err := s.ApplyManifest([]DesignSpec{testSpec("d", backend)}); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
@@ -233,7 +233,7 @@ func TestReloadStaleDesignRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ApplyManifest([]DesignSpec{testSpec("d", "failover")}); err != nil {
+	if _, err := s.ApplyManifest([]DesignSpec{testSpec("d", "device")}); err != nil {
 		t.Fatal(err)
 	}
 	// Submitting against the retired snapshot reports staleness...

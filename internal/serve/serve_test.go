@@ -97,8 +97,8 @@ func postMatch(t *testing.T, url string, req matchRequest) (*http.Response, matc
 }
 
 // TestMatchParity checks that the served single-shot result equals a
-// direct reference-simulator run, on both the batched engine mode and the
-// failover-chain mode.
+// direct reference-simulator run, on the batched engine mode and on
+// single-kind designs served one request at a time.
 func TestMatchParity(t *testing.T) {
 	design := compileTestDesign(t)
 	input := "xxabcdxxabcx"
@@ -106,7 +106,7 @@ func TestMatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{BackendEngine, BackendFailover, "device"} {
+	for _, backend := range []string{BackendEngine, "device", "reference"} {
 		t.Run(backend, func(t *testing.T) {
 			s := mustNew(t, Config{})
 			if _, err := s.AddDesign(testSpec("d", backend)); err != nil {
@@ -141,7 +141,7 @@ func TestArtifactCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.AddDesign(testSpec("b", "failover"))
+	b, err := s.AddDesign(testSpec("b", "reference"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@
 // queuing), a dispatcher that coalesces small concurrent requests into
 // Engine.RunBatch calls by back-pressure (a batch is what queued while
 // the previous one ran; nothing ever waits on a timer), per-design
-// backend selection with automatic failover, health/readiness endpoints,
-// and graceful drain that stops admissions, flushes in-flight batches, and
-// shuts the telemetry listener down last so a final scrape can observe
-// the drain.
+// backend selection, health/readiness endpoints, and graceful drain that
+// stops admissions, flushes in-flight batches, and shuts the telemetry
+// listener down last so a final scrape can observe the drain. Replica
+// failover is the gateway's (package repro/internal/gateway).
 //
 // Command rapidserve is the CLI front end; package repro/serve/client is
 // the Go client. See docs/SERVING.md for the API and capacity-planning
@@ -70,9 +70,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// Workers sizes each design's engine worker pool (<= 0: GOMAXPROCS).
 	Workers int
-	// CrossCheck makes failover-mode designs verify results against their
-	// reference backend.
-	CrossCheck bool
 	// ArtifactDir enables the persistent tier of the compiled-artifact
 	// cache: compiled designs are written there keyed by program hash and
 	// loaded on startup instead of recompiling. Empty disables.

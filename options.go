@@ -3,9 +3,9 @@ package rapid
 import "repro/internal/telemetry"
 
 // Option is a functional option accepted by the execution-path
-// constructors (NewRunner, NewEngine, Backend, FailoverChain). Options
-// irrelevant to a given constructor are ignored, so one option slice can
-// configure a whole chain of backends.
+// constructors (NewRunner, NewEngine, Backend). Options irrelevant to a
+// given constructor are ignored, so one option slice can configure every
+// backend of a design.
 type Option func(*config)
 
 // config is the resolved option set.

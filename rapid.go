@@ -345,7 +345,7 @@ func (p *Program) Tessellate(args ...Value) (*Tessellation, error) {
 // Runner is a reusable high-throughput executor for one design's device
 // network (the network placement places): it precomputes per-symbol
 // acceptance tables once and can then stream many inputs. It is the
-// "device" backend of the failover ladder.
+// "device" backend.
 type Runner struct {
 	net *automata.Network       // the device network it steps
 	sim *automata.FastSimulator // nil when net is empty

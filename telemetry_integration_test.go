@@ -13,17 +13,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// stubMatcher is a scriptable backend for failover tests.
-type stubMatcher struct {
-	name string
-	fn   func(ctx context.Context, input []byte) ([]Report, error)
-}
-
-func (s *stubMatcher) Name() string { return s.name }
-func (s *stubMatcher) Match(ctx context.Context, input []byte) ([]Report, error) {
-	return s.fn(ctx, input)
-}
-
 func TestParseBackendKind(t *testing.T) {
 	for _, kind := range BackendKinds() {
 		got, err := ParseBackendKind(string(kind))
@@ -211,73 +200,6 @@ func TestEngineLaneStreamsCount(t *testing.T) {
 	}
 }
 
-// TestFailoverChainMetrics forces a failover (error), a panic, and a
-// cross-check divergence through an instrumented chain and checks the
-// attempt/served/failure accounting for each cause.
-func TestFailoverChainMetrics(t *testing.T) {
-	design := mustDesign(t, slidingSrc, Str("abc"))
-	input := []byte("xxabcx")
-	ref, err := design.Backend(BackendReference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("device offline")
-	failing := &stubMatcher{name: "device", fn: func(context.Context, []byte) ([]Report, error) {
-		return nil, boom
-	}}
-	panicking := &stubMatcher{name: "middle", fn: func(context.Context, []byte) ([]Report, error) {
-		panic("table corrupted")
-	}}
-	diverging := &stubMatcher{name: "lazy-dfa", fn: func(context.Context, []byte) ([]Report, error) {
-		return []Report{{Offset: 1, Code: 99}}, nil
-	}}
-
-	reg := telemetry.NewRegistry()
-	chain := NewFailoverChain(failing, panicking, diverging, ref).UseTelemetry(reg)
-	chain.CrossCheck = true
-	reports, err := chain.Run(context.Background(), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) == 0 {
-		t.Fatal("no reports from reference rung")
-	}
-
-	snap := reg.Snapshot()
-	for name, want := range map[string]uint64{"device": 1, "middle": 1, "lazy-dfa": 1} {
-		if got := snap.Counter("rapid_failover_attempts_total", "backend", name); got != want {
-			t.Errorf("attempts{%s} = %d, want %d", name, got, want)
-		}
-	}
-	if got := snap.Counter("rapid_failover_served_total", "backend", "reference"); got != 1 {
-		t.Errorf("served{reference} = %d, want 1", got)
-	}
-	for _, tc := range []struct{ backend, cause string }{
-		{"device", "error"}, {"middle", "panic"}, {"lazy-dfa", "divergence"},
-	} {
-		if got := snap.Counter("rapid_failover_failures_total", "backend", tc.backend, "cause", tc.cause); got != 1 {
-			t.Errorf("failures{%s,%s} = %d, want 1", tc.backend, tc.cause, got)
-		}
-	}
-	if got := snap.Counter("rapid_failover_divergences_total", "backend", "lazy-dfa"); got != 1 {
-		t.Errorf("divergences{lazy-dfa} = %d, want 1", got)
-	}
-	if got := snap.Counter("rapid_spans_total", "span", "failover.stream", "status", "ok"); got != 1 {
-		t.Errorf("spans{failover.stream,ok} = %d, want 1", got)
-	}
-
-	// Exhaustion: a chain with only failing rungs counts one exhausted
-	// stream and returns the last backend error.
-	reg2 := telemetry.NewRegistry()
-	dead := NewFailoverChain(failing).UseTelemetry(reg2)
-	if _, err := dead.Run(context.Background(), input); err == nil {
-		t.Fatal("exhausted chain should error")
-	}
-	if got := reg2.Snapshot().Counter("rapid_failover_exhausted_total"); got != 1 {
-		t.Errorf("exhausted = %d, want 1", got)
-	}
-}
-
 // TestMetricsSnapshotDefault checks the public rapid.Metrics() surface:
 // always-on cold-path instruments land in the default registry and the
 // snapshot resolves them by name.
@@ -299,9 +221,8 @@ func TestMetricsSnapshotDefault(t *testing.T) {
 
 // TestMetricCatalogMatchesDocs is the metric catalog's guard for the
 // execution paths this package owns and the always-on cold path beneath
-// them: every rapid_backend_*, rapid_engine_*, rapid_lazydfa_* and
-// rapid_failover_* name an engine, a runner and a failover chain register,
-// and every rapid_place_* name in the default registry after a
+// them: every rapid_backend_*, rapid_engine_* and rapid_lazydfa_* name
+// an engine and a runner register, and every rapid_place_* name in the default registry after a
 // stamper-backed placement, must have a row in docs/OBSERVABILITY.md's
 // tables, and every such row must name a metric that something
 // registered.
@@ -316,15 +237,8 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := design.FailoverChain(WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	input := []byte("xxabcx")
 	if _, err := eng.RunBatch(context.Background(), [][]byte{input, input}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chain.Run(context.Background(), input); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := runner.Run(context.Background(), input); err != nil {
@@ -334,7 +248,7 @@ func TestMetricCatalogMatchesDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|failover|place)_`)
+	owned := regexp.MustCompile(`^rapid_(backend|engine|lazydfa|place)_`)
 	registered := map[string]bool{}
 	for _, snap := range []*telemetry.Snapshot{reg.Snapshot(), telemetry.Default().Snapshot()} {
 		for _, name := range snap.Names() {
