@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/place"
-	"repro/internal/tessellate"
 )
 
 // BenchmarkTable4 regenerates the program-size and STE-usage comparison
@@ -252,7 +251,7 @@ func BenchmarkAblationTessellationDensity(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r, err := tessellate.Tessellate(place.DeviceNetwork(unit.Network), spec.Count, place.Config{})
+		r, err := place.Tessellate(place.DeviceNetwork(unit.Network), spec.Count)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -94,6 +94,19 @@ func (u *BlockUsage) Add(other BlockUsage) {
 	u.Boolean += other.Boolean
 }
 
+// UsageOfKind returns the per-block resource footprint of one element of
+// kind k.
+func UsageOfKind(k automata.Kind) BlockUsage {
+	switch k {
+	case automata.KindSTE:
+		return BlockUsage{STEs: 1}
+	case automata.KindCounter:
+		return BlockUsage{Counters: 1}
+	default:
+		return BlockUsage{Boolean: 1}
+	}
+}
+
 // UsageOf returns the per-block resource footprint of a whole network.
 func UsageOf(n *automata.Network) BlockUsage {
 	s := n.Stats()

@@ -1,13 +1,14 @@
 // Package core orchestrates the RAPID compilation pipeline — the paper's
 // primary contribution: parse → type check (with staged-computation
-// annotation) → lower to a homogeneous automaton → place and route or
-// tessellate for the Automata Processor.
+// annotation) → lower to a homogeneous automaton, which package place
+// places and routes or tessellates for the Automata Processor.
 //
 // It also implements the Section 6 heuristic that selects what to
 // tessellate: a top-level some statement iterating over a network parameter
 // marks the program as a repetition of per-element automata, so the
-// compiler places a single-element instance at block granularity and tiles
-// it across the board.
+// compiler compiles a single-element instance and hands it to
+// place.Tessellate, which fills one block with copies and tiles it across
+// the board.
 package core
 
 import (
@@ -20,7 +21,6 @@ import (
 	"repro/internal/lang/sema"
 	"repro/internal/lang/value"
 	"repro/internal/place"
-	"repro/internal/tessellate"
 )
 
 // Program is a parsed and checked RAPID program.
@@ -146,7 +146,7 @@ func (spec *TileSpec) UnitArgs(args []value.Value) []value.Value {
 // the tileable repetition, compiles the single-instance unit, and tiles its
 // device network. It fails when the heuristic finds no repetition (e.g.,
 // fixed-size designs like Brill).
-func (p *Program) Tessellate(args []value.Value, cfg place.Config) (*tessellate.Result, error) {
+func (p *Program) Tessellate(args []value.Value) (*place.Tessellation, error) {
 	spec, ok := p.DetectTileable(args)
 	if !ok {
 		return nil, fmt.Errorf("core: no top-level some over a network parameter; the design is not tileable")
@@ -155,5 +155,5 @@ func (p *Program) Tessellate(args []value.Value, cfg place.Config) (*tessellate.
 	if err != nil {
 		return nil, err
 	}
-	return tessellate.Tessellate(place.DeviceNetwork(unit.Network), spec.Count, cfg)
+	return place.Tessellate(place.DeviceNetwork(unit.Network), spec.Count)
 }

@@ -110,7 +110,7 @@ network () { m(); }`
 	if _, ok := p.DetectTileable(nil); ok {
 		t.Fatal("fixed design should not be tileable")
 	}
-	if _, err := p.Tessellate(nil, place.Config{}); err == nil {
+	if _, err := p.Tessellate(nil); err == nil {
 		t.Fatal("Tessellate should fail on non-tileable design")
 	}
 }
@@ -125,7 +125,7 @@ func TestTessellatePipeline(t *testing.T) {
 		words[i] = "rapid"
 	}
 	args := []value.Value{value.Strings(words)}
-	r, err := p.Tessellate(args, place.Config{})
+	r, err := p.Tessellate(args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTessellateTilesDeviceNetwork(t *testing.T) {
 		words[i] = "rrrrrrrrrrrrrr"
 	}
 	args := []value.Value{value.Strings(words)}
-	r, err := p.Tessellate(args, place.Config{})
+	r, err := p.Tessellate(args)
 	if err != nil {
 		t.Fatal(err)
 	}

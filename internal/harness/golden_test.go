@@ -12,10 +12,12 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/tables.golden from the current tables")
 
 // TestTablesGolden pins every non-timing column of the paper's tables:
-// Tables 4 and 5 as rapidbench prints them, and Table 6's problem sizes
-// and block counts at 2% scale. A compiler, optimizer or placement change
-// that moves any of them shows up as a diff against testdata/tables.golden;
-// when the change is intended, regenerate the file with
+// Tables 4 and 5 as rapidbench prints them, and Table 6's problem sizes,
+// block counts, tessellation densities, STE utilizations and mean BR
+// allocations at 2% scale — everything the block row model feeds. A
+// compiler, optimizer or placement change that moves any of them shows up
+// as a diff against testdata/tables.golden; when the change is intended,
+// regenerate the file with
 // go test ./internal/harness -run TablesGolden -update.
 func TestTablesGolden(t *testing.T) {
 	t4, err := Table4()
@@ -33,9 +35,11 @@ func TestTablesGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(FormatTable4(t4) + "\n" + FormatTable5(t5) + "\n")
 	b.WriteString("Table 6 at scale 0.02, timing columns omitted\n")
-	fmt.Fprintf(&b, "%-10s %-2s %12s %12s\n", "Benchmark", "S", "Problem Size", "Total Blocks")
+	fmt.Fprintf(&b, "%-10s %-2s %12s %12s %9s %10s %14s\n",
+		"Benchmark", "S", "Problem Size", "Total Blocks", "Per Block", "STE Util.", "Mean BR Alloc.")
 	for _, r := range t6 {
-		fmt.Fprintf(&b, "%-10s %-2s %12d %12d\n", r.Benchmark, r.Strategy, r.ProblemSize, r.TotalBlocks)
+		fmt.Fprintf(&b, "%-10s %-2s %12d %12d %9d %9.3f%% %13.3f%%\n", r.Benchmark, r.Strategy,
+			r.ProblemSize, r.TotalBlocks, r.PerBlock, 100*r.STEUtil, 100*r.MeanBRAlloc)
 	}
 	got := b.String()
 

@@ -59,10 +59,15 @@ const (
 
 // Table6Row reports the tessellation experiment (Table 6).
 type Table6Row struct {
-	Benchmark    string
-	Strategy     Strategy
-	ProblemSize  int
-	TotalBlocks  int
+	Benchmark   string
+	Strategy    Strategy
+	ProblemSize int
+	TotalBlocks int
+	// PerBlock is the auto-tuned instances per block (tessellated rows
+	// only; 0 otherwise).
+	PerBlock     int
+	STEUtil      float64
+	MeanBRAlloc  float64
 	GenerateTime time.Duration
 	PRTime       time.Duration
 	TotalTime    time.Duration
@@ -215,6 +220,8 @@ func Table6(scale float64) ([]Table6Row, error) {
 		rows = append(rows, Table6Row{
 			Benchmark: b.Name, Strategy: StrategyBaseline, ProblemSize: n,
 			TotalBlocks:  basePlacement.Metrics.TotalBlocks,
+			STEUtil:      basePlacement.Metrics.STEUtilization,
+			MeanBRAlloc:  basePlacement.Metrics.MeanBRAlloc,
 			GenerateTime: genTime, PRTime: prTime, TotalTime: genTime + prTime,
 		})
 
@@ -235,6 +242,8 @@ func Table6(scale float64) ([]Table6Row, error) {
 		rows = append(rows, Table6Row{
 			Benchmark: b.Name, Strategy: StrategyPrecompiled, ProblemSize: n,
 			TotalBlocks:  stamped.TotalBlocks,
+			STEUtil:      stamped.STEUtilization,
+			MeanBRAlloc:  stamped.MeanBRAlloc,
 			GenerateTime: genTime, PRTime: prTime, TotalTime: genTime + prTime,
 		})
 
@@ -255,7 +264,7 @@ func Table6(scale float64) ([]Table6Row, error) {
 		}
 		genTime = time.Since(genStart)
 		prStart = time.Now()
-		tess, err := prog.Tessellate(args, place.Config{})
+		tess, err := prog.Tessellate(args)
 		if err != nil {
 			return nil, fmt.Errorf("%s tessellate: %w", b.Name, err)
 		}
@@ -263,6 +272,9 @@ func Table6(scale float64) ([]Table6Row, error) {
 		rows = append(rows, Table6Row{
 			Benchmark: b.Name, Strategy: StrategyTessellated, ProblemSize: n,
 			TotalBlocks:  tess.TotalBlocks,
+			PerBlock:     tess.PerBlock,
+			STEUtil:      tess.Metrics.STEUtilization,
+			MeanBRAlloc:  tess.Metrics.MeanBRAlloc,
 			GenerateTime: genTime, PRTime: prTime, TotalTime: genTime + prTime,
 		})
 	}

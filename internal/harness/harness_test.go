@@ -46,7 +46,7 @@ func prSpeedup(t *testing.T, name string, n int) (float64, []float64) {
 	}
 	tessellated := func() time.Duration {
 		start := time.Now()
-		if _, err := prog.Tessellate(args, place.Config{}); err != nil {
+		if _, err := prog.Tessellate(args); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -14,8 +14,11 @@
 //     entire design with iterative refinement (slow, good density);
 //   - PlaceStamped: the pre-compiled flow, which places a single design
 //     once and stamps copies at row granularity (faster, poor density);
-//   - package tessellate builds on this package for the RAPID tessellation
-//     flow (fastest, near-best density).
+//   - Tessellate: the RAPID tessellation flow, which places one block of
+//     as many copies as fit and tiles it (fastest, near-best density).
+//
+// All three lay rows out with one row model (rowLayout) and place onto the
+// first-generation AP.
 //
 // The baseline flow scales out two ways. Connected components are chunked
 // into fixed-boundary groups and placed on a worker pool
@@ -46,6 +49,12 @@ import (
 // block it touches.
 const BRLinesPerBlock = 48
 
+// firstGen is the device resource model every flow places onto.
+var firstGen = ap.FirstGeneration()
+
+// refinePasses is the number of refinement sweeps of the baseline flow.
+const refinePasses = 6
+
 // DefaultFanInLimit is the routing fan-in bound of the device network: one
 // row of STEs.
 const DefaultFanInLimit = 16
@@ -54,7 +63,7 @@ const DefaultFanInLimit = 16
 // pruned, prefix- and suffix-merged and fan-in split at DefaultFanInLimit,
 // as placement tools transform a design before mapping it (Table 4's
 // device STEs). It is the one derivation of that network: Place,
-// PlaceStamped and tessellation place what they are given, so callers
+// PlaceStamped and Tessellate place what they are given, so callers
 // pass them this network.
 func DeviceNetwork(net *automata.Network) *automata.Network {
 	return net.OptimizeForDevice(DefaultFanInLimit)
@@ -123,11 +132,6 @@ func (e *CapacityError) Error() string {
 
 // Config controls placement.
 type Config struct {
-	// Res is the device resource model; zero value means first generation.
-	Res ap.Resources
-	// RefinePasses is the number of refinement sweeps of the baseline
-	// global placement; <= 0 uses 6.
-	RefinePasses int
 	// Parallelism bounds the worker goroutines placing independent
 	// component groups; <= 0 uses GOMAXPROCS, 1 runs serially. Group
 	// boundaries and merge order are independent of the worker count, so
@@ -149,12 +153,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.Res == (ap.Resources{}) {
-		cfg.Res = ap.FirstGeneration()
-	}
-	if cfg.RefinePasses <= 0 {
-		cfg.RefinePasses = 6
-	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -252,21 +250,14 @@ func PlaceStamped(unit *automata.Network, count int, cfg Config) (*Placement, Me
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	res := cfg.Res
 	u := unitPlacement.Metrics
-	work := unitPlacement.Network
-	top := work.MustFreeze() // already frozen by Place; returns the cached topology
+	top := unitPlacement.Network.MustFreeze() // already frozen by Place; returns the cached topology
+	all := allElements(top)
 	// The stamped unit is frozen to whole rows.
-	unitRows := (u.STEs + res.STEsPerRow - 1) / res.STEsPerRow
-	if unitRows == 0 {
-		unitRows = 1
-	}
-	perBlockByRows := res.RowsPerBlock / unitRows
-	if perBlockByRows < 1 {
-		perBlockByRows = 1 // multi-block units stamp at block granularity
-	}
-	perBlockByRows = limitByResource(perBlockByRows, res.CountersPerBlock, u.Counters)
-	perBlockByRows = limitByResource(perBlockByRows, res.BooleanPerBlock, u.Gates)
+	unitRows := rowsFor(u.STEs, firstGen)
+	perBlockByRows := max(1, firstGen.RowsPerBlock/unitRows) // multi-block units stamp at block granularity
+	perBlockByRows = limitByResource(perBlockByRows, firstGen.CountersPerBlock, u.Counters)
+	perBlockByRows = limitByResource(perBlockByRows, firstGen.BooleanPerBlock, u.Gates)
 
 	// Stamp each copy: relabel its elements into the slot's rows and
 	// verify the slot's routing budget. This is the honest per-instance
@@ -280,30 +271,9 @@ func PlaceStamped(unit *automata.Network, count int, cfg Config) (*Placement, Me
 			blocks += unitBlocks
 			continue
 		}
-		// Per-copy routing pass: recompute the copy's cross-row source
-		// count at its slot offset.
-		rowBase := slotInBlock * unitRows
-		lines := 0
-		seen := make(map[automata.ElementID]bool, 8)
-		steCount, specialCount := 0, 0
-		rowOf := make([]int, top.Len())
-		for id := automata.ElementID(0); id < automata.ElementID(top.Len()); id++ {
-			if top.Kind(id) == automata.KindSTE {
-				rowOf[id] = rowBase + steCount/res.STEsPerRow
-				steCount++
-			} else {
-				rowOf[id] = rowBase + specialCount%unitRows
-				specialCount++
-			}
-		}
-		for id := automata.ElementID(0); id < automata.ElementID(top.Len()); id++ {
-			for _, edge := range top.Outs(id) {
-				if rowOf[id] != rowOf[edge.Node] && !seen[id] {
-					seen[id] = true
-					lines++
-				}
-			}
-		}
+		// Per-copy routing pass: lay the copy out in its slot's rows and
+		// count the lines it routes.
+		_, lines := rowLayout(top, all, unitRows, firstGen)
 		if slotInBlock >= perBlockByRows || brInBlock+lines > BRLinesPerBlock {
 			blocks++
 			slotInBlock = 0
@@ -315,25 +285,30 @@ func PlaceStamped(unit *automata.Network, count int, cfg Config) (*Placement, Me
 	if unitBlocks == 1 && slotInBlock > 0 {
 		blocks++
 	}
-	if blocks == 0 {
-		blocks = 1
-	}
-	m := Metrics{
-		TotalBlocks:    blocks,
-		ClockDivisor:   u.ClockDivisor,
-		STEUtilization: float64(u.STEs*count) / float64(blocks*res.STEsPerBlock()),
-		MeanBRAlloc:    u.MeanBRAlloc,
-		Elements:       u.Elements * count,
-		STEs:           u.STEs * count,
-		Counters:       u.Counters * count,
-		Gates:          u.Gates * count,
-	}
-	if m.STEUtilization > 1 {
-		m.STEUtilization = 1
-	}
-	return unitPlacement, m, nil
+	return unitPlacement, u.scaled(count, max(1, blocks)), nil
 }
 
+// scaled returns the board-level metrics of count instances whose
+// one-instance metrics are m, laid out on blocks blocks: element counts
+// multiply and STE utilization becomes the instances' share of the board's
+// STEs. Routing allocation and clock divisor are the instance's.
+func (m Metrics) scaled(count, blocks int) Metrics {
+	m.TotalBlocks = blocks
+	m.STEUtilization = math.Min(1, float64(m.STEs*count)/float64(blocks*firstGen.STEsPerBlock()))
+	m.Elements *= count
+	m.STEs *= count
+	m.Counters *= count
+	m.Gates *= count
+	return m
+}
+
+// rowsFor is the whole-row span of stes STEs, at least one row.
+func rowsFor(stes int, res ap.Resources) int {
+	return max(1, (stes+res.STEsPerRow-1)/res.STEsPerRow)
+}
+
+// limitByResource caps perBlock instances by how many instances of usage
+// fit a block's capacity of one resource.
 func limitByResource(perBlock, capacity, usage int) int {
 	if usage == 0 {
 		return perBlock
@@ -426,11 +401,10 @@ func newPartitioner(net *automata.Network, top *automata.Topology, cfg Config) *
 			p.nBroadcast++
 		}
 	}
-	res := cfg.Res
 	p.capacity = ap.BlockUsage{
-		STEs:     res.STEsPerBlock() - p.nBroadcast, // broadcast replicas
-		Counters: res.CountersPerBlock,
-		Boolean:  res.BooleanPerBlock,
+		STEs:     firstGen.STEsPerBlock() - p.nBroadcast, // broadcast replicas
+		Counters: firstGen.CountersPerBlock,
+		Boolean:  firstGen.BooleanPerBlock,
 	}
 	if p.capacity.STEs < 1 {
 		p.capacity.STEs = 1
@@ -446,17 +420,6 @@ func newPartitioner(net *automata.Network, top *automata.Topology, cfg Config) *
 
 func (p *partitioner) fits(u ap.BlockUsage) bool {
 	return u.STEs <= p.capacity.STEs && u.Counters <= p.capacity.Counters && u.Boolean <= p.capacity.Boolean
-}
-
-func usageOfKind(k automata.Kind) ap.BlockUsage {
-	switch k {
-	case automata.KindSTE:
-		return ap.BlockUsage{STEs: 1}
-	case automata.KindCounter:
-		return ap.BlockUsage{Counters: 1}
-	default:
-		return ap.BlockUsage{Boolean: 1}
-	}
 }
 
 // components returns the connected components of the non-broadcast
@@ -486,32 +449,50 @@ func componentLabel(top *automata.Topology, comp []automata.ElementID) string {
 	return fmt.Sprintf("component@%d (%d elements)", root, len(comp))
 }
 
-// brDemand estimates the block-routing lines a component consumes: the
-// number of distinct source signals that cross rows when the component is
-// laid out sequentially at STEsPerRow elements per row.
-func (p *partitioner) brDemand(comp []automata.ElementID) int {
-	res := p.cfg.Res
-	row := make(map[automata.ElementID]int, len(comp))
+// rowLayout is the one block row model. It lays ids out sequentially in
+// the given order — STEs STEsPerRow to a row, special elements dealt
+// round-robin over specialRows rows — and returns each element's row, by
+// index in ids, with the number of distinct sources that have an out-edge
+// to another row or to an element outside ids: the block-routing lines the
+// layout consumes.
+func rowLayout(top *automata.Topology, ids []automata.ElementID, specialRows int, res ap.Resources) (rowOf []int, lines int) {
+	rank := newRankIndex(ids)
+	rowOf = make([]int, len(ids))
 	steCount, specialCount := 0, 0
-	for _, id := range comp {
-		if p.top.Kind(id) == automata.KindSTE {
-			row[id] = steCount / res.STEsPerRow
+	for i, id := range ids {
+		if top.Kind(id) == automata.KindSTE {
+			rowOf[i] = steCount / res.STEsPerRow
 			steCount++
 		} else {
-			row[id] = specialCount % res.RowsPerBlock
+			rowOf[i] = specialCount % specialRows
 			specialCount++
 		}
 	}
-	sources := make(map[automata.ElementID]bool)
-	for _, id := range comp {
-		for _, e := range p.top.Outs(id) {
-			toRow, ok := row[automata.ElementID(e.Node)]
-			if !ok || toRow != row[id] {
-				sources[id] = true
+	for i, id := range ids {
+		for _, e := range top.Outs(id) {
+			if j := rank.of(automata.ElementID(e.Node)); j < 0 || rowOf[j] != rowOf[i] {
+				lines++
+				break
 			}
 		}
 	}
-	return len(sources)
+	return rowOf, lines
+}
+
+// allElements lists every element of top in id order.
+func allElements(top *automata.Topology) []automata.ElementID {
+	ids := make([]automata.ElementID, top.Len())
+	for i := range ids {
+		ids[i] = automata.ElementID(i)
+	}
+	return ids
+}
+
+// brDemand estimates the block-routing lines a component consumes when it
+// is laid out alone in a block.
+func (p *partitioner) brDemand(comp []automata.ElementID) int {
+	_, lines := rowLayout(p.top, comp, firstGen.RowsPerBlock, firstGen)
+	return lines
 }
 
 // sizedComp is one component with its precomputed element demand.
@@ -539,7 +520,7 @@ func (p *partitioner) place() {
 	for _, comp := range comps {
 		var u ap.BlockUsage
 		for _, id := range comp {
-			u.Add(usageOfKind(p.top.Kind(id)))
+			u.Add(ap.UsageOfKind(p.top.Kind(id)))
 		}
 		items = append(items, sizedComp{comp: comp, usage: u})
 	}
@@ -660,12 +641,12 @@ func (p *partitioner) partitionStamping(items []sizedComp) ([]sizedComp, []stamp
 			// cache: a serving process compiling a manifest of
 			// single-component rule variants stamps every design after
 			// the first.
-			st.footprint(h, p.top, it.comp, p.cfg.Res)
+			st.footprint(h, p.top, it.comp, firstGen)
 			local[h] = nil
 			continue
 		}
-		fp := st.footprint(h, p.top, it.comp, p.cfg.Res)
-		if fp.BRLines > BRLinesPerBlock || fp.Rows > p.cfg.Res.RowsPerBlock {
+		fp := st.footprint(h, p.top, it.comp, firstGen)
+		if fp.BRLines > BRLinesPerBlock || fp.Rows > firstGen.RowsPerBlock {
 			fp = nil // too routing-heavy to stamp
 		}
 		local[h] = fp
@@ -814,7 +795,7 @@ func (p *partitioner) placeGroup(items []sizedComp) *groupResult {
 		b := newBlock(label)
 		inBlock := 0
 		for _, id := range it.comp {
-			eu := usageOfKind(p.top.Kind(id))
+			eu := ap.UsageOfKind(p.top.Kind(id))
 			trial := g.usage[b]
 			trial.Add(eu)
 			if !p.fits(trial) || inBlock >= perBlockElems {
@@ -833,7 +814,7 @@ func (p *partitioner) placeGroup(items []sizedComp) *groupResult {
 	// with a single group this is exactly the historical global sweep.
 	ids := append([]automata.ElementID(nil), g.order...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for pass := 0; pass < p.cfg.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		if p.refineGroup(g, ids) == 0 {
 			break
 		}
@@ -876,7 +857,7 @@ func (p *partitioner) refineGroup(g *groupResult, ids []automata.ElementID) int 
 		if best == cur {
 			continue
 		}
-		eu := usageOfKind(p.top.Kind(id))
+		eu := ap.UsageOfKind(p.top.Kind(id))
 		trial := g.usage[best]
 		trial.Add(eu)
 		if !p.fits(trial) {
@@ -919,7 +900,7 @@ func (p *partitioner) stampRuns(items []stampedComp) {
 		if cur >= 0 {
 			trial := p.usage[cur]
 			trial.Add(fp.Usage)
-			if nextRow+fp.Rows > p.cfg.Res.RowsPerBlock || !p.fits(trial) ||
+			if nextRow+fp.Rows > firstGen.RowsPerBlock || !p.fits(trial) ||
 				p.brUsed[cur]+fp.BRLines > BRLinesPerBlock {
 				cur = -1
 			}
@@ -946,7 +927,6 @@ func (p *partitioner) stampRuns(items []stampedComp) {
 
 // finish compacts block numbering, assigns rows, and computes metrics.
 func (p *partitioner) finish() (*Placement, error) {
-	res := p.cfg.Res
 	// Compact non-empty blocks (in first-use order by element id), carrying
 	// each block's owning component along for capacity-error attribution.
 	remap := make([]int, len(p.usage))
@@ -990,8 +970,8 @@ func (p *partitioner) finish() (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowOf := assignRows(p.top, blockOf, blocks, res, p.assignOrder, p.preRow)
-	m := computeMetrics(p.top, blockOf, rowOf, blocks, p.broadcast, res)
+	rowOf := assignRows(p.top, blockOf, blocks, p.assignOrder, p.preRow)
+	m := computeMetrics(p.top, blockOf, rowOf, blocks, p.broadcast, p.nBroadcast)
 	return &Placement{
 		Network:        p.net,
 		BlockOf:        blockOf,
@@ -1014,7 +994,7 @@ func physicalAssignment(design string, needed int, cfg Config, ownerOf func(bloc
 		if cfg.Defects != nil {
 			total = cfg.Defects.Total()
 		} else {
-			total = cfg.Res.TotalBlocks()
+			total = firstGen.TotalBlocks()
 		}
 	}
 	defective := 0
@@ -1051,7 +1031,7 @@ func physicalAssignment(design string, needed int, cfg Config, ownerOf func(bloc
 // special elements take the per-row special slots. Elements with a preRow
 // entry >= 0 keep it — stamped components carry their footprint's row
 // layout translated to their slot.
-func assignRows(top *automata.Topology, blockOf []int, blocks int, res ap.Resources, order []automata.ElementID, preRow []int) []int {
+func assignRows(top *automata.Topology, blockOf []int, blocks int, order []automata.ElementID, preRow []int) []int {
 	// rowOf doubles as the seen-marker: -1 until assigned. When the
 	// stamping pass pre-assigned rows, its preRow array already has
 	// exactly that shape — stamped entries >= 0, everything else -1 — so
@@ -1075,10 +1055,10 @@ func assignRows(top *automata.Topology, blockOf []int, blocks int, res ap.Resour
 			return
 		}
 		if top.Kind(id) == automata.KindSTE {
-			rowOf[id] = steCount[b] / res.STEsPerRow
+			rowOf[id] = steCount[b] / firstGen.STEsPerRow
 			steCount[b]++
 		} else {
-			rowOf[id] = specialCount[b] % res.RowsPerBlock
+			rowOf[id] = specialCount[b] % firstGen.RowsPerBlock
 			specialCount[b]++
 		}
 	}
@@ -1092,7 +1072,7 @@ func assignRows(top *automata.Topology, blockOf []int, blocks int, res ap.Resour
 }
 
 // computeMetrics derives the Table 5 statistics from a block/row assignment.
-func computeMetrics(top *automata.Topology, blockOf, rowOf []int, blocks int, broadcast []bool, res ap.Resources) Metrics {
+func computeMetrics(top *automata.Topology, blockOf, rowOf []int, blocks int, broadcast []bool, nBroadcast int) Metrics {
 	stats := top.Stats()
 	// BR lines: distinct source signals routed through each block. One
 	// source drives at most a handful of blocks, so per-source dedup uses
@@ -1100,7 +1080,7 @@ func computeMetrics(top *automata.Topology, blockOf, rowOf []int, blocks int, br
 	perBlock := make([]int, blocks)
 	var touched []int
 	for src := automata.ElementID(0); src < automata.ElementID(top.Len()); src++ {
-		if broadcast != nil && broadcast[src] {
+		if broadcast[src] {
 			continue // replicated locally
 		}
 		touched = touched[:0]
@@ -1137,19 +1117,8 @@ func computeMetrics(top *automata.Topology, blockOf, rowOf []int, blocks int, br
 		brSum += alloc
 	}
 
-	nBroadcast := 0
-	if broadcast != nil {
-		for _, b := range broadcast {
-			if b {
-				nBroadcast++
-			}
-		}
-	}
 	usedSTEs := stats.STEs + nBroadcast*(blocks-1) // replicas
-	util := float64(usedSTEs) / float64(blocks*res.STEsPerBlock())
-	if util > 1 {
-		util = 1
-	}
+	util := math.Min(1, float64(usedSTEs)/float64(blocks*firstGen.STEsPerBlock()))
 
 	return Metrics{
 		TotalBlocks:    blocks,

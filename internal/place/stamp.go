@@ -102,24 +102,35 @@ func shapeOf(top *automata.Topology, comp []automata.ElementID, s *shapeScratch)
 	return out
 }
 
-// rankIndex maps element ids to their component rank. Components produced
-// by the DFS usually occupy a dense id range, where a slice lookup beats
-// a map by an order of magnitude; sparse components fall back to a map.
+// rankIndex maps element ids to their component rank. An ascending run of
+// ids (a whole network laid out in id order) needs no table; components
+// produced by the DFS usually occupy a dense id range, where a slice
+// lookup beats a map by an order of magnitude; sparse components fall back
+// to a map.
 type rankIndex struct {
 	base  automata.ElementID
+	run   int     // > 0: the ids are base, base+1, …, base+run-1
 	dense []int32 // rank+1, 0 = absent
 	m     map[automata.ElementID]int32
 }
 
 func newRankIndex(comp []automata.ElementID) rankIndex {
+	if len(comp) == 0 {
+		return rankIndex{}
+	}
 	lo, hi := comp[0], comp[0]
-	for _, id := range comp {
+	run := true
+	for i, id := range comp {
 		if id < lo {
 			lo = id
 		}
 		if id > hi {
 			hi = id
 		}
+		run = run && id == comp[0]+automata.ElementID(i)
+	}
+	if run {
+		return rankIndex{base: lo, run: len(comp)}
 	}
 	span := int(hi-lo) + 1
 	if span <= 4*len(comp)+64 {
@@ -138,6 +149,12 @@ func newRankIndex(comp []automata.ElementID) rankIndex {
 
 // of returns the element's component rank, or -1 for external elements.
 func (r rankIndex) of(id automata.ElementID) int32 {
+	if r.run > 0 {
+		if id < r.base || int(id-r.base) >= r.run {
+			return -1
+		}
+		return int32(id - r.base)
+	}
 	if r.dense != nil {
 		if id < r.base || int(id-r.base) >= len(r.dense) {
 			return -1
@@ -180,41 +197,17 @@ type Footprint struct {
 	RowOf []int
 }
 
-// FootprintOf lays the component out sequentially at STEsPerRow elements
-// per row — the same row model brDemand and the stamped flow use — and
-// returns its footprint. The result depends only on the component's
-// shape (see ShapeHash), never on its literals.
+// FootprintOf lays the component out with the row model every flow uses
+// (rowLayout), its specials dealt over its own rows, and returns its
+// footprint. The result depends only on the component's shape (see
+// ShapeHash), never on its literals.
 func FootprintOf(top *automata.Topology, comp []automata.ElementID, res ap.Resources) *Footprint {
 	var u ap.BlockUsage
 	for _, id := range comp {
-		u.Add(usageOfKind(top.Kind(id)))
+		u.Add(ap.UsageOfKind(top.Kind(id)))
 	}
-	rows := (u.STEs + res.STEsPerRow - 1) / res.STEsPerRow
-	if rows == 0 {
-		rows = 1
-	}
-	rank := newRankIndex(comp)
-	rowOf := make([]int, len(comp))
-	steCount, specialCount := 0, 0
-	for i, id := range comp {
-		if top.Kind(id) == automata.KindSTE {
-			rowOf[i] = steCount / res.STEsPerRow
-			steCount++
-		} else {
-			rowOf[i] = specialCount % rows
-			specialCount++
-		}
-	}
-	lines := 0
-	for i, id := range comp {
-		for _, e := range top.Outs(id) {
-			j := rank.of(automata.ElementID(e.Node))
-			if j < 0 || rowOf[j] != rowOf[i] {
-				lines++
-				break
-			}
-		}
-	}
+	rows := rowsFor(u.STEs, res)
+	rowOf, lines := rowLayout(top, comp, rows, res)
 	return &Footprint{Rows: rows, Usage: u, BRLines: lines, RowOf: rowOf}
 }
 

@@ -1,12 +1,11 @@
-// Package telemetry is the dependency-free metrics and tracing core the
-// execution tiers report into: atomic counters, gauges, and fixed
-// log-scale-bucket histograms, optionally labeled into families, collected
-// in a concurrency-safe Registry that exports Prometheus text format and
-// expvar-style JSON, plus a lightweight span hook for per-stream lifecycle
-// events.
+// Package telemetry is the dependency-free metrics core the execution
+// tiers report into: atomic counters, gauges, and fixed log-scale-bucket
+// histograms, optionally labeled into families, collected in a
+// concurrency-safe Registry that exports Prometheus text format and
+// expvar-style JSON.
 //
 // Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *CounterVec, or *Span are no-ops, and every constructor on a
+// *Histogram, or *CounterVec are no-ops, and every constructor on a
 // nil *Registry returns nil. Disabled telemetry is therefore a nil
 // registry threaded through the execution layers — the hot path pays a
 // single pointer test per stream chunk, never per byte.
@@ -191,10 +190,9 @@ func (m *metric) get(values []string) *series {
 // disabled state: its constructors return nil instruments whose methods
 // no-op.
 type Registry struct {
-	mu      sync.Mutex
-	byName  map[string]*metric
-	order   []string
-	spanFns []func(SpanEvent)
+	mu     sync.Mutex
+	byName map[string]*metric
+	order  []string
 }
 
 // NewRegistry returns an empty registry.
@@ -355,7 +353,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.m.get(values).h
 }
 
-// Label is one label key/value pair of a snapshot series or span.
+// Label is one label key/value pair of a snapshot series.
 type Label struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`

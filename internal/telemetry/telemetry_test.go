@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentInstruments hammers one registry from many goroutines —
@@ -61,9 +60,6 @@ func TestNilSafety(t *testing.T) {
 	r.CounterVec("d", "", "l").With("x").Inc()
 	r.GaugeVec("e", "", "l").With("x").Add(1)
 	r.HistogramVec("f", "", "l").With("x").Observe(1)
-	r.StartSpan("s").End()
-	r.StartSpan("s").Fail(nil)
-	r.OnSpan(nil)
 	if got := r.Snapshot(); len(got.Metrics) != 0 {
 		t.Errorf("nil registry snapshot = %v", got.Metrics)
 	}
@@ -167,42 +163,6 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	}
 }
-
-func TestSpans(t *testing.T) {
-	r := NewRegistry()
-	var events []SpanEvent
-	r.OnSpan(func(ev SpanEvent) { events = append(events, ev) })
-
-	s := r.StartSpan("stream", Label{Key: "backend", Value: "device"})
-	time.Sleep(time.Millisecond)
-	s.End()
-	f := r.StartSpan("stream")
-	f.Fail(errTest)
-	f.End()
-
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
-	}
-	if events[0].Name != "stream" || events[0].Duration <= 0 || events[0].Err != nil {
-		t.Errorf("event 0 = %+v", events[0])
-	}
-	if events[1].Err != errTest {
-		t.Errorf("event 1 err = %v", events[1].Err)
-	}
-	snap := r.Snapshot()
-	if got := snap.Counter("rapid_spans_total", "span", "stream", "status", "ok"); got != 1 {
-		t.Errorf("spans ok = %d", got)
-	}
-	if got := snap.Counter("rapid_spans_total", "span", "stream", "status", "error"); got != 1 {
-		t.Errorf("spans error = %d", got)
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
 
 func TestRegistrationConflictPanics(t *testing.T) {
 	r := NewRegistry()

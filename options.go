@@ -30,7 +30,7 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithTelemetry routes the execution path's metrics and spans into reg —
+// WithTelemetry routes the execution path's metrics into reg —
 // typically telemetry.Default(), so rapid.Metrics() and the -metrics-addr
 // exporters see them. The default is nil: telemetry disabled, at zero
 // measurable cost on the hot path.

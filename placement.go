@@ -2,6 +2,7 @@ package rapid
 
 import (
 	"repro/internal/ap"
+	"repro/internal/automata"
 	"repro/internal/place"
 )
 
@@ -71,11 +72,12 @@ func (d *Design) EnsurePlaced(cache *PlacementCache) (restored bool, err error) 
 // derivation is deterministic (its prefix and suffix merges take their
 // groups in ascending id order, so even edge order repeats), so a section
 // recorded by any process that placed the design with the same compiler
-// lines up exactly; any disagreement — truncated
-// arrays, out-of-range assignments, an element count from a different
-// compiler version — returns nil and the caller falls back to placing
-// from scratch. A stale artifact can degrade only into recompilation,
-// never into a bogus layout.
+// lines up exactly; any disagreement — truncated arrays, out-of-range
+// assignments, a logical block holding more elements than one block's
+// capacity, two logical blocks on one physical block, an element count
+// from a different compiler version — returns nil and the caller falls
+// back to placing from scratch. A stale artifact can degrade only into
+// recompilation, never into a bogus layout.
 func (d *Design) restorePlacement() *place.Placement {
 	raw := d.rawPlacement
 	work := d.device()
@@ -91,18 +93,30 @@ func (d *Design) restorePlacement() *place.Placement {
 	if raw.TotalBlocks < 1 || len(raw.Physical) != raw.TotalBlocks {
 		return nil
 	}
+	usage := make([]ap.BlockUsage, raw.TotalBlocks)
 	for i := 0; i < n; i++ {
-		if raw.Blocks[i] < -1 || raw.Blocks[i] >= raw.TotalBlocks {
+		b := raw.Blocks[i]
+		if b < -1 || b >= raw.TotalBlocks {
 			return nil
 		}
 		if raw.Rows[i] < 0 || raw.Rows[i] >= res.RowsPerBlock {
 			return nil
 		}
+		if b >= 0 { // -1 is a replicated broadcast source
+			usage[b].Add(ap.UsageOfKind(top.Kind(automata.ElementID(i))))
+		}
 	}
-	for _, b := range raw.Physical {
-		if b < 0 || b >= res.TotalBlocks() {
+	for _, u := range usage {
+		if !u.Fits(res) {
 			return nil
 		}
+	}
+	taken := make([]bool, res.TotalBlocks())
+	for _, b := range raw.Physical {
+		if b < 0 || b >= len(taken) || taken[b] {
+			return nil
+		}
+		taken[b] = true
 	}
 	return &place.Placement{
 		Network:        work,

@@ -133,7 +133,8 @@ func TestPlacementArtifactV1Accepted(t *testing.T) {
 // section degrades into a recomputed placement, reported via
 // restored=false so callers can count the miss and re-persist.
 func TestPlacementArtifactCorruptSectionFallsBack(t *testing.T) {
-	design := compilePatternDesign(t, []string{"abc", "bcd"})
+	// A multi-block design, so that blocks can collide or overflow.
+	design := compilePatternDesign(t, macroPatterns(200, 0))
 	if _, err := design.EnsurePlaced(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +165,14 @@ func TestPlacementArtifactCorruptSectionFallsBack(t *testing.T) {
 		"block-range":      func(p *artifactPlacement) { p.Blocks[0] = p.TotalBlocks + 7 },
 		"row-range":        func(p *artifactPlacement) { p.Rows[0] = -2 },
 		"physical-len":     func(p *artifactPlacement) { p.Physical = nil },
+		"physical-repeat":  func(p *artifactPlacement) { p.Physical[1] = p.Physical[0] },
+		"block-overflow": func(p *artifactPlacement) {
+			for i, b := range p.Blocks {
+				if b > 0 {
+					p.Blocks[i] = 0
+				}
+			}
+		},
 	}
 	for name, mutate := range cases {
 		loaded := corrupt(mutate)

@@ -329,7 +329,7 @@ type Tessellation struct {
 // how many instances fill one device block, and tiles the result. It fails
 // for designs without a tileable repetition.
 func (p *Program) Tessellate(args ...Value) (*Tessellation, error) {
-	r, err := p.p.Tessellate(args, place.Config{})
+	r, err := p.p.Tessellate(args)
 	if err != nil {
 		return nil, err
 	}
