@@ -3,7 +3,6 @@ package rapid
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -57,16 +56,13 @@ func BackendKinds() []BackendKind {
 }
 
 // UnknownBackendError reports a string that names no backend kind, and
-// lists the valid kinds. Both CLIs surface it verbatim for -backend.
+// lists the valid kinds. rapidrun surfaces it verbatim for -backend.
 type UnknownBackendError struct {
 	Got string
-	// Extra lists the names the refusing entry point accepts besides the
-	// backend kinds (serve's "engine" mode); they are listed first.
-	Extra []string
 }
 
 func (e *UnknownBackendError) Error() string {
-	names := slices.Clone(e.Extra)
+	names := make([]string, 0, len(BackendKinds()))
 	for _, k := range BackendKinds() {
 		names = append(names, string(k))
 	}
@@ -76,7 +72,7 @@ func (e *UnknownBackendError) Error() string {
 
 // ParseBackendKind parses a -backend flag value into a BackendKind,
 // returning an *UnknownBackendError listing the valid kinds on a bad
-// value. It is the one helper rapidrun and rapidserve parse with.
+// value.
 func ParseBackendKind(s string) (BackendKind, error) {
 	for _, k := range BackendKinds() {
 		if s == string(k) {
@@ -87,9 +83,9 @@ func ParseBackendKind(s string) (BackendKind, error) {
 }
 
 // Backend constructs the named execution tier behind the uniform Matcher
-// interface — the one entry point serve, the CLIs, and the harness build
-// backends through. Options apply where relevant (workers and cache caps
-// to the lazy-DFA tier, telemetry to every tier); the per-path
+// interface — the one entry point rapidrun and the conformance campaign
+// build backends through. Options apply where relevant (workers and cache
+// caps to the lazy-DFA tier, telemetry to every tier); the per-path
 // constructors (NewRunner, NewEngine) remain for callers that need a
 // tier's own methods.
 func (d *Design) Backend(kind BackendKind, opts ...Option) (Matcher, error) {

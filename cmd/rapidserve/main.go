@@ -1,25 +1,24 @@
 // Command rapidserve puts compiled RAPID/ANML designs behind a network
 // match endpoint — the serving layer of the reproduction. It mounts one
-// or more designs, coalesces small concurrent requests into batched
-// engine runs, refuses over-capacity load with 429 + Retry-After instead
-// of queuing unboundedly, and drains gracefully on SIGTERM.
+// or more designs, each on its batched lazy-DFA engine, coalesces small
+// concurrent requests into batched engine runs, refuses over-capacity
+// load with 429 + Retry-After instead of queuing unboundedly, and drains
+// gracefully on SIGTERM.
 //
 // Usage:
 //
 //	rapidserve -src program.rapid -args '[["rapid"]]'
 //	rapidserve -designs designs.json -addr :8765 -metrics-addr :9190
 //	rapidserve -designs designs.json -artifact-cache /var/cache/rapid
-//	rapidserve -src p.rapid -args '[]' -backend device
 //
 // With -designs, the manifest is a JSON array of design entries:
 //
-//	[{"name": "spam", "src": "spam.rapid", "args": [["viagra"]],
-//	  "backend": "engine"},
+//	[{"name": "spam", "src": "spam.rapid", "args": [["viagra"]]},
 //	 {"name": "motif", "anml": "motif.anml"}]
 //
-// The manifest is validated up front — duplicate names, unknown backend
-// kinds, missing files, and malformed args are all reported in one pass
-// with file:line context, instead of failing on the first mount.
+// The manifest is validated up front — duplicate names, unknown fields,
+// missing files, and malformed args are all reported in one pass with
+// file:line context, instead of failing on the first mount.
 //
 // With -artifact-cache, compiled designs are persisted to a versioned
 // on-disk cache keyed by program hash; a restart (or another replica
@@ -48,8 +47,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -69,7 +70,6 @@ func main() {
 		anmlPath     = flag.String("anml", "", "ANML file for a single design (alternative to -src)")
 		argsJSON     = flag.String("args", "[]", "network arguments for -src as a JSON array")
 		name         = flag.String("name", "default", "design name for -src/-anml")
-		backend      = flag.String("backend", serve.BackendEngine, "execution mode for -src/-anml: engine, or a backend kind (device, lazy-dfa, reference)")
 		designsPath  = flag.String("designs", "", "JSON manifest mounting multiple designs (SIGHUP hot-reloads it)")
 		artifactDir  = flag.String("artifact-cache", "", "persist compiled designs to this directory, keyed by program hash; restarts mount from it without recompiling")
 		placeFlag    = flag.Bool("place", true, "place mounted designs through the shared macro-stamping cache and persist layouts in the artifact cache")
@@ -97,7 +97,6 @@ func main() {
 	}
 	if *metricsAddr != "" {
 		cfg.Telemetry = telemetry.Default()
-		rapid.RegisterBackendMetrics(cfg.Telemetry)
 	}
 	s, err := serve.New(cfg)
 	if err != nil {
@@ -105,7 +104,7 @@ func main() {
 	}
 
 	loadAll := func() ([]serve.DesignSpec, error) {
-		return loadSpecs(*designsPath, *srcPath, *anmlPath, *argsJSON, *name, *backend)
+		return loadSpecs(*designsPath, *srcPath, *anmlPath, *argsJSON, *name)
 	}
 	specs, err := loadAll()
 	if err != nil {
@@ -121,8 +120,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "rapidserve: mounted design %q hash=%s backend=%s stes=%d\n",
-			info.Name, info.Hash, info.Backend, info.STEs)
+		fmt.Fprintf(os.Stderr, "rapidserve: mounted design %q hash=%s tiers=%s stes=%d\n",
+			info.Name, info.Hash, info.Tiers, info.STEs)
 	}
 
 	if err := s.Start(); err != nil {
@@ -171,23 +170,22 @@ func main() {
 
 // designEntry is one -designs manifest entry.
 type designEntry struct {
-	Name    string          `json:"name"`
-	Src     string          `json:"src,omitempty"`
-	ANML    string          `json:"anml,omitempty"`
-	Args    json.RawMessage `json:"args,omitempty"`
-	Backend string          `json:"backend,omitempty"`
+	Name string          `json:"name"`
+	Src  string          `json:"src,omitempty"`
+	ANML string          `json:"anml,omitempty"`
+	Args json.RawMessage `json:"args,omitempty"`
 }
 
 // loadSpecs resolves the single-design flags and/or the -designs manifest
 // into mountable specs.
-func loadSpecs(designsPath, srcPath, anmlPath, argsJSON, name, backend string) ([]serve.DesignSpec, error) {
+func loadSpecs(designsPath, srcPath, anmlPath, argsJSON, name string) ([]serve.DesignSpec, error) {
 	var specs []serve.DesignSpec
 	if srcPath != "" || anmlPath != "" {
 		args, err := rapid.ValuesFromJSON([]byte(argsJSON))
 		if err != nil {
 			return nil, err
 		}
-		spec := serve.DesignSpec{Name: name, Args: args, Backend: backend}
+		spec := serve.DesignSpec{Name: name, Args: args}
 		if srcPath != "" {
 			data, err := os.ReadFile(srcPath)
 			if err != nil {
@@ -223,8 +221,8 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 		return nil, err
 	}
 
-	// Each problem is an error, so a typed cause (an unknown backend)
-	// stays visible through the aggregate with errors.As.
+	// Each problem is an error, so a typed cause stays visible through the
+	// aggregate with errors.As.
 	var problems []any
 	problemf := func(line int, format string, args ...any) {
 		problems = append(problems, fmt.Errorf("%s:%d: "+format, append([]any{path, line}, args...)...))
@@ -237,8 +235,10 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 	}
 
 	// Decode entry by entry so each one's byte offset — hence line — is
-	// known even though encoding/json does not expose positions.
+	// known even though encoding/json does not expose positions. A
+	// misspelled or retired key is a problem, not a silent default.
 	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	tok, err := dec.Token()
 	if err != nil {
 		return nil, fmt.Errorf("%s:1: bad manifest: %v", path, err)
@@ -249,6 +249,7 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 	type locatedEntry struct {
 		entry designEntry
 		line  int
+		err   error // a field error (an unknown key, a wrong type); the rest decoded
 	}
 	var entries []locatedEntry
 	for dec.More() {
@@ -261,10 +262,12 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 		}
 		line := lineAt(off)
 		var e designEntry
-		if err := dec.Decode(&e); err != nil {
+		err := dec.Decode(&e)
+		var syntax *json.SyntaxError
+		if errors.As(err, &syntax) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("%s:%d: bad manifest entry: %v", path, line, err)
 		}
-		entries = append(entries, locatedEntry{entry: e, line: line})
+		entries = append(entries, locatedEntry{entry: e, line: line, err: err})
 	}
 
 	seen := map[string]int{} // name → line first mounted
@@ -290,11 +293,11 @@ func loadManifest(path string, flagSpecs []serve.DesignSpec) ([]serve.DesignSpec
 			seen[e.Name] = line
 		}
 
-		if _, err := serve.ParseBackend(e.Backend); err != nil {
-			problemf(line, "%s: %w", label, err)
+		if le.err != nil {
+			problemf(line, "%s: %v", label, le.err)
 		}
 
-		spec := serve.DesignSpec{Name: e.Name, Backend: e.Backend}
+		spec := serve.DesignSpec{Name: e.Name}
 		if len(e.Args) > 0 {
 			args, err := rapid.ValuesFromJSON(e.Args)
 			if err != nil {

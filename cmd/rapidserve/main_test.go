@@ -1,8 +1,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -14,9 +12,63 @@ import (
 	"repro/internal/serve"
 )
 
+// TestFailoverBackendRefused: "failover" names no backend — replica
+// failover is the gateway's. rapidrun -backend failover exits 1 with
+// exactly the typed *rapid.UnknownBackendError's text, listing the three
+// kinds; a -designs manifest entry still carrying a "backend" key is
+// refused at its file:line, since designs take no backend name at all.
+func TestFailoverBackendRefused(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "ok.rapid")
+	const source = `
+macro m(String s) {
+  foreach (char c : s) c == input();
+  report;
+}
+network (String[] ws) { some (String w : ws) m(w); }`
+	if err := os.WriteFile(src, []byte(source), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("rapidrun -backend", func(t *testing.T) {
+		bin := filepath.Join(dir, "rapidrun")
+		if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/rapidrun").CombinedOutput(); err != nil {
+			t.Fatalf("go build: %v\n%s", err, out)
+		}
+		var stderr strings.Builder
+		run := exec.Command(bin, "-src", src, "-args", `[["x"]]`, "-text", "abc", "-backend", "failover")
+		run.Stderr = &stderr
+		err := run.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+			t.Fatalf("rapidrun -backend failover: %v, want exit status 1", err)
+		}
+		want := "rapidrun: " + (&rapid.UnknownBackendError{Got: "failover"}).Error()
+		if got := strings.TrimSpace(stderr.String()); got != want {
+			t.Fatalf("stderr %q, want exactly %q", got, want)
+		}
+		if !strings.HasSuffix(want, "(valid kinds: device, lazy-dfa, reference)") {
+			t.Fatalf("typed error %q does not list the three kinds", want)
+		}
+	})
+	t.Run("rapidserve -designs", func(t *testing.T) {
+		path := filepath.Join(dir, "designs.json")
+		manifest := fmt.Sprintf(`[{"name": "d", "src": %q, "args": [["x"]], "backend": "failover"}]`, src)
+		if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadManifest(path, nil)
+		if err == nil {
+			t.Fatal("failover accepted")
+		}
+		if want := path + ":1: design \"d\": json: unknown field \"backend\""; !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %q, want it to carry %q", err, want)
+		}
+	})
+}
+
 // TestManifestValidationOnePass: every problem in a -designs manifest is
 // reported in a single pass, each with file:line context — duplicates,
-// unknown backends, missing files, bad args, and structural mistakes.
+// unknown fields (a retired "backend" mode, a misspelled "args"), missing
+// files, bad args, and structural mistakes.
 func TestManifestValidationOnePass(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "ok.rapid")
@@ -27,11 +79,12 @@ func TestManifestValidationOnePass(t *testing.T) {
 	manifest := fmt.Sprintf(`[
   {"name": "a", "src": %[1]q},
   {"name": "a", "src": %[1]q},
-  {"name": "b", "src": %[1]q, "backend": "warp-drive"},
+  {"name": "b", "src": %[1]q, "backend": "device"},
   {"name": "c", "src": "/does/not/exist.rapid"},
   {"name": "e", "src": %[1]q, "args": [1.5]},
   {"src": %[1]q},
-  {"name": "f"}
+  {"name": "f"},
+  {"name": "g", "src": %[1]q, "arsg": [["x"]]}
 ]`, src)
 	if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
@@ -43,13 +96,14 @@ func TestManifestValidationOnePass(t *testing.T) {
 	}
 	msg := err.Error()
 	for _, want := range []string{
-		"6 problem(s)",
+		"7 problem(s)",
 		path + ":3: design \"a\": duplicate of the design mounted at line 2",
-		path + ":4: design \"b\": rapid: unknown backend \"warp-drive\" (valid kinds: engine, device, lazy-dfa, reference)",
+		path + ":4: design \"b\": json: unknown field \"backend\"",
 		path + ":5: design \"c\":",
 		path + ":6: design \"e\": bad args:",
 		path + ":7: entry 6: missing name",
 		path + ":8: design \"f\": has neither src nor anml",
+		path + ":9: design \"g\": json: unknown field \"arsg\"",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("validation report missing %q:\n%s", want, msg)
@@ -86,7 +140,7 @@ func TestManifestValid(t *testing.T) {
 	path := filepath.Join(dir, "designs.json")
 	manifest := fmt.Sprintf(`[
   {"name": "a", "src": %[1]q, "args": [["x"]]},
-  {"name": "b", "src": %[1]q, "backend": "reference"}
+  {"name": "b", "src": %[1]q}
 ]`, src)
 	if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
@@ -95,90 +149,20 @@ func TestManifestValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 2 || specs[0].Name != "a" || specs[1].Backend != "reference" {
+	if len(specs) != 2 || specs[0].Name != "a" || len(specs[0].Args) != 1 || specs[1].Name != "b" {
 		t.Fatalf("specs = %+v", specs)
 	}
 }
 
-// TestFailoverBackendRefused: "failover" names no backend — replica
-// failover is the gateway's — so every entry point that takes a backend
-// name refuses it at load with the typed *rapid.UnknownBackendError,
-// listing the names that entry point accepts. rapidrun runs as a process,
-// so only the error's text crosses back, and it must be exactly that.
-func TestFailoverBackendRefused(t *testing.T) {
-	const source = `
-macro m(String s) {
-  foreach (char c : s) c == input();
-  report;
-}
-network (String[] ws) { some (String w : ws) m(w); }`
-	dir := t.TempDir()
-	src := filepath.Join(dir, "ok.rapid")
-	if err := os.WriteFile(src, []byte(source), 0o644); err != nil {
+// TestManifestSyntaxError: a manifest that is not JSON stops the load at
+// the entry it breaks in, with that entry's file:line.
+func TestManifestSyntaxError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "designs.json")
+	if err := os.WriteFile(path, []byte("[\n  {\"name\": \"a\"},\n  {\"name\": \"b\",}\n]"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec := serve.DesignSpec{Name: "d", Source: source, Backend: "failover",
-		Args: []rapid.Value{rapid.Strings([]string{"x"})}}
-	mount := func(t *testing.T, apply func(*serve.Server) error) error {
-		s, err := serve.New(serve.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Shutdown(context.Background())
-		return apply(s)
-	}
-	serveKinds := &rapid.UnknownBackendError{Got: "failover", Extra: []string{serve.BackendEngine}}
-	for _, tc := range []struct {
-		name  string
-		want  *rapid.UnknownBackendError
-		typed bool
-		load  func(t *testing.T) error
-	}{
-		{"AddDesign", serveKinds, true, func(t *testing.T) error {
-			return mount(t, func(s *serve.Server) error { _, err := s.AddDesign(spec); return err })
-		}},
-		{"ApplyManifest", serveKinds, true, func(t *testing.T) error {
-			return mount(t, func(s *serve.Server) error { _, err := s.ApplyManifest([]serve.DesignSpec{spec}); return err })
-		}},
-		{"rapidserve -designs", serveKinds, true, func(t *testing.T) error {
-			path := filepath.Join(dir, "designs.json")
-			manifest := fmt.Sprintf(`[{"name": "d", "src": %q, "args": [["x"]], "backend": "failover"}]`, src)
-			if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := loadManifest(path, nil)
-			return err
-		}},
-		{"rapidrun -backend", &rapid.UnknownBackendError{Got: "failover"}, false, func(t *testing.T) error {
-			bin := filepath.Join(dir, "rapidrun")
-			build := exec.Command("go", "build", "-o", bin, "repro/cmd/rapidrun")
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("go build: %v\n%s", err, out)
-			}
-			var stderr strings.Builder
-			run := exec.Command(bin, "-src", src, "-args", `[["x"]]`, "-text", "abc", "-backend", "failover")
-			run.Stderr = &stderr
-			if err := run.Run(); err == nil {
-				t.Fatal("rapidrun -backend failover exited 0")
-			}
-			return errors.New(strings.TrimSpace(stderr.String()))
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.load(t)
-			if err == nil {
-				t.Fatal("failover accepted")
-			}
-			var ube *rapid.UnknownBackendError
-			if tc.typed && (!errors.As(err, &ube) || ube.Got != "failover") {
-				t.Fatalf("err = %v, want *rapid.UnknownBackendError for \"failover\"", err)
-			}
-			if !tc.typed && err.Error() != "rapidrun: "+tc.want.Error() {
-				t.Fatalf("stderr %q, want exactly the typed error's text %q", err, tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want.Error()) {
-				t.Fatalf("err = %q, want it to carry %q", err, tc.want)
-			}
-		})
+	_, err := loadManifest(path, nil)
+	if err == nil || !strings.HasPrefix(err.Error(), path+":3: bad manifest entry: invalid character") {
+		t.Fatalf("err = %v, want the syntax error at %s:3", err, path)
 	}
 }

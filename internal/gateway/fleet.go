@@ -1,11 +1,13 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"sort"
@@ -62,15 +64,22 @@ func (m FleetManifest) validate() error {
 	return nil
 }
 
-// LoadFleetManifest reads and validates a fleet-manifest file.
+// LoadFleetManifest reads and validates a fleet-manifest file. An unknown
+// key is refused: a misspelled "default_replication" would otherwise
+// silently route every design to one replica.
 func LoadFleetManifest(path string) (FleetManifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return FleetManifest{}, err
 	}
 	var m FleetManifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return FleetManifest{}, fmt.Errorf("gateway: fleet manifest %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return FleetManifest{}, fmt.Errorf("gateway: fleet manifest %s: data after the manifest object", path)
 	}
 	if err := m.validate(); err != nil {
 		return FleetManifest{}, fmt.Errorf("%s: %w", path, err)

@@ -1,8 +1,13 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,6 +54,44 @@ func TestFleetManifestValidate(t *testing.T) {
 	}
 	if err := (FleetManifest{Replicas: []string{"a:1"}, Designs: map[string]int{"d": 2}}).validate(); err != nil {
 		t.Errorf("valid manifest rejected: %v", err)
+	}
+}
+
+// TestLoadFleetManifest: a well-formed file loads as written; a misspelled
+// key, trailing data, malformed JSON and a manifest validate refuses are
+// errors that name the file.
+func TestLoadFleetManifest(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	ok := write("ok.json", `{"replicas": ["10.0.0.1:8765", "10.0.0.2:8765"], "default_replication": 2, "designs": {"hot": 2}}`)
+	m, err := LoadFleetManifest(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FleetManifest{Replicas: []string{"10.0.0.1:8765", "10.0.0.2:8765"}, DefaultReplication: 2, Designs: map[string]int{"hot": 2}}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("loaded %+v, want %+v", m, want)
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		{"misspelled", `{"replicas": ["a:1", "b:1"], "default_replicaton": 2}`, `unknown field "default_replicaton"`},
+		{"trailing", `{"replicas": ["a:1"]} {"replicas": ["b:1"]}`, "data after the manifest object"},
+		{"malformed", `{"replicas": ["a:1"],}`, "invalid character"},
+		{"invalid", `{"replicas": []}`, "no replicas"},
+	} {
+		path := write(tc.name+".json", tc.body)
+		_, err := LoadFleetManifest(path)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s and %q", tc.name, err, path, tc.want)
+		}
+	}
+	if _, err := LoadFleetManifest(filepath.Join(dir, "absent.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("absent file: err = %v, want os.ErrNotExist", err)
 	}
 }
 

@@ -251,11 +251,19 @@ func PlaceStamped(unit *automata.Network, count int, cfg Config) (*Placement, Me
 		return nil, Metrics{}, err
 	}
 	u := unitPlacement.Metrics
+	if u.TotalBlocks > 1 {
+		// A multi-block unit stamps at block granularity: every instance
+		// keeps its own blocks, broadcast replicas included, so the board's
+		// STE utilization is the unit's as Place counts it.
+		board := u.scaled(count, u.TotalBlocks*count)
+		board.STEUtilization = u.STEUtilization
+		return unitPlacement, board, nil
+	}
 	top := unitPlacement.Network.MustFreeze() // already frozen by Place; returns the cached topology
 	all := allElements(top)
 	// The stamped unit is frozen to whole rows.
 	unitRows := rowsFor(u.STEs, firstGen)
-	perBlockByRows := max(1, firstGen.RowsPerBlock/unitRows) // multi-block units stamp at block granularity
+	perBlockByRows := max(1, firstGen.RowsPerBlock/unitRows)
 	perBlockByRows = limitByResource(perBlockByRows, firstGen.CountersPerBlock, u.Counters)
 	perBlockByRows = limitByResource(perBlockByRows, firstGen.BooleanPerBlock, u.Gates)
 
@@ -265,12 +273,7 @@ func PlaceStamped(unit *automata.Network, count int, cfg Config) (*Placement, Me
 	blocks := 0
 	slotInBlock := 0
 	brInBlock := 0
-	unitBlocks := unitPlacement.Metrics.TotalBlocks
 	for copyIdx := 0; copyIdx < count; copyIdx++ {
-		if unitBlocks > 1 {
-			blocks += unitBlocks
-			continue
-		}
 		// Per-copy routing pass: lay the copy out in its slot's rows and
 		// count the lines it routes.
 		_, lines := rowLayout(top, all, unitRows, firstGen)
@@ -282,7 +285,7 @@ func PlaceStamped(unit *automata.Network, count int, cfg Config) (*Placement, Me
 		slotInBlock++
 		brInBlock += lines
 	}
-	if unitBlocks == 1 && slotInBlock > 0 {
+	if slotInBlock > 0 {
 		blocks++
 	}
 	return unitPlacement, u.scaled(count, max(1, blocks)), nil

@@ -46,21 +46,18 @@ func Tessellate(unit *automata.Network, count int) (*Tessellation, error) {
 	u := ap.UsageOf(unit)
 
 	// A unit larger than one block tiles at its own multi-block
-	// granularity: every instance keeps its own blocks, and so its STE
-	// utilization.
+	// granularity, every instance on its own blocks: what PlaceStamped
+	// does with it.
 	if !u.Fits(firstGen) {
-		unitPlacement, err := Place(unit, Config{})
+		unitPlacement, board, err := PlaceStamped(unit, count, Config{})
 		if err != nil {
 			return nil, err
 		}
-		m := unitPlacement.Metrics
-		board := m.scaled(count, m.TotalBlocks*count)
-		board.STEUtilization = m.STEUtilization
 		return &Tessellation{
 			Unit:        unit,
 			BlockDesign: unit,
 			PerBlock:    1,
-			UnitBlocks:  m.TotalBlocks,
+			UnitBlocks:  unitPlacement.Metrics.TotalBlocks,
 			Instances:   count,
 			TotalBlocks: board.TotalBlocks,
 			Metrics:     board,

@@ -146,3 +146,54 @@ func TestTessellateRoutingLimit(t *testing.T) {
 		t.Fatalf("BR alloc = %f", r.Metrics.MeanBRAlloc)
 	}
 }
+
+// TestMultiBlockUnitOneUtilization: a unit larger than one block reads the
+// same on the tessellated and the stamped path. Each instance keeps its own
+// blocks, so both report the unit placement's STE utilization, which counts
+// the broadcast start STE's replica in every block but the first.
+func TestMultiBlockUnitOneUtilization(t *testing.T) {
+	// 321 STEs: a start STE fanning out to 40 chains of 8.
+	unit := automata.NewNetwork("fan")
+	start := unit.AddSTE(charclass.Single('s'), automata.StartAllInput)
+	for c := 0; c < 40; c++ {
+		prev := start
+		for i := 0; i < 8; i++ {
+			id := unit.AddSTE(charclass.Single(byte('a'+(c+i)%26)), automata.StartNone)
+			unit.Connect(prev, id, automata.PortIn)
+			prev = id
+		}
+		unit.SetReport(prev, c)
+	}
+	const count = 10
+	one, err := Place(unit, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Metrics.TotalBlocks < 2 || one.BlockOf[int(start)] != -1 {
+		t.Fatalf("unit placed on %d blocks, start STE in block %d: want a multi-block unit with a replicated start",
+			one.Metrics.TotalBlocks, one.BlockOf[int(start)])
+	}
+	tess, err := Tessellate(unit, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stamped, err := PlaceStamped(unit, count, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := one.Metrics.TotalBlocks * count
+	if tess.TotalBlocks != blocks || stamped.TotalBlocks != blocks {
+		t.Fatalf("blocks: tessellated %d, stamped %d, want %d", tess.TotalBlocks, stamped.TotalBlocks, blocks)
+	}
+	want := one.Metrics.STEUtilization
+	if tess.Metrics.STEUtilization != want || stamped.STEUtilization != want {
+		t.Fatalf("STE utilization: tessellated %.4f, stamped %.4f, want the unit's %.4f",
+			tess.Metrics.STEUtilization, stamped.STEUtilization, want)
+	}
+	if noReplicas := float64(321*count) / float64(blocks*ap.FirstGeneration().STEsPerBlock()); want <= noReplicas {
+		t.Fatalf("utilization %.4f does not count the replicas (%.4f without them)", want, noReplicas)
+	}
+	if tess.Metrics != stamped {
+		t.Fatalf("tessellated metrics %+v != stamped %+v", tess.Metrics, stamped)
+	}
+}

@@ -19,7 +19,7 @@ func TestDiskCacheRestart(t *testing.T) {
 
 	reg1 := telemetry.NewRegistry()
 	s1 := mustNew(t, Config{ArtifactDir: dir, Telemetry: reg1})
-	if _, err := s1.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s1.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg1.Snapshot()
@@ -40,7 +40,7 @@ func TestDiskCacheRestart(t *testing.T) {
 	// "Restart": a fresh server over the same artifact directory.
 	reg2 := telemetry.NewRegistry()
 	s2 := mustNew(t, Config{ArtifactDir: dir, Telemetry: reg2})
-	info, err := s2.AddDesign(testSpec("d", ""))
+	info, err := s2.AddDesign(testSpec("d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestDiskCacheMemoryTierFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if _, err := s.AddDesign(testSpec("a", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddDesign(testSpec("b", "reference")); err != nil {
+	if _, err := s.AddDesign(testSpec("b")); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -104,7 +104,7 @@ func TestDiskCacheCorruptEntryRecompiles(t *testing.T) {
 	dir := t.TempDir()
 	// Populate the cache, then corrupt the entry.
 	s1 := mustNew(t, Config{ArtifactDir: dir})
-	info, err := s1.AddDesign(testSpec("d", ""))
+	info, err := s1.AddDesign(testSpec("d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDiskCacheCorruptEntryRecompiles(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	s2 := mustNew(t, Config{ArtifactDir: dir, Telemetry: reg})
-	if _, err := s2.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s2.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

@@ -11,43 +11,20 @@ import (
 	rapid "repro"
 )
 
-// BackendEngine is the default per-design execution mode: the batched
-// lazy-DFA Engine, the only backend the micro-batching dispatcher can
-// coalesce requests into. Any rapid.BackendKind name selects that single
-// tier instead, executing requests one at a time.
+// BackendEngine names the one way a mounted design executes: on its
+// batched lazy-DFA Engine. DesignInfo.Backend and every reply carry it.
 const BackendEngine = "engine"
-
-// ParseBackend resolves a DesignSpec.Backend value into the mode a design
-// mounts in: BackendEngine (also for "") or one rapid.BackendKind name.
-// Anything else is refused with a *rapid.UnknownBackendError that lists
-// engine and every kind. Mounting and rapidserve's manifest check both
-// call it.
-func ParseBackend(name string) (string, error) {
-	if name == "" || name == BackendEngine {
-		return BackendEngine, nil
-	}
-	if _, err := rapid.ParseBackendKind(name); err != nil {
-		return "", &rapid.UnknownBackendError{Got: name, Extra: []string{BackendEngine}}
-	}
-	return name, nil
-}
 
 // DesignSpec describes one design to mount on the server.
 type DesignSpec struct {
 	// Name is the design's endpoint name. Required.
 	Name string
 	// Source is RAPID source text; ANML is an ANML document. Exactly one
-	// must be set (unless Matcher is supplied).
+	// must be set.
 	Source string
 	ANML   []byte
 	// Args are the network arguments applied at compile time.
 	Args []rapid.Value
-	// Backend selects the execution mode: BackendEngine (default) or a
-	// rapid.BackendKind name.
-	Backend string
-	// Matcher, when non-nil, mounts a caller-supplied backend instead of
-	// compiling Source/ANML — custom tiers and test doubles.
-	Matcher rapid.Matcher
 }
 
 // DesignInfo is a mounted design's public description.
@@ -59,17 +36,16 @@ type DesignInfo struct {
 	Counters  int    `json:"counters,omitempty"`
 	Gates     int    `json:"gates,omitempty"`
 	Reporting int    `json:"reporting,omitempty"`
-	// Tiers is Engine.Tiers() in engine mode ("lazy-dfa", "counter-dfa" or
-	// "lazy-dfa+counter-dfa"); a single-kind design leaves it empty.
+	// Tiers is the design's Engine.Tiers(): "lazy-dfa", "counter-dfa" or
+	// "lazy-dfa+counter-dfa".
 	Tiers string `json:"tiers,omitempty"`
 	// Sites maps each report code to its source site (rapid.Design.Sites).
 	// Match replies resolve every report's site from it, so it is shared
-	// with the server and read only; a caller-supplied Matcher has none,
-	// so its reports carry no site.
+	// with the server and read only.
 	Sites map[int]string `json:"sites,omitempty"`
 }
 
-// design is one mounted design: its compiled artifact, executor, bounded
+// design is one mounted design: its compiled artifact's engine, bounded
 // admission queue, and instrument set.
 type design struct {
 	info DesignInfo
@@ -78,13 +54,9 @@ type design struct {
 	// mutated.
 	sites      map[int][]byte
 	hashHeader []string
-	engine     batchEngine   // engine mode: the batching path
-	matcher    rapid.Matcher // other modes: executed one request at a time
+	engine     batchEngine
 	queue      chan *job
 	tel        designMetrics
-	// identity is the spec fingerprint (program hash + backend) hot
-	// reloads compare to decide whether a mounted design changed.
-	identity string
 	// closed flips (under the server's admitMu write lock) when the design
 	// is unmounted by a hot reload or shutdown; its queue is closed and
 	// admissions re-resolve the name instead of enqueueing.
@@ -125,43 +97,14 @@ func programHash(spec DesignSpec) string {
 }
 
 // compileDesign resolves a spec into a compiled artifact (through the
-// server's hash-keyed cache) plus its executor, and builds what its
-// replies share.
+// server's hash-keyed cache) plus its engine, and builds what its replies
+// share, its admission queue and its instruments.
 func (s *Server) compileDesign(spec DesignSpec) (*design, error) {
-	d, err := s.buildDesign(spec)
+	hash := programHash(spec)
+	compiled, err := s.compiledDesign(spec, hash)
 	if err != nil {
 		return nil, err
 	}
-	d.sites = SiteTable(d.info.Sites)
-	d.hashHeader = []string{d.info.Hash}
-	return d, nil
-}
-
-func (s *Server) buildDesign(spec DesignSpec) (*design, error) {
-	d := &design{info: DesignInfo{Name: spec.Name}, identity: specIdentity(spec)}
-	if spec.Matcher != nil {
-		d.matcher = spec.Matcher
-		d.info.Backend = spec.Matcher.Name()
-		d.info.Hash = "custom:" + spec.Name
-		return d, nil
-	}
-	mode, err := ParseBackend(spec.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
-	}
-	d.info.Backend = mode
-	d.info.Hash = programHash(spec)
-	compiled, err := s.compiledDesign(spec, d.info.Hash)
-	if err != nil {
-		return nil, err
-	}
-	stats := compiled.Stats()
-	d.info.STEs = stats.STEs
-	d.info.Counters = stats.Counters
-	d.info.Gates = stats.BooleanGates
-	d.info.Reporting = stats.Reporting
-	d.info.Sites = compiled.Sites()
-
 	opts := []rapid.Option{}
 	if s.cfg.Workers > 0 {
 		opts = append(opts, rapid.WithWorkers(s.cfg.Workers))
@@ -169,21 +112,29 @@ func (s *Server) buildDesign(spec DesignSpec) (*design, error) {
 	if s.cfg.Telemetry != nil {
 		opts = append(opts, rapid.WithTelemetry(s.cfg.Telemetry))
 	}
-
-	if mode == BackendEngine {
-		eng, err := compiled.NewEngine(opts...)
-		if err != nil {
-			return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
-		}
-		d.engine = eng
-		d.info.Tiers = eng.Tiers()
-		return d, nil
-	}
-	m, err := compiled.Backend(rapid.BackendKind(mode), opts...)
+	eng, err := compiled.NewEngine(opts...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)
 	}
-	d.matcher = m
+	stats := compiled.Stats()
+	d := &design{
+		info: DesignInfo{
+			Name:      spec.Name,
+			Hash:      hash,
+			Backend:   BackendEngine,
+			STEs:      stats.STEs,
+			Counters:  stats.Counters,
+			Gates:     stats.BooleanGates,
+			Reporting: stats.Reporting,
+			Tiers:     eng.Tiers(),
+			Sites:     compiled.Sites(),
+		},
+		hashHeader: []string{hash},
+		engine:     eng,
+		queue:      make(chan *job, s.cfg.QueueDepth),
+		tel:        s.tel.forDesign(spec.Name),
+	}
+	d.sites = SiteTable(d.info.Sites)
 	return d, nil
 }
 
@@ -223,7 +174,7 @@ func (s *Server) compiledDesign(spec DesignSpec, hash string) (*rapid.Design, er
 			compiled, err = prog.Compile(spec.Args...)
 		}
 	default:
-		err = fmt.Errorf("spec has neither Source, ANML, nor Matcher")
+		err = fmt.Errorf("spec has neither Source nor ANML")
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: design %q: %w", spec.Name, err)

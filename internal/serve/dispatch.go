@@ -40,13 +40,8 @@ func (e *quotaExhaustedError) Unwrap() error { return ErrQuotaExhausted }
 // controller through a design's queue to its dispatcher.
 type job struct {
 	input    []byte
-	done     chan jobResult // buffered(1): dispatcher never blocks on delivery
+	done     chan rapid.BatchResult // buffered(1): dispatcher never blocks on delivery
 	enqueued time.Time
-}
-
-type jobResult struct {
-	reports []rapid.Report
-	err     error
 }
 
 // submitNamed is the full admission path above submit: the tenant quota
@@ -92,7 +87,7 @@ func (s *Server) submit(ctx context.Context, d *design, input []byte) ([]rapid.R
 		s.admitMu.RUnlock()
 		return nil, errStaleDesign
 	}
-	j := &job{input: input, done: make(chan jobResult, 1), enqueued: time.Now()}
+	j := &job{input: input, done: make(chan rapid.BatchResult, 1), enqueued: time.Now()}
 	// Count the job before the send: the dispatcher subtracts on receipt
 	// and never waits, so counting afterwards lets a scrape read -1.
 	d.tel.queueDepth.Inc()
@@ -107,8 +102,8 @@ func (s *Server) submit(ctx context.Context, d *design, input []byte) ([]rapid.R
 	}
 	select {
 	case res := <-j.done:
-		d.tel.finish(res.err, j.enqueued)
-		return res.reports, res.err
+		d.tel.finish(res.Err, j.enqueued)
+		return res.Reports, res.Err
 	case <-ctx.Done():
 		// The caller is gone; the job still runs to completion in its
 		// batch (results are discarded via the buffered channel).
@@ -117,17 +112,13 @@ func (s *Server) submit(ctx context.Context, d *design, input []byte) ([]rapid.R
 }
 
 // dispatch is a design's dispatcher loop: it pulls admitted jobs off the
-// bounded queue, coalesces them into batches (engine mode) by
-// back-pressure, and executes them. It exits when the queue is closed and
-// fully drained, so shutdown never drops an admitted request.
+// bounded queue, coalesces them into batches by back-pressure, and runs
+// each on the design's engine. It exits when the queue is closed and fully
+// drained, so shutdown never drops an admitted request.
 func (s *Server) dispatch(d *design) {
 	defer s.dispatchers.Done()
-	maxBatch := 1
-	if d.engine != nil {
-		maxBatch = s.cfg.MaxBatch
-	}
 	for j := range d.queue {
-		batch := collectBatch(d.queue, j, maxBatch)
+		batch := collectBatch(d.queue, j, s.cfg.MaxBatch)
 		d.tel.queueDepth.Add(-int64(len(batch)))
 		d.tel.inflight.Add(int64(len(batch)))
 		d.tel.batches.Inc()
@@ -160,23 +151,15 @@ func collectBatch(queue <-chan *job, first *job, max int) []*job {
 	return batch
 }
 
-// runBatch executes one coalesced batch. Engine mode uses the settled
-// batch path so one bad stream degrades only itself; single-matcher modes
-// run jobs in admission order.
+// runBatch executes one coalesced batch on the settled batch path, so one
+// bad stream degrades only itself.
 func (s *Server) runBatch(d *design, batch []*job) {
-	if d.engine != nil {
-		inputs := make([][]byte, len(batch))
-		for i, j := range batch {
-			inputs[i] = j.input
-		}
-		results := d.engine.RunBatchSettled(s.baseCtx, inputs)
-		for i, j := range batch {
-			j.done <- jobResult{reports: results[i].Reports, err: results[i].Err}
-		}
-		return
+	inputs := make([][]byte, len(batch))
+	for i, j := range batch {
+		inputs[i] = j.input
 	}
-	for _, j := range batch {
-		reports, err := d.matcher.Match(s.baseCtx, j.input)
-		j.done <- jobResult{reports: reports, err: err}
+	results := d.engine.RunBatchSettled(s.baseCtx, inputs)
+	for i, j := range batch {
+		j.done <- results[i]
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 func newJob(s string) *job {
-	return &job{input: []byte(s), done: make(chan jobResult, 1), enqueued: time.Now()}
+	return &job{input: []byte(s), done: make(chan rapid.BatchResult, 1), enqueued: time.Now()}
 }
 
 // TestCollectBatchSizeBound: a backlog fills the batch to max immediately,
@@ -66,7 +66,7 @@ func TestCollectBatchClosedQueue(t *testing.T) {
 	}
 }
 
-// TestCollectBatchMaxOne: non-engine designs never coalesce.
+// TestCollectBatchMaxOne: with MaxBatch 1 nothing coalesces.
 func TestCollectBatchMaxOne(t *testing.T) {
 	queue := make(chan *job, 16)
 	queue <- newJob("queued")
@@ -75,7 +75,7 @@ func TestCollectBatchMaxOne(t *testing.T) {
 	}
 }
 
-// blockingEngine is an engine-mode double: every batch announces its size
+// blockingEngine is an engine double: every batch announces its size
 // on entered and then holds the dispatcher until release yields a value
 // (or is closed), so a test decides what queues up behind it.
 type blockingEngine struct {
@@ -93,8 +93,8 @@ func (e *blockingEngine) RunBatchSettled(_ context.Context, inputs [][]byte) []r
 	return out
 }
 
-// mountEngine mounts an engine-mode design over eng the way AddDesign
-// does after compiling.
+// mountEngine mounts a design over eng the way AddDesign does after
+// compiling. Its Hash is empty, so a hot reload of name replaces it.
 func mountEngine(s *Server, name string, eng batchEngine) {
 	d := &design{info: DesignInfo{Name: name, Backend: BackendEngine}, engine: eng}
 	d.queue = make(chan *job, s.cfg.QueueDepth)
@@ -162,14 +162,14 @@ func TestBackpressureBatching(t *testing.T) {
 	}
 }
 
-// TestIdleFloor: on an idle engine-mode design a request's admission →
+// TestIdleFloor: on an idle design a request's admission →
 // completion time is its work, not a wait. A sub-millisecond Go timer
 // fires after ≈ 1.15 ms, so any timed wait on this path puts the median
 // above 1100 µs; without one it is tens of microseconds.
 func TestIdleFloor(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := mustNew(t, Config{Telemetry: reg})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

@@ -17,7 +17,7 @@ func mountPlacing(t *testing.T, dir string) (string, *telemetry.Snapshot) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	s := mustNew(t, Config{ArtifactDir: dir, Placement: true, Telemetry: reg})
-	info, err := s.AddDesign(testSpec("d", ""))
+	info, err := s.AddDesign(testSpec("d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPlacementVersionDirIsolation(t *testing.T) {
 	// same hash the design will get.
 	reg0 := telemetry.NewRegistry()
 	s0 := mustNew(t, Config{ArtifactDir: t.TempDir(), Placement: true, Telemetry: reg0})
-	info, err := s0.AddDesign(testSpec("d", ""))
+	info, err := s0.AddDesign(testSpec("d"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestTokenBucket(t *testing.T) {
 func TestQuotaHTTP(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := mustNew(t, Config{TenantRate: 0.001, TenantBurst: 2, RetryAfter: time.Second, Telemetry: reg})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -138,7 +138,7 @@ func TestQuotaHTTP(t *testing.T) {
 // refusals surfacing as typed per-record error lines, not stream failure.
 func TestQuotaStreamPerRecord(t *testing.T) {
 	s := mustNew(t, Config{TenantRate: 0.001, TenantBurst: 2, RetryAfter: time.Second})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

@@ -8,8 +8,9 @@ import (
 // ReloadSummary reports what one ApplyManifest call changed.
 type ReloadSummary struct {
 	// Added designs were mounted fresh; Replaced designs changed program
-	// or backend and were swapped; Kept designs were untouched; Removed
-	// designs were unmounted (after their admitted requests completed).
+	// (source, ANML or arguments) and were swapped; Kept designs were
+	// untouched; Removed designs were unmounted (after their admitted
+	// requests completed).
 	Added, Replaced, Kept, Removed []string
 }
 
@@ -18,28 +19,13 @@ func (r ReloadSummary) String() string {
 		len(r.Added), len(r.Replaced), len(r.Kept), len(r.Removed))
 }
 
-// specIdentity fingerprints what makes a mounted design distinct: the
-// compiled program plus its execution mode. Matcher-backed specs use the
-// matcher's pointer identity — remounting the same instance is a no-op,
-// a fresh instance is a replacement.
-func specIdentity(spec DesignSpec) string {
-	if spec.Matcher != nil {
-		return fmt.Sprintf("custom:%s:%p", spec.Name, spec.Matcher)
-	}
-	backend := spec.Backend
-	if backend == "" {
-		backend = BackendEngine
-	}
-	return programHash(spec) + "/" + backend
-}
-
 // ApplyManifest reconciles the mounted design set against specs — the hot
 // reload behind SIGHUP and manifest watching. Unchanged designs (same
-// program hash and backend) keep serving untouched; new designs are
+// program hash) keep serving untouched; new designs are
 // mounted; changed designs are swapped in atomically; designs absent from
 // specs are unmounted. No in-flight request is dropped anywhere in the
 // process: a replaced design's already-admitted requests finish on the
-// old executor (its dispatcher drains the closed queue before exiting),
+// old engine (its dispatcher drains the closed queue before exiting),
 // and an admission racing the swap re-resolves the name onto the new
 // design.
 //
@@ -67,7 +53,7 @@ func (s *Server) ApplyManifest(specs []DesignSpec) (ReloadSummary, error) {
 	next := make(map[string]*design, len(specs))
 	var retired []*design
 	for _, spec := range specs {
-		if cur, ok := s.designs[spec.Name]; ok && cur.identity == specIdentity(spec) {
+		if cur, ok := s.designs[spec.Name]; ok && cur.info.Hash == programHash(spec) {
 			next[spec.Name] = cur
 			summary.Kept = append(summary.Kept, spec.Name)
 			continue
@@ -78,8 +64,6 @@ func (s *Server) ApplyManifest(specs []DesignSpec) (ReloadSummary, error) {
 			s.tel.reloads.With("error").Inc()
 			return ReloadSummary{}, err
 		}
-		d.queue = make(chan *job, s.cfg.QueueDepth)
-		d.tel = s.tel.forDesign(spec.Name)
 		next[spec.Name] = d
 		if _, ok := s.designs[spec.Name]; ok {
 			summary.Replaced = append(summary.Replaced, spec.Name)

@@ -11,6 +11,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// changedSpec is testSpec(name) with other network arguments: the same
+// name over a different program.
+func changedSpec(name string) DesignSpec {
+	return DesignSpec{Name: name, Source: testSource, Args: []rapid.Value{rapid.Strings([]string{"abc", "xyz"})}}
+}
+
 // TestReloadReconcile checks the add/replace/keep/remove arithmetic and
 // that an unmounted design stops resolving.
 func TestReloadReconcile(t *testing.T) {
@@ -21,17 +27,17 @@ func TestReloadReconcile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if _, err := s.AddDesign(testSpec("a", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddDesign(testSpec("b", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("b")); err != nil {
 		t.Fatal(err)
 	}
 
 	summary, err := s.ApplyManifest([]DesignSpec{
-		testSpec("b", ""),       // unchanged
-		testSpec("a", "device"), // backend change → replacement
-		testSpec("c", ""),       // new
+		testSpec("b"),    // unchanged
+		changedSpec("a"), // program change → replacement
+		testSpec("c"),    // new
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +47,7 @@ func TestReloadReconcile(t *testing.T) {
 		t.Fatalf("summary = %+v, want %+v", summary, want)
 	}
 
-	summary, err = s.ApplyManifest([]DesignSpec{testSpec("c", "")})
+	summary, err = s.ApplyManifest([]DesignSpec{testSpec("c")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +67,13 @@ func TestReloadReconcile(t *testing.T) {
 }
 
 // TestReloadInFlightCompletes is the no-dropped-requests contract: a
-// request admitted before the swap finishes on the old executor, while a
+// request admitted before the swap finishes on the old engine, while a
 // request after the swap lands on the new one.
 func TestReloadInFlightCompletes(t *testing.T) {
-	old := &blockingMatcher{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	// Room for the held batch and one more, which must never come.
+	old := &blockingEngine{entered: make(chan int, 2), release: make(chan struct{})}
 	s := mustNew(t, Config{})
-	if _, err := s.AddDesign(DesignSpec{Name: "d", Matcher: old}); err != nil {
-		t.Fatal(err)
-	}
+	mountEngine(s, "d", old)
 	defer func() {
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -83,12 +88,10 @@ func TestReloadInFlightCompletes(t *testing.T) {
 		_, _, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("x"))
 		done <- result{err}
 	}()
-	<-old.entered // the request is inside the old matcher
+	<-old.entered // the request is inside the old engine
 
-	// Swap in a fresh matcher instance while the old one holds a request.
-	next := &blockingMatcher{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	close(next.release) // the replacement never blocks
-	summary, err := s.ApplyManifest([]DesignSpec{{Name: "d", Matcher: next}})
+	// Swap in a compiled design while the old engine holds a request.
+	summary, err := s.ApplyManifest([]DesignSpec{testSpec("d")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,22 +99,28 @@ func TestReloadInFlightCompletes(t *testing.T) {
 		t.Fatalf("summary = %+v, want d replaced", summary)
 	}
 
-	// The in-flight request is still parked on the old matcher; release it
+	// The in-flight request is still parked on the old engine; release it
 	// and it must complete successfully despite the design being retired.
 	close(old.release)
 	if r := <-done; r.err != nil {
 		t.Fatalf("in-flight request dropped by reload: %v", r.err)
 	}
 
-	// New traffic lands on the replacement.
-	if _, _, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("x")); err != nil {
+	// New traffic lands on the replacement: the compiled design's
+	// reports, not the double's, and no new batch on the old engine.
+	want, err := compileTestDesign(t).RunBytes([]byte("xxabcd"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := next.calls.Load(); got != 1 {
-		t.Fatalf("replacement matcher calls = %d, want 1", got)
+	_, got, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("xxabcd"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := old.calls.Load(); got != 1 {
-		t.Fatalf("old matcher calls = %d, want 1 (no new traffic)", got)
+	if gotSet, wantSet := reportSet(got), reportSet(want); !equalStrings(gotSet, wantSet) {
+		t.Fatalf("after the swap reports %v, want the replacement's %v", gotSet, wantSet)
+	}
+	if n := len(old.entered); n != 0 {
+		t.Fatalf("old engine ran %d more batches, want 0 (no new traffic)", n)
 	}
 }
 
@@ -125,12 +134,12 @@ func TestReloadCompileErrorLeavesStateUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := DesignSpec{Name: "broken", Source: "network garbage("}
-	if _, err := s.ApplyManifest([]DesignSpec{testSpec("d", ""), bad}); err == nil {
+	if _, err := s.ApplyManifest([]DesignSpec{testSpec("d"), bad}); err == nil {
 		t.Fatal("manifest with a compile error applied cleanly")
 	}
 	if _, _, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("xxabc")); err != nil {
@@ -141,17 +150,15 @@ func TestReloadCompileErrorLeavesStateUntouched(t *testing.T) {
 	}
 
 	// Duplicate names are refused before any compilation.
-	_, err := s.ApplyManifest([]DesignSpec{testSpec("d", ""), testSpec("d", "")})
+	_, err := s.ApplyManifest([]DesignSpec{testSpec("d"), testSpec("d")})
 	if err == nil {
 		t.Fatal("duplicate design names accepted")
 	}
 
-	// A backend name that no kind carries fails the mount with the typed
-	// error, and the mounted design keeps serving.
-	_, err = s.ApplyManifest([]DesignSpec{testSpec("d", ""), testSpec("old", "cpu-dfa")})
-	var ube *rapid.UnknownBackendError
-	if !errors.As(err, &ube) || ube.Got != "cpu-dfa" {
-		t.Fatalf("backend cpu-dfa: err = %v, want *rapid.UnknownBackendError", err)
+	// A spec with no program fails the mount, and the mounted design
+	// keeps serving.
+	if _, err := s.ApplyManifest([]DesignSpec{testSpec("d"), {Name: "empty"}}); err == nil {
+		t.Fatal("a spec with neither Source nor ANML applied cleanly")
 	}
 	if _, _, err := s.submitNamed(context.Background(), "d", DefaultTenant, []byte("xxabc")); err != nil {
 		t.Fatalf("existing design broken by failed reload: %v", err)
@@ -164,7 +171,7 @@ func TestReloadCompileErrorLeavesStateUntouched(t *testing.T) {
 // queue write or a stale-design error escaping the retry loop.
 func TestReloadConcurrentHammer(t *testing.T) {
 	s := mustNew(t, Config{})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -197,14 +204,14 @@ func TestReloadConcurrentHammer(t *testing.T) {
 			}
 		}()
 	}
-	// Alternate between the engine and device backends so every reload
-	// really swaps the executor.
+	// Alternate between two programs so every reload really swaps the
+	// engine.
 	for i := 0; i < 50; i++ {
-		backend := ""
+		spec := testSpec("d")
 		if i%2 == 1 {
-			backend = "device"
+			spec = changedSpec("d")
 		}
-		if _, err := s.ApplyManifest([]DesignSpec{testSpec("d", backend)}); err != nil {
+		if _, err := s.ApplyManifest([]DesignSpec{spec}); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 	}
@@ -221,7 +228,7 @@ func TestReloadConcurrentHammer(t *testing.T) {
 // rather than failing the caller.
 func TestReloadStaleDesignRetries(t *testing.T) {
 	s := mustNew(t, Config{})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -233,7 +240,7 @@ func TestReloadStaleDesignRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ApplyManifest([]DesignSpec{testSpec("d", "device")}); err != nil {
+	if _, err := s.ApplyManifest([]DesignSpec{changedSpec("d")}); err != nil {
 		t.Fatal(err)
 	}
 	// Submitting against the retired snapshot reports staleness...

@@ -38,8 +38,8 @@ func testArgs() []rapid.Value {
 	return []rapid.Value{rapid.Strings([]string{"abc", "bcd"})}
 }
 
-func testSpec(name, backend string) DesignSpec {
-	return DesignSpec{Name: name, Source: testSource, Args: testArgs(), Backend: backend}
+func testSpec(name string) DesignSpec {
+	return DesignSpec{Name: name, Source: testSource, Args: testArgs()}
 }
 
 func compileTestDesign(t *testing.T) *rapid.Design {
@@ -97,8 +97,7 @@ func postMatch(t *testing.T, url string, req matchRequest) (*http.Response, matc
 }
 
 // TestMatchParity checks that the served single-shot result equals a
-// direct reference-simulator run, on the batched engine mode and on
-// single-kind designs served one request at a time.
+// direct reference-simulator run, and that the reply names the engine.
 func TestMatchParity(t *testing.T) {
 	design := compileTestDesign(t)
 	input := "xxabcdxxabcx"
@@ -106,42 +105,41 @@ func TestMatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{BackendEngine, "device", "reference"} {
-		t.Run(backend, func(t *testing.T) {
-			s := mustNew(t, Config{})
-			if _, err := s.AddDesign(testSpec("d", backend)); err != nil {
-				t.Fatal(err)
+	// Every design runs on the engine; the subtest is named for it.
+	t.Run(BackendEngine, func(t *testing.T) {
+		s := mustNew(t, Config{})
+		if _, err := s.AddDesign(testSpec("d")); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatalf("shutdown: %v", err)
 			}
-			ts := httptest.NewServer(s.Handler())
-			defer func() {
-				ts.Close()
-				if err := s.Shutdown(context.Background()); err != nil {
-					t.Fatalf("shutdown: %v", err)
-				}
-			}()
-			resp, out := postMatch(t, ts.URL, matchRequest{Design: "d", Text: input})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d", resp.StatusCode)
-			}
-			if got, wantSet := jsonReportSet(out.Reports), reportSet(want); !equalStrings(got, wantSet) {
-				t.Fatalf("served reports %v != direct run %v", got, wantSet)
-			}
-			if out.Backend != backend {
-				t.Fatalf("backend %q, want %q", out.Backend, backend)
-			}
-		})
-	}
+		}()
+		resp, out := postMatch(t, ts.URL, matchRequest{Design: "d", Text: input})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if got, wantSet := jsonReportSet(out.Reports), reportSet(want); !equalStrings(got, wantSet) {
+			t.Fatalf("served reports %v != direct run %v", got, wantSet)
+		}
+		if out.Backend != BackendEngine {
+			t.Fatalf("backend %q, want %q", out.Backend, BackendEngine)
+		}
+	})
 }
 
 // TestArtifactCache checks that two designs with the same program hash
 // share one compiled artifact.
 func TestArtifactCache(t *testing.T) {
 	s := mustNew(t, Config{})
-	a, err := s.AddDesign(testSpec("a", ""))
+	a, err := s.AddDesign(testSpec("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.AddDesign(testSpec("b", "reference"))
+	b, err := s.AddDesign(testSpec("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,30 +165,6 @@ func TestArtifactCache(t *testing.T) {
 	}
 }
 
-// blockingMatcher blocks every Match until released, signalling entry —
-// the deterministic way to hold the dispatcher busy while the admission
-// queue fills.
-type blockingMatcher struct {
-	entered chan struct{}
-	release chan struct{}
-	calls   atomic.Int64
-}
-
-func (m *blockingMatcher) Name() string { return "blocking" }
-func (m *blockingMatcher) Match(ctx context.Context, input []byte) ([]rapid.Report, error) {
-	m.calls.Add(1)
-	select {
-	case m.entered <- struct{}{}:
-	default:
-	}
-	select {
-	case <-m.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return []rapid.Report{{Offset: len(input)}}, nil
-}
-
 // TestAdmissionBackpressure fills the bounded queue deterministically and
 // checks that over-capacity requests are refused with 429 + Retry-After
 // while admitted ones all complete, and that the queue gauge never
@@ -198,11 +172,10 @@ func (m *blockingMatcher) Match(ctx context.Context, input []byte) ([]rapid.Repo
 func TestAdmissionBackpressure(t *testing.T) {
 	const queueDepth = 4
 	reg := telemetry.NewRegistry()
-	bm := &blockingMatcher{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	// One batch per admitted request at most.
+	eng := &blockingEngine{entered: make(chan int, 1+queueDepth), release: make(chan struct{})}
 	s := mustNew(t, Config{QueueDepth: queueDepth, RetryAfter: 2 * time.Second, Telemetry: reg})
-	if _, err := s.AddDesign(DesignSpec{Name: "d", Matcher: bm}); err != nil {
-		t.Fatal(err)
-	}
+	mountEngine(s, "d", eng)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -222,7 +195,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	var admitted sync.WaitGroup
 	admitted.Add(1)
 	go func() { defer admitted.Done(); post() }()
-	<-bm.entered
+	<-eng.entered
 
 	// Now fill the queue to its cap.
 	for i := 0; i < queueDepth; i++ {
@@ -251,11 +224,15 @@ func TestAdmissionBackpressure(t *testing.T) {
 		t.Fatalf("capacity rejections = %d, want 3", got)
 	}
 
-	// Release the matcher: every admitted request completes.
-	close(bm.release)
+	// Release the engine: every admitted request completes.
+	close(eng.release)
 	admitted.Wait()
-	if got := bm.calls.Load(); got != queueDepth+1 {
-		t.Fatalf("matcher served %d requests, want %d", got, queueDepth+1)
+	served := 1
+	for len(eng.entered) > 0 {
+		served += <-eng.entered
+	}
+	if served != queueDepth+1 {
+		t.Fatalf("engine served %d requests, want %d", served, queueDepth+1)
 	}
 	waitGauge(t, reg, metricQueueDepth, "design", "d", 0)
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -267,11 +244,9 @@ func TestAdmissionBackpressure(t *testing.T) {
 // Shutdown starts completes, requests arriving during the drain are
 // refused with 503 + Retry-After, and Shutdown returns cleanly.
 func TestDrain(t *testing.T) {
-	bm := &blockingMatcher{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := &blockingEngine{entered: make(chan int, 1), release: make(chan struct{})}
 	s := mustNew(t, Config{Addr: "127.0.0.1:0", RetryAfter: time.Second})
-	if _, err := s.AddDesign(DesignSpec{Name: "d", Matcher: bm}); err != nil {
-		t.Fatal(err)
-	}
+	mountEngine(s, "d", eng)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +269,7 @@ func TestDrain(t *testing.T) {
 		resp.Body.Close()
 		inflight <- result{status: resp.StatusCode}
 	}()
-	<-bm.entered
+	<-eng.entered
 
 	// Start draining.
 	shutdownDone := make(chan error, 1)
@@ -329,7 +304,7 @@ func TestDrain(t *testing.T) {
 
 	// The in-flight request must complete successfully, then the drain
 	// finishes cleanly.
-	close(bm.release)
+	close(eng.release)
 	res := <-inflight
 	if res.err != nil || res.status != http.StatusOK {
 		t.Fatalf("in-flight request dropped during drain: status=%d err=%v", res.status, res.err)
@@ -352,7 +327,7 @@ func TestStreamEndpointParity(t *testing.T) {
 	}
 
 	s := mustNew(t, Config{})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -427,7 +402,7 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustNew(t, Config{})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -487,14 +462,14 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 }
 
 // TestConcurrentHammer drives many concurrent clients against a real
-// engine-mode design with a small queue under -race: every response is
+// compiled design with a small queue under -race: every response is
 // either a correct 200 or a 429 with Retry-After, no scrape ever reads a
 // negative queue depth, and request accounting balances.
 func TestConcurrentHammer(t *testing.T) {
 	const clients = 64
 	reg := telemetry.NewRegistry()
 	s := mustNew(t, Config{QueueDepth: 8, MaxBatch: 4, Telemetry: reg})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	design := compileTestDesign(t)
@@ -598,7 +573,7 @@ func TestConcurrentHammer(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := mustNew(t, Config{Telemetry: reg})
-	if _, err := s.AddDesign(testSpec("d", "")); err != nil {
+	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -677,7 +652,7 @@ func mustNew(t *testing.T, cfg Config) *Server {
 // response caches on); refusals carry neither.
 func TestMatchIdempotencyHeaders(t *testing.T) {
 	s := mustNew(t, Config{})
-	info, err := s.AddDesign(testSpec("d", ""))
+	info, err := s.AddDesign(testSpec("d"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,14 @@
 // Package serve is the pattern-match serving layer: it mounts compiled
-// RAPID/ANML designs behind an HTTP match API with the request path a
-// production matching service needs — an admission controller with a
-// bounded queue (429 + Retry-After under overload instead of unbounded
-// queuing), a dispatcher that coalesces small concurrent requests into
-// Engine.RunBatch calls by back-pressure (a batch is what queued while
-// the previous one ran; nothing ever waits on a timer), per-design
-// backend selection, health/readiness endpoints, and graceful drain that
-// stops admissions, flushes in-flight batches, and shuts the telemetry
-// listener down last so a final scrape can observe the drain. Replica
-// failover is the gateway's (package repro/internal/gateway).
+// RAPID/ANML designs, each on its batched lazy-DFA Engine, behind an HTTP
+// match API with the request path a production matching service needs —
+// an admission controller with a bounded queue (429 + Retry-After under
+// overload instead of unbounded queuing), a dispatcher that coalesces
+// small concurrent requests into Engine.RunBatch calls by back-pressure
+// (a batch is what queued while the previous one ran; nothing ever waits
+// on a timer), health/readiness endpoints, and graceful drain that stops
+// admissions, flushes in-flight batches, and shuts the telemetry listener
+// down last so a final scrape can observe the drain. Replica failover is
+// the gateway's (package repro/internal/gateway).
 //
 // Command rapidserve is the CLI front end; package repro/serve/client is
 // the Go client. See docs/SERVING.md for the API and capacity-planning
@@ -85,7 +85,7 @@ type Config struct {
 	// TenantRate requests/second with TenantBurst burst. <= 0 disables.
 	TenantRate  float64
 	TenantBurst int
-	// Telemetry routes the serve.* metric family (and every backend's
+	// Telemetry routes the serve.* metric family (and every engine's
 	// stream accounting) into reg. nil disables.
 	Telemetry *telemetry.Registry
 }
@@ -204,8 +204,6 @@ func (s *Server) AddDesign(spec DesignSpec) (DesignInfo, error) {
 	if err != nil {
 		return DesignInfo{}, err
 	}
-	d.queue = make(chan *job, s.cfg.QueueDepth)
-	d.tel = s.tel.forDesign(spec.Name)
 	s.designs[spec.Name] = d
 	s.order = append(s.order, spec.Name)
 	s.dispatchers.Add(1)

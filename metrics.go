@@ -16,8 +16,9 @@ func Metrics() *telemetry.Snapshot {
 }
 
 // MetricsHandler serves the process-wide registry over HTTP — Prometheus
-// text format at /metrics, expvar-style JSON at /debug/vars. rapidrun's
-// -metrics-addr flag mounts this handler.
+// text format at /metrics, expvar-style JSON at /debug/vars — for a
+// program that mounts it on a mux of its own. The CLIs' -metrics-addr
+// listeners serve the same registry through telemetry.ListenAndServe.
 func MetricsHandler() http.Handler {
 	return telemetry.Handler(telemetry.Default())
 }
@@ -92,8 +93,8 @@ func (m *backendMetrics) record(inputBytes, reports int, err error, start time.T
 
 // RegisterBackendMetrics pre-creates the per-backend stream/byte/report
 // counter series for every BackendKind at zero, so a scrape taken before
-// (or without) traffic on some tier still includes every tier. The
-// -metrics-addr flags call this when they mount the exporter.
+// (or without) traffic on some tier still includes every tier. rapidrun's
+// -metrics-addr flag calls this when it mounts the exporter.
 func RegisterBackendMetrics(reg *telemetry.Registry) {
 	for _, kind := range BackendKinds() {
 		newBackendMetrics(reg, string(kind))
