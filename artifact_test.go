@@ -58,7 +58,7 @@ network (String[] pats) { some (String p : pats) find(p); }
 // TestArtifactUnknownFormatRejected: a future-format envelope must fail
 // loudly so cache readers recompile instead of misinterpreting it.
 func TestArtifactUnknownFormatRejected(t *testing.T) {
-	design, err := CompileRegex("ab+c")
+	design, err := CompileRegexSet([]string{"ab+c"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,9 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 	return &engineMetrics{
 		bm: newBackendMetrics(reg, string(BackendLazyDFA)),
 		queueDepth: reg.Gauge("rapid_engine_queue_depth",
-			"Streams accepted by RunBatch/RunRecords and not yet finished."),
+			"Streams accepted by RunBatch/RunBatchSettled and not yet finished."),
 		batches: reg.Counter("rapid_engine_batches_total",
-			"RunBatch/RunRecords invocations."),
+			"RunBatch/RunBatchSettled invocations."),
 		laneStreams: reg.Counter("rapid_engine_lane_streams_total",
 			"Streams a batch worker ran in a group of two or more, interleaved through one lazy-DFA cache."),
 		spanStreams: reg.Counter("rapid_engine_span_streams_total",
@@ -99,9 +99,6 @@ func (d *Design) NewEngine(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Workers returns the engine's worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // Tiers describes the engine's execution split, by what its lazy-DFA
 // states are: "lazy-dfa" (every component counter- and gate-free: enable
 // vectors), "counter-dfa" (every component has counters or gates: enable
@@ -128,11 +125,6 @@ func (e *Engine) Run(ctx context.Context, input []byte) ([]Report, error) {
 	var res [1]BatchResult
 	err := e.runGroup(ctx, m, [][]byte{input}, res[:])
 	return res[0].Reports, err
-}
-
-// RunBytes is Run with context.Background().
-func (e *Engine) RunBytes(input []byte) ([]Report, error) {
-	return e.Run(context.Background(), input)
 }
 
 // runGroup runs inputs on m as one group, interleaved when there are
@@ -340,43 +332,4 @@ func (e *Engine) RunBatchSettled(ctx context.Context, inputs [][]byte) []BatchRe
 	}
 	e.runPool(ctx, inputs, results)
 	return results
-}
-
-// RecordReports is the result of executing one record of a framed stream.
-type RecordReports struct {
-	// Index is the record's position in the stream.
-	Index int
-	// Offset is the stream offset of the record's first symbol.
-	Offset int
-	// Reports carries the record's report events with offsets rebased to
-	// the enclosing stream, so they line up with a whole-stream run.
-	Reports []Report
-}
-
-// RunRecords splits a stream framed with the reserved START_OF_INPUT
-// separator (see FrameRecords) into records and executes each as an
-// independent stream across the worker pool. Every record is re-framed
-// with a leading and trailing separator, so designs written against the
-// paper's flattened-array convention see each record exactly as they
-// would in the whole stream; report offsets are rebased to stream
-// coordinates. Records must be independent — automaton state does not
-// carry across separators, which is the convention's intent.
-func (e *Engine) RunRecords(ctx context.Context, stream []byte) ([]RecordReports, error) {
-	records, offsets := SplitRecords(stream)
-	framed := make([][]byte, len(records))
-	for i, rec := range records {
-		framed[i] = FrameRecords(rec)
-	}
-	results, err := e.RunBatch(ctx, framed)
-	out := make([]RecordReports, len(records))
-	for i, reports := range results {
-		// Framed symbol k maps to stream offset offsets[i]-1+k: index 0 is
-		// the record's leading separator, which sits one symbol before the
-		// record in the stream.
-		for j := range reports {
-			reports[j].Offset += offsets[i] - 1
-		}
-		out[i] = RecordReports{Index: i, Offset: offsets[i], Reports: reports}
-	}
-	return out, err
 }

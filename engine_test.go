@@ -59,7 +59,7 @@ func TestEngineMatchesSimulatorOnBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameReportSet(mustRunBytes(t, runner, input), want) {
+			if !sameReportSet(mustRun(t, runner, input), want) {
 				t.Fatalf("fast simulator diverged from reference")
 			}
 			got, err := eng.Run(context.Background(), input)
@@ -81,8 +81,8 @@ func TestEngineRunBatchOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Workers() != 8 {
-		t.Fatalf("workers = %d", eng.Workers())
+	if eng.workers != 8 {
+		t.Fatalf("workers = %d", eng.workers)
 	}
 	rng := rand.New(rand.NewSource(3))
 	inputs := make([][]byte, 37)
@@ -139,54 +139,18 @@ func TestEngineRunBatchCancel(t *testing.T) {
 	}
 }
 
-// TestEngineRunRecords checks the framed-record path: per-record parallel
-// execution with offsets rebased to stream coordinates matches a
-// whole-stream run for record-independent designs.
-func TestEngineRunRecords(t *testing.T) {
-	design := mustDesign(t, slidingSrc, Str("abc"))
-	eng, err := design.NewEngine(WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := []string{"xxabcx", "abc", "bca", "aabcabc", "zzz"}
-	stream := FrameStrings(records...)
-	want, err := design.RunBytes(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.RunRecords(context.Background(), stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("records = %d, want %d", len(got), len(records))
-	}
-	var merged []Report
-	for i, rr := range got {
-		if rr.Index != i {
-			t.Fatalf("record %d has index %d", i, rr.Index)
-		}
-		merged = append(merged, rr.Reports...)
-	}
-	if !sameReportSet(merged, want) {
-		t.Fatalf("record reports %v != whole-stream %v", merged, want)
-	}
-}
-
 // TestEngineGroupReportArena checks the per-group report allocation: each
 // stream's reports are capped at their own length, so appending to one
-// stream's slice never writes into its neighbour's, and RunRecords rebases
-// every record's offsets exactly once.
+// stream's slice never writes into its neighbour's.
 func TestEngineGroupReportArena(t *testing.T) {
 	design := mustDesign(t, slidingSrc, Str("abc"))
 	eng, err := design.NewEngine(WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, inputs := make([]string, 8), make([][]byte, 8)
-	for i := range records {
-		records[i] = "x" + strings.Repeat("abc", i+1)
-		inputs[i] = []byte(records[i])
+	inputs := make([][]byte, 8)
+	for i := range inputs {
+		inputs[i] = []byte("x" + strings.Repeat("abc", i+1))
 	}
 	res := eng.RunBatchSettled(context.Background(), inputs)
 	for i, r := range res {
@@ -199,28 +163,6 @@ func TestEngineGroupReportArena(t *testing.T) {
 	_ = append(res[0].Reports, Report{Offset: -1, Code: -1})
 	if !reflect.DeepEqual(res[1].Reports, second) {
 		t.Fatalf("append to stream 0 changed stream 1: %v, want %v", res[1].Reports, second)
-	}
-
-	stream := FrameStrings(records...)
-	want, err := design.RunBytes(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.RunRecords(context.Background(), stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged []Report
-	for i, rr := range got {
-		for _, r := range rr.Reports {
-			if r.Offset < rr.Offset || r.Offset >= rr.Offset+len(records[i]) {
-				t.Fatalf("record %d at %d: report offset %d outside the record", i, rr.Offset, r.Offset)
-			}
-		}
-		merged = append(merged, rr.Reports...)
-	}
-	if !reflect.DeepEqual(merged, want) {
-		t.Fatalf("record reports %v != whole-stream %v", merged, want)
 	}
 }
 

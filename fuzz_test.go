@@ -3,8 +3,8 @@ package rapid
 import "testing"
 
 // FuzzCompileRegex asserts that no pattern — however malformed — can panic
-// the regex front end: every input either compiles into a runnable design
-// or returns an error.
+// the regex front end: every input, compiled alone by CompileRegexSet,
+// either yields a runnable design or returns an error.
 //
 // Run with: go test -fuzz=FuzzCompileRegex .
 func FuzzCompileRegex(f *testing.F) {
@@ -45,7 +45,7 @@ func FuzzCompileRegex(f *testing.F) {
 		if len(pattern) > 64 {
 			return // bound counted-repetition blowup, not panic coverage
 		}
-		design, err := CompileRegex(pattern)
+		design, err := CompileRegexSet([]string{pattern})
 		if err != nil {
 			return
 		}

@@ -23,18 +23,27 @@ import (
 type xmlANML struct {
 	XMLName xml.Name   `xml:"anml"`
 	Version string     `xml:"version,attr"`
+	Macros  []xmlMacro `xml:"macro-definition"`
 	Network xmlNetwork `xml:"automata-network"`
 }
 
 type xmlNetwork struct {
-	ID       string       `xml:"id,attr"`
-	STEs     []xmlSTE     `xml:"state-transition-element"`
-	Counters []xmlCounter `xml:"counter"`
-	Ands     []xmlGate    `xml:"and"`
-	Ors      []xmlGate    `xml:"or"`
-	Nots     []xmlGate    `xml:"inverter"`
-	Nors     []xmlGate    `xml:"nor"`
-	Nands    []xmlGate    `xml:"nand"`
+	ID        string       `xml:"id,attr"`
+	STEs      []xmlSTE     `xml:"state-transition-element"`
+	Counters  []xmlCounter `xml:"counter"`
+	Ands      []xmlGate    `xml:"and"`
+	Ors       []xmlGate    `xml:"or"`
+	Nots      []xmlGate    `xml:"inverter"`
+	Nors      []xmlGate    `xml:"nor"`
+	Nands     []xmlGate    `xml:"nand"`
+	MacroRefs []xmlMacro   `xml:"macro-reference"`
+}
+
+// xmlMacro is a macro definition or reference, read only to be refused:
+// this dialect has no macros, and a reader that skipped one would load
+// a network missing the elements the macro stands for.
+type xmlMacro struct {
+	ID string `xml:"id,attr"`
 }
 
 type xmlActivate struct {
@@ -67,24 +76,13 @@ type xmlGate struct {
 	Report   *xmlReport    `xml:"report-on-high"`
 }
 
-// ElementID returns the ANML id used for element e: its Name when set,
-// otherwise a kind-prefixed synthetic id. It serves construction-time
-// callers holding builder elements; TopoElementID is the frozen-side
-// equivalent.
-func ElementID(e *automata.Element) string {
-	return anmlID(e.Name, e.Kind, e.ID)
-}
-
-// TopoElementID returns the ANML id of element id in a frozen topology.
+// TopoElementID returns the ANML id of element id in a frozen topology:
+// its name when set, otherwise a kind-prefixed synthetic id.
 func TopoElementID(t *automata.Topology, id automata.ElementID) string {
-	return anmlID(t.NameOf(id), t.Kind(id), id)
-}
-
-func anmlID(name string, kind automata.Kind, id automata.ElementID) string {
-	if name != "" {
+	if name := t.NameOf(id); name != "" {
 		return name
 	}
-	switch kind {
+	switch t.Kind(id) {
 	case automata.KindSTE:
 		return fmt.Sprintf("ste%d", id)
 	case automata.KindCounter:
@@ -216,11 +214,18 @@ func Write(w io.Writer, t *automata.Topology) error {
 	return err
 }
 
-// Unmarshal parses an ANML document into a network.
+// Unmarshal parses an ANML document into a network. A document holding a
+// macro definition or reference is refused, naming the first one.
 func Unmarshal(data []byte) (*automata.Network, error) {
 	var doc xmlANML
 	if err := xml.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("anml: %w", err)
+	}
+	if len(doc.Macros) > 0 {
+		return nil, fmt.Errorf("anml: <macro-definition id=%q>: macros are not supported", doc.Macros[0].ID)
+	}
+	if refs := doc.Network.MacroRefs; len(refs) > 0 {
+		return nil, fmt.Errorf("anml: <macro-reference id=%q>: macros are not supported", refs[0].ID)
 	}
 	n := automata.NewNetwork(doc.Network.ID)
 	ids := make(map[string]automata.ElementID)
@@ -323,15 +328,6 @@ func Unmarshal(data []byte) (*automata.Network, error) {
 		}
 	}
 	return n, nil
-}
-
-// Read parses an ANML document from r.
-func Read(r io.Reader) (*automata.Network, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("anml: %w", err)
-	}
-	return Unmarshal(data)
 }
 
 // LineCount returns the number of lines in the marshaled ANML for t, the

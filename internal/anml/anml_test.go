@@ -130,12 +130,12 @@ func TestWriteRead(t *testing.T) {
 	if err := Write(&buf, n.MustFreeze()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Unmarshal(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats() != n.Stats() {
-		t.Fatal("Write/Read round trip changed stats")
+		t.Fatal("Write/Unmarshal round trip changed stats")
 	}
 }
 
@@ -174,6 +174,31 @@ func TestUnmarshalErrors(t *testing.T) {
 	for i, in := range cases {
 		if _, err := Unmarshal([]byte(in)); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestUnmarshalRefusesMacros: a macro definition or reference is refused
+// by name and id, not skipped — skipping one would load a network without
+// the elements it stands for.
+func TestUnmarshalRefusesMacros(t *testing.T) {
+	cases := map[string]string{
+		`<macro-reference id="r1">`: `<anml version="1.0"><automata-network id="x">` +
+			`<state-transition-element id="a" symbol-set="[a]" start="all-input"/>` +
+			`<macro-reference id="r1" macro-id="m"><substitution parameter-name="%p" substitution-value="[b]"/></macro-reference>` +
+			`</automata-network></anml>`,
+		`<macro-definition id="m">`: `<anml version="1.0"><macro-definition id="m"><body>` +
+			`<state-transition-element id="s" symbol-set="[a]" start="all-input"/>` +
+			`</body></macro-definition><automata-network id="x"/></anml>`,
+	}
+	for elem, doc := range cases {
+		n, err := Unmarshal([]byte(doc))
+		if err == nil {
+			t.Errorf("%s: loaded %d elements with a nil error, want a refusal", elem, n.Len())
+			continue
+		}
+		if !strings.Contains(err.Error(), elem) {
+			t.Errorf("%s: error %q does not name the element and its id", elem, err)
 		}
 	}
 }

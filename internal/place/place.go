@@ -98,8 +98,7 @@ type Placement struct {
 	// RowOf maps element id to its row within its block.
 	RowOf []int
 	// PhysicalBlocks maps each logical block index to the physical board
-	// block it occupies. With a defect map configured, defective blocks
-	// are routed around and never appear here.
+	// block it occupies: logical block i is physical block i.
 	PhysicalBlocks []int
 	// Stamped is the number of component instances placed by the
 	// macro-stamping fast path (zero without a Config.Stamper).
@@ -108,26 +107,21 @@ type Placement struct {
 	Metrics Metrics
 }
 
-// CapacityError is returned when a design does not fit the board's healthy
-// capacity — either because the design is too large or because too many
-// blocks are defective. It is matched with errors.As.
+// CapacityError is returned when a design needs more blocks than the
+// board has. It is matched with errors.As.
 type CapacityError struct {
 	Design    string
 	Component string // the component that opened the first unplaceable block
 	Needed    int    // blocks the placed design requires
-	Healthy   int    // usable blocks on the board
-	Defective int    // blocks lost to defects
-	Total     int    // physical blocks on the board
+	Total     int    // blocks on the board
 }
 
 func (e *CapacityError) Error() string {
-	msg := fmt.Sprintf(
-		"place: design %q needs %d blocks but only %d of %d board blocks are healthy (%d defective)",
-		e.Design, e.Needed, e.Healthy, e.Total, e.Defective)
+	msg := fmt.Sprintf("place: design %q needs %d blocks but the board has %d", e.Design, e.Needed, e.Total)
 	if e.Component != "" {
 		msg += fmt.Sprintf("; first component without a home: %s", e.Component)
 	}
-	return msg + "; shrink the design, raise Config.MaxBlocks, or provision a board with fewer defects"
+	return msg
 }
 
 // Config controls placement.
@@ -143,12 +137,8 @@ type Config struct {
 	// granularity instead of re-entering packing and refinement. nil
 	// disables stamping.
 	Stamper *Stamper
-	// Defects marks physically defective board blocks; placement assigns
-	// logical blocks only to healthy physical blocks. nil means a
-	// defect-free board.
-	Defects *ap.DefectMap
-	// MaxBlocks caps the physical blocks available; 0 means the defect
-	// map's size when one is set, otherwise the full board.
+	// MaxBlocks caps the physical blocks available; 0 means the full
+	// board.
 	MaxBlocks int
 }
 
@@ -170,7 +160,7 @@ var (
 		"Placement flows that returned an error.")
 	telPlaceCapacityErrors = telemetry.Default().Counter(
 		"rapid_place_capacity_errors_total",
-		"Placement failures where the design exceeded healthy board capacity.")
+		"Placement failures where the design exceeded board capacity.")
 	telPlaceStamped = telemetry.Default().Counter(
 		"rapid_place_stamped_components_total",
 		"Component instances placed by stamping a cached shape footprint instead of packing and refinement.")
@@ -985,46 +975,28 @@ func (p *partitioner) finish() (*Placement, error) {
 	}, nil
 }
 
-// physicalAssignment maps the needed logical blocks onto healthy physical
-// board blocks in increasing order, routing around defects, and returns a
-// typed *CapacityError when the healthy capacity is insufficient. ownerOf
-// names the component that opened a given logical block; the error
-// attributes the failure to the first logical block without a physical
-// home, which is deterministic regardless of worker completion order.
+// physicalAssignment maps the needed logical blocks onto physical board
+// blocks in increasing order, and returns a typed *CapacityError when the
+// board has too few. ownerOf names the component that opened a given
+// logical block; the error attributes the failure to the first logical
+// block without a physical home, which is deterministic regardless of
+// worker completion order.
 func physicalAssignment(design string, needed int, cfg Config, ownerOf func(block int) string) ([]int, error) {
 	total := cfg.MaxBlocks
 	if total <= 0 {
-		if cfg.Defects != nil {
-			total = cfg.Defects.Total()
-		} else {
-			total = firstGen.TotalBlocks()
-		}
+		total = firstGen.TotalBlocks()
 	}
-	defective := 0
-	phys := make([]int, 0, needed)
-	for b := 0; b < total; b++ {
-		if cfg.Defects != nil && cfg.Defects.Defective(b) {
-			defective++
-			continue
-		}
-		if len(phys) < needed {
-			phys = append(phys, b)
-		}
-	}
-	if len(phys) < needed {
+	if needed > total {
 		telPlaceCapacityErrors.Inc()
 		component := ""
 		if ownerOf != nil {
-			component = ownerOf(len(phys))
+			component = ownerOf(total)
 		}
-		return nil, &CapacityError{
-			Design:    design,
-			Component: component,
-			Needed:    needed,
-			Healthy:   total - defective,
-			Defective: defective,
-			Total:     total,
-		}
+		return nil, &CapacityError{Design: design, Component: component, Needed: needed, Total: total}
+	}
+	phys := make([]int, needed)
+	for b := range phys {
+		phys[b] = b
 	}
 	return phys, nil
 }

@@ -316,7 +316,7 @@ func TestDrain(t *testing.T) {
 
 // TestStreamEndpointParity streams framed records through the chunked
 // endpoint and checks the rebased report offsets equal a whole-stream
-// run, per the RunRecords convention.
+// run.
 func TestStreamEndpointParity(t *testing.T) {
 	design := compileTestDesign(t)
 	records := []string{"xxabc", "bcdxx", "noope", "abcd"}
@@ -393,14 +393,11 @@ func testRecords(n, size int) [][]byte {
 // that first flush — every record past the handler's first read was
 // dropped and an "invalid Read on closed Body" line took their place. Over
 // real TCP, bodies of 4 KiB, 64 KiB and 1 MiB must come back whole: one
-// line per record, no error line, reports equal to Engine.RunRecords over
-// the whole stream. Records of 96 KiB span several of the scanner's reads
-// and answer with result lines far longer than 64 KiB.
+// line per record, no error line, reports equal to recordOracle's. Records
+// of 96 KiB span several of the scanner's reads and answer with result
+// lines far longer than 64 KiB.
 func TestStreamBodiesBeyondFirstRead(t *testing.T) {
-	eng, err := compileTestDesign(t).NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
+	design := compileTestDesign(t)
 	s := mustNew(t, Config{})
 	if _, err := s.AddDesign(testSpec("d")); err != nil {
 		t.Fatal(err)
@@ -420,12 +417,9 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 				copy(recs[1], bytes.Repeat([]byte("abcd"), c.size/8)) // a report every few bytes
 			}
 			stream := rapid.FrameRecords(recs...)
-			want, err := eng.RunRecords(context.Background(), stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.size > 64<<10 && len(want[1].Reports) < 4<<10 {
-				t.Fatalf("record 1 has %d reports, too few for a result line over 64 KiB", len(want[1].Reports))
+			offsets, want := recordOracle(t, design, stream)
+			if c.size > 64<<10 && len(want[1]) < 4<<10 {
+				t.Fatalf("record 1 has %d reports, too few for a result line over 64 KiB", len(want[1]))
 			}
 			resp, err := http.Post(ts.URL+"/v1/match/stream?design=d", "application/octet-stream", bytes.NewReader(stream))
 			if err != nil {
@@ -447,11 +441,11 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 				if lines >= n {
 					t.Fatalf("more than %d result lines", n)
 				}
-				if line.Index != lines || line.Offset != want[lines].Offset {
-					t.Fatalf("line %d is record %d at offset %d, want offset %d", lines, line.Index, line.Offset, want[lines].Offset)
+				if line.Index != lines || line.Offset != offsets[lines] {
+					t.Fatalf("line %d is record %d at offset %d, want offset %d", lines, line.Index, line.Offset, offsets[lines])
 				}
-				if got, wantSet := reportSet(line.Reports), reportSet(want[lines].Reports); !equalStrings(got, wantSet) {
-					t.Fatalf("record %d reports %v != RunRecords %v", lines, got, wantSet)
+				if got, wantSet := reportSet(line.Reports), reportSet(want[lines]); !equalStrings(got, wantSet) {
+					t.Fatalf("record %d reports %v != whole-stream run %v", lines, got, wantSet)
 				}
 			}
 			if lines != n {
@@ -459,6 +453,32 @@ func TestStreamBodiesBeyondFirstRead(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recordOracle is the stream endpoint's expected answer: the whole-stream
+// reference run (Design.RunBytes), split by each record's span from
+// SplitRecords, each record's share in (offset, code) order. It shares no
+// code with the endpoint's framing and rebase. No match of the test
+// design crosses a separator, so the split is exact.
+func recordOracle(t *testing.T, design *rapid.Design, stream []byte) (offsets []int, want [][]rapid.Report) {
+	t.Helper()
+	whole, err := design.RunBytes(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, offsets := rapid.SplitRecords(stream)
+	want = make([][]rapid.Report, len(records))
+	for _, r := range whole {
+		i := sort.SearchInts(offsets, r.Offset+1) - 1 // the last record starting at or before r
+		if i < 0 || r.Offset >= offsets[i]+len(records[i]) {
+			t.Fatalf("whole-stream report %+v lies outside every record", r)
+		}
+		want[i] = append(want[i], r)
+	}
+	for i := range want {
+		want[i] = rapid.Canonical(want[i])
+	}
+	return offsets, want
 }
 
 // TestConcurrentHammer drives many concurrent clients against a real

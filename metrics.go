@@ -1,27 +1,10 @@
 package rapid
 
 import (
-	"net/http"
 	"time"
 
 	"repro/internal/telemetry"
 )
-
-// Metrics returns a point-in-time snapshot of the process-wide telemetry
-// registry (telemetry.Default()): every execution path constructed with
-// WithTelemetry(telemetry.Default()), plus the always-on placement
-// instruments. See docs/OBSERVABILITY.md for the metric catalog.
-func Metrics() *telemetry.Snapshot {
-	return telemetry.Default().Snapshot()
-}
-
-// MetricsHandler serves the process-wide registry over HTTP — Prometheus
-// text format at /metrics, expvar-style JSON at /debug/vars — for a
-// program that mounts it on a mux of its own. The CLIs' -metrics-addr
-// listeners serve the same registry through telemetry.ListenAndServe.
-func MetricsHandler() http.Handler {
-	return telemetry.Handler(telemetry.Default())
-}
 
 // Per-backend stream accounting, shared by every execution tier. The
 // backend label carries the BackendKind name, so one scrape compares the

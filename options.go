@@ -25,14 +25,14 @@ func applyOptions(opts []Option) config {
 }
 
 // WithWorkers sets the worker-pool size for Engine.RunBatch and
-// Engine.RunRecords. Values <= 0 mean GOMAXPROCS.
+// Engine.RunBatchSettled. Values <= 0 mean GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
 // WithTelemetry routes the execution path's metrics into reg —
-// typically telemetry.Default(), so rapid.Metrics() and the -metrics-addr
-// exporters see them. The default is nil: telemetry disabled, at zero
+// typically telemetry.Default(), so the -metrics-addr exporters see
+// them. The default is nil: telemetry disabled, at zero
 // measurable cost on the hot path.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) { c.tel = reg }

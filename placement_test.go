@@ -268,13 +268,13 @@ func TestDeviceNetworkDerivedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.net != d.placed.Network || r.Clone().net != d.placed.Network {
+		if r.net != d.placed.Network {
 			t.Fatalf("%s: the runner does not step the placed network", name)
 		}
 		if d.OptimizeForDevice().net != d.placed.Network {
 			t.Fatalf("%s: OptimizeForDevice is not the placed network", name)
 		}
-		got, err := r.RunBytes([]byte("xxabdxbdabc"))
+		got, err := r.Run(context.Background(), []byte("xxabdxbdabc"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestEmptyDeviceNetwork(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Clone().Run(ctx, []byte("ab")); err != context.Canceled {
+	if _, err := r.Run(ctx, []byte("ab")); err != context.Canceled {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}
 }

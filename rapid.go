@@ -25,9 +25,9 @@
 //	anmlBytes, err := design.ANML()          // export ANML
 //	tess, err := prog.Tessellate(args...)    // Section 6 tessellation
 //
-// Every execution path follows one signature convention: the primary run
-// methods are context-first — Run(ctx, input) ([]Report, error) — and each
-// has a RunBytes convenience wrapper using context.Background(). Backends
+// Every execution path follows one signature convention: the run methods
+// are context-first — Run(ctx, input) ([]Report, error) — and Design adds
+// a RunBytes convenience wrapper using context.Background(). Backends
 // are constructed uniformly through Design.Backend(kind), with functional
 // options (WithWorkers, WithTelemetry) shared across constructors.
 package rapid
@@ -370,8 +370,8 @@ func (d *Design) NewRunner(opts ...Option) (*Runner, error) {
 // Run streams input through the design and returns the report events. The
 // stream is processed in chunks and aborts promptly with ctx.Err() once
 // ctx is done, returning the reports produced up to that point. The
-// runner resets between calls and is not safe for concurrent use; Clone
-// gives each goroutine its own cheap copy.
+// runner resets between calls and is not safe for concurrent use: give
+// each goroutine a runner of its own.
 func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
 	start := r.bm.start()
 	var out []Report
@@ -383,25 +383,6 @@ func (r *Runner) Run(ctx context.Context, input []byte) ([]Report, error) {
 	}
 	r.bm.record(len(input), len(out), err, start)
 	return out, err
-}
-
-// RunBytes is Run with context.Background().
-func (r *Runner) RunBytes(input []byte) ([]Report, error) {
-	return r.Run(context.Background(), input)
-}
-
-// Clone returns an independent runner for the same design that shares the
-// precomputed O(elements × alphabet) acceptance tables but owns its own
-// mutable execution state. Cloning is cheap (O(elements/64)), so a server
-// can run one compiled design across many goroutines — one clone each —
-// without rebuilding the tables. Clones share the parent's telemetry
-// instruments (counters are concurrency-safe).
-func (r *Runner) Clone() *Runner {
-	c := &Runner{net: r.net, bm: r.bm}
-	if r.sim != nil {
-		c.sim = r.sim.Clone()
-	}
-	return c
 }
 
 // WriteDot renders the design in Graphviz DOT format for visualization.
@@ -438,19 +419,10 @@ func (d *Design) Equivalent(other *Design) error {
 	return automata.Equivalent(ta, tb)
 }
 
-// CompileRegex compiles a regular expression into a design via the
+// CompileRegexSet compiles regular expressions into one design via the
 // Glushkov construction — the baseline programming model the paper
-// compares against. Patterns are unanchored unless they begin with ^.
-func CompileRegex(pattern string) (*Design, error) {
-	net, err := regexcomp.Compile(pattern, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Design{net: net, reports: map[int]string{}}, nil
-}
-
-// CompileRegexSet compiles several patterns into one design; pattern i
-// reports with code i.
+// compares against; pattern i reports with code i. Patterns are
+// unanchored unless they begin with ^.
 func CompileRegexSet(patterns []string) (*Design, error) {
 	net, err := regexcomp.CompileSet(patterns, "regex-set")
 	if err != nil {

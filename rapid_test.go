@@ -12,13 +12,13 @@ import (
 	"repro/internal/bench"
 )
 
-// mustRunBytes runs a backend over input and fails the test on error —
-// for the many sites where the run is expected to succeed.
-func mustRunBytes(t *testing.T, r interface {
-	RunBytes([]byte) ([]Report, error)
+// mustRun runs a backend over input and fails the test on error — for
+// the many sites where the run is expected to succeed.
+func mustRun(t *testing.T, r interface {
+	Run(context.Context, []byte) ([]Report, error)
 }, input []byte) []Report {
 	t.Helper()
-	reports, err := r.RunBytes(input)
+	reports, err := r.Run(context.Background(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestTessellate(t *testing.T) {
 	}
 }
 
-func TestCompileRegex(t *testing.T) {
-	design, err := CompileRegex("ra+pid")
+func TestCompileRegexSet(t *testing.T) {
+	design, err := CompileRegexSet([]string{"ra+pid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestWarmRunnerRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []byte("abc")
-	if got := mustRunBytes(t, runner, input); len(got) != 1 {
+	if got := mustRun(t, runner, input); len(got) != 1 {
 		t.Fatalf("%d reports, want 1", len(got))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { runner.RunBytes(input) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(100, func() { runner.Run(context.Background(), input) }); allocs != 1 {
 		t.Fatalf("warm Runner.Run made %.1f allocations, want 1", allocs)
 	}
 }
@@ -339,8 +339,8 @@ func TestPaperDesignsOneReportSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, run := range map[string]func() ([]Report, error){
-				"Runner.Run": func() ([]Report, error) { return runner.RunBytes(input) },
-				"Engine.Run": func() ([]Report, error) { return eng.RunBytes(input) },
+				"Runner.Run": func() ([]Report, error) { return runner.Run(context.Background(), input) },
+				"Engine.Run": func() ([]Report, error) { return eng.Run(context.Background(), input) },
 				"reference":  func() ([]Report, error) { return ref.Match(context.Background(), input) },
 			} {
 				got, err := run()

@@ -60,15 +60,15 @@ func TestRunContextCancelsPromptly(t *testing.T) {
 		t.Fatalf("pre-cancelled: %d reports, err %v", len(reports), err)
 	}
 	// The runner remains usable after a cancelled run.
-	if got := mustRunBytes(t, runner, repeatStream("xxabcx", 10)); len(got) != 10 {
+	if got := mustRun(t, runner, repeatStream("xxabcx", 10)); len(got) != 10 {
 		t.Fatalf("post-cancel run: %d reports, want 10", len(got))
 	}
 
 	// Cancellation on the third check stops after exactly two chunks: the
 	// partial reports are those of a fault-free run over that prefix.
 	prefix := input[:2*automata.CancelCheckInterval]
-	want := mustRunBytes(t, runner, prefix)
-	if len(want) == 0 || len(want) >= len(mustRunBytes(t, runner, input)) {
+	want := mustRun(t, runner, prefix)
+	if len(want) == 0 || len(want) >= len(mustRun(t, runner, input)) {
 		t.Fatalf("prefix run has %d reports; the test needs some, and fewer than the whole stream's", len(want))
 	}
 	for name, run := range map[string]func(context.Context, []byte) ([]Report, error){
@@ -85,7 +85,10 @@ func TestRunContextCancelsPromptly(t *testing.T) {
 	}
 }
 
-func TestRunnerCloneConcurrent(t *testing.T) {
+// TestRunnersConcurrent: runners are not safe for concurrent use, so each
+// goroutine builds its own from one shared design; they all agree with a
+// runner used serially.
+func TestRunnersConcurrent(t *testing.T) {
 	design := mustDesign(t, slidingSrc, Str("abc"))
 	runner, err := design.NewRunner()
 	if err != nil {
@@ -99,24 +102,28 @@ func TestRunnerCloneConcurrent(t *testing.T) {
 	}
 	wants := make([][]Report, len(inputs))
 	for i, in := range inputs {
-		wants[i] = mustRunBytes(t, runner, in)
+		wants[i] = mustRun(t, runner, in)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
-		clone := runner.Clone() // shares tables, owns state
-		go func(g int, r *Runner) {
+		go func(g int) {
 			defer wg.Done()
+			r, err := design.NewRunner()
+			if err != nil {
+				errs <- err
+				return
+			}
 			for trial := 0; trial < 20; trial++ {
 				i := (g + trial) % len(inputs)
-				got, err := r.RunBytes(inputs[i])
+				got, err := r.Run(context.Background(), inputs[i])
 				if err != nil || !reflect.DeepEqual(got, wants[i]) {
 					errs <- fmt.Errorf("goroutine %d input %d: %d reports, want %d (err %v)", g, i, len(got), len(wants[i]), err)
 					return
 				}
 			}
-		}(g, clone)
+		}(g)
 	}
 	wg.Wait()
 	close(errs)

@@ -1,7 +1,5 @@
 package rapid
 
-import "bytes"
-
 // Stream construction helpers implementing the paper's input conventions
 // (Section 3.2): streams begin with the reserved START_OF_INPUT symbol,
 // and flattened arrays separate entries with it.
@@ -47,22 +45,4 @@ func SplitRecords(stream []byte) (records [][]byte, offsets []int) {
 		}
 	}
 	return records, offsets
-}
-
-// InjectEvery inserts sym into data after every n payload symbols — the
-// paper's Section 5.3 input transformation ("insert the symbol after every
-// 25 characters in the input stream") performed by host driver code.
-func InjectEvery(data []byte, n int, sym byte) []byte {
-	if n <= 0 {
-		return append([]byte(nil), data...)
-	}
-	var out bytes.Buffer
-	out.Grow(len(data) + len(data)/n + 1)
-	for i, b := range data {
-		out.WriteByte(b)
-		if (i+1)%n == 0 {
-			out.WriteByte(sym)
-		}
-	}
-	return out.Bytes()
 }

@@ -200,12 +200,12 @@ func TestEngineLaneStreamsCount(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotDefault checks the public rapid.Metrics() surface:
-// always-on cold-path instruments land in the default registry and the
-// snapshot resolves them by name.
+// TestMetricsSnapshotDefault: a backend built WithTelemetry(telemetry.Default())
+// counts its streams in the process-wide registry, whose snapshot
+// resolves them by name.
 func TestMetricsSnapshotDefault(t *testing.T) {
 	design := mustDesign(t, slidingSrc, Str("abc"))
-	before := Metrics().Counter(metricBackendStreams, "backend", string(BackendDevice))
+	before := telemetry.Default().Snapshot().Counter(metricBackendStreams, "backend", string(BackendDevice))
 	m, err := design.Backend(BackendDevice, WithTelemetry(telemetry.Default()))
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestMetricsSnapshotDefault(t *testing.T) {
 	if _, err := m.Match(context.Background(), []byte("xxabcx")); err != nil {
 		t.Fatal(err)
 	}
-	after := Metrics().Counter(metricBackendStreams, "backend", string(BackendDevice))
+	after := telemetry.Default().Snapshot().Counter(metricBackendStreams, "backend", string(BackendDevice))
 	if after != before+1 {
 		t.Fatalf("default-registry device streams went %d -> %d, want +1", before, after)
 	}

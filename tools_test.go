@@ -42,7 +42,7 @@ func TestRunner(t *testing.T) {
 	}
 	// The design is anchored at stream start (no sliding idiom).
 	for trial := 0; trial < 3; trial++ { // reusable across runs
-		reports := mustRunBytes(t, runner, []byte("abc"))
+		reports := mustRun(t, runner, []byte("abc"))
 		if got := Offsets(reports); !reflect.DeepEqual(got, []int{2}) {
 			t.Fatalf("trial %d: offsets = %v", trial, got)
 		}
@@ -55,7 +55,7 @@ func TestRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mustRunBytes(t, runner, []byte("abcabc"))
+	got := mustRun(t, runner, []byte("abcabc"))
 	if !reflect.DeepEqual(Offsets(got), Offsets(want)) {
 		t.Fatalf("runner %v != reference %v", Offsets(got), Offsets(want))
 	}
